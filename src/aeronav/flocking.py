@@ -218,8 +218,7 @@ class FlockSim:
     def __init__(self, q0: np.ndarray, theta0: np.ndarray, params: FlockParams,
                  world: World | None = None, control_dt: float = 0.1,
                  plant_dt: float = 0.01,
-                 rng: np.random.Generator | None = None,
-                 parallel: bool = False):
+                 rng: np.random.Generator | None = None):
         q0 = np.asarray(q0, dtype=float)
         n, m = q0.shape
         self.snapshot = FlockSnapshot(q0.copy(), np.asarray(theta0, dtype=float).copy(),
@@ -229,7 +228,6 @@ class FlockSim:
         self.control_dt = control_dt
         self.plant_dt = plant_dt
         self.rng = rng or np.random.default_rng(0)
-        self.parallel = parallel
         self.events: list = []
         self.t = 0.0
         self._theta_f = self.snapshot.theta.copy()
@@ -247,7 +245,7 @@ class FlockSim:
     def _agent_control(self, i: int, nb) -> np.ndarray:
         """Control of one agent from the shared snapshot (phase 2 of the
         two-phase tick; pure given the snapshot and the agent's own filter
-        state, so agents may be evaluated concurrently)."""
+        state)."""
         snap = self.snapshot
         f_a, f_g, f_o = self.forces(i, nb)
         f_t = nsb_blend(f_o, f_a, f_g)
@@ -279,15 +277,8 @@ class FlockSim:
         n, m = snap.n, snap.m
         nb = neighbor_lists(snap, self.params.r_c)
         tau = np.zeros((n, m))
-        if self.parallel:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor() as pool:
-                rows = list(pool.map(lambda i: self._agent_control(i, nb), range(n)))
-            for i, row in enumerate(rows):  # fixed application order
-                tau[i] = row
-        else:
-            for i in range(n):
-                tau[i] = self._agent_control(i, nb)
+        for i in range(n):
+            tau[i] = self._agent_control(i, nb)
         q, th, nu = snap.q, snap.theta, snap.nu
         steps = max(1, int(round(self.control_dt / self.plant_dt)))
         for _ in range(steps):

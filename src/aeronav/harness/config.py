@@ -21,10 +21,10 @@ _TUNNEL_KEYS = {"shape", "radius", "length", "density", "ds", "noise_sigma",
                 "start_radius", "end_radius", "ring_radius", "helix_radius",
                 "pitch", "turns", "bend_radius", "corner_smoothing"}
 _AGENT_KEYS = {"count", "spawn", "min_spacing"}
-_MONITOR_KEYS = {"d_safe", "min_pair", "goal_tol", "expect_replans",
-                 "require_goal", "lattice_spacing", "lattice_tol",
-                 "max_speed_final", "centroid_tol", "cost_non_increasing",
-                 "progress_window", "wall_margin", "sweep_speed", "sweep_tol"}
+_MONITOR_KEYS = {"d_safe", "min_pair", "expect_replans", "require_goal",
+                 "lattice_spacing", "lattice_tol", "max_speed_final",
+                 "centroid_tol", "cost_non_increasing", "progress_window",
+                 "wall_margin", "sweep_speed", "sweep_tol"}
 _OUTPUT_KEYS = {"dir", "csv", "jsonl", "svg"}
 
 

@@ -2,7 +2,9 @@
 
 Monitors only read the finished log (plus per-engine metrics), so enabling
 or disabling them cannot change a trajectory byte.  A failed monitor marks
-the run FAILED with the first violating tick.
+the run FAILED with the first violating tick.  A clearance check passes only
+when the value is at least its threshold: +inf (no obstacle, no other agent)
+passes and NaN fails.
 """
 from __future__ import annotations
 
@@ -32,16 +34,14 @@ def evaluate(log, monitors: dict, metrics: dict) -> list[MonitorResult]:
         return out
     if "d_safe" in monitors:
         thr = float(monitors["d_safe"])
-        tick = _first_violation(log.records, lambda r: r["d_obs"] >= thr
-                                or not np.isfinite(r["d_obs"]))
+        tick = _first_violation(log.records, lambda r: r["d_obs"] >= thr)
         out.append(MonitorResult("d_safe", tick is None,
                                  f"min d_obs {metrics.get('min_d_obs', float('nan')):.4f} "
                                  f">= {thr}" if tick is None else
                                  f"violated at tick {tick}", tick))
     if "min_pair" in monitors:
         thr = float(monitors["min_pair"])
-        tick = _first_violation(log.records, lambda r: r["min_pair"] >= thr
-                                or not np.isfinite(r["min_pair"]))
+        tick = _first_violation(log.records, lambda r: r["min_pair"] >= thr)
         out.append(MonitorResult("min_pair", tick is None,
                                  f"min pairwise {metrics.get('min_pair_d', float('nan')):.4f}"
                                  if tick is None else f"violated at tick {tick}", tick))

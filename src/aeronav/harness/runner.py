@@ -1,16 +1,20 @@
 """Scenario runner: builds the world from a validated config, executes the
 selected engine deterministically under the config seed, and scores the
-log with the configured monitors."""
+log with the configured monitors.  Every kind runs through the one tick
+loop in `run()`, driving an `Engine` built from the config."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..bezier import PiecewisePath
 from ..coverage import (BarrierFrame, CoverageGains, CoverageSim, SweepEvent,
-                        SweepPlan, coverage_control)
-from ..deform import DeformNavigator, DeformParams
+                        SweepPlan)
+from ..deform import (DeformNavigator, DeformParams, RefModelGains,
+                      RefModelState, deform_until_safe, ref_acceleration,
+                      ref_velocity, reference_model_step)
 from ..flocking import FlockParams, FlockSim, neighbor_lists
 from ..geom import unit
 from ..hybrid2d import HybridNavigator, HybridParams
@@ -27,6 +31,9 @@ from ..world import (Cylinder, Ellipsoid, Moving, SensingModel, Sphere, Wall,
 from . import monitors as monitors_mod
 from .config import ConfigError, validate_config
 from .runlog import RunLog
+
+GOAL = "goal"
+TERMINATED = "terminated"
 
 
 @dataclass
@@ -79,20 +86,39 @@ def build_world(cfg: dict) -> World:
     return World(obstacles, None if bounds is None else np.asarray(bounds, dtype=float))
 
 
+@dataclass
+class Engine:
+    """One scenario kind as `run()` drives it: step(tick) advances one control
+    period and returns None, GOAL (log this tick, then stop) or TERMINATED
+    (stop unlogged); rows(tick) are the tick's log rows; events() and
+    metrics() are read at the end.  n_ticks defaults to duration / control_dt."""
+    control_dt: float
+    step: Callable[[int], str | None]
+    rows: Callable[[int], list]
+    metrics: Callable[[], dict]
+    events: Callable[[], list] = list
+    record_every: int = 1
+    n_ticks: int | None = None
+
+
 def run(cfg: dict) -> RunResult:
     validate_config(cfg)
     kind = cfg["kind"]
-    engine = {
-        "hybrid2d": _run_hybrid2d,
-        "reactive3d": _run_reactive3d,
-        "deform3d": _run_deform3d,
-        "deform3d_quad": _run_deform3d_quad,
-        "tunnel": _run_tunnel,
-        "flocking": _run_flocking,
-        "coverage": _run_coverage,
-    }[kind]
-    log, metrics = engine(cfg)
-    log.name = cfg.get("name", kind)
+    engine = ENGINES[kind](cfg)
+    n_ticks = engine.n_ticks or int(round(cfg["duration"] / engine.control_dt))
+    log = RunLog(name=cfg.get("name", kind))
+    for tick in range(n_ticks):
+        status = engine.step(tick)
+        if status == TERMINATED:
+            break
+        if tick % engine.record_every == 0 or tick == n_ticks - 1:
+            for row in engine.rows(tick):
+                log.add(*row)
+        if status == GOAL:
+            break
+    for tick, name, data in engine.events():
+        log.event(tick, name, **data)
+    metrics = engine.metrics()
     results = monitors_mod.evaluate(log, cfg.get("monitors", {}), metrics)
     passed = monitors_mod.all_passed(results)
     metrics["passed"] = passed
@@ -100,148 +126,125 @@ def run(cfg: dict) -> RunResult:
     return RunResult(log, metrics, results, passed)
 
 
-# ---------------------------------------------------------------------------
-
-def _pair_min(positions) -> float:
-    q = np.asarray(positions, dtype=float)
-    if len(q) < 2:
-        return float("inf")
-    d = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
-    return float(np.min(d[np.triu_indices(len(q), k=1)]))
+def _clearance(world: World, p, t: float) -> float:
+    """Distance from p to the nearest obstacle; +inf in an empty world."""
+    return world.nearest_obstacle(p, t)[0] if world.obstacles else np.inf
 
 
-def _run_hybrid2d(cfg: dict):
+def _world_with_obstacles(cfg: dict) -> World:
+    """For navigators that query the nearest obstacle on every tick."""
     world = build_world(cfg)
-    p = HybridParams(**cfg.get("params", {}).get("hybrid", {}))
-    rrt_cfg = dict(cfg.get("params", {}).get("rrt", {}))
-    rrt_cfg.setdefault("seed", cfg["seed"])
-    rrt = RrtParams(**rrt_cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    goal = np.asarray(cfg["goal"], dtype=float)
-    trap_range = cfg.get("params", {}).get("trap_range")
-    nav = HybridNavigator(p, world, goal, rrt, rng, bounds=world.bounds,
-                          control_dt=cfg.get("control_dt", 0.1),
-                          trap_range=trap_range)
-    start = np.asarray(cfg["start"], dtype=float)
-    state = Unicycle2DState(start[0], start[1],
-                            float(cfg.get("heading", [0.0])[0]))
-    lim = LimitSet(v_max=p.v_max, u_max=p.u_max)
-    control_dt = cfg.get("control_dt", 0.1)
+    if not world.obstacles:
+        raise ConfigError(f"kind {cfg['kind']!r} needs an obstacle in world.obstacles")
+    return world
+
+
+def _vehicle(cfg, world, nav, state, stepper, limits, goal_tol, control_dt,
+             mode=None, extra=dict, events=list, watch=None) -> Engine:
+    """A navigator commanding a plant stepper every control period, stopping
+    within goal_tol of the goal.  mode overrides the navigator's logged mode,
+    extra() adds metrics, watch(state) sees the state after every tick."""
     plant_dt = cfg.get("plant_dt", 0.01)
     n_sub = max(1, int(round(control_dt / plant_dt)))
-    log = RunLog()
-    t = 0.0
-    min_d = np.inf
-    goal_reached = False
-    goal_time = None
-    n_ticks = int(round(cfg["duration"] / control_dt))
-    for tick in range(n_ticks):
-        v, u = nav.control(state, t, tick)
+    goal = np.asarray(cfg["goal"], dtype=float)
+    t, min_d, d, cmd, goal_time = 0.0, np.inf, np.inf, None, None
+
+    def step(tick):
+        nonlocal state, t, min_d, d, cmd, goal_time
+        cmd = nav.control(state, t, tick)
         for _ in range(n_sub):
-            state = step_unicycle(state, v, u, plant_dt, limits=lim)
+            state = stepper(state, *cmd, plant_dt, limits=limits)
             t += plant_dt
-        d = world.nearest_obstacle(state.position, t)[0] if world.obstacles else np.inf
+        d = _clearance(world, state.position, t)
         min_d = min(min_d, d)
-        vel = v * state.heading
-        log.add(tick, t, 0, state.position, vel, nav.mode.value, d, np.inf)
-        if not goal_reached and np.linalg.norm(state.position - goal) < p.goal_tol:
-            goal_reached = True
+        if watch is not None:
+            watch(state)
+        if np.linalg.norm(state.position - goal) < goal_tol:
             goal_time = t
-            break
-    for e in nav.events:
-        log.event(e.tick, e.kind, **e.data)
-    metrics = {"min_d_obs": float(min_d), "goal_reached": goal_reached,
-               "goal_time": goal_time, "replan_count": nav.replan_count,
-               "mode_switches": sum(1 for e in nav.events if e.kind in ("R1", "R2"))}
-    return log, metrics
+            return GOAL
+        return None
+
+    def rows(tick):
+        return [(tick, t, 0, state.position, cmd[0] * state.heading,
+                 mode or nav.mode.value, d, np.inf)]
+
+    def metrics():
+        return {"min_d_obs": float(min_d), "goal_reached": goal_time is not None,
+                "goal_time": goal_time, **extra()}
+
+    return Engine(control_dt, step, rows, metrics, events)
 
 
-def _run_reactive3d(cfg: dict):
-    world = build_world(cfg)
+def _hybrid2d(cfg: dict) -> Engine:
+    world = _world_with_obstacles(cfg)
+    params = cfg.get("params", {})
+    p = HybridParams(**params.get("hybrid", {}))
+    rrt_cfg = dict(params.get("rrt", {}))
+    rrt_cfg.setdefault("seed", cfg["seed"])
+    control_dt = cfg.get("control_dt", 0.1)
+    nav = HybridNavigator(p, world, np.asarray(cfg["goal"], dtype=float),
+                          RrtParams(**rrt_cfg), np.random.default_rng(cfg["seed"]),
+                          bounds=world.bounds, control_dt=control_dt,
+                          trap_range=params.get("trap_range"))
+    start = np.asarray(cfg["start"], dtype=float)
+    state = Unicycle2DState(start[0], start[1], float(cfg.get("heading", [0.0])[0]))
+    return _vehicle(
+        cfg, world, nav, state, step_unicycle,
+        LimitSet(v_max=p.v_max, u_max=p.u_max), p.goal_tol, control_dt,
+        extra=lambda: {"replan_count": nav.replan_count,
+                       "mode_switches": sum(1 for e in nav.events
+                                            if e.kind in ("R1", "R2"))},
+        events=lambda: [(e.tick, e.kind, e.data) for e in nav.events])
+
+
+def _reactive3d(cfg: dict) -> Engine:
+    world = _world_with_obstacles(cfg)
     p = Reactive3DParams(**cfg.get("params", {}).get("reactive3d", {}))
     goal = np.asarray(cfg["goal"], dtype=float)
     control_dt = cfg.get("control_dt", 0.05)
-    plant_dt = cfg.get("plant_dt", 0.01)
-    rng = np.random.default_rng(cfg["seed"])
-    nav = Reactive3DNavigator(p, world, goal, control_dt=control_dt, rng=rng)
+    nav = Reactive3DNavigator(p, world, goal, control_dt=control_dt,
+                              rng=np.random.default_rng(cfg["seed"]))
     start = np.asarray(cfg["start"], dtype=float)
     heading = cfg.get("heading")
     a0 = unit(goal - start) if heading is None else unit(np.asarray(heading, dtype=float))
-    state = Heading3DState(start, a0)
-    lim = LimitSet(v_max=p.v_bar, u_max=p.omega_max)
-    n_sub = max(1, int(round(control_dt / plant_dt)))
-    log = RunLog()
-    t = 0.0
-    min_d = np.inf
     plane_resid = 0.0
-    goal_reached = False
-    goal_time = None
-    for tick in range(int(round(cfg["duration"] / control_dt))):
-        v, u = nav.control(state, t, tick)
-        for _ in range(n_sub):
-            state = step_heading3d(state, v, u, plant_dt, limits=lim)
-            t += plant_dt
-        d = world.nearest_obstacle(state.p, t)[0]
-        min_d = min(min_d, d)
+
+    def watch(state):
+        # how far the vehicle strays from its plane of avoidance
+        nonlocal plane_resid
         if nav.mode.value == "avoid" and nav.plane is not None:
             plane_resid = max(plane_resid, abs(nav.plane.signed_distance(state.p)))
-        log.add(tick, t, 0, state.p, v * state.a, nav.mode.value, d, np.inf)
-        if np.linalg.norm(state.p - goal) < 0.3:
-            goal_reached = True
-            goal_time = t
-            break
-    for tick_, kindname in nav.events:
-        log.event(tick_, kindname)
-    metrics = {"min_d_obs": float(min_d), "goal_reached": goal_reached,
-               "goal_time": goal_time, "plane_residual": float(plane_resid),
-               "encounters": sum(1 for _, k in nav.events if k == "R1")}
-    return log, metrics
+
+    return _vehicle(
+        cfg, world, nav, Heading3DState(start, a0), step_heading3d,
+        LimitSet(v_max=p.v_bar, u_max=p.omega_max), 0.3, control_dt, watch=watch,
+        extra=lambda: {"plane_residual": float(plane_resid),
+                       "encounters": sum(1 for _, k in nav.events if k == "R1")},
+        events=lambda: [(tick, name, {}) for tick, name in nav.events])
 
 
-def _run_deform3d(cfg: dict):
+def _deform3d(cfg: dict) -> Engine:
     world = build_world(cfg)
     p = DeformParams(**cfg.get("params", {}).get("deform", {}))
     goal = np.asarray(cfg["goal"], dtype=float)
     start = np.asarray(cfg["start"], dtype=float)
-    rng = np.random.default_rng(cfg["seed"])
-    nav = DeformNavigator(p, world, start, goal, rng)
+    nav = DeformNavigator(p, world, start, goal, np.random.default_rng(cfg["seed"]))
     direction = goal - start
     state = Angle3DState(start.copy(), float(np.arctan2(direction[1], direction[0])),
                          0.0)
-    lim = LimitSet(v_max=p.v, u_max=cfg.get("params", {}).get("u_max", 3.0))
-    control_dt = cfg.get("control_dt", 0.1)
-    plant_dt = cfg.get("plant_dt", 0.01)
-    n_sub = max(1, int(round(control_dt / plant_dt)))
-    log = RunLog()
-    t = 0.0
-    min_d = np.inf
-    goal_reached = False
-    goal_time = None
-    for tick in range(int(round(cfg["duration"] / control_dt))):
-        v, ub, ua = nav.control(state, t, tick)
-        for _ in range(n_sub):
-            state = step_angles3d(state, v, ub, ua, plant_dt, limits=lim)
-            t += plant_dt
-        d = world.nearest_obstacle(state.p, t)[0]
-        min_d = min(min_d, d)
-        log.add(tick, t, 0, state.p, v * state.heading, "track", d, np.inf)
-        if np.linalg.norm(state.p - goal) < 0.3:
-            goal_reached = True
-            goal_time = t
-            break
-    for tick_, n_def in nav.deform_events:
-        log.event(tick_, "deform", count=n_def)
-    metrics = {"min_d_obs": float(min_d), "goal_reached": goal_reached,
-               "goal_time": goal_time,
-               "deform_count": sum(n for _, n in nav.deform_events)}
-    return log, metrics
+    return _vehicle(
+        cfg, world, nav, state, step_angles3d,
+        LimitSet(v_max=p.v, u_max=cfg.get("params", {}).get("u_max", 3.0)), 0.3,
+        cfg.get("control_dt", 0.1), mode="track",
+        extra=lambda: {"deform_count": sum(n for _, n in nav.deform_events)},
+        events=lambda: [(tick, "deform", {"count": n})
+                        for tick, n in nav.deform_events])
 
 
-def _run_deform3d_quad(cfg: dict):
-    """Deformable path tracked by the quadrotor stack through the
-    third-order reference model."""
-    from ..deform import (RefModelGains, RefModelState, deform_until_safe,
-                          ref_acceleration, ref_velocity, reference_model_step)
+def _deform3d_quad(cfg: dict) -> Engine:
+    """Deformable path tracked by the quadrotor through the third-order
+    reference model.  Deformation and the log row follow the first plant step
+    of a tick; clearance and goal are checked at every plant step."""
     world = build_world(cfg)
     p = DeformParams(**cfg.get("params", {}).get("deform", {}))
     gains = RefModelGains(v_max=max(2.0 * p.v, 1.0))
@@ -256,109 +259,108 @@ def _run_deform3d_quad(cfg: dict):
         QuadrotorState(start.copy(), np.zeros(3), np.eye(3), np.zeros(3)),
         FlatnessGains(**cfg.get("params", {}).get("flatness", {})))
     plant_dt = cfg.get("plant_dt", 0.01)
-    check_every = max(1, int(round(cfg.get("control_dt", 0.1) / plant_dt)))
-    log = RunLog()
-    t = 0.0
-    min_d = np.inf
-    errs = []
-    goal_reached = False
-    goal_time = None
+    n_sub = max(1, int(round(cfg.get("control_dt", 0.1) / plant_dt)))
+    # the plant step count is fixed, so the last tick may be a partial one
     n_steps = int(round(cfg["duration"] / plant_dt))
-    for k in range(n_steps):
-        if k % check_every == 0:
-            s_prog = path.closest_param(ref.p)
-            path, n_def = deform_until_safe(path, world, p, t, s_prog, rng)
-        ref = reference_model_step(ref, path, p.v, gains, plant_dt)
-        sample = FlatSample(ref.p.copy(), ref_velocity(ref), ref_acceleration(ref))
-        st = tracker.step(sample, plant_dt)
-        t += plant_dt
-        errs.append(float(np.linalg.norm(st.p - ref.p)))
-        d = world.nearest_obstacle(st.p, t)[0]
-        min_d = min(min_d, d)
-        if k % check_every == 0:
-            log.add(k // check_every, t, 0, st.p, st.v, "track", d, np.inf)
-        if np.linalg.norm(st.p - goal) < 0.4:
-            goal_reached = True
-            goal_time = t
-            break
-    rms = float(np.sqrt(np.mean(np.square(errs)))) if errs else 0.0
-    metrics = {"min_d_obs": float(min_d), "goal_reached": goal_reached,
-               "goal_time": goal_time, "tracking_rms": rms}
-    return log, metrics
+    t, min_d, errs, goal_time, row = 0.0, np.inf, [], None, None
+
+    def step(tick):
+        nonlocal path, ref, t, min_d, goal_time, row
+        first = tick * n_sub
+        for k in range(first, min(first + n_sub, n_steps)):
+            if k == first:
+                path, _ = deform_until_safe(path, world, p, t,
+                                            path.closest_param(ref.p), rng)
+            ref = reference_model_step(ref, path, p.v, gains, plant_dt)
+            st = tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
+                                         ref_acceleration(ref)), plant_dt)
+            t += plant_dt
+            errs.append(float(np.linalg.norm(st.p - ref.p)))
+            d = _clearance(world, st.p, t)
+            min_d = min(min_d, d)
+            if k == first:
+                row = (tick, t, 0, st.p, st.v, "track", d, np.inf)
+            if np.linalg.norm(st.p - goal) < 0.4:
+                goal_time = t
+                return GOAL
+        return None
+
+    def metrics():
+        rms = float(np.sqrt(np.mean(np.square(errs)))) if errs else 0.0
+        return {"min_d_obs": float(min_d), "goal_reached": goal_time is not None,
+                "goal_time": goal_time, "tracking_rms": rms}
+
+    return Engine(n_sub * plant_dt, step, lambda tick: [row], metrics,
+                  n_ticks=-(-n_steps // n_sub))
 
 
-def _run_tunnel(cfg: dict):
+def _tunnel(cfg: dict) -> Engine:
+    """Constant-speed tunnel following through a point cloud; clearance is
+    the distance to the cloud's wall."""
     tcfg = dict(cfg.get("tunnel", {}))
     sigma = float(tcfg.pop("noise_sigma", 0.0))
-    shape = tcfg.pop("shape")
-    cloud = generate_tunnel(shape, **tcfg)
-    p = TunnelParams(**cfg.get("params", {}).get("tunnel_nav", {}))
-    rng = np.random.default_rng(cfg["seed"])
-    sensing = SensingModel(d_sensing=p.d_sensing, sigma=sigma)
-    pipeline = cfg.get("params", {}).get("pipeline", "slices")
-    probes = cfg.get("params", {}).get("probe_distances")
+    cloud = generate_tunnel(tcfg.pop("shape"), **tcfg)
+    params = cfg.get("params", {})
+    p = TunnelParams(**params.get("tunnel_nav", {}))
     if cfg.get("start") == "auto" or cfg.get("heading") == "auto":
         # deploy a little inside the tunnel, roughly along the axis tangent
         k0 = min(8, len(cloud.axis) - 2)
-        start = cloud.axis[k0].copy()
+        c = cloud.axis[k0].copy()
         heading = unit(cloud.axis[k0 + 1] - cloud.axis[k0 - 1])
     else:
-        start = np.asarray(cfg["start"], dtype=float)
+        c = np.asarray(cfg["start"], dtype=float)
         heading = np.asarray(cfg["heading"], dtype=float)
     nav = TunnelNavigator(p, cloud.points, heading,
-                          sensing=sensing, rng=rng, pipeline=pipeline,
-                          probe_distances=probes)
-    c = start
-    log = RunLog()
-    t = 0.0
-    min_wall = np.inf
+                          sensing=SensingModel(d_sensing=p.d_sensing, sigma=sigma),
+                          rng=np.random.default_rng(cfg["seed"]),
+                          pipeline=params.get("pipeline", "slices"),
+                          probe_distances=params.get("probe_distances"))
+    t, min_wall, v, dw = 0.0, np.inf, None, None
     q_prev = cloud.curvilinear(c)
     q_unwrapped = [q_prev]
-    window = int(round(float(cfg.get("monitors", {}).get("progress_window", 5.0))
-                       / p.delta))
-    completed = False
-    est_wall_min = np.inf
-    for tick in range(int(round(cfg["duration"] / p.delta))):
+    # closed tunnels complete after one full loop, open ones near the end
+    target = cloud.length * (1.0 if cloud.closed else 0.86)
+
+    def step(tick):
+        nonlocal c, t, min_wall, v, dw, q_prev
         v = nav.control(c)
         if nav.terminated:
-            break
+            return TERMINATED
         c = c + v * p.delta
         t += p.delta
         dw = cloud.wall_distance(c)
         min_wall = min(min_wall, dw)
-        est_wall_min = min(est_wall_min, dw)
         q_now = cloud.curvilinear(c)
         dq = q_now - q_prev
         if cloud.closed:
             dq = (dq + 0.5 * cloud.length) % cloud.length - 0.5 * cloud.length
         q_unwrapped.append(q_unwrapped[-1] + dq)
         q_prev = q_now
-        log.add(tick, t, 0, c, v, nav.mode, dw, np.inf,
-                extra=f"q={q_unwrapped[-1]:.3f}")
-        # closed tunnels complete after one full loop, open ones near the end
-        target = cloud.length * (1.0 if cloud.closed else 0.86)
-        if q_unwrapped[-1] - q_unwrapped[0] >= target:
-            completed = True
-            break
-    q_arr = np.asarray(q_unwrapped)
-    monotone = True
-    if len(q_arr) > window:
-        gains = q_arr[window:] - q_arr[:-window]
-        monotone = bool(np.all(gains > 0.0))
-    metrics = {"min_wall_distance": float(min_wall),
-               "progress_monotone": monotone,
-               "completed": completed,
-               "progress": float(q_arr[-1] - q_arr[0]),
-               "goal_reached": completed}
-    return log, metrics
+        return GOAL if q_unwrapped[-1] - q_unwrapped[0] >= target else None
+
+    def rows(tick):
+        return [(tick, t, 0, c, v, nav.mode, dw, np.inf, f"q={q_unwrapped[-1]:.3f}")]
+
+    def metrics():
+        q_arr = np.asarray(q_unwrapped)
+        window = int(round(float(cfg.get("monitors", {}).get("progress_window", 5.0))
+                           / p.delta))
+        monotone = len(q_arr) <= window or bool(
+            np.all(q_arr[window:] - q_arr[:-window] > 0.0))
+        # a run stops on the tick that reaches the target
+        completed = bool(q_unwrapped[-1] - q_unwrapped[0] >= target)
+        return {"min_wall_distance": float(min_wall), "progress_monotone": monotone,
+                "completed": completed, "progress": float(q_arr[-1] - q_arr[0]),
+                "goal_reached": completed}
+
+    return Engine(p.delta, step, rows, metrics)
 
 
-def _run_flocking(cfg: dict):
+def _flocking(cfg: dict) -> Engine:
     world = build_world(cfg)
     pcfg = dict(cfg.get("params", {}).get("flock", {}))
-    for key in ("goal",):
-        if key in pcfg:
-            pcfg[key] = np.asarray(pcfg[key], dtype=float)
+    if "goal" in pcfg:
+        pcfg["goal"] = np.asarray(pcfg["goal"], dtype=float)
     p = FlockParams(**pcfg)
     rng = np.random.default_rng(cfg["seed"])
     agents = cfg["agents"]
@@ -375,57 +377,53 @@ def _run_flocking(cfg: dict):
     sim = FlockSim(q0, np.zeros((n, 2)), p, world=world if world.obstacles else None,
                    control_dt=cfg.get("control_dt", 0.1),
                    plant_dt=cfg.get("plant_dt", 0.01), rng=rng)
-    log = RunLog()
-    min_pair = np.inf
-    min_obs = np.inf
-    record_every = int(cfg.get("params", {}).get("record_every", 10))
-    goal_reached = False
-    goal_time = None
-    n_ticks = int(round(cfg["duration"] / sim.control_dt))
-    for tick in range(n_ticks):
+    min_pair, min_obs, mp, d_obs, goal_time = np.inf, np.inf, np.inf, np.inf, None
+
+    def step(tick):
+        nonlocal min_pair, min_obs, mp, d_obs, goal_time
         sim.tick()
         mp = sim.min_pairwise()
         min_pair = min(min_pair, mp)
-        if world.obstacles:
-            d_obs = min(world.nearest_obstacle(q, sim.t)[0] for q in sim.snapshot.q)
-            min_obs = min(min_obs, d_obs)
-        else:
-            d_obs = np.inf
-        if tick % record_every == 0 or tick == n_ticks - 1:
-            for i in range(n):
-                vel = sim.snapshot.nu[i, 0] * sim._direction(sim.snapshot.theta[i])
-                log.add(tick, sim.t, i, sim.snapshot.q[i], vel, "flock", d_obs, mp)
+        d_obs = min(_clearance(world, q, sim.t) for q in sim.snapshot.q)
+        min_obs = min(min_obs, d_obs)
         gd = np.linalg.norm(sim.snapshot.q - p.goal, axis=1)
-        if (np.all(gd <= p.goal_radius + 0.5) and np.max(sim.speeds()) < 0.05):
-            goal_reached = True
+        if np.all(gd <= p.goal_radius + 0.5) and np.max(sim.speeds()) < 0.05:
             goal_time = sim.t
-            break
-    q = sim.snapshot.q
-    nb = neighbor_lists(sim.snapshot, p.r_c)
-    lattice_err = 0.0
-    for i in range(n):
-        if len(nb[i]) == 0:
-            continue
-        dists = np.linalg.norm(q[nb[i]] - q[i], axis=1)
-        lattice_err = max(lattice_err, abs(float(np.min(dists)) - p.d_ij))
-    # velocity consensus among transit pairs
-    metrics = {"min_pair_d": float(min_pair), "min_d_obs": float(min_obs),
-               "goal_reached": goal_reached, "goal_time": goal_time,
-               "final_max_speed": float(np.max(sim.speeds())),
-               "lattice_err": float(lattice_err),
-               "adjacency_full_rank": sim.adjacency_full_rank()}
-    return log, metrics
+            return GOAL
+        return None
+
+    def rows(tick):
+        snap = sim.snapshot
+        return [(tick, sim.t, i, snap.q[i], snap.nu[i, 0] * sim._direction(snap.theta[i]),
+                 "flock", d_obs, mp) for i in range(n)]
+
+    def metrics():
+        q = sim.snapshot.q
+        nb = neighbor_lists(sim.snapshot, p.r_c)
+        lattice_err = 0.0
+        for i in range(n):
+            if len(nb[i]):
+                dists = np.linalg.norm(q[nb[i]] - q[i], axis=1)
+                lattice_err = max(lattice_err, abs(float(np.min(dists)) - p.d_ij))
+        return {"min_pair_d": float(min_pair), "min_d_obs": float(min_obs),
+                "goal_reached": goal_time is not None, "goal_time": goal_time,
+                "final_max_speed": float(np.max(sim.speeds())),
+                "lattice_err": float(lattice_err),
+                "adjacency_full_rank": sim.adjacency_full_rank()}
+
+    return Engine(sim.control_dt, step, rows, metrics,
+                  record_every=int(cfg.get("params", {}).get("record_every", 10)))
 
 
-def _run_coverage(cfg: dict):
+def _coverage(cfg: dict) -> Engine:
+    """Voronoi barrier or sweep coverage; a scheduled agent removal happens
+    before the tick it is scheduled for."""
     pcfg = cfg.get("params", {}).get("coverage", {})
-    verts = np.asarray(pcfg["boundary"], dtype=float)
-    frame = BarrierFrame.from_vertices(verts)
+    frame = BarrierFrame.from_vertices(np.asarray(pcfg["boundary"], dtype=float))
     gains = CoverageGains(
         k_bar=np.diag(pcfg.get("k_bar", [0.3, 0.3, 0.3])),
         k=np.diag(pcfg.get("k", [2.5, 0.5, 0.5])),
         gamma=float(pcfg.get("gamma", 1.0)))
-    bounded = bool(pcfg.get("bounded", True))
     rng = np.random.default_rng(cfg["seed"])
     agents = cfg["agents"]
     n = int(agents["count"])
@@ -446,56 +444,59 @@ def _run_coverage(cfg: dict):
                           events=events,
                           min_area_per_agent=float(s.get("min_area_per_agent", 1.0)),
                           n_agents=n, u_max=gains.u_max)
-    sim = CoverageSim(q0, frame, gains, bounded=bounded, sweep=sweep,
-                      control_dt=cfg.get("control_dt", 0.1),
+    sim = CoverageSim(q0, frame, gains, bounded=bool(pcfg.get("bounded", True)),
+                      sweep=sweep, control_dt=cfg.get("control_dt", 0.1),
                       r_c=pcfg.get("r_c"))
-    removals = {int(r["tick"]): int(r["agent"])
-                for r in pcfg.get("removals", [])}
-    log = RunLog()
-    costs = []
-    min_pair = np.inf
-    record_every = int(pcfg.get("record_every", 5))
-    n_ticks = int(round(cfg["duration"] / sim.control_dt))
-    for tick in range(n_ticks):
+    removals = {int(r["tick"]): int(r["agent"]) for r in pcfg.get("removals", [])}
+    removed, costs, min_pair, mp = [], [], np.inf, np.inf
+
+    def step(tick):
+        nonlocal min_pair, mp
         if tick in removals:
             sim.remove_agent(removals[tick])
-            log.event(tick, "agent_removed", agent=removals[tick])
+            removed.append((tick, "agent_removed", {"agent": removals[tick]}))
         sim.tick()
         costs.append(sim.multicenter_cost())
         mp = sim.min_pairwise()
         min_pair = min(min_pair, mp)
-        if tick % record_every == 0 or tick == n_ticks - 1:
-            vels = sim.velocities()
-            for i in np.nonzero(sim.active)[0]:
-                log.add(tick, sim.t, int(i), sim.q[i], vels[i], "cover",
-                        np.inf, mp)
-    cents, _ = sim.centroids()
-    act = np.nonzero(sim.active)[0]
-    err = float(np.max(np.linalg.norm(cents[act] - sim.q[act], axis=1)))
-    vels = sim.velocities()
-    final_max_speed = float(np.max(np.linalg.norm(vels[act], axis=1)))
-    costs = np.asarray(costs)
-    # Lloyd descent is asserted for static barriers only; removal ticks jump
-    # by construction and a moving/deforming plane re-centers the cost
-    increase = 0.0
-    if sweep is None:
-        breaks = set(removals.keys())
-        for k in range(1, len(costs)):
-            if k in breaks or (k - 1) in breaks:
-                continue
-            increase = max(increase, float(costs[k] - costs[k - 1]))
-    a3 = sim.frame.a3
-    sweep_err = 0.0
-    if sweep is not None:
-        for i in act:
-            sweep_err = max(sweep_err, float(np.linalg.norm(
-                vels[i] - float(np.dot(vels[i], a3)) * a3)))
-            sweep_err = max(sweep_err, abs(float(np.dot(vels[i], a3)) - sweep.g0))
-    metrics = {"min_pair_d": float(min_pair), "final_centroid_err": err,
-               "final_max_speed": final_max_speed,
-               "cost_max_increase": float(increase),
-               "sweep_speed_err": float(sweep_err),
-               "comm_violations": sum(1 for e in sim.events
-                                      if e[1] == "comm_range_violation"),
-               "goal_reached": True}
-    return log, metrics
+        return None
+
+    def rows(tick):
+        vels = sim.velocities()
+        return [(tick, sim.t, int(i), sim.q[i], vels[i], "cover", np.inf, mp)
+                for i in np.nonzero(sim.active)[0]]
+
+    def metrics():
+        cents, _ = sim.centroids()
+        act = np.nonzero(sim.active)[0]
+        err = float(np.max(np.linalg.norm(cents[act] - sim.q[act], axis=1)))
+        vels = sim.velocities()
+        final_max_speed = float(np.max(np.linalg.norm(vels[act], axis=1)))
+        # Lloyd descent is asserted for static barriers only; removal ticks jump
+        # by construction and a moving/deforming plane re-centers the cost
+        increase = sweep_err = 0.0
+        if sweep is None:
+            for k in range(1, len(costs)):
+                if k not in removals and k - 1 not in removals:
+                    increase = max(increase, float(costs[k] - costs[k - 1]))
+        else:
+            a3 = sim.frame.a3
+            for i in act:
+                sweep_err = max(sweep_err, float(np.linalg.norm(
+                    vels[i] - float(np.dot(vels[i], a3)) * a3)))
+                sweep_err = max(sweep_err, abs(float(np.dot(vels[i], a3)) - sweep.g0))
+        return {"min_pair_d": float(min_pair), "final_centroid_err": err,
+                "final_max_speed": final_max_speed,
+                "cost_max_increase": float(increase),
+                "sweep_speed_err": float(sweep_err),
+                "comm_violations": sum(1 for e in sim.events
+                                       if e[1] == "comm_range_violation"),
+                "goal_reached": True}
+
+    return Engine(sim.control_dt, step, rows, metrics, lambda: removed,
+                  record_every=int(pcfg.get("record_every", 5)))
+
+
+ENGINES = {"hybrid2d": _hybrid2d, "reactive3d": _reactive3d, "deform3d": _deform3d,
+           "deform3d_quad": _deform3d_quad, "tunnel": _tunnel,
+           "flocking": _flocking, "coverage": _coverage}

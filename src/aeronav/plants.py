@@ -59,6 +59,10 @@ class Heading3DState:
     def position(self) -> np.ndarray:
         return self.p
 
+    @property
+    def heading(self) -> np.ndarray:
+        return self.a
+
 
 @dataclass(frozen=True)
 class Angle3DState:

@@ -227,7 +227,7 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     ws = voxel_downsample(cloud, voxel)
     if len(ws) == 0:
         state.failures += 1
-        return None if state.failures >= fail_threshold else None
+        return None
     tree = cKDTree(ws)
 
     centroids = []

@@ -217,21 +217,6 @@ def test_four_agent_replica_reaches_goal():
     print(f"in-transit velocity spread (median): {np.median(consensus_window):.3f} m/s")
 
 
-def test_parallel_tick_matches_serial():
-    """The opt-in concurrent controller evaluation is bit-identical to the
-    serial tick (shared snapshot, fixed application order)."""
-    rng_q = np.random.default_rng(3)
-    q0 = rng_q.uniform(0, 15, size=(8, 3))
-    runs = []
-    for parallel in (False, True):
-        sim = FlockSim(q0.copy(), np.zeros((8, 2)), P4,
-                       rng=np.random.default_rng(0), parallel=parallel)
-        for _ in range(50):
-            sim.tick()
-        runs.append(sim.snapshot.q.copy())
-    assert np.array_equal(runs[0], runs[1])
-
-
 def test_energy_bound_corollary_runs():
     """100 seeded low-energy perturbations of a lattice: the pairwise
     safety margin d_s is never violated."""

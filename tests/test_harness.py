@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from aeronav.harness import monitors
 from aeronav.harness.config import ConfigError, load_config, save_config, validate_config
 from aeronav.harness.runlog import CSV_HEADER, RunLog, emit
 from aeronav.harness.runner import build_obstacle, build_world, run
@@ -34,6 +35,8 @@ def test_unknown_nested_key_rejected():
                                   "radius": 1.0, "color": "red"}]
     with pytest.raises(ConfigError):
         validate_config(cfg)
+    with pytest.raises(ConfigError):
+        validate_config(minimal_cfg(monitors={"goal_tol": 0.3}))
 
 
 def test_missing_seed_rejected():
@@ -141,6 +144,39 @@ def test_zero_duration_run_has_header_only():
     res = run(cfg)
     assert res.log.records == []
     assert res.log.to_csv().startswith(CSV_HEADER)
+
+
+def test_monitors_fail_nan_clearance_pass_inf():
+    log = RunLog()
+    log.add(0, 0.1, 0, [0.0, 0.0], [0.0, 0.0], "m", np.inf, np.inf)
+    log.add(1, 0.2, 0, [0.0, 0.0], [0.0, 0.0], "m", np.nan, np.nan)
+    results = monitors.evaluate(log, {"d_safe": 0.5, "min_pair": 1.0}, {})
+    assert [(m.name, m.passed, m.first_violation_tick) for m in results] == [
+        ("d_safe", False, 1), ("min_pair", False, 1)]
+
+
+OBSTACLE_KINDS = {"hybrid2d": scenarios.planar_trap_wall,
+                  "reactive3d": scenarios.reactive3d_ellipsoid_field,
+                  "deform3d": scenarios.deform_static_cylinders,
+                  "deform3d_quad": scenarios.deform_quad_tracking}
+
+
+@pytest.mark.parametrize("kind", sorted(OBSTACLE_KINDS))
+def test_obstacle_free_world(kind):
+    """Kinds whose navigator needs an obstacle refuse an empty world with a
+    ConfigError naming the kind; the others log +inf clearance."""
+    cfg = OBSTACLE_KINDS[kind]()
+    cfg["world"]["obstacles"] = []
+    cfg["duration"] = 1.0
+    if kind in ("hybrid2d", "reactive3d"):
+        with pytest.raises(ConfigError, match=kind):
+            run(cfg)
+        return
+    res = run(cfg)
+    assert res.log.records
+    assert all(r["d_obs"] == np.inf for r in res.log.records)
+    assert res.metrics["min_d_obs"] == np.inf
+    assert [m.passed for m in res.monitors if m.name == "d_safe"] == [True]
 
 
 def test_run_determinism_byte_identical():
