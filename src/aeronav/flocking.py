@@ -12,6 +12,7 @@ force.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,15 +77,19 @@ class FlockSnapshot:
         return self.q.shape[1]
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D vector; the same sqrt(v . v) np.linalg.norm
+    computes, without its argument handling."""
+    return math.sqrt(v.dot(v))
+
+
 def neighbor_lists(snapshot: FlockSnapshot, r_c: float) -> list[np.ndarray]:
     """Symmetric communication graph by range; recomputed per tick."""
     q = snapshot.q
     d = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
-    out = []
-    for i in range(snapshot.n):
-        nb = np.nonzero((d[i] <= r_c) & (np.arange(snapshot.n) != i))[0]
-        out.append(nb)
-    return out
+    within = d <= r_c
+    np.fill_diagonal(within, False)
+    return [np.nonzero(row)[0] for row in within]
 
 
 def spacing_force(i: int, snapshot: FlockSnapshot, neighbors: np.ndarray,
@@ -99,13 +104,13 @@ def spacing_force(i: int, snapshot: FlockSnapshot, neighbors: np.ndarray,
     f = np.zeros(snapshot.m)
     for j in neighbors:
         diff = q[j] - q[i]
-        dist = float(np.linalg.norm(diff))
+        dist = _norm(diff)
         if dist < 1e-9:
             # coincident agents are rejected at spawn; at runtime nudge apart
             if rng is None:
                 raise ValueError("coincident agents")
             diff = rng.standard_normal(snapshot.m) * 1e-6
-            dist = float(np.linalg.norm(diff))
+            dist = _norm(diff)
             if log is not None:
                 log.append(("coincident_guard", i, int(j)))
         f += params.k_ij * np.tanh(dist - params.d_ij) * (diff / dist)
@@ -113,7 +118,7 @@ def spacing_force(i: int, snapshot: FlockSnapshot, neighbors: np.ndarray,
 
 
 def goal_force(i: int, snapshot: FlockSnapshot, params: FlockParams) -> np.ndarray:
-    q_ig = float(np.linalg.norm(snapshot.q[i] - params.goal))
+    q_ig = _norm(snapshot.q[i] - params.goal)
     gate = sigmoid_gate(q_ig - params.goal_radius, params.gamma)
     if q_ig < 1e-9:
         return np.zeros(snapshot.m)
@@ -148,14 +153,14 @@ def obstacle_force(i: int, snapshot: FlockSnapshot, params: FlockParams,
 def nsb_blend(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
     """f~ = f1 + N1 f2 + N2 f3 with N1 = I - f1_hat f1_hat^T and
     N2 = N1 (I - f2_hat f2_hat^T); a zero force projects as identity."""
-    m = len(f1)
+    eye = np.eye(len(f1))
 
     def proj(f):
-        n = np.linalg.norm(f)
+        n = _norm(f)
         if n < 1e-12:
-            return np.eye(m)
+            return eye
         fh = f / n
-        return np.eye(m) - np.outer(fh, fh)
+        return eye - np.outer(fh, fh)
 
     n1 = proj(f1)
     n2 = n1 @ proj(f2)
@@ -249,7 +254,7 @@ class FlockSim:
         snap = self.snapshot
         f_a, f_g, f_o = self.forces(i, nb)
         f_t = nsb_blend(f_o, f_a, f_g)
-        if np.linalg.norm(f_t) > 1e-9:
+        if _norm(f_t) > 1e-9:
             th_f_new = heading_angles(f_t)
         else:
             th_f_new = self._theta_f[i]  # hold the previous direction
@@ -258,7 +263,7 @@ class FlockSim:
         d2_raw = (d1 - self._theta_f_dot[i]) / self.control_dt
         d2 = (1 - self._ema) * self._theta_f_ddot[i] + self._ema * d2_raw
         cap = self.params.theta_ddot_cap
-        d2 = np.clip(d2, -cap, cap)
+        d2 = np.minimum(np.maximum(d2, -cap), cap)
         self._theta_f[i] = th_f_new
         self._theta_f_dot[i] = d1
         self._theta_f_ddot[i] = d2

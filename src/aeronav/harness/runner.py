@@ -384,8 +384,9 @@ def _flocking(cfg: dict) -> Engine:
         sim.tick()
         mp = sim.min_pairwise()
         min_pair = min(min_pair, mp)
-        d_obs = min(_clearance(world, q, sim.t) for q in sim.snapshot.q)
-        min_obs = min(min_obs, d_obs)
+        if world.obstacles:
+            d_obs = min(world.nearest_obstacle(q, sim.t)[0] for q in sim.snapshot.q)
+            min_obs = min(min_obs, d_obs)
         gd = np.linalg.norm(sim.snapshot.q - p.goal, axis=1)
         if np.all(gd <= p.goal_radius + 0.5) and np.max(sim.speeds()) < 0.05:
             goal_time = sim.t
