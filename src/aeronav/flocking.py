@@ -12,7 +12,6 @@ force.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +76,6 @@ class FlockSnapshot:
         return self.q.shape[1]
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D vector; the same sqrt(v . v) np.linalg.norm
-    computes, without its argument handling."""
-    return math.sqrt(v.dot(v))
-
-
 def neighbor_lists(snapshot: FlockSnapshot, r_c: float) -> list[np.ndarray]:
     """Symmetric communication graph by range; recomputed per tick."""
     q = snapshot.q
@@ -104,13 +97,13 @@ def spacing_force(i: int, snapshot: FlockSnapshot, neighbors: np.ndarray,
     f = np.zeros(snapshot.m)
     for j in neighbors:
         diff = q[j] - q[i]
-        dist = _norm(diff)
+        dist = float(np.linalg.norm(diff))
         if dist < 1e-9:
             # coincident agents are rejected at spawn; at runtime nudge apart
             if rng is None:
                 raise ValueError("coincident agents")
             diff = rng.standard_normal(snapshot.m) * 1e-6
-            dist = _norm(diff)
+            dist = float(np.linalg.norm(diff))
             if log is not None:
                 log.append(("coincident_guard", i, int(j)))
         f += params.k_ij * np.tanh(dist - params.d_ij) * (diff / dist)
@@ -118,7 +111,7 @@ def spacing_force(i: int, snapshot: FlockSnapshot, neighbors: np.ndarray,
 
 
 def goal_force(i: int, snapshot: FlockSnapshot, params: FlockParams) -> np.ndarray:
-    q_ig = _norm(snapshot.q[i] - params.goal)
+    q_ig = float(np.linalg.norm(snapshot.q[i] - params.goal))
     gate = sigmoid_gate(q_ig - params.goal_radius, params.gamma)
     if q_ig < 1e-9:
         return np.zeros(snapshot.m)
@@ -153,14 +146,14 @@ def obstacle_force(i: int, snapshot: FlockSnapshot, params: FlockParams,
 def nsb_blend(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
     """f~ = f1 + N1 f2 + N2 f3 with N1 = I - f1_hat f1_hat^T and
     N2 = N1 (I - f2_hat f2_hat^T); a zero force projects as identity."""
-    eye = np.eye(len(f1))
+    m = len(f1)
 
     def proj(f):
-        n = _norm(f)
+        n = np.linalg.norm(f)
         if n < 1e-12:
-            return eye
+            return np.eye(m)
         fh = f / n
-        return eye - np.outer(fh, fh)
+        return np.eye(m) - np.outer(fh, fh)
 
     n1 = proj(f1)
     n2 = n1 @ proj(f2)
@@ -254,7 +247,7 @@ class FlockSim:
         snap = self.snapshot
         f_a, f_g, f_o = self.forces(i, nb)
         f_t = nsb_blend(f_o, f_a, f_g)
-        if _norm(f_t) > 1e-9:
+        if np.linalg.norm(f_t) > 1e-9:
             th_f_new = heading_angles(f_t)
         else:
             th_f_new = self._theta_f[i]  # hold the previous direction
@@ -263,7 +256,7 @@ class FlockSim:
         d2_raw = (d1 - self._theta_f_dot[i]) / self.control_dt
         d2 = (1 - self._ema) * self._theta_f_ddot[i] + self._ema * d2_raw
         cap = self.params.theta_ddot_cap
-        d2 = np.minimum(np.maximum(d2, -cap), cap)
+        d2 = np.clip(d2, -cap, cap)
         self._theta_f[i] = th_f_new
         self._theta_f_dot[i] = d1
         self._theta_f_ddot[i] = d2

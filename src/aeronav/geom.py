@@ -43,8 +43,6 @@ def unit_or_zero(v: np.ndarray) -> np.ndarray:
 def wrap_angle(a):
     """Wrap angle(s) to (-pi, pi]."""
     w = -(np.mod(-np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi)
-    if isinstance(a, np.ndarray):
-        return w if a.ndim else float(w)
     return float(w) if np.isscalar(a) or np.ndim(a) == 0 else w
 
 

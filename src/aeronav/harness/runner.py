@@ -105,7 +105,8 @@ def run(cfg: dict) -> RunResult:
     validate_config(cfg)
     kind = cfg["kind"]
     engine = ENGINES[kind](cfg)
-    n_ticks = engine.n_ticks or int(round(cfg["duration"] / engine.control_dt))
+    n_ticks = (engine.n_ticks if engine.n_ticks is not None
+               else int(round(cfg["duration"] / engine.control_dt)))
     log = RunLog(name=cfg.get("name", kind))
     for tick in range(n_ticks):
         status = engine.step(tick)
