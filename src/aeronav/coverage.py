@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import unit
+from .geom import min_pair_distance, pairwise, unit
+from .plants import _check_finite
 
 EPS_AREA = 1e-12
 
@@ -53,15 +54,10 @@ class BarrierFrame:
             raise FrameError("collinear boundary vertices: frame undefined")
         a2 = a2 / n2
         a3 = np.cross(a1, a2)
-        local3 = np.array([(cls._to_local_static(v, e[0], a1, a2, a3)) for v in e])
+        local3 = (e - e[0]) @ np.column_stack((a1, a2, a3))
         if np.max(np.abs(local3[:, 2])) > 1e-8:
             raise FrameError("boundary vertices are not coplanar")
         return cls(e[0].copy(), a1, a2, a3, e.copy(), local3[:, :2])
-
-    @staticmethod
-    def _to_local_static(v, origin, a1, a2, a3):
-        r = np.asarray(v, dtype=float) - origin
-        return np.array([np.dot(r, a1), np.dot(r, a2), np.dot(r, a3)])
 
     def rotation(self) -> np.ndarray:
         return np.column_stack((self.a1, self.a2, self.a3))
@@ -74,17 +70,17 @@ class BarrierFrame:
         return t
 
     def to_local(self, p: np.ndarray) -> np.ndarray:
-        return self._to_local_static(p, self.origin, self.a1, self.a2, self.a3)
+        """In-frame coordinates of a point (3,) or of points (n, 3)."""
+        return (np.asarray(p, dtype=float) - self.origin) @ self.rotation()
 
     def to_world(self, local: np.ndarray) -> np.ndarray:
+        """World point(s) of in-frame coordinates, (..., 3) or in-plane (..., 2)."""
         local = np.asarray(local, dtype=float)
-        if len(local) == 2:
-            local = np.array([local[0], local[1], 0.0])
-        return self.origin + self.rotation() @ local
+        return self.origin + local @ self.rotation()[:, :local.shape[-1]].T
 
     def project(self, p: np.ndarray) -> np.ndarray:
         """In-frame 2D coordinates of the projection of p onto the plane."""
-        return self.to_local(p)[:2]
+        return self.to_local(p)[..., :2]
 
     def translated(self, offset: np.ndarray) -> "BarrierFrame":
         return BarrierFrame(self.origin + offset, self.a1, self.a2, self.a3,
@@ -105,31 +101,57 @@ class BarrierFrame:
 
 
 def clip_halfplane(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon with {q: a.q <= b}."""
+    """Sutherland-Hodgman clip of a convex polygon with {q: a.q <= b}; poly
+    itself when every vertex is inside."""
     if len(poly) == 0:
         return poly
+    s = poly @ a - b
+    inside = s <= 1e-12
+    if inside.all():
+        return poly
+    # keep each inside vertex k, and the crossing point of edge k -> k+1
     out = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        c_in = float(a @ cur) <= b + 1e-12
-        n_in = float(a @ nxt) <= b + 1e-12
-        if c_in:
-            out.append(cur)
-        if c_in != n_in:
-            denom = float(a @ (nxt - cur))
-            if abs(denom) > 1e-15:
-                t = (b - float(a @ cur)) / denom
-                out.append(cur + np.clip(t, 0.0, 1.0) * (nxt - cur))
-    return np.asarray(out) if out else np.empty((0, 2))
+    s, inside, pts = s.tolist(), inside.tolist(), poly.tolist()
+    for k in range(-len(pts), 0):
+        if inside[k]:
+            out.append(pts[k])
+        if inside[k] != inside[k + 1] and abs(s[k] - s[k + 1]) > 1e-15:
+            t = min(max(s[k] / (s[k] - s[k + 1]), 0.0), 1.0)
+            (x0, y0), (x1, y1) = pts[k], pts[k + 1]
+            out.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def polygon_moments(polys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact shoelace integrals over each polygon (ordered vertices, at least
+    three each): area (k,), first moment, the integral of q, (k, 2), and
+    second moment, the integral of |q|^2, (k,).  Areas are signed by the
+    vertex order."""
+    counts = np.array([len(p) for p in polys])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    pts = np.concatenate(polys)
+    nxt = np.arange(1, len(pts) + 1)
+    nxt[ends - 1] = starts
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = x[nxt], y[nxt]
+    cross = x * yn - xn * y
+    sums = np.add.reduceat(np.stack((
+        cross, cross * (x + xn), cross * (y + yn),
+        cross * (x * x + x * xn + xn * xn + y * y + y * yn + yn * yn))), starts, axis=1)
+    return 0.5 * sums[0], sums[1:3].T / 6.0, sums[3] / 12.0
+
+
+def _moment_about(area, first, second, about):
+    """Integral of |q - about|^2 from the moments about the origin."""
+    return (second - 2.0 * np.sum(first * about, axis=-1)
+            + np.sum(about * about, axis=-1) * area)
 
 
 def polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    return float(polygon_moments([poly])[0][0])
 
 
 def cell_centroid(poly: np.ndarray) -> tuple[float, np.ndarray]:
@@ -137,30 +159,17 @@ def cell_centroid(poly: np.ndarray) -> tuple[float, np.ndarray]:
     Vertices must be ordered; a zero-area cell is degenerate."""
     if len(poly) < 3:
         raise ValueError("degenerate cell: fewer than three vertices")
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    m = 0.5 * float(np.sum(cross))
-    if abs(m) < EPS_AREA:
+    area, first, _ = polygon_moments([poly])
+    if abs(area[0]) < EPS_AREA:
         raise ValueError("degenerate cell: zero area")
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * m)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * m)
-    return m, np.array([cx, cy])
+    return float(area[0]), first[0] / area[0]
 
 
 def polygon_second_moment(poly: np.ndarray, about: np.ndarray) -> float:
     """Integral of |q - about|^2 over the polygon (exact shoelace form)."""
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    ixx = np.sum(cross * (x * x + x * xn + xn * xn)) / 12.0
-    iyy = np.sum(cross * (y * y + y * yn + yn * yn)) / 12.0
-    area = 0.5 * float(np.sum(cross))
-    mx = np.sum(cross * (x + xn)) / 6.0
-    my = np.sum(cross * (y + yn)) / 6.0
-    about = np.asarray(about, dtype=float)
-    return float(ixx + iyy - 2.0 * about[0] * mx - 2.0 * about[1] * my
-                 + (about @ about) * area)
+    area, first, second = polygon_moments([poly])
+    return float(_moment_about(area[0], first[0], second[0],
+                               np.asarray(about, dtype=float)))
 
 
 def circumcenter(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
@@ -182,27 +191,40 @@ def circumcenter(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
 def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
                   neighbor_mask: np.ndarray | None = None) -> list[np.ndarray]:
     """Voronoi cell polygons inside the boundary polygon (2D), clipping each
-    generator's cell with the perpendicular bisector against every other
-    generator (optionally restricted to in-range neighbors)."""
+    generator's cell with the perpendicular bisectors against the other
+    generators (optionally only the in-range ones, neighbor_mask[i, j]).
+
+    The others are taken nearest first, and a cell is complete at the first
+    generator j with d_ij^2 > 4 max_v |v - g_i|^2 over its vertices v: no
+    bisector that far from g_i can cut it (triangle inequality), so the cell
+    equals the all-pairs clip."""
     g = np.asarray(generators, dtype=float)
     n = len(g)
     if n == 0:
         return []
-    d = np.linalg.norm(g[:, None, :] - g[None, :, :], axis=2)
-    if np.any(d[np.triu_indices(n, 1)] < 1e-9):
+    _, d = pairwise(g)
+    if np.any(d + np.eye(n) < 1e-9):
         raise ValueError("duplicate projected generators: cells undefined")
+    candidates = ~np.eye(n, dtype=bool)
+    if neighbor_mask is not None:
+        candidates &= neighbor_mask
+    order = np.argsort(d, axis=1, kind="stable")
+    half_sq = 0.5 * np.einsum("ij,ij->i", g, g)
+    boundary = np.array(boundary, dtype=float)
     cells = []
     for i in range(n):
-        poly = np.asarray(boundary, dtype=float).copy()
-        others = range(n) if neighbor_mask is None else np.nonzero(neighbor_mask[i])[0]
-        for j in others:
-            if j == i:
+        poly = boundary
+        reach = 4.0 * ((poly - g[i]) ** 2).sum(axis=1).max()
+        for j in order[i][candidates[i, order[i]]]:
+            if d[i, j] ** 2 > reach:
+                break
+            clipped = clip_halfplane(poly, g[j] - g[i], half_sq[j] - half_sq[i])
+            if clipped is poly:
                 continue
-            a = g[j] - g[i]
-            b = 0.5 * float(g[j] @ g[j] - g[i] @ g[i])
-            poly = clip_halfplane(poly, a, b)
+            poly = clipped
             if len(poly) == 0:
                 break
+            reach = 4.0 * ((poly - g[i]) ** 2).sum(axis=1).max()
         cells.append(poly)
     return cells
 
@@ -230,11 +252,12 @@ class CoverageGains:
 def coverage_control(p: np.ndarray, centroid_world: np.ndarray,
                      gains: CoverageGains, bounded: bool = True) -> np.ndarray:
     """Lloyd-style velocity command toward the instantaneous Voronoi centroid:
-    unbounded K_bar (C - p), or the saturating K tanh(gamma (C - p))."""
+    unbounded K_bar (C - p), or the saturating K tanh(gamma (C - p)).  One
+    agent's (3,) vectors, or all agents' as (n, 3) rows."""
     e = np.asarray(centroid_world, dtype=float) - np.asarray(p, dtype=float)
     if bounded:
-        return gains.k @ np.tanh(gains.gamma * e)
-    return gains.k_bar @ e
+        return np.tanh(gains.gamma * e) @ gains.k.T
+    return e @ gains.k_bar.T
 
 
 def tracking_accel_with_repulsion(p_i: np.ndarray, v_i: np.ndarray,
@@ -326,7 +349,10 @@ class CoverageSim:
 
     Two-phase tick: project all positions into the (current) frame, clip the
     cells from the snapshot, then apply velocity commands for one control
-    period (the integrator is exact for a zero-order-hold input)."""
+    period (the integrator is exact for a zero-order-hold input).  The cells
+    and centroids of a state (positions, active set, frame) are computed once
+    and shared by every query on that state; queries record nothing, and
+    tick() records the state's events."""
 
     def __init__(self, q0: np.ndarray, frame: BarrierFrame,
                  gains: CoverageGains, bounded: bool = True,
@@ -341,81 +367,93 @@ class CoverageSim:
         self.r_c = r_c
         self.t = 0.0
         self.active = np.ones(len(self.q), dtype=bool)
-        self.events: list = []
-        self.last_cells: list = []
-        self.last_centroids: np.ndarray | None = None
+        self.events: list = []      # (t, kind, data)
+        self._state = None          # (q, active, frame, _Partition)
 
     def remove_agent(self, idx: int):
         self.active[idx] = False
 
+    def _partition(self) -> "_Partition":
+        s = self._state
+        if (s is not None and s[2] is self.frame and np.array_equal(s[0], self.q)
+                and np.array_equal(s[1], self.active)):
+            return s[3]
+        part = _Partition.of(self.q, self.active, self.frame, self.r_c)
+        self._state = (self.q.copy(), self.active.copy(), self.frame, part)
+        return part
+
     def centroids(self) -> tuple[np.ndarray, list]:
-        idx = np.nonzero(self.active)[0]
-        proj = np.array([self.frame.project(self.q[i]) for i in idx])
-        mask = None
-        if self.r_c is not None:
-            d = np.linalg.norm(self.q[idx][:, None, :] - self.q[idx][None, :, :], axis=2)
-            mask = d <= self.r_c
-        cells = voronoi_cells(proj, self.frame.boundary_local, mask)
-        if mask is not None:
-            # out-of-range pairs whose bisector would still cut a cell break
-            # the distributed assumption: log, keep the in-range result
-            for row_i in range(len(idx)):
-                for row_j in range(len(idx)):
-                    if row_i == row_j or mask[row_i, row_j] or len(cells[row_i]) < 3:
-                        continue
-                    a = proj[row_j] - proj[row_i]
-                    b = 0.5 * float(proj[row_j] @ proj[row_j] - proj[row_i] @ proj[row_i])
-                    if np.any(cells[row_i] @ a > b + 1e-9):
-                        self.events.append((self.t, "comm_range_violation",
-                                            int(idx[row_i]), int(idx[row_j])))
-        cents = np.full((len(self.q), 3), np.nan)
-        for row, i in enumerate(idx):
-            if len(cells[row]) < 3:
-                self.events.append((self.t, "empty_cell", int(i)))
-                cents[i] = self.q[i]
-                continue
-            _, c2 = cell_centroid(cells[row])
-            cents[i] = self.frame.to_world(c2)
-        self.last_cells = cells
-        self.last_centroids = cents
-        return cents, cells
+        """World centroids (n, 3; NaN for removed agents, the agent's own
+        position for an empty cell) and the active agents' cells."""
+        part = self._partition()
+        return part.centroids, part.cells
 
     def multicenter_cost(self) -> float:
         """Sum over agents of the second moment of their cell about their
         projected position (exact polygon integration)."""
+        return self._partition().cost
+
+    def velocities(self) -> np.ndarray:
+        """Commanded velocities at the current state (ZOH input)."""
+        out = np.zeros_like(self.q)
         idx = np.nonzero(self.active)[0]
-        cells = self.last_cells
-        if not cells:
-            self.centroids()
-            cells = self.last_cells
-        total = 0.0
-        for row, i in enumerate(idx):
-            if len(cells[row]) >= 3:
-                total += polygon_second_moment(cells[row],
-                                               self.frame.project(self.q[i]))
-        return total
+        out[idx] = coverage_control(self.q[idx], self.centroids()[0][idx], self.gains,
+                                    self.bounded)
+        return out
 
     def tick(self):
-        cents, _ = self.centroids()
-        for i in np.nonzero(self.active)[0]:
-            u = coverage_control(self.q[i], cents[i], self.gains, self.bounded)
-            self.q[i] = self.q[i] + u * self.control_dt
+        _check_finite([self.q])
+        self.events.extend((self.t, kind, data) for kind, data in self._partition().events)
+        self.q = self.q + self.velocities() * self.control_dt
         if self.sweep is not None:
             self.frame = self.sweep.step(self.control_dt)
         self.t += self.control_dt
 
-    def velocities(self) -> np.ndarray:
-        """Commanded velocities at the current state (ZOH input)."""
-        cents, _ = self.centroids()
-        out = np.zeros_like(self.q)
-        for i in np.nonzero(self.active)[0]:
-            out[i] = coverage_control(self.q[i], cents[i], self.gains, self.bounded)
-        return out
-
     def min_pairwise(self) -> float:
-        idx = np.nonzero(self.active)[0]
-        q = self.q[idx]
-        if len(q) < 2:
-            return float("inf")
-        d = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
-        return float(np.min(d[np.triu_indices(len(q), k=1)]))
+        return min_pair_distance(self.q[self.active])
+
+
+@dataclass
+class _Partition:
+    """Voronoi partition of one coverage state: the active agents' cells
+    (rows in agent order), all agents' world centroids, the multicenter
+    cost, and the (kind, data) events the partition raised."""
+    cells: list
+    centroids: np.ndarray
+    cost: float
+    events: list
+
+    @classmethod
+    def of(cls, q: np.ndarray, active: np.ndarray, frame: BarrierFrame,
+           r_c: float | None) -> "_Partition":
+        idx = np.nonzero(active)[0]
+        proj = frame.project(q[idx])
+        mask = None if r_c is None else pairwise(q[idx])[1] <= r_c
+        cells = voronoi_cells(proj, frame.boundary_local, mask)
+        events = []
+        if mask is not None:
+            # out-of-range pairs whose bisector would still cut a cell break
+            # the distributed assumption: log, keep the in-range result
+            half_sq = 0.5 * np.einsum("ij,ij->i", proj, proj)
+            for row, cell in enumerate(cells):
+                far = np.nonzero(~mask[row])[0]
+                if len(cell) < 3 or len(far) == 0:
+                    continue
+                cut = np.any(cell @ (proj[far] - proj[row]).T
+                             > half_sq[far] - half_sq[row] + 1e-9, axis=0)
+                events.extend(("comm_range_violation",
+                               {"agent": int(idx[row]), "neighbor": int(idx[j])})
+                              for j in far[cut])
+        # an empty cell holds its agent in place
+        cents = np.full(q.shape, np.nan)
+        cents[idx] = q[idx]
+        full = np.array([len(cell) >= 3 for cell in cells], dtype=bool)
+        events.extend(("empty_cell", {"agent": int(i)}) for i in idx[~full])
+        cost = 0.0
+        if full.any():
+            area, first, second = polygon_moments([c for c, ok in zip(cells, full) if ok])
+            if np.any(np.abs(area) < EPS_AREA):
+                raise ValueError("degenerate cell: zero area")
+            cents[idx[full]] = frame.to_world(first / area[:, None])
+            cost = float(np.sum(_moment_about(area, first, second, proj[full])))
+        return cls(cells, cents, cost, events)

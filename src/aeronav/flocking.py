@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import unit, unit_or_zero, wrap_angle
-from .plants import step_flock_batch
+from .geom import min_pair_distance, pairwise, unit, unit_or_zero, wrap_angle
+from .plants import flock_direction, step_flock_batch
 from .world import World
 
 
@@ -55,9 +55,9 @@ class FlockParams:
         return self.k_v > self.k_goal + self.k_ij * max_neighbors
 
 
-def sigmoid_gate(z: float, gamma: float) -> float:
+def sigmoid_gate(z, gamma: float):
     """0.5 + 0.5 tanh(gamma z): ~0 well inside the region of interest."""
-    return 0.5 + 0.5 * float(np.tanh(gamma * z))
+    return 0.5 + 0.5 * np.tanh(gamma * z)
 
 
 @dataclass
@@ -76,47 +76,84 @@ class FlockSnapshot:
         return self.q.shape[1]
 
 
-def neighbor_lists(snapshot: FlockSnapshot, r_c: float) -> list[np.ndarray]:
-    """Symmetric communication graph by range; recomputed per tick."""
-    q = snapshot.q
-    d = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
+def _in_range(d: np.ndarray, r_c: float) -> np.ndarray:
+    """(n, n) communication graph by range from the pairwise distances."""
     within = d <= r_c
     np.fill_diagonal(within, False)
-    return [np.nonzero(row)[0] for row in within]
+    return within
+
+
+def neighbor_lists(snapshot: FlockSnapshot, r_c: float) -> list[np.ndarray]:
+    """Symmetric communication graph by range; recomputed per tick."""
+    return [np.nonzero(row)[0] for row in _in_range(pairwise(snapshot.q)[1], r_c)]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, each rounded as the dot product of
+    one pair of vectors (`u @ v`), so that a row of an array kernel equals
+    the one-agent result bit for bit; sum(u * v) and norm(axis=-1) round
+    differently."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(v, v))
+
+
+def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
+                   params: FlockParams, rng: np.random.Generator | None = None,
+                   log: list | None = None) -> np.ndarray:
+    """f_alpha,i = sum_j k_ij tanh(|q_ij| - d_ij) n_ij over each agent's force
+    neighbors: the in-range agents (within[i, j]), or the two nearest of them
+    for alpha_neighbors = "nearest2".  diff and d are `geom.pairwise`."""
+    if params.alpha_neighbors == "nearest2" and len(d) > 2:
+        near = np.argpartition(np.where(within, d, np.inf), 1, axis=1)[:, :2]
+        keep = np.zeros_like(within)
+        np.put_along_axis(keep, near, True, axis=1)
+        within = within & keep
+    dist = _norms(diff)
+    close = within & (dist < 1e-9)
+    if close.any():
+        # coincident agents are rejected at spawn; at runtime nudge apart
+        if rng is None:
+            raise ValueError("coincident agents")
+        diff, dist = diff.copy(), dist.copy()
+        for i, j in np.argwhere(close):
+            diff[i, j] = rng.standard_normal(diff.shape[2]) * 1e-6
+            dist[i, j] = np.linalg.norm(diff[i, j])
+            if log is not None:
+                log.append(("coincident_guard", int(i), int(j)))
+    gain = params.k_ij * np.tanh(dist - params.d_ij)
+    terms = gain[..., None] * (diff / np.where(within, dist, 1.0)[..., None])
+    # summed over j in index order, as a per-agent loop would
+    return np.where(within[..., None], terms, 0.0).sum(axis=1)
 
 
 def spacing_force(i: int, snapshot: FlockSnapshot, neighbors: np.ndarray,
                   params: FlockParams,
                   rng: np.random.Generator | None = None,
                   log: list | None = None) -> np.ndarray:
-    """f_alpha = sum k_ij tanh(|q_ij| - d_ij) n_ij over the force neighbors."""
-    q = snapshot.q
-    if params.alpha_neighbors == "nearest2" and len(neighbors) > 2:
-        d = np.linalg.norm(q[neighbors] - q[i], axis=1)
-        neighbors = neighbors[np.argsort(d)[:2]]
-    f = np.zeros(snapshot.m)
-    for j in neighbors:
-        diff = q[j] - q[i]
-        dist = float(np.linalg.norm(diff))
-        if dist < 1e-9:
-            # coincident agents are rejected at spawn; at runtime nudge apart
-            if rng is None:
-                raise ValueError("coincident agents")
-            diff = rng.standard_normal(snapshot.m) * 1e-6
-            dist = float(np.linalg.norm(diff))
-            if log is not None:
-                log.append(("coincident_guard", i, int(j)))
-        f += params.k_ij * np.tanh(dist - params.d_ij) * (diff / dist)
-    return f
+    """Agent i's row of `spacing_forces` with the given force neighbors."""
+    diff, d = pairwise(snapshot.q)
+    within = np.zeros(d.shape, dtype=bool)
+    within[i, neighbors] = True
+    return spacing_forces(diff, d, within, params, rng, log)[i]
+
+
+def goal_forces(q: np.ndarray, params: FlockParams) -> np.ndarray:
+    """k_goal times the sigmoid gate of the distance outside the goal ball,
+    toward the goal; zero at the goal itself.  q: (n, m)."""
+    e = params.goal - q
+    q_ig = _norms(e)
+    at_goal = q_ig < 1e-9
+    gain = params.k_goal * sigmoid_gate(q_ig - params.goal_radius, params.gamma)
+    return np.where(at_goal[:, None], 0.0,
+                    gain[:, None] * (e / np.where(at_goal, 1.0, q_ig)[:, None]))
 
 
 def goal_force(i: int, snapshot: FlockSnapshot, params: FlockParams) -> np.ndarray:
-    q_ig = float(np.linalg.norm(snapshot.q[i] - params.goal))
-    gate = sigmoid_gate(q_ig - params.goal_radius, params.gamma)
-    if q_ig < 1e-9:
-        return np.zeros(snapshot.m)
-    n_ig = (params.goal - snapshot.q[i]) / q_ig
-    return params.k_goal * gate * n_ig
+    """Agent i's row of `goal_forces`."""
+    return goal_forces(snapshot.q, params)[i]
 
 
 def obstacle_force(i: int, snapshot: FlockSnapshot, params: FlockParams,
@@ -143,43 +180,51 @@ def obstacle_force(i: int, snapshot: FlockSnapshot, params: FlockParams,
     return params.k_obs * gate * n_io
 
 
+def _null_projector(f: np.ndarray) -> np.ndarray:
+    """I - f_hat f_hat^T, (..., m, m); the identity where f ~ 0."""
+    n = _norms(f)[..., None]
+    zero = n < 1e-12
+    f_hat = np.where(zero, 0.0, f / np.where(zero, 1.0, n))
+    return np.eye(f.shape[-1]) - f_hat[..., :, None] * f_hat[..., None, :]
+
+
+def _apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat @ v over a leading agent axis, with a single matrix-vector
+    product's rounding."""
+    return (mat @ v[..., None])[..., 0]
+
+
 def nsb_blend(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
     """f~ = f1 + N1 f2 + N2 f3 with N1 = I - f1_hat f1_hat^T and
-    N2 = N1 (I - f2_hat f2_hat^T); a zero force projects as identity."""
-    m = len(f1)
-
-    def proj(f):
-        n = np.linalg.norm(f)
-        if n < 1e-12:
-            return np.eye(m)
-        fh = f / n
-        return np.eye(m) - np.outer(fh, fh)
-
-    n1 = proj(f1)
-    n2 = n1 @ proj(f2)
-    return f1 + n1 @ f2 + n2 @ f3
+    N2 = N1 (I - f2_hat f2_hat^T); a zero force projects as identity.
+    Forces are (m,) or carry a leading agent axis, (n, m)."""
+    n1 = _null_projector(f1)
+    return f1 + _apply(n1, f2) + _apply(n1 @ _null_projector(f2), f3)
 
 
 def heading_angles(f: np.ndarray) -> np.ndarray:
     """Orientation angle vector of a nonzero direction: [flight path,
-    heading] for m = 3, [heading] for m = 2."""
-    if len(f) == 2:
-        return np.array([np.arctan2(f[1], f[0])])
-    return np.array([np.arctan2(f[2], np.hypot(f[0], f[1])),
-                     np.arctan2(f[1], f[0])])
+    heading] for m = 3, [heading] for m = 2.  f is (m,) or (n, m)."""
+    f = np.asarray(f, dtype=float)
+    heading = np.arctan2(f[..., 1], f[..., 0])
+    if f.shape[-1] == 2:
+        return heading[..., None]
+    return np.stack([np.arctan2(f[..., 2], np.hypot(f[..., 0], f[..., 1])), heading],
+                    axis=-1)
 
 
-def flocking_control(v_i: float, theta_i: np.ndarray, theta_dot_i: np.ndarray,
+def flocking_control(v_i, theta_i: np.ndarray, theta_dot_i: np.ndarray,
                      f_tilde: np.ndarray, r_i: np.ndarray,
                      theta_f: np.ndarray, theta_f_dot: np.ndarray,
-                     theta_f_ddot: np.ndarray,
-                     params: FlockParams) -> tuple[float, np.ndarray]:
+                     theta_f_ddot: np.ndarray, params: FlockParams):
     """Acceleration-level law: a = f~ . r - k_v sgn(v) (smooth), and the
-    orientation tracking law with feedforward."""
-    a = float(f_tilde @ r_i) - params.k_v * float(np.tanh(params.mu * v_i))
+    orientation tracking law with feedforward.  One agent's arguments, or
+    all agents' with a leading agent axis ((n,) speeds, (n, m) vectors)."""
+    a = _dot(f_tilde, r_i) - params.k_v * np.tanh(params.mu * v_i)
     e = wrap_angle(theta_i - theta_f)
     e_dot = theta_dot_i - theta_f_dot
-    alpha = theta_f_ddot - params.kk1 @ np.tanh(e) - params.kk2 @ np.tanh(e_dot)
+    alpha = (theta_f_ddot - _apply(params.kk1, np.tanh(e))
+             - _apply(params.kk2, np.tanh(e_dot)))
     return a, alpha
 
 
@@ -211,7 +256,8 @@ def collision_energy_bound(params: FlockParams) -> float:
 
 
 class FlockSim:
-    """Two-phase tick engine: snapshot -> per-agent controls -> batch step."""
+    """Two-phase tick engine: snapshot -> all agents' controls as (n, m)
+    arrays -> batch step."""
 
     def __init__(self, q0: np.ndarray, theta0: np.ndarray, params: FlockParams,
                  world: World | None = None, control_dt: float = 0.1,
@@ -233,50 +279,28 @@ class FlockSim:
         self._theta_f_ddot = np.zeros((n, m - 1))
         self._ema = 0.2    # filter constant for the feedforward derivatives
 
-    def forces(self, i: int, neighbors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        f_a = spacing_force(i, self.snapshot, neighbors[i], self.params,
-                            self.rng, self.events)
-        f_g = goal_force(i, self.snapshot, self.params)
-        f_o = obstacle_force(i, self.snapshot, self.params, self.world, self.t)
-        return f_a, f_g, f_o
-
-    def _agent_control(self, i: int, nb) -> np.ndarray:
-        """Control of one agent from the shared snapshot (phase 2 of the
-        two-phase tick; pure given the snapshot and the agent's own filter
-        state)."""
-        snap = self.snapshot
-        f_a, f_g, f_o = self.forces(i, nb)
-        f_t = nsb_blend(f_o, f_a, f_g)
-        if np.linalg.norm(f_t) > 1e-9:
-            th_f_new = heading_angles(f_t)
-        else:
-            th_f_new = self._theta_f[i]  # hold the previous direction
-        d1_raw = wrap_angle(th_f_new - self._theta_f[i]) / self.control_dt
-        d1 = (1 - self._ema) * self._theta_f_dot[i] + self._ema * d1_raw
-        d2_raw = (d1 - self._theta_f_dot[i]) / self.control_dt
-        d2 = (1 - self._ema) * self._theta_f_ddot[i] + self._ema * d2_raw
-        cap = self.params.theta_ddot_cap
-        d2 = np.clip(d2, -cap, cap)
-        self._theta_f[i] = th_f_new
-        self._theta_f_dot[i] = d1
-        self._theta_f_ddot[i] = d2
-
-        r_i = self._direction(snap.theta[i])
-        a, alpha = flocking_control(snap.nu[i, 0], snap.theta[i],
-                                    snap.nu[i, 1:], f_t, r_i,
-                                    th_f_new, d1, d2, self.params)
-        out = np.empty(snap.m)
-        out[0] = a
-        out[1:] = alpha
-        return out
-
     def tick(self):
-        snap = self.snapshot
-        n, m = snap.n, snap.m
-        nb = neighbor_lists(snap, self.params.r_c)
-        tau = np.zeros((n, m))
-        for i in range(n):
-            tau[i] = self._agent_control(i, nb)
+        snap, p = self.snapshot, self.params
+        diff, d = pairwise(snap.q)
+        f_a = spacing_forces(diff, d, _in_range(d, p.r_c), p, self.rng, self.events)
+        f_g = goal_forces(snap.q, p)
+        f_o = np.zeros_like(f_a)
+        if self.world is not None and self.world.obstacles:
+            f_o = np.array([obstacle_force(i, snap, p, self.world, self.t)
+                            for i in range(snap.n)])
+        f_t = nsb_blend(f_o, f_a, f_g)
+        # a vanishing blend holds the previous direction
+        steer = _norms(f_t) > 1e-9
+        th_f = np.where(steer[:, None], heading_angles(f_t), self._theta_f)
+        d1 = ((1 - self._ema) * self._theta_f_dot
+              + self._ema * (wrap_angle(th_f - self._theta_f) / self.control_dt))
+        d2 = ((1 - self._ema) * self._theta_f_ddot
+              + self._ema * ((d1 - self._theta_f_dot) / self.control_dt))
+        d2 = np.clip(d2, -p.theta_ddot_cap, p.theta_ddot_cap)
+        self._theta_f, self._theta_f_dot, self._theta_f_ddot = th_f, d1, d2
+        a, alpha = flocking_control(snap.nu[:, 0], snap.theta, snap.nu[:, 1:], f_t,
+                                    flock_direction(snap.theta), th_f, d1, d2, p)
+        tau = np.column_stack((a, alpha))
         q, th, nu = snap.q, snap.theta, snap.nu
         steps = max(1, int(round(self.control_dt / self.plant_dt)))
         for _ in range(steps):
@@ -285,26 +309,14 @@ class FlockSim:
         self.t += self.control_dt
         return self.snapshot
 
-    @staticmethod
-    def _direction(theta: np.ndarray) -> np.ndarray:
-        if len(theta) == 1:
-            return np.array([np.cos(theta[0]), np.sin(theta[0])])
-        return np.array([np.cos(theta[0]) * np.cos(theta[1]),
-                         np.cos(theta[0]) * np.sin(theta[1]),
-                         np.sin(theta[0])])
+    _direction = staticmethod(flock_direction)
 
     def min_pairwise(self) -> float:
-        q = self.snapshot.q
-        d = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
-        return float(np.min(d[np.triu_indices(len(q), k=1)]))
+        return min_pair_distance(self.snapshot.q)
 
     def speeds(self) -> np.ndarray:
         return np.abs(self.snapshot.nu[:, 0])
 
     def adjacency_full_rank(self) -> bool:
-        nb = neighbor_lists(self.snapshot, self.params.r_c)
-        n = self.snapshot.n
-        adj = np.zeros((n, n))
-        for i, lst in enumerate(nb):
-            adj[i, lst] = 1.0
-        return bool(np.linalg.matrix_rank(adj + np.eye(n)) == n)
+        adj = _in_range(pairwise(self.snapshot.q)[1], self.params.r_c)
+        return bool(np.linalg.matrix_rank(adj + np.eye(self.snapshot.n)) == self.snapshot.n)

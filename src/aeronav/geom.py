@@ -40,6 +40,22 @@ def unit_or_zero(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def pairwise(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences diff[i, j] = p[j] - p[i] of the rows of p, shape (n, n, m),
+    and their norms, shape (n, n)."""
+    diff = p[None, :, :] - p[:, None, :]
+    return diff, np.linalg.norm(diff, axis=2)
+
+
+def min_pair_distance(p: np.ndarray) -> float:
+    """Smallest distance between two rows of p; +inf for fewer than two."""
+    if len(p) < 2:
+        return float("inf")
+    d = pairwise(p)[1]
+    np.fill_diagonal(d, np.inf)
+    return float(d.min())
+
+
 def wrap_angle(a):
     """Wrap angle(s) to (-pi, pi]."""
     w = -(np.mod(-np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi)

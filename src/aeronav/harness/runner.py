@@ -20,8 +20,8 @@ from ..geom import unit
 from ..hybrid2d import HybridNavigator, HybridParams
 from ..planner2d import RrtParams
 from ..plants import (Angle3DState, Heading3DState, LimitSet, QuadrotorState,
-                      Unicycle2DState, step_angles3d, step_heading3d,
-                      step_unicycle)
+                      Unicycle2DState, flock_direction, step_angles3d,
+                      step_heading3d, step_unicycle)
 from ..quadrotor import FlatSample, FlatnessGains, QuadrotorTracker
 from ..reactive3d import Reactive3DNavigator, Reactive3DParams
 from ..tunnel_nav import TunnelNavigator, TunnelParams
@@ -90,7 +90,8 @@ def build_world(cfg: dict) -> World:
 class Engine:
     """One scenario kind as `run()` drives it: step(tick) advances one control
     period and returns None, GOAL (log this tick, then stop) or TERMINATED
-    (stop unlogged); rows(tick) are the tick's log rows; events() and
+    (stop unlogged); rows(tick) are the tick's log rows, logged every
+    record_every ticks and on the last and the GOAL tick; events() and
     metrics() are read at the end.  n_ticks defaults to duration / control_dt."""
     control_dt: float
     step: Callable[[int], str | None]
@@ -112,7 +113,7 @@ def run(cfg: dict) -> RunResult:
         status = engine.step(tick)
         if status == TERMINATED:
             break
-        if tick % engine.record_every == 0 or tick == n_ticks - 1:
+        if status == GOAL or tick % engine.record_every == 0 or tick == n_ticks - 1:
             for row in engine.rows(tick):
                 log.add(*row)
         if status == GOAL:
@@ -396,8 +397,8 @@ def _flocking(cfg: dict) -> Engine:
 
     def rows(tick):
         snap = sim.snapshot
-        return [(tick, sim.t, i, snap.q[i], snap.nu[i, 0] * sim._direction(snap.theta[i]),
-                 "flock", d_obs, mp) for i in range(n)]
+        vel = snap.nu[:, :1] * flock_direction(snap.theta)
+        return [(tick, sim.t, i, snap.q[i], vel[i], "flock", d_obs, mp) for i in range(n)]
 
     def metrics():
         q = sim.snapshot.q
@@ -495,7 +496,13 @@ def _coverage(cfg: dict) -> Engine:
                                        if e[1] == "comm_range_violation"),
                 "goal_reached": True}
 
-    return Engine(sim.control_dt, step, rows, metrics, lambda: removed,
+    def events():
+        # the sim records a state's events when it ticks from it, at its time
+        found = [(int(round(t / sim.control_dt)), kind, data)
+                 for t, kind, data in sim.events]
+        return sorted(removed + found, key=lambda e: e[0])
+
+    return Engine(sim.control_dt, step, rows, metrics, events,
                   record_every=int(pcfg.get("record_every", 5)))
 
 

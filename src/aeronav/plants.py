@@ -94,7 +94,7 @@ class QuadrotorState:
 
 def _check_finite(arrs, tick: int | None = None):
     for a in arrs:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             where = "" if tick is None else f" at tick {tick}"
             raise FloatingPointError(f"non-finite state or input{where}")
 
@@ -221,28 +221,34 @@ def step_quadrotor(state: QuadrotorState, thrust: float, torque: np.ndarray,
 # all n agents advanced at once; controls held over the step).
 # ---------------------------------------------------------------------------
 
+def flock_direction(theta: np.ndarray) -> np.ndarray:
+    """Unit direction of orientation angles theta, (m-1,) or (n, m-1): the
+    heading's [cos, sin] for m = 2, [cos(th)cos(psi), cos(th)sin(psi), sin(th)]
+    for m = 3 with theta = [flight path th, heading psi]."""
+    c, s = np.cos(theta), np.sin(theta)
+    if c.shape[-1] == 1:
+        return np.concatenate((c, s), axis=-1)
+    out = np.empty(c.shape[:-1] + (3,))
+    out[..., 0] = c[..., 0] * c[..., 1]
+    out[..., 1] = c[..., 0] * s[..., 1]
+    out[..., 2] = s[..., 0]
+    return out
+
+
 def step_flock_batch(q: np.ndarray, theta: np.ndarray, nu: np.ndarray,
                      tau: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One RK4 step of n copies of the nonholonomic acceleration-level model.
 
     q: (n, m) positions; theta: (n, m-1) orientation angles; nu: (n, m) stacked
     [v, Omega]; tau: (n, m) stacked [a, alpha] accelerations (held constant).
-    For m == 3, theta = [flight path, heading] and the direction vector is
-    [cos(th)cos(psi), cos(th)sin(psi), sin(th)].
+    The direction vector is `flock_direction(theta)`.
     """
-    n, m = q.shape
-
-    def r_of(th):
-        if m == 2:
-            return np.stack([np.cos(th[:, 0]), np.sin(th[:, 0])], axis=1)
-        return np.stack([np.cos(th[:, 0]) * np.cos(th[:, 1]),
-                         np.cos(th[:, 0]) * np.sin(th[:, 1]),
-                         np.sin(th[:, 0])], axis=1)
+    _check_finite([q, theta, nu, tau])
 
     def f(state):
         qq, th, vv = state
         v = vv[:, :1]
-        return (v * r_of(th), vv[:, 1:], tau)
+        return (v * flock_direction(th), vv[:, 1:], tau)
 
     def add(state, k, h):
         return (state[0] + h * k[0], state[1] + h * k[1], state[2] + h * k[2])

@@ -342,6 +342,33 @@ def test_agent_removal_repartitions_next_tick():
     assert total == pytest.approx(100.0, rel=1e-6)
 
 
+def test_tick_nan_state_raises():
+    sim = _barrier_sim(n=5, seed=3)
+    sim.q[2, 1] = np.nan
+    with pytest.raises(FloatingPointError):
+        sim.tick()
+
+
+def test_queries_record_nothing_tick_records_once():
+    """centroids(), velocities() and multicenter_cost() are pure queries on
+    a state; the state's out-of-range events are recorded by tick(), once."""
+    sim = _barrier_sim(n=12, seed=4)
+    sim.r_c = 1.0
+    cents, cells = sim.centroids()
+    sim.velocities()
+    sim.multicenter_cost()
+    assert sim.events == []
+    assert sim.centroids()[0] is cents
+    sim.tick()
+    first = list(sim.events)
+    assert first and all(t == 0.0 and kind == "comm_range_violation"
+                         for t, kind, _ in first)
+    assert len({(d["agent"], d["neighbor"]) for _, _, d in first}) == len(first)
+    sim.velocities()
+    sim.centroids()
+    assert sim.events == first
+
+
 def test_case6_centroids_inside_shrunken_polygon():
     sim = _barrier_sim(n=6, seed=8)
     for _ in range(300):

@@ -179,6 +179,36 @@ def test_obstacle_free_world(kind):
     assert [m.passed for m in res.monitors if m.name == "d_safe"] == [True]
 
 
+def test_goal_tick_is_logged():
+    """A run that stops at its goal logs the stop tick even when
+    record_every would skip it."""
+    cfg = {"version": 1, "name": "flock-goal", "seed": 0, "kind": "flocking",
+           "duration": 30.0, "control_dt": 0.1, "plant_dt": 0.01,
+           "agents": {"count": 2, "spawn": [[10.55, -0.5, -0.5], [10.65, 0.5, 0.5]],
+                      "min_spacing": 0.5},
+           "world": {"obstacles": []},
+           "params": {"flock": {"k_ij": 0.05, "k_goal": 0.1, "goal": [0.0, 0.0, 0.0],
+                                "goal_radius": 10.0}, "record_every": 10}}
+    res = run(cfg)
+    stop_tick = int(round(res.metrics["goal_time"] / 0.1)) - 1
+    assert 0 < stop_tick < 299 and stop_tick % 10
+    assert [r["tick"] for r in res.log.records[-2:]] == [stop_tick, stop_tick]
+
+
+def test_coverage_events_reach_the_log():
+    """Out-of-range bisectors that cut a cell are logged once per state, with
+    their tick and agents, and the metric counts the same events."""
+    cfg = scenarios.coverage_sweep()
+    cfg["duration"] = 1.0
+    cfg["params"]["coverage"]["r_c"] = 3.0
+    res = run(cfg)
+    found = [e for e in res.log.events if e["kind"] == "comm_range_violation"]
+    assert found and res.metrics["comm_violations"] == len(found)
+    keys = [(e["tick"], e["agent"], e["neighbor"]) for e in found]
+    assert len(set(keys)) == len(keys)
+    assert {t for t, _, _ in keys} <= set(range(10))
+
+
 def test_run_determinism_byte_identical():
     cfg = scenarios.planar_trap_wall()
     a = run(cfg).log.to_csv()

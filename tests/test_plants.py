@@ -4,8 +4,8 @@ import pytest
 from aeronav.geom import unit
 from aeronav.plants import (Heading3DState, LimitSet, QuadrotorState,
                             Unicycle2DState, step_angles3d, step_heading3d,
-                            step_quadrotor, step_unicycle, Angle3DState,
-                            GRAVITY)
+                            step_flock_batch, step_quadrotor, step_unicycle,
+                            Angle3DState, GRAVITY)
 
 
 def test_unicycle_straight():
@@ -109,6 +109,15 @@ def test_angles3d_matches_heading3d_for_planar_motion():
 def test_nan_input_raises():
     with pytest.raises(FloatingPointError):
         step_unicycle(Unicycle2DState(np.nan, 0.0, 0.0), 1.0, 0.0, 0.01)
+
+
+@pytest.mark.parametrize("bad", ["q", "tau"])
+def test_flock_batch_nan_raises(bad):
+    arrs = {"q": np.zeros((3, 3)), "theta": np.zeros((3, 2)), "nu": np.zeros((3, 3)),
+            "tau": np.zeros((3, 3))}
+    arrs[bad][1, 2] = np.nan
+    with pytest.raises(FloatingPointError):
+        step_flock_batch(arrs["q"], arrs["theta"], arrs["nu"], arrs["tau"], 0.01)
 
 
 def test_limits_validation():

@@ -1,0 +1,160 @@
+"""Property tests of the swarm kernels against plain references written
+here: the nearest-first Voronoi clipping against an all-pairs clip, the
+batched null-space blend against one explicit projector product per agent,
+and one flocking tick against a per-agent loop over the force helpers."""
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from aeronav import flocking
+from aeronav.coverage import polygon_area, polygon_moments, voronoi_cells
+from aeronav.flocking import (FlockParams, FlockSim, goal_force, heading_angles,
+                              neighbor_lists, nsb_blend, obstacle_force,
+                              spacing_force)
+from aeronav.geom import wrap_angle
+from aeronav.world import Sphere, World
+
+SETTINGS = settings(max_examples=150, deadline=None)
+BOX = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 6.0], [0.0, 6.0]])
+HEXAGON = np.array([[2.0, 0.0], [8.0, 0.0], [10.0, 3.0], [8.0, 6.0], [2.0, 6.0],
+                    [0.0, 3.0]])
+
+coord = st.floats(-1.0, 11.0, allow_nan=False)
+scattered = st.lists(st.tuples(coord, coord), min_size=1, max_size=14)
+
+
+@st.composite
+def collinear(draw):
+    """Generators on one line, some of them outside the boundary."""
+    start = np.array(draw(st.tuples(coord, coord)))
+    angle = draw(st.floats(0.0, np.pi))
+    ts = draw(st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=10))
+    return [tuple(start + t * np.array([np.cos(angle), np.sin(angle)])) for t in ts]
+
+
+generators = st.one_of(scattered, collinear()).map(lambda pts: np.array(pts, dtype=float))
+
+
+def _distinct(g):
+    d = np.linalg.norm(g[:, None] - g[None], axis=2)
+    return bool(np.all(d[np.triu_indices(len(g), 1)] > 1e-3))
+
+
+def _clip_reference(poly, a, b):
+    """Sutherland-Hodgman, one vertex at a time."""
+    out = []
+    for k in range(len(poly)):
+        cur, nxt = poly[k], poly[(k + 1) % len(poly)]
+        c_in, n_in = a @ cur <= b + 1e-12, a @ nxt <= b + 1e-12
+        if c_in:
+            out.append(cur)
+        if c_in != n_in and abs(a @ (nxt - cur)) > 1e-15:
+            t = (b - a @ cur) / (a @ (nxt - cur))
+            out.append(cur + np.clip(t, 0.0, 1.0) * (nxt - cur))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+def _cells_reference(g, boundary, mask=None):
+    """Every cell clipped by every other (in-range) generator, in index order."""
+    cells = []
+    for i in range(len(g)):
+        poly = boundary
+        for j in range(len(g)):
+            if j != i and (mask is None or mask[i, j]) and len(poly):
+                poly = _clip_reference(poly, g[j] - g[i], 0.5 * (g[j] @ g[j] - g[i] @ g[i]))
+        cells.append(poly)
+    return cells
+
+
+def _moments(cell):
+    if len(cell) < 3:
+        return np.zeros(4)
+    area, first, second = polygon_moments([cell])
+    return np.array([area[0], *first[0], second[0]])
+
+
+@SETTINGS
+@given(g=generators, boundary=st.sampled_from([BOX, HEXAGON]),
+       r_c=st.one_of(st.none(), st.floats(0.5, 8.0)))
+def test_voronoi_cells_equal_all_pairs_clip(g, boundary, r_c):
+    assume(_distinct(g))
+    mask = None if r_c is None else np.linalg.norm(g[:, None] - g[None], axis=2) <= r_c
+    got = voronoi_cells(g, boundary, mask)
+    want = _cells_reference(g, boundary, mask)
+    for cell, ref in zip(got, want, strict=True):
+        assert np.allclose(_moments(cell), _moments(ref), rtol=0.0, atol=1e-9)
+
+
+@SETTINGS
+@given(g=generators, boundary=st.sampled_from([BOX, HEXAGON]))
+def test_voronoi_cells_tile_the_boundary(g, boundary):
+    assume(_distinct(g))
+    cells = voronoi_cells(g, boundary)
+    assert sum(polygon_area(c) for c in cells) == pytest.approx(polygon_area(boundary),
+                                                                rel=1e-9)
+
+
+def _projector(f):
+    n = np.linalg.norm(f)
+    if n < 1e-12:
+        return np.eye(len(f))
+    return np.eye(len(f)) - np.outer(f / n, f / n)
+
+
+@SETTINGS
+@given(st.tuples(st.integers(1, 8), st.integers(2, 3)).flatmap(lambda shape: arrays(
+    float, (3, *shape), elements=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))))
+def test_nsb_blend_rows_equal_projector_form(forces):
+    f1, f2, f3 = forces
+    got = nsb_blend(f1, f2, f3)
+    for k in range(len(f1)):
+        n1 = _projector(f1[k])
+        want = f1[k] + n1 @ f2[k] + n1 @ _projector(f2[k]) @ f3[k]
+        assert np.allclose(got[k], want, rtol=0.0, atol=1e-12)
+        assert np.allclose(nsb_blend(f1[k], f2[k], f3[k]), want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+       nearest2=st.booleans(), obstacle=st.booleans())
+def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
+    rng = np.random.default_rng(seed)
+    params = FlockParams(r_c=12.0, goal=np.array([30.0, 30.0, 30.0]),
+                         alpha_neighbors="nearest2" if nearest2 else "all")
+    world = World([Sphere(np.array([9.0, 9.0, 9.0]), 2.0)]) if obstacle else None
+    q0 = rng.uniform(0.0, 18.0, size=(n, 3))
+    assume(_distinct(q0))
+    sim = FlockSim(q0, rng.uniform(-1.0, 1.0, size=(n, 2)), params, world=world, rng=rng)
+    for _ in range(3):
+        sim.tick()
+    snap, p, dt, ema = sim.snapshot, sim.params, sim.control_dt, sim._ema
+    th_prev, dot_prev, ddot_prev = sim._theta_f, sim._theta_f_dot, sim._theta_f_ddot
+    nb = neighbor_lists(snap, p.r_c)
+    want = np.empty((n, 3))
+    for i in range(n):
+        f_t = nsb_blend(obstacle_force(i, snap, p, world, sim.t),
+                        spacing_force(i, snap, nb[i], p), goal_force(i, snap, p))
+        th_f = heading_angles(f_t) if np.linalg.norm(f_t) > 1e-9 else th_prev[i]
+        d1_raw = wrap_angle(th_f - th_prev[i]) / dt
+        d1 = (1 - ema) * dot_prev[i] + ema * d1_raw
+        d2_raw = (d1 - dot_prev[i]) / dt
+        d2 = np.clip((1 - ema) * ddot_prev[i] + ema * d2_raw,
+                     -p.theta_ddot_cap, p.theta_ddot_cap)
+        a, alpha = flocking.flocking_control(snap.nu[i, 0], snap.theta[i], snap.nu[i, 1:],
+                                             f_t, sim._direction(snap.theta[i]), th_f,
+                                             d1, d2, p)
+        want[i] = [a, *alpha]
+    taus = []
+
+    def capture(q, th, nu, tau, h):
+        taus.append(tau)
+        return q, th, nu
+
+    stepper, flocking.step_flock_batch = flocking.step_flock_batch, capture
+    try:
+        sim.tick()
+    finally:
+        flocking.step_flock_batch = stepper
+    assert np.allclose(taus[0], want, rtol=0.0, atol=1e-12)
