@@ -214,9 +214,6 @@ class PiecewisePath:
     def tangent(self, s: float) -> np.ndarray:
         return unit(self.deriv(s))
 
-    def end_point(self) -> np.ndarray:
-        return self.segments[-1].point(1.0)
-
     def curvature(self, s: float) -> float:
         d1 = self.deriv(s, 1)
         d2 = self.deriv(s, 2)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
   aeronav run <config.json>        run one scenario, write logs, exit 0 on PASS
-  aeronav suite <dir|builtin>      run every config in a directory (or the
-                                   built-in replica battery) as a regression
+  aeronav suite <dir>              run every config in a directory as a
+                                   regression (`configs/`: the stock battery)
   aeronav plot <runlog.csv>        render an SVG trajectory plot
   aeronav gen-tunnel <shape>       synthesize a tunnel cloud to an .xyz file
 
@@ -66,13 +66,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.dir == "builtin":
-        from .harness.scenarios import all_scenarios
-        configs = all_scenarios()
-    else:
-        configs = {}
-        for path in sorted(Path(args.dir).glob("*.json")):
-            configs[path.stem] = load_config(path)
+    configs = {path.stem: load_config(path)
+               for path in sorted(Path(args.dir).glob("*.json"))}
     out_dir = _out_dir({}, args.out)
     failures = 0
     for name, cfg in configs.items():
@@ -123,7 +118,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
-    p_suite = sub.add_parser("suite", help="run a directory of configs (or 'builtin')")
+    p_suite = sub.add_parser("suite", help="run a directory of configs")
     p_suite.add_argument("dir")
     p_suite.add_argument("--out", default=None)
     p_suite.set_defaults(func=cmd_suite)

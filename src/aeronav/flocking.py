@@ -309,8 +309,6 @@ class FlockSim:
         self.t += self.control_dt
         return self.snapshot
 
-    _direction = staticmethod(flock_direction)
-
     def min_pairwise(self) -> float:
         return min_pair_distance(self.snapshot.q)
 

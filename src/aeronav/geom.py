@@ -17,10 +17,6 @@ Z3 = np.array([0.0, 0.0, 1.0])
 E3 = Z3
 
 
-def vec(*components: float) -> np.ndarray:
-    return np.array(components, dtype=float)
-
-
 def norm(v: np.ndarray) -> float:
     return float(np.linalg.norm(v))
 
@@ -121,11 +117,6 @@ def rodrigues_rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarra
     return rodrigues_matrix(axis, angle) @ np.asarray(v, dtype=float)
 
 
-def rotate2d(v: np.ndarray, angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
-
-
 def steer_map(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Unit vector perpendicular to the unit vector w1, in span{w1, w2},
     pointing toward w2.  Zero when w2 is parallel to w1 (or zero)."""
@@ -155,13 +146,6 @@ def heading_from_angles(beta: float, alpha: float) -> np.ndarray:
     return np.array([np.cos(beta) * ca, np.sin(beta) * ca, np.sin(alpha)])
 
 
-def angles_from_heading(h: np.ndarray) -> tuple[float, float]:
-    """(beta, alpha) azimuth / flight-path angles of a direction vector."""
-    beta = float(np.arctan2(h[1], h[0]))
-    alpha = float(np.arctan2(h[2], np.hypot(h[0], h[1])))
-    return beta, alpha
-
-
 def perpendicular_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Any two unit vectors completing `n` (unit) to a right-handed frame."""
     ref = X3 if abs(n[0]) < 0.9 else Y3
@@ -179,10 +163,3 @@ def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple
     t = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
     q = a + t * ab
     return float(np.linalg.norm(p - q)), q
-
-
-def point_line_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance from p to the infinite line through a and b."""
-    d = unit(b - a)
-    r = p - a
-    return float(np.linalg.norm(r - np.dot(r, d) * d))

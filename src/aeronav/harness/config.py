@@ -3,6 +3,8 @@ fail-fast with unknown keys rejected."""
 from __future__ import annotations
 
 import json
+import math
+from numbers import Integral, Real
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -38,6 +40,17 @@ def _reject_unknown(section: dict, allowed: set, where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_number(value, where: str, positive: bool) -> None:
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{where} must be a finite number {bound}, got {value!r}")
+
+
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
@@ -46,9 +59,20 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"unsupported schema version {cfg.get('version')!r}")
     if "seed" not in cfg:
         raise ConfigError("seed is mandatory")
+    if not _is_int(cfg["seed"]):
+        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
     if cfg.get("kind") not in KINDS:
         raise ConfigError(f"kind must be one of {KINDS}")
+    for key, positive in (("duration", False), ("control_dt", True),
+                          ("plant_dt", True)):
+        if key in cfg:
+            _check_number(cfg[key], key, positive)
+    for key in ("world", "tunnel", "agents", "monitors", "output", "params"):
+        if key in cfg and not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key} must be a mapping")
     if "world" in cfg:
+        if not isinstance(cfg["world"].get("obstacles", []), list):
+            raise ConfigError("world.obstacles must be a list")
         _reject_unknown(cfg["world"], _WORLD_KEYS, "world")
         for i, ob in enumerate(cfg["world"].get("obstacles", [])):
             _reject_unknown(ob, _OBSTACLE_KEYS, f"world.obstacles[{i}]")
@@ -59,13 +83,13 @@ def validate_config(cfg: dict) -> dict:
         _reject_unknown(cfg["tunnel"], _TUNNEL_KEYS, "tunnel")
     if "agents" in cfg:
         _reject_unknown(cfg["agents"], _AGENT_KEYS, "agents")
+        count = cfg["agents"].get("count", 1)
+        if not _is_int(count) or count < 1:
+            raise ConfigError(f"agents.count must be an integer >= 1, got {count!r}")
     if "monitors" in cfg:
         _reject_unknown(cfg["monitors"], _MONITOR_KEYS, "monitors")
     if "output" in cfg:
         _reject_unknown(cfg["output"], _OUTPUT_KEYS, "output")
-    if "params" in cfg and not isinstance(cfg["params"], dict):
-        raise ConfigError("params must be a mapping")
-    float(cfg.get("duration", 0.0))
     return cfg
 
 

@@ -1,384 +1,130 @@
-"""Stock scenario configurations: the stock replica battery.
-
-Each builder returns a validated config dict; `all_scenarios()` yields the
-full regression battery keyed by name.
-"""
+"""The stock scenario battery: the JSON configs in `configs/` at the root of
+the source tree, keyed by file stem.  Each builder loads one of them.  A seed
+overrides the stored one; only the two random obstacle fields also draw their
+obstacles again from it (at the stored seed, the stored obstacles)."""
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
-from .config import validate_config
+from .config import load_config, validate_config
+
+CONFIGS = Path(__file__).resolve().parents[3] / "configs"
 
 
-def _random_discs(rng, n, bounds, r_lo, r_hi, keepout, clearance=2.4,
-                  max_attempts=200_000):
-    """Non-overlapping random discs that stay off the keepout points."""
-    out = []
-    attempts = 0
-    while len(out) < n:
-        attempts += 1
-        if attempts > max_attempts:
-            raise RuntimeError("disc sampling over-constrained for the region")
-        c = rng.uniform(bounds[0], bounds[1])
-        r = float(rng.uniform(r_lo, r_hi))
-        if any(np.linalg.norm(c - k) < r + 2.2 for k in keepout):
-            continue
-        if any(np.linalg.norm(c - np.asarray(o["center"])) < r + o["radius"] + clearance
-               for o in out):
-            continue
-        out.append({"type": "sphere", "center": [float(c[0]), float(c[1])],
-                    "radius": r, "known": False})
-    return out
-
-
-def planar_static_field(seed: int = 11) -> dict:
-    """Static unknown obstacles between known walls."""
-    rng = np.random.default_rng(seed)
-    start, goal = np.array([0.0, 0.0]), np.array([48.0, 0.0])
-    keepout = [start, goal]
-    # thirty unknown discs in the corridor, sparse enough to pass between
-    obstacles = _random_discs(rng, 30, np.array([[4.0, -9.0], [44.0, 9.0]]),
-                              0.2, 0.6, keepout, clearance=2.6)
-    obstacles.append({"type": "wall", "known": True,
-                      "vertices": [[-2.0, -11.5], [52.0, -11.5]]})
-    obstacles.append({"type": "wall", "known": True,
-                      "vertices": [[-2.0, 11.5], [52.0, 11.5]]})
-    cfg = {
-        "version": 1, "name": "planar-static", "seed": seed,
-        "kind": "hybrid2d", "duration": 150.0,
-        "control_dt": 0.1, "plant_dt": 0.01,
-        "start": start.tolist(), "goal": goal.tolist(), "heading": [0.0],
-        "world": {"bounds": [[-2.0, -11.0], [52.0, 11.0]], "obstacles": obstacles},
-        "params": {"hybrid": {"v_max": 1.0, "u_max": 1.5, "d0": 1.0,
-                              "d_safe": 0.5, "big_c": 2.0, "d_sensing": 3.5},
-                   "rrt": {"step": 2.0, "goal_bias": 0.2, "max_iters": 4000,
-                           "clearance": 0.8, "resolution": 0.05}},
-        "monitors": {"d_safe": 0.5, "require_goal": True},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def planar_dynamic_crossers(seed: int = 7) -> dict:
-    """Unknown moving obstacles crossing the route (all slower than the
-    vehicle)."""
-    # crossers timed to intercept the route roughly when the vehicle arrives
-    movers = []
-    lanes = [(10.0, 4.5, -0.45), (16.0, -6.4, 0.4), (22.0, 8.8, -0.4),
-             (27.0, -9.45, 0.35)]
-    for x, y, vy in lanes:
-        movers.append({"type": "sphere", "center": [x, y], "radius": 0.6,
-                       "known": False,
-                       "motion": {"kind": "linear", "velocity": [0.0, vy]}})
-    cfg = {
-        "version": 1, "name": "planar-dynamic", "seed": seed,
-        "kind": "hybrid2d", "duration": 120.0,
-        "control_dt": 0.1, "plant_dt": 0.01,
-        "start": [0.0, 0.0], "goal": [36.0, 0.0], "heading": [0.0],
-        "world": {"bounds": [[-2.0, -9.0], [38.0, 9.0]], "obstacles": movers},
-        "params": {"hybrid": {"v_max": 1.0, "u_max": 1.5, "d0": 1.0,
-                              "d_safe": 0.5, "big_c": 2.0, "d_sensing": 3.5}},
-        "monitors": {"d_safe": 0.5, "require_goal": True},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def planar_trap_wall(seed: int = 3) -> dict:
-    """Trap wall across the planned route: exactly one replan expected."""
-    cfg = {
-        "version": 1, "name": "planar-trap", "seed": seed,
-        "kind": "hybrid2d", "duration": 160.0,
-        "control_dt": 0.1, "plant_dt": 0.01,
-        "start": [0.0, 0.0], "goal": [14.0, 0.0], "heading": [0.0],
-        "world": {"bounds": [[-2.0, -12.0], [20.0, 12.0]],
-                  "obstacles": [{"type": "wall", "known": False,
-                                 "vertices": [[8.0, -6.0], [8.0, 6.0]]}]},
-        "params": {"hybrid": {"v_max": 1.0, "u_max": 1.5, "d0": 1.0,
-                              "d_safe": 0.5, "big_c": 2.0, "d_sensing": 6.0,
-                              "fov_half_angle": float(np.deg2rad(60.0)),
-                              "escape_distance": 3.0},
-                   "trap_range": 4.5,
-                   "rrt": {"step": 1.5, "goal_bias": 0.2, "max_iters": 4000,
-                           "clearance": 0.7, "resolution": 0.05}},
-        "monitors": {"d_safe": 0.5, "require_goal": True, "expect_replans": 1},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def reactive3d_ellipsoid_field(seed: int = 4) -> dict:
-    """Multi-obstacle 3D reactive run with the reference design parameters."""
-    obstacles = [
-        {"type": "ellipsoid", "center": [12.0, 12.0, 8.5], "semi": [2.5, 3.5, 1.8]},
-        {"type": "ellipsoid", "center": [4.0, 20.0, 10.0], "semi": [3.0, 2.0, 2.2]},
-        {"type": "ellipsoid", "center": [-4.0, 27.0, 12.0], "semi": [2.2, 2.8, 1.6]},
-        {"type": "ellipsoid", "center": [9.0, 26.0, 13.0], "semi": [1.8, 2.4, 2.0]},
-        {"type": "ellipsoid", "center": [-1.0, 14.0, 6.5], "semi": [2.0, 1.6, 1.4]},
-    ]
-    cfg = {
-        "version": 1, "name": "reactive3d-ellipsoids", "seed": seed,
-        "kind": "reactive3d", "duration": 120.0,
-        "control_dt": 0.05, "plant_dt": 0.01,
-        "start": [15.0, 5.0, 7.0], "goal": [-10.0, 35.0, 14.0],
-        "world": {"obstacles": obstacles},
-        "params": {"reactive3d": {"v_bar": 1.0, "omega_max": 1.5, "d0": 1.0,
-                                  "d_safe": 0.5, "big_c": 2.5, "eps": 0.5,
-                                  "gamma": 1.0, "delta": 0.5}},
-        "monitors": {"d_safe": 0.95, "require_goal": True},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def deform_static_cylinders(seed: int = 6) -> dict:
-    """Thirty random vertical cylinders, small safety factor."""
-    rng = np.random.default_rng(seed)
-    obstacles = []
-    keepout = [np.array([1.0, 1.0]), np.array([20.0, 20.0])]
-    attempts = 0
-    while len(obstacles) < 30:
-        attempts += 1
-        if attempts > 200_000:
-            raise RuntimeError("cylinder sampling over-constrained")
-        c = rng.uniform([3.0, 3.0], [24.0, 24.0])
-        r = float(rng.uniform(0.35, 0.7))
-        if any(np.linalg.norm(c - k) < r + 2.5 for k in keepout):
-            continue
-        if any(np.linalg.norm(c - np.asarray(o["base"][:2])) <
-               r + o["radius"] + 2.3 for o in obstacles):
-            continue
-        obstacles.append({"type": "cylinder", "base": [float(c[0]), float(c[1]), 0.0],
-                          "axis": [0.0, 0.0, 1.0], "radius": r, "height": 25.0})
-    cfg = {
-        "version": 1, "name": "deform-static-cylinders", "seed": seed,
-        "kind": "deform3d", "duration": 120.0,
-        "control_dt": 0.1, "plant_dt": 0.01,
-        "start": [1.0, 1.0, 3.0], "goal": [20.0, 20.0, 20.0],
-        "world": {"obstacles": obstacles},
-        "params": {"deform": {"safety_factor": 0.6, "d_safe": 0.5, "v": 1.0}},
-        "monitors": {"d_safe": 0.5, "require_goal": True},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def deform_dynamic_intercept(gamma: float, seed: int = 61) -> dict:
-    """One sphere crossing the route on an intercept course (not chasing);
-    the two cases differ only by the deformation safety factor."""
-    cfg = {
-        "version": 1, "name": f"deform-dynamic-gamma{gamma}", "seed": seed,
-        "kind": "deform3d", "duration": 90.0,
-        "control_dt": 0.1, "plant_dt": 0.01,
-        "start": [1.0, 1.0, 3.0], "goal": [20.0, 20.0, 3.0],
-        "world": {"obstacles": [
-            {"type": "sphere", "center": [12.0, 20.3, 3.0], "radius": 1.0,
-             "known": False,
-             "motion": {"kind": "linear", "velocity": [0.0, -0.55, 0.0]}},
-        ]},
-        "params": {"deform": {"safety_factor": gamma, "d_safe": 0.5, "v": 1.0,
-                              "check_margin": 0.8}},
-        "monitors": {"d_safe": 0.5, "require_goal": True},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def deform_quad_tracking(seed: int = 62) -> dict:
-    """Quadrotor tracking a deformed trajectory at 0.5 m/s."""
-    cfg = {
-        "version": 1, "name": "deform-quad-tracking", "seed": seed,
-        "kind": "deform3d_quad", "duration": 90.0,
-        "control_dt": 0.1, "plant_dt": 0.01,
-        "start": [0.0, 0.0, 2.0], "goal": [14.0, 10.0, 4.0],
-        "world": {"obstacles": [
-            {"type": "cylinder", "base": [6.0, 4.2, 0.0],
-             "axis": [0.0, 0.0, 1.0], "radius": 1.0, "height": 15.0},
-            {"type": "sphere", "center": [10.5, 7.8, 3.0], "radius": 1.0},
-        ]},
-        "params": {"deform": {"safety_factor": 0.8, "d_safe": 0.5, "v": 0.5}},
-        "monitors": {"d_safe": 0.5, "require_goal": True},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-# Tunnel parameter table: columns (a)-(g)
-TUNNEL_TABLE = {
-    "a": {"shape": "smooth-bend", "v": 1.0, "d1": 1.0, "d2": 3.0, "radius": 1.5,
-          "beta0": np.pi / 4, "d_sensing": 20.0, "tunnel_radius": 2.5, "length": 40.0},
-    # the ring is sized so the far side of the loop stays outside the
-    # sensing range and cannot contaminate the slice slabs
-    "b": {"shape": "torus", "v": 2.0, "d1": 1.5, "d2": 3.0, "radius": 1.0,
-          "beta0": np.pi / 5, "d_sensing": 20.0, "tunnel_radius": 2.0, "length": 90.0},
-    "c": {"shape": "helix", "v": 2.0, "d1": 1.0, "d2": 3.0, "radius": 1.5,
-          "beta0": np.pi / 5, "d_sensing": 10.0, "tunnel_radius": 2.5, "length": 40.0},
-    "d": {"shape": "sharp-bends", "v": 1.0, "d1": 1.0, "d2": 2.5, "radius": 1.5,
-          "beta0": np.pi / 4, "d_sensing": 30.0, "tunnel_radius": 2.5, "length": 40.0},
-    "e": {"shape": "s-shape", "v": 2.0, "d1": 1.0, "d2": 3.0, "radius": 1.5,
-          "beta0": np.pi / 5, "d_sensing": 10.0, "tunnel_radius": 2.5, "length": 40.0},
-    "f": {"shape": "rectangular", "v": 1.0, "d1": 1.0, "d2": 3.0, "radius": 1.5,
-          "beta0": np.pi / 5, "d_sensing": 10.0, "tunnel_radius": 2.5, "length": 40.0},
-    "g": {"shape": "pipeline", "v": 5.0, "d1": 2.0, "d2": 5.0, "radius": 1.5,
-          "beta0": np.pi / 5, "d_sensing": 25.0, "tunnel_radius": 2.5,
-          "length": 80.0, "noise_sigma": 0.02},
-}
-
-
-def tunnel_scenario(col: str, seed: int = 70) -> dict:
-    row = TUNNEL_TABLE[col]
-    tunnel = {"shape": row["shape"], "radius": row["tunnel_radius"],
-              "length": row["length"], "density": 400.0}
-    if "noise_sigma" in row:
-        tunnel["noise_sigma"] = row["noise_sigma"]
-    duration = row["length"] * 1.6 / row["v"] + 20.0
-    cfg = {
-        "version": 1, "name": f"tunnel-{col}-{row['shape']}", "seed": seed,
-        "kind": "tunnel", "duration": duration,
-        "start": "auto", "heading": "auto",
-        "tunnel": tunnel,
-        "params": {"tunnel_nav": {"v": row["v"], "delta": 0.1, "d1": row["d1"],
-                                  "d2": row["d2"], "radius": row["radius"],
-                                  "beta0": row["beta0"], "slice_tol": 0.1,
-                                  "d_sensing": row["d_sensing"]}},
-        "monitors": {"wall_margin": 0.0, "progress_window": 5.0},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def tunnel_narrowing_robust(seed: int = 77) -> dict:
-    """Narrowing tunnel with the robust perception pipeline."""
-    cfg = {
-        "version": 1, "name": "tunnel-narrowing-robust", "seed": seed,
-        "kind": "tunnel", "duration": 40.0,
-        "start": [0.3, 0.0, 0.0], "heading": [1.0, 0.0, 0.0],
-        "tunnel": {"shape": "narrowing", "radius": 1.15, "length": 6.0,
-                   "density": 700.0, "end_radius": 0.75},
-        "params": {"tunnel_nav": {"v": 0.4, "delta": 0.1, "d1": 1.25,
-                                  "d2": 1.75, "radius": 0.6,
-                                  "beta0": np.pi / 5, "slice_tol": 0.1,
-                                  "d_sensing": 6.0, "d_safe": 0.45},
-                   "pipeline": "robust",
-                   "probe_distances": [1.25, 1.5, 1.75]},
-        "monitors": {"wall_margin": 0.3, "progress_window": 5.0},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def flock_scenario(n: int, seed: int = 80) -> dict:
-    if n <= 4:
-        flock = {"k_ij": 0.6, "k_goal": 0.5, "k_obs": 1.0, "k_v": 2.5,
-                 "d_ij": 5.0, "d_s": 1.0, "r_c": 20.0,
-                 "goal": [50.0, 50.0, 80.0], "goal_radius": 10.0, "big_c": 5.5}
-        spawn = [[0.0, 0.0, 0.0], [20.0, 20.0, 20.0]]
-        world = {"obstacles": [{"type": "sphere", "center": [27.0, 27.0, 45.0],
-                                "radius": 2.0, "known": True}]}
-        duration = 1400.0
-    else:
-        flock = {"k_ij": 1.0, "k_goal": 0.75, "k_obs": 1.0, "k_v": 3.0,
-                 "d_ij": 5.0, "d_s": 1.0, "r_c": 12.0,
-                 "goal": [40.0, 40.0, 40.0],
-                 "goal_radius": 12.0 if n <= 20 else 25.0,
-                 "alpha_neighbors": "nearest2"}
-        side = 18.0 if n <= 20 else 42.0
-        spawn = [[0.0, 0.0, 0.0], [side, side, side]]
-        world = {"obstacles": []}
-        duration = 700.0
-    cfg = {
-        "version": 1, "name": f"flock-n{n}", "seed": seed,
-        "kind": "flocking", "duration": duration,
-        "control_dt": 0.1, "plant_dt": 0.01,
-        "agents": {"count": n, "spawn": spawn, "min_spacing": 2.0},
-        "world": world,
-        "params": {"flock": flock, "record_every": 20},
-        "monitors": {"min_pair": 1.0, "lattice_spacing": 5.0, "lattice_tol": 0.5},
-        "output": {},
-    }
-    if n <= 4:
-        cfg["monitors"].update({"require_goal": True, "max_speed_final": 0.05})
-    return validate_config(cfg)
-
-
-def coverage_barrier(seed: int = 90, bounded: bool = True) -> dict:
-    cfg = {
-        "version": 1, "name": "coverage-barrier-n20", "seed": seed,
-        "kind": "coverage", "duration": 260.0,
-        "control_dt": 0.1,
-        "agents": {"count": 20, "spawn": [[0.0, 0.0, 0.0], [4.0, 4.0, 2.0]]},
-        "params": {"coverage": {
-            "boundary": [[20.0, 0.0, 0.0], [20.0, 10.0, 0.0],
-                         [20.0, 10.0, 10.0], [20.0, 0.0, 10.0]],
-            "k": [2.5, 0.5, 0.5], "k_bar": [0.3, 0.3, 0.3],
-            "bounded": bounded, "record_every": 20}},
-        "monitors": {"min_pair": 1e-6, "centroid_tol": 0.05,
-                     "max_speed_final": 0.01, "cost_non_increasing": True},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def coverage_sweep(seed: int = 91, n: int = 12) -> dict:
-    cfg = {
-        "version": 1, "name": "coverage-sweep", "seed": seed,
-        "kind": "coverage", "duration": 45.0,
-        "control_dt": 0.1,
-        "agents": {"count": n, "spawn": [[0.0, 0.0, 0.0], [4.0, 8.0, 8.0]]},
-        "params": {"coverage": {
-            "boundary": [[10.0, 0.0, 0.0], [10.0, 0.0, 10.0],
-                         [10.0, 10.0, 10.0], [10.0, 10.0, 0.0]],
-            "k": [2.5, 0.5, 0.5], "bounded": True, "record_every": 10,
-            "sweep": {"g0": 1.5}}},
-        "monitors": {"min_pair": 1e-6, "sweep_speed": 1.5, "sweep_tol": 0.05},
-        "output": {},
-    }
-    return validate_config(cfg)
-
-
-def coverage_agent_removal(seed: int = 92) -> dict:
-    cfg = coverage_sweep(seed=seed, n=9)
-    cfg["name"] = "coverage-agent-removal"
-    cfg["params"]["coverage"]["removals"] = [
-        {"tick": 120, "agent": 2}, {"tick": 200, "agent": 5},
-        {"tick": 280, "agent": 7}, {"tick": 340, "agent": 0}]
-    return validate_config(cfg)
-
-
-def coverage_plane_deform(seed: int = 93) -> dict:
-    cfg = coverage_sweep(seed=seed, n=6)
-    cfg["name"] = "coverage-plane-deform"
-    cfg["duration"] = 60.0
-    cfg["params"]["coverage"]["sweep"]["events"] = [
-        {"t": 15.0, "kind": "resize", "scale": 0.75},
-        {"t": 30.0, "kind": "tilt", "tilt_axis": [0.0, 1.0, 0.0],
-         "tilt_angle": 0.25}]
-    cfg["params"]["coverage"]["sweep"]["min_area_per_agent"] = 2.0
-    # deformations perturb the in-plane distribution transiently; the safety
-    # monitor is what must stay green here
-    cfg["monitors"] = {"min_pair": 1e-6}
-    return validate_config(cfg)
+def stock(name: str, seed: int | None = None) -> dict:
+    """The validated config `configs/<name>.json`, with `seed` if given."""
+    cfg = load_config(CONFIGS / f"{name}.json")
+    return cfg if seed is None else validate_config({**cfg, "seed": seed})
 
 
 def all_scenarios() -> dict:
-    out = {
-        "planar-static": planar_static_field(),
-        "planar-dynamic": planar_dynamic_crossers(),
-        "planar-trap": planar_trap_wall(),
-        "reactive3d-ellipsoids": reactive3d_ellipsoid_field(),
-        "deform-static": deform_static_cylinders(),
-        "deform-dynamic-1.5": deform_dynamic_intercept(1.5),
-        "deform-dynamic-2.5": deform_dynamic_intercept(2.5),
-        "deform-quad": deform_quad_tracking(),
-        "tunnel-narrowing": tunnel_narrowing_robust(),
-        "flock-n4": flock_scenario(4),
-        "flock-n20": flock_scenario(20),
-        "flock-n100": flock_scenario(100),
-        "coverage-barrier": coverage_barrier(),
-        "coverage-sweep": coverage_sweep(),
-        "coverage-removal": coverage_agent_removal(),
-        "coverage-deform": coverage_plane_deform(),
-    }
-    for col in "abcdefg":
-        out[f"tunnel-{col}"] = tunnel_scenario(col)
+    return {path.stem: load_config(path) for path in sorted(CONFIGS.glob("*.json"))}
+
+
+def _random_discs(seed, n, low, high, radii, keepout, keepout_gap, gap) -> list:
+    """n (center, radius) discs, uniform in the box [low, high] and `radii`,
+    rejected unless `keepout_gap` off each keepout point and `gap` apart."""
+    rng = np.random.default_rng(seed)
+    out, attempts = [], 0
+    while len(out) < n:
+        attempts += 1
+        if attempts > 200_000:
+            raise RuntimeError("disc sampling over-constrained for the region")
+        c = rng.uniform(low, high)
+        r = float(rng.uniform(*radii))
+        if not (any(np.linalg.norm(c - k) < r + keepout_gap for k in keepout)
+                or any(np.linalg.norm(c - c2) < r + r2 + gap for c2, r2 in out)):
+            out.append((c, r))
     return out
+
+
+def planar_static_field(seed: int | None = None) -> dict:
+    """Thirty unknown static discs between two known walls."""
+    cfg = stock("planar-static", seed)
+    if seed is not None:
+        obstacles = cfg["world"]["obstacles"]
+        walls = [o for o in obstacles if o["type"] == "wall"]
+        discs = _random_discs(seed, len(obstacles) - len(walls), [4.0, -9.0],
+                              [44.0, 9.0], (0.2, 0.6), [cfg["start"], cfg["goal"]],
+                              keepout_gap=2.2, gap=2.6)
+        cfg["world"]["obstacles"] = [
+            {"type": "sphere", "center": c.tolist(), "radius": r, "known": False}
+            for c, r in discs] + walls
+    return cfg
+
+
+def planar_dynamic_crossers(seed: int | None = None) -> dict:
+    """Four unknown crossers, all slower than the vehicle."""
+    return stock("planar-dynamic", seed)
+
+
+def planar_trap_wall(seed: int | None = None) -> dict:
+    """Trap wall across the planned route: exactly one replan expected."""
+    return stock("planar-trap", seed)
+
+
+def reactive3d_ellipsoid_field(seed: int | None = None) -> dict:
+    """Five ellipsoids, 3D reactive avoidance with the reference design."""
+    return stock("reactive3d-ellipsoids", seed)
+
+
+def deform_static_cylinders(seed: int | None = None) -> dict:
+    """Thirty random vertical cylinders, small safety factor."""
+    cfg = stock("deform-static-cylinders", seed)
+    if seed is not None:
+        obstacles = cfg["world"]["obstacles"]
+        discs = _random_discs(seed, len(obstacles), [3.0, 3.0], [24.0, 24.0],
+                              (0.35, 0.7), [cfg["start"][:2], cfg["goal"][:2]],
+                              keepout_gap=2.5, gap=2.3)
+        cfg["world"]["obstacles"] = [
+            {**obstacles[0], "base": [*c.tolist(), 0.0], "radius": r}
+            for c, r in discs]
+    return cfg
+
+
+def deform_dynamic_intercept(gamma: float, seed: int | None = None) -> dict:
+    """One sphere crossing the route; gamma is the safety factor (1.5, 2.5)."""
+    return stock(f"deform-dynamic-gamma{gamma}", seed)
+
+
+def deform_quad_tracking(seed: int | None = None) -> dict:
+    """Quadrotor tracking a deformed trajectory at 0.5 m/s."""
+    return stock("deform-quad-tracking", seed)
+
+
+def tunnel_scenario(col: str, seed: int | None = None) -> dict:
+    """Column `col` (a-g) of the tunnel parameter table."""
+    (path,) = CONFIGS.glob(f"tunnel-{col}-*.json")
+    return stock(path.stem, seed)
+
+
+def tunnel_narrowing_robust(seed: int | None = None) -> dict:
+    """Narrowing tunnel with the robust perception pipeline."""
+    return stock("tunnel-narrowing-robust", seed)
+
+
+def flock_scenario(n: int, seed: int | None = None) -> dict:
+    """Flocking with n = 4 (one obstacle, goal reached), 20 or 100 agents."""
+    return stock(f"flock-n{n}", seed)
+
+
+def coverage_barrier(seed: int | None = None) -> dict:
+    """Twenty agents settling on a bounded barrier."""
+    return stock("coverage-barrier-n20", seed)
+
+
+def coverage_sweep(seed: int | None = None) -> dict:
+    """Twelve agents sweeping a plane at 1.5 m/s."""
+    return stock("coverage-sweep", seed)
+
+
+def coverage_agent_removal(seed: int | None = None) -> dict:
+    """The sweep with nine agents, four of them removed on the way."""
+    return stock("coverage-agent-removal", seed)
+
+
+def coverage_plane_deform(seed: int | None = None) -> dict:
+    """The sweep with six agents while the plane is resized and tilted."""
+    return stock("coverage-plane-deform", seed)

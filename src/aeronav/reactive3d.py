@@ -159,13 +159,6 @@ def pp_omega(s_r: np.ndarray, p_r: np.ndarray, p_goal: np.ndarray,
     return v0, omega
 
 
-def oa_omega(s_r: np.ndarray, d: float, d_dot: float, plane: PlaneOfAvoidance,
-             p: Reactive3DParams) -> np.ndarray:
-    """Avoidance-mode turn rate for the reference model (same sliding law,
-    tanh-smoothed)."""
-    return avoid_law_3d(s_r, d, d_dot, plane, p)
-
-
 class Mode3D(Enum):
     PURSUIT = "pursuit"
     AVOID = "avoid"

@@ -52,11 +52,6 @@ class TunnelCloud:
         d, _ = self._axis_tree.query(np.asarray(p, dtype=float))
         return float(d)
 
-    def tangent_at(self, p: np.ndarray) -> np.ndarray:
-        _, idx = self._axis_tree.query(np.asarray(p, dtype=float))
-        j = min(int(idx), len(self.axis) - 2)
-        return unit(self.axis[j + 1] - self.axis[j])
-
     @classmethod
     def from_xyz_file(cls, path, nominal_radius: float = 1.0,
                       axis: np.ndarray | None = None) -> "TunnelCloud":

@@ -32,9 +32,6 @@ class Obstacle:
     def distance(self, p: np.ndarray, t: float = 0.0) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
-    def contains(self, p: np.ndarray, t: float = 0.0) -> bool:
-        return self.distance(p, t)[0] <= 0.0
-
     def velocity_bound(self) -> float:
         return 0.0
 

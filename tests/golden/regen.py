@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Runs every scenario of `aeronav.harness.scenarios.all_scenarios()` and
+Runs every stock scenario, `configs/*.json` as loaded by
+`aeronav.harness.scenarios.all_scenarios()` and keyed by file stem, and
 records, per scenario, the sha256 of its run-log CSV, of its metrics dict
 and of its event list (both as JSON with sorted keys), and the duration it
 ran for.  Most scenarios run at full length; the slow ones in PREFIX run
@@ -29,11 +30,11 @@ GOLDEN = Path(__file__).resolve().parent / "digests.json"
 # Simulated seconds for the scenarios too slow to run whole in the test
 # suite (full-length host time on a 2-core machine in the comment).
 PREFIX = {
-    "deform-quad": 4.0,         # 10 s
-    "flock-n4": 60.0,           # 21 s
-    "flock-n20": 20.0,          # 27 s
-    "flock-n100": 4.0,          # 116 s
-    "coverage-barrier": 5.0,    # 46 s
+    "deform-quad-tracking": 4.0,    # 11 s
+    "flock-n4": 60.0,               # 17 s
+    "flock-n20": 20.0,              # 11 s
+    "flock-n100": 4.0,              # 33 s
+    "coverage-barrier-n20": 5.0,    # 7 s
 }
 
 

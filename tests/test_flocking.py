@@ -6,6 +6,7 @@ from aeronav.flocking import (FlockParams, FlockSim, FlockSnapshot,
                               flocking_control, goal_force, heading_angles,
                               neighbor_lists, nsb_blend, sigmoid_gate,
                               spacing_force)
+from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
 
 P4 = FlockParams(k_ij=0.6, k_goal=0.5, k_obs=1.0, k_v=2.5,
@@ -186,7 +187,7 @@ def test_four_agent_replica_reaches_goal():
             sim.world.nearest_obstacle(q[i], sim.t)[0] for i in range(4)) > P4.big_c
         if lattice_streak > 50 and in_transit and clear_of_obstacle:
             # lattice held for 5 s in plain transit (avoidance excluded)
-            vels = np.array([sim.snapshot.nu[i, 0] * sim._direction(sim.snapshot.theta[i])
+            vels = np.array([sim.snapshot.nu[i, 0] * flock_direction(sim.snapshot.theta[i])
                              for i in range(4)])
             spread = max(np.linalg.norm(vels[i] - vels[j])
                          for i in range(4) for j in range(i + 1, 4))
@@ -208,7 +209,7 @@ def test_four_agent_replica_reaches_goal():
     # in-transit vector spread is bounded below by the convergent goal
     # geometry (~v*d_ij/r) plus a slow lattice tumble, so it is reported
     # rather than asserted
-    vels = np.array([sim.snapshot.nu[i, 0] * sim._direction(sim.snapshot.theta[i])
+    vels = np.array([sim.snapshot.nu[i, 0] * flock_direction(sim.snapshot.theta[i])
                      for i in range(4)])
     end_spread = max(np.linalg.norm(vels[i] - vels[j])
                      for i in range(4) for j in range(i + 1, 4))

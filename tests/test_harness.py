@@ -22,6 +22,7 @@ def minimal_cfg(**over):
 
 def test_validate_ok():
     validate_config(minimal_cfg())
+    validate_config(minimal_cfg(duration=0.0))   # builds, runs no tick
 
 
 def test_unknown_top_key_rejected():
@@ -56,12 +57,61 @@ def test_bad_kind_rejected():
         validate_config(minimal_cfg(kind="warp-drive"))
 
 
+@pytest.mark.parametrize("over", [
+    pytest.param({"duration": "long"}, id="duration-non-numeric"),
+    pytest.param({"duration": -1.0}, id="duration-negative"),
+    pytest.param({"duration": float("nan")}, id="duration-nan"),
+    pytest.param({"control_dt": 0.0}, id="control_dt-zero"),
+    pytest.param({"control_dt": -0.1}, id="control_dt-negative"),
+    pytest.param({"plant_dt": 0.0}, id="plant_dt-zero"),
+    pytest.param({"plant_dt": -0.01}, id="plant_dt-negative"),
+    pytest.param({"seed": 1.5}, id="seed-float"),
+    pytest.param({"seed": "7"}, id="seed-string"),
+    pytest.param({"seed": True}, id="seed-bool"),
+    pytest.param({"agents": {"count": 0}}, id="agents-count-zero"),
+    pytest.param({"agents": {"count": 2.5}}, id="agents-count-float"),
+    pytest.param({"agents": {"count": True}}, id="agents-count-bool"),
+    pytest.param({"world": []}, id="world-list"),
+    pytest.param({"world": {"obstacles": {}}}, id="world-obstacles-mapping"),
+    pytest.param({"tunnel": []}, id="tunnel-list"),
+    pytest.param({"agents": []}, id="agents-list"),
+    pytest.param({"monitors": []}, id="monitors-list"),
+    pytest.param({"output": []}, id="output-list"),
+])
+def test_bad_value_rejected(over):
+    with pytest.raises(ConfigError):
+        validate_config(minimal_cfg(**over))
+
+
 def test_config_roundtrip(tmp_path):
     cfg = scenarios.planar_trap_wall()
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     loaded = load_config(path)
     assert loaded == json.loads(json.dumps(cfg))  # identical tree
+
+
+def test_stock_configs_canonical(tmp_path):
+    """Each stock config is stored as `save_config` writes it, under its name."""
+    paths = sorted(scenarios.CONFIGS.glob("*.json"))
+    assert len(paths) == 23
+    for path in paths:
+        cfg = load_config(path)
+        assert cfg["name"] == path.stem
+        save_config(cfg, tmp_path / path.name)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("builder", [scenarios.planar_static_field,
+                                     scenarios.deform_static_cylinders])
+def test_random_field_redraw_matches_stored(builder):
+    """Drawing the random obstacles again at the stored seed gives the
+    stored obstacles; another seed gives others."""
+    stored = builder()
+    assert builder(seed=stored["seed"]) == stored
+    other = builder(seed=stored["seed"] + 1)
+    assert other["world"]["obstacles"] != stored["world"]["obstacles"]
+    assert len(other["world"]["obstacles"]) == len(stored["world"]["obstacles"])
 
 
 def test_build_obstacles():

@@ -14,6 +14,7 @@ from aeronav.flocking import (FlockParams, FlockSim, goal_force, heading_angles,
                               neighbor_lists, nsb_blend, obstacle_force,
                               spacing_force)
 from aeronav.geom import wrap_angle
+from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -143,7 +144,7 @@ def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
         d2 = np.clip((1 - ema) * ddot_prev[i] + ema * d2_raw,
                      -p.theta_ddot_cap, p.theta_ddot_cap)
         a, alpha = flocking.flocking_control(snap.nu[i, 0], snap.theta[i], snap.nu[i, 1:],
-                                             f_t, sim._direction(snap.theta[i]), th_f,
+                                             f_t, flock_direction(snap.theta[i]), th_f,
                                              d1, d2, p)
         want[i] = [a, *alpha]
     taus = []

@@ -5,7 +5,7 @@ from aeronav.geom import angle_between, unit
 from aeronav.plants import Heading3DState, LimitSet, step_heading3d
 from aeronav.reactive3d import (Mode3D, PlaneOfAvoidance, Reactive3DNavigator,
                                 Reactive3DParams, ReferenceGenerator,
-                                avoid_law_3d, build_plane, oa_omega, pp_omega,
+                                avoid_law_3d, build_plane, pp_omega,
                                 tangent_to_ellipsoid)
 from aeronav.world import Ellipsoid, World
 
@@ -129,8 +129,8 @@ def test_pp_omega_speed_saturates():
 def test_oa_omega_zero_on_surface_and_orthogonal():
     plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0, 0.0)
     s_r = np.array([1.0, 0, 0])
-    assert np.allclose(oa_omega(s_r, P44.d0, 0.0, plane, P44), 0.0, atol=1e-12)
-    om = oa_omega(s_r, 2.0, -0.3, plane, P44)
+    assert np.allclose(avoid_law_3d(s_r, P44.d0, 0.0, plane, P44), 0.0, atol=1e-12)
+    om = avoid_law_3d(s_r, 2.0, -0.3, plane, P44)
     assert abs(np.dot(om, s_r)) < 1e-12
 
 
