@@ -260,30 +260,6 @@ def coverage_control(p: np.ndarray, centroid_world: np.ndarray,
     return e @ gains.k_bar.T
 
 
-def tracking_accel_with_repulsion(p_i: np.ndarray, v_i: np.ndarray,
-                                  c_ref: np.ndarray, c_ref_dot: np.ndarray,
-                                  neighbor_positions: np.ndarray,
-                                  l1: np.ndarray, l2: np.ndarray,
-                                  l_rep: float, d_rep: float,
-                                  mu1: float = 2.0, mu2: float = 1.5,
-                                  g: float = 9.81) -> np.ndarray:
-    """Quadrotor-level command acceleration toward the moving centroid with a
-    quadratic-overlap repulsion from close neighbors."""
-    e_p = np.asarray(c_ref, dtype=float) - np.asarray(p_i, dtype=float)
-    e_v = np.asarray(c_ref_dot, dtype=float) - np.asarray(v_i, dtype=float)
-    sigma = e_v + l1 @ np.tanh(mu1 * e_p)
-    a = g * np.array([0.0, 0.0, 1.0]) + l2 @ np.tanh(mu2 * sigma)
-    for q in np.atleast_2d(neighbor_positions):
-        diff = np.asarray(p_i, dtype=float) - q
-        dist = float(np.linalg.norm(diff))
-        if dist < 1e-9:
-            raise ValueError("coincident vehicles in repulsion term")
-        overlap = max(0.0, d_rep ** 2 - dist ** 2)
-        if overlap > 0.0:
-            a = a + l_rep * overlap * diff / dist
-    return a
-
-
 @dataclass
 class SweepEvent:
     t: float

@@ -5,8 +5,7 @@ The reference geometry is a chain of quintic segments.  When a sensed
 obstacle gets too close to the path, the segment window ahead of the vehicle
 is re-stitched through a control point pushed along a safe direction
 obtained by rotating the local tangent about the plane normal spanned by the
-tangent and the obstacle-edge direction (or, in the simpler variant, along a
-path-normal pointing away from the obstacle).
+tangent and the obstacle-edge direction.
 """
 from __future__ import annotations
 
@@ -32,7 +31,6 @@ class DeformParams:
     c: float = 3.0                   # guidance tanh steepness
     v: float = 1.0                   # constant tracking speed
     max_deforms_per_check: int = 10
-    mode: str = "rotate"             # "rotate" (R_N(a0) T) or "normal" (D-hat)
     check_margin: float = 0.35       # extra path clearance for tracking error
 
     @property
@@ -103,12 +101,9 @@ def find_unsafe(path: PiecewisePath, world: World, d_safe: float,
 def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
                    rng: np.random.Generator | None = None,
                    prev_normal: np.ndarray | None = None) -> np.ndarray:
-    """v_safe for the deformation at the unsafe point.
-
-    rotate mode: gamma * R_N(alpha0) T with N = T x E (E toward the obstacle
-    edge); when T and E are collinear the normal falls back to the previous
-    one or a seeded random direction.  normal mode: gamma * D-hat with D-hat
-    the path-normal component pointing away from the obstacle.
+    """v_safe = gamma * R_N(alpha0) T for the deformation at the unsafe point,
+    with N = T x E (E toward the obstacle edge); when T and E are collinear
+    the normal falls back to the previous one or a path normal.
     """
     if unsafe.closest_mid is not None:
         anchor, closest, d_here = unsafe.s_mid, unsafe.closest_mid, unsafe.d_mid
@@ -133,8 +128,6 @@ def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParam
             away = unit(np.cross(tangent, ref))
     else:
         away = unit(away)
-    if params.mode == "normal":
-        return params.safety_factor * away
     normal = unit(np.cross(tangent, away))
     # rotate the tangent toward growing clearance
     cand = rodrigues_rotate(tangent, normal, params.alpha0)
@@ -187,7 +180,6 @@ def deform(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
 def _resubdivide_window(path: PiecewisePath, j_s: int, j_e: int, n_out: int) -> PiecewisePath:
     """Replace segments [j_s, j_e) by an n_out-segment C2 chain through
     uniform samples of the same geometry (boundary derivatives preserved)."""
-    from .bezier import hermite_quintic
     window = PiecewisePath(path.segments[j_s:j_e])
     n_out = max(2, n_out)
     svals = np.linspace(0.0, window.n_segments, n_out + 1)
@@ -197,21 +189,13 @@ def _resubdivide_window(path: PiecewisePath, j_s: int, j_e: int, n_out: int) -> 
     svals[int(np.argmin(np.abs(svals - mid)))] = mid
     svals = np.unique(svals)
     w = np.array([window.point(s) for s in svals])
-    n_out = len(w) - 1
-    d = np.empty_like(w)
-    dd = np.empty_like(w)
     # boundary derivatives are kept verbatim so the outer junctions stay C2
     # in the raw segment parameter (they already carry the chord scale of
     # the untouched neighbors)
-    d[0] = window.deriv(0.0)
-    dd[0] = window.deriv(0.0, 2)
-    d[-1] = window.deriv(float(window.n_segments), 1)
-    dd[-1] = window.deriv(float(window.n_segments), 2)
-    for i in range(1, n_out):
-        d[i] = 0.5 * (w[i + 1] - w[i - 1])
-        dd[i] = w[i + 1] - 2.0 * w[i] + w[i - 1]
-    segs = [hermite_quintic(w[i], d[i], dd[i], w[i + 1], d[i + 1], dd[i + 1])
-            for i in range(n_out)]
+    end = float(window.n_segments)
+    segs = PiecewisePath.from_waypoints(
+        w, window.deriv(0.0), window.deriv(0.0, 2),
+        window.deriv(end), window.deriv(end, 2)).segments
     return PiecewisePath(path.segments[:j_s] + segs + path.segments[j_e:])
 
 

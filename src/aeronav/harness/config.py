@@ -28,6 +28,14 @@ _MONITOR_KEYS = {"d_safe", "min_pair", "expect_replans", "require_goal",
                  "centroid_tol", "cost_non_increasing", "progress_window",
                  "wall_margin", "sweep_speed", "sweep_tol"}
 _OUTPUT_KEYS = {"dir", "csv", "jsonl", "svg"}
+# fields the runner reads for each obstacle type
+_OBSTACLE_FIELDS = {"sphere": ("center", "radius"),
+                    "cylinder": ("base", "axis", "radius", "height"),
+                    "ellipsoid": ("center", "semi"),
+                    "wall": ("vertices",)}
+# dimension of start/goal for the single-vehicle kinds
+_VEHICLE_DIM = {"hybrid2d": 2, "reactive3d": 3, "deform3d": 3,
+                "deform3d_quad": 3}
 
 
 class ConfigError(Exception):
@@ -49,6 +57,20 @@ def _check_number(value, where: str, positive: bool) -> None:
             or not math.isfinite(value) or value < 0 or (positive and value == 0)):
         bound = "> 0" if positive else ">= 0"
         raise ConfigError(f"{where} must be a finite number {bound}, got {value!r}")
+
+
+def _check_point(value, where: str, dim: int) -> None:
+    if (not isinstance(value, list) or len(value) != dim
+            or not all(isinstance(x, Real) and not isinstance(x, bool)
+                       and math.isfinite(x) for x in value)):
+        raise ConfigError(f"{where} must be a list of {dim} finite numbers, "
+                          f"got {value!r}")
+
+
+def _require(section: dict, keys, where: str) -> None:
+    missing = [k for k in keys if k not in section]
+    if missing:
+        raise ConfigError(f"{where} lacks required key(s) {missing}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -75,7 +97,12 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError("world.obstacles must be a list")
         _reject_unknown(cfg["world"], _WORLD_KEYS, "world")
         for i, ob in enumerate(cfg["world"].get("obstacles", [])):
-            _reject_unknown(ob, _OBSTACLE_KEYS, f"world.obstacles[{i}]")
+            where = f"world.obstacles[{i}]"
+            _reject_unknown(ob, _OBSTACLE_KEYS, where)
+            if ob.get("type") not in _OBSTACLE_FIELDS:
+                raise ConfigError(f"{where}.type must be one of "
+                                  f"{sorted(_OBSTACLE_FIELDS)}, got {ob.get('type')!r}")
+            _require(ob, _OBSTACLE_FIELDS[ob["type"]], where)
             if "motion" in ob and ob["motion"] is not None:
                 _reject_unknown(ob["motion"], _MOTION_KEYS,
                                 f"world.obstacles[{i}].motion")
@@ -90,7 +117,26 @@ def validate_config(cfg: dict) -> dict:
         _reject_unknown(cfg["monitors"], _MONITOR_KEYS, "monitors")
     if "output" in cfg:
         _reject_unknown(cfg["output"], _OUTPUT_KEYS, "output")
+    _check_kind_keys(cfg)
     return cfg
+
+
+def _check_kind_keys(cfg: dict) -> None:
+    """The keys the runner reads for the config's kind are present."""
+    kind = cfg["kind"]
+    if kind in _VEHICLE_DIM:
+        for key in ("start", "goal"):
+            _check_point(cfg.get(key), key, _VEHICLE_DIM[kind])
+    elif kind == "tunnel":
+        _require(cfg.get("tunnel", {}), ("shape",), "tunnel")
+        if "auto" not in (cfg.get("start"), cfg.get("heading")):
+            for key in ("start", "heading"):
+                _check_point(cfg.get(key), key, 3)
+    else:
+        _require(cfg.get("agents", {}), ("count", "spawn"), "agents")
+        if kind == "coverage":
+            _require(cfg.get("params", {}).get("coverage", {}), ("boundary",),
+                     "params.coverage")
 
 
 def load_config(path) -> dict:

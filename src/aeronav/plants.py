@@ -241,25 +241,19 @@ def step_flock_batch(q: np.ndarray, theta: np.ndarray, nu: np.ndarray,
 
     q: (n, m) positions; theta: (n, m-1) orientation angles; nu: (n, m) stacked
     [v, Omega]; tau: (n, m) stacked [a, alpha] accelerations (held constant).
-    The direction vector is `flock_direction(theta)`.
+    The direction vector is `flock_direction(theta)`.  RK4 runs on the
+    packed (n, 3m - 1) state [q | theta | nu].
     """
     _check_finite([q, theta, nu, tau])
+    m = q.shape[1]
+    dy_nu = np.empty((len(q), 3 * m - 1))  # every derivative's nu part is tau
+    dy_nu[:, 2 * m - 1:] = tau
 
-    def f(state):
-        qq, th, vv = state
-        v = vv[:, :1]
-        return (v * flock_direction(th), vv[:, 1:], tau)
+    def f(y):
+        dy = dy_nu.copy()
+        dy[:, :m] = y[:, 2 * m - 1:2 * m] * flock_direction(y[:, m:2 * m - 1])
+        dy[:, m:2 * m - 1] = y[:, 2 * m:]
+        return dy
 
-    def add(state, k, h):
-        return (state[0] + h * k[0], state[1] + h * k[1], state[2] + h * k[2])
-
-    s0 = (q, theta, nu)
-    k1 = f(s0)
-    k2 = f(add(s0, k1, 0.5 * dt))
-    k3 = f(add(s0, k2, 0.5 * dt))
-    k4 = f(add(s0, k3, dt))
-    q1 = q + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    th1 = theta + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    nu1 = nu + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    th1 = wrap_angle(th1)
-    return q1, th1, nu1
+    y1 = rk4(f, np.hstack((q, theta, nu)), dt)
+    return y1[:, :m], wrap_angle(y1[:, m:2 * m - 1]), y1[:, 2 * m - 1:]

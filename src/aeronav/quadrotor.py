@@ -6,8 +6,7 @@ The position controller regards acceleration as a virtual input:
     sigma = e_v + K1 tanh(mu e_p)
     a_cmd = p_r'' + g e3 + mu K1 (e_v . sech^2(mu e_p)) + K2 tanh(mu sigma)
 
-The sech^2 cancellation term makes sigma-dot = -K2 tanh(mu sigma) exact; a
-flag drops it for the simpler earlier variant of the same controller.  The
+The sech^2 feedforward term makes sigma-dot = -K2 tanh(mu sigma) exact.  The
 acceleration command maps to thrust and a desired attitude through the flat
 outputs, tracked by a geometric torque loop.
 """
@@ -30,17 +29,13 @@ class FlatnessGains:
     mu: float = 1.0
     k_r: float = 2.0                 # attitude loop (values are ours, tuned)
     k_omega: float = 0.35
-    cancellation: bool = True        # include the sech^2 feedforward term
-    k3: np.ndarray = None            # velocity-command variant gain
 
     def __post_init__(self):
         if self.k1 is None:
             object.__setattr__(self, "k1", np.diag([1.3, 1.3, 3.5]))
         if self.k2 is None:
             object.__setattr__(self, "k2", np.diag([2.0, 2.0, 4.0]))
-        if self.k3 is None:
-            object.__setattr__(self, "k3", np.diag([2.0, 2.0, 2.0]))
-        for m in (self.k1, self.k2, self.k3):
+        for m in (self.k1, self.k2):
             if np.any(np.diag(m) <= 0.0):
                 raise ValueError("gain diagonals must be positive")
 
@@ -64,16 +59,7 @@ def position_smc(state: QuadrotorState, ref: FlatSample,
     mu = gains.mu
     sigma = e_v + gains.k1 @ np.tanh(mu * e_p)
     a_cmd = ref.a + GRAVITY * E3 + gains.k2 @ np.tanh(mu * sigma)
-    if gains.cancellation:
-        a_cmd = a_cmd + mu * (gains.k1 @ (e_v * (1.0 / np.cosh(mu * e_p)) ** 2))
-    return a_cmd
-
-
-def velocity_cmd_to_accel(v_cmd: np.ndarray, v: np.ndarray,
-                          gains: FlatnessGains) -> np.ndarray:
-    """a_cmd = K3 tanh(mu (V_cmd - V)) + g e3 (velocity-command variant)."""
-    return gains.k3 @ np.tanh(gains.mu * (np.asarray(v_cmd, dtype=float)
-                                          - np.asarray(v, dtype=float))) + GRAVITY * E3
+    return a_cmd + mu * (gains.k1 @ (e_v * (1.0 / np.cosh(mu * e_p)) ** 2))
 
 
 def flat_outputs_to_attitude_thrust(a_cmd: np.ndarray, yaw_ref: float,

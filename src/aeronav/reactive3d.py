@@ -1,5 +1,5 @@
 """3D reactive navigation: plane-of-avoidance boundary following plus pure
-pursuit on a constant-speed nonholonomic reference model.
+pursuit for the constant-speed heading-vector plant.
 
 The avoidance maneuver is confined to a plane fixed when the maneuver
 starts, spanned by the heading and a tangent direction to the obstacle;
@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .geom import angle_between, chi, smooth_sgn, steer_map, unit
-from .plants import Heading3DState, step_heading3d
+from .plants import Heading3DState
 from .world import Ellipsoid, World
 
 
@@ -28,7 +28,6 @@ class Reactive3DParams:
     eps: float = 0.5             # R2 distance band: d <= d0 + eps
     gamma: float = 1.0
     delta: float = 0.5
-    c_v: float = 4.0             # speed-loop gain of the reference model
     mu: float = 10.0
     align_tol: float = 0.2
 
@@ -151,7 +150,7 @@ def avoid_law_3d(heading: np.ndarray, d: float, d_dot: float,
 
 def pp_omega(s_r: np.ndarray, p_r: np.ndarray, p_goal: np.ndarray,
              p: Reactive3DParams) -> tuple[float, np.ndarray]:
-    """Pure-pursuit speed and turn rate for the reference model:
+    """Pure-pursuit speed and turn rate toward the goal:
     V0 = V_bar tanh(mu |p_e|), Omega = Omega_max F(s_r, p_e)."""
     p_e = np.asarray(p_goal, dtype=float) - np.asarray(p_r, dtype=float)
     v0 = p.v_bar * float(np.tanh(p.mu * np.linalg.norm(p_e)))
@@ -164,58 +163,15 @@ class Mode3D(Enum):
     AVOID = "avoid"
 
 
-@dataclass
-class RefSample:
-    t: float
-    p: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-
-
-class ReferenceGenerator:
-    """Integrates the constant-speed reference model pdot = V s, sdot = Omega,
-    Vdot = c_v tanh(mu (V0 - V)) and emits {p, v, a} samples.  The generator
-    keeps its terminal state so consecutive cycles chain smoothly."""
-
-    def __init__(self, p0: np.ndarray, s0: np.ndarray, v0: float,
-                 params: Reactive3DParams):
-        self.state = Heading3DState(np.asarray(p0, dtype=float), unit(np.asarray(s0, dtype=float)))
-        self.v = float(v0)
-        self.params = params
-        self.t = 0.0
-
-    def generate(self, v0_cmd: float, omega: np.ndarray, horizon: float,
-                 resolution: float = 0.01) -> list[RefSample]:
-        if resolution > horizon:
-            raise ValueError("resolution must not exceed the horizon")
-        p = self.params
-        out = []
-        n = int(round(horizon / resolution))
-        omega = np.asarray(omega, dtype=float)
-        for _ in range(n):
-            a_hat = self.state.a
-            om = omega - np.dot(omega, a_hat) * a_hat  # feasible turn component
-            accel_mag = p.c_v * np.tanh(p.mu * (v0_cmd - self.v))
-            a_r = accel_mag * a_hat + self.v * om
-            out.append(RefSample(self.t, self.state.p.copy(),
-                                 self.v * a_hat.copy(), a_r))
-            self.state = step_heading3d(self.state, self.v, om, resolution)
-            self.v = float(np.clip(self.v + accel_mag * resolution, 0.0, p.v_bar))
-            self.t += resolution
-        return out
-
-
 class Reactive3DNavigator:
     """Mode machine over pursuit/avoidance for the heading-vector plant."""
 
     def __init__(self, params: Reactive3DParams, world: World, goal: np.ndarray,
-                 control_dt: float = 0.1, forced_tangent: np.ndarray | None = None,
-                 rng: np.random.Generator | None = None):
+                 control_dt: float = 0.1, rng: np.random.Generator | None = None):
         self.p = params
         self.world = world
         self.goal = np.asarray(goal, dtype=float)
         self.control_dt = control_dt
-        self.forced_tangent = forced_tangent
         self.rng = rng or np.random.default_rng(0)
         self.mode = Mode3D.PURSUIT
         self.plane: PlaneOfAvoidance | None = None
@@ -236,9 +192,7 @@ class Reactive3DNavigator:
         if self.mode == Mode3D.PURSUIT:
             if d <= self.p.big_c and d_dot < 0.0 and obs_id not in self._blocked:
                 obstacle = self.world.obstacles[obs_id]
-                if self.forced_tangent is not None:
-                    tangent = unit(self.forced_tangent)
-                elif isinstance(obstacle, Ellipsoid):
+                if isinstance(obstacle, Ellipsoid):
                     tangent, _ = tangent_to_ellipsoid(state.p, obstacle, state.a)
                 elif hasattr(obstacle, "radius") and hasattr(obstacle, "center"):
                     sphere_as_ell = Ellipsoid(obstacle.center,

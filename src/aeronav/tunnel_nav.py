@@ -1,12 +1,13 @@
 """Tunnel navigation from point clouds: slice-centroid estimation, the
-constant-speed two-mode steering law, and the simple / robust perception
-pipelines.
+constant-speed two-mode steering law, and the robust perception pipeline.
 
 Per control period the vehicle slices the sensed wall cloud with planes
 orthogonal to its motion at probe distances ahead, takes the slice
 centroids G1/G2, and either flies along A = G2 - G1 (when close enough to
 the estimated axis) or rotates that direction by a fixed angle toward the
-axis to re-center.
+axis to re-center.  The robust pipeline ("robust") downsamples the cloud,
+probes several distances and repairs centroids too close to the wall; the
+default ("slices") uses the two slices as they are.
 """
 from __future__ import annotations
 
@@ -15,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import rodrigues_rotate, unit, unit_or_zero
+from .geom import unit, unit_or_zero
 from .world import SensingModel, sense_points
+
+# consecutive failed robust perceptions after which the navigator stops
+ROBUST_FAIL_LIMIT = 5
 
 
 class SliceStarvation(Exception):
@@ -153,56 +157,6 @@ def estimate_normals(cloud: np.ndarray, query: np.ndarray, k: int = 10) -> np.nd
     return out
 
 
-def perceive_simple(c: np.ndarray, velocity: np.ndarray, cloud: np.ndarray,
-                    k: int, params: TunnelParams,
-                    cone_half_angle: float = np.deg2rad(25.0)) -> tuple[np.ndarray, np.ndarray]:
-    """Low-cost estimate of (G1, G2) from nearest-neighbor means.
-
-    G_a is the mean of the k nearest wall points; its direction is mirrored
-    about the velocity to get G_b; the same construction rotated to a
-    shallower angle (beta0) ahead yields G_c and G_d.  G1 = (Ga+Gb)/2,
-    G2 = (Gc+Gd)/2.
-    """
-    if len(cloud) < k:
-        raise SliceStarvation("cloud smaller than k")
-    v_hat = unit(np.asarray(velocity, dtype=float))
-    tree = cKDTree(cloud)
-    dists, idx = tree.query(c, k=k)
-    g_a = cloud[np.atleast_1d(idx)].mean(axis=0)
-    i_a = g_a - c
-    # i_a collapses when the nearest points ring the vehicle symmetrically
-    # (dead on the axis) and is useless when parallel to the motion
-    if np.linalg.norm(i_a) < 0.1 * float(np.min(dists)):
-        raise SliceStarvation("degenerate geometry: symmetric neighbor ring")
-    alpha = float(np.arccos(np.clip(np.dot(unit(i_a), v_hat), -1.0, 1.0)))
-    axis = np.cross(v_hat, unit(i_a))
-    if np.linalg.norm(axis) < 0.05:
-        raise SliceStarvation("degenerate geometry: i_a parallel to velocity")
-    axis = unit(axis)
-
-    def cone_mean(direction):
-        rel = cloud - c
-        d = np.linalg.norm(rel, axis=1)
-        ok = d > 1e-9
-        cosang = np.zeros(len(cloud))
-        cosang[ok] = (rel[ok] @ direction) / d[ok]
-        sel = cloud[cosang >= np.cos(cone_half_angle)]
-        if len(sel) == 0:
-            raise SliceStarvation("no wall points in probe cone")
-        dist = np.linalg.norm(sel - c, axis=1)
-        take = sel[np.argsort(dist)[:k]]
-        return take.mean(axis=0)
-
-    i_b = rodrigues_rotate(v_hat, axis, -alpha)
-    g_b = cone_mean(unit(i_b))
-    beta = params.beta0
-    g_c = cone_mean(unit(rodrigues_rotate(v_hat, axis, beta)))
-    g_d = cone_mean(unit(rodrigues_rotate(v_hat, axis, -beta)))
-    g1 = 0.5 * (g_a + g_b)
-    g2 = 0.5 * (g_c + g_d)
-    return g1, g2
-
-
 @dataclass
 class RobustPerceptionState:
     failures: int = 0
@@ -211,14 +165,15 @@ class RobustPerceptionState:
 def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
                     probe_distances, params: TunnelParams,
                     state: RobustPerceptionState,
-                    voxel: float = 0.15, fail_threshold: int = 5,
+                    voxel: float = 0.15,
                     normal_k: int = 10) -> tuple[np.ndarray, np.ndarray] | None:
     """Nine-step robust centroid pipeline.
 
     Downsample, probe N points ahead, slice, centroid, validate against
     d_safe, repair invalid centroids along mean surface normals, re-validate,
-    pick the two nearest valid ones.  Fewer than two valid increments the
-    failure counter; at the threshold the caller must terminate (None).
+    pick the two nearest valid ones.  Fewer than two valid returns None and
+    increments the failure counter; a success resets it.  The caller
+    terminates at ROBUST_FAIL_LIMIT consecutive failures.
     """
     probe_distances = list(probe_distances)
     if len(probe_distances) < 2:
@@ -284,8 +239,9 @@ class TunnelNavigator:
     def __init__(self, params: TunnelParams, cloud_all: np.ndarray,
                  v0: np.ndarray, sensing: SensingModel | None = None,
                  rng: np.random.Generator | None = None,
-                 pipeline: str = "slices",
-                 probe_distances=None, simple_k: int = 60):
+                 pipeline: str = "slices", probe_distances=None):
+        if pipeline not in ("slices", "robust"):
+            raise ValueError(f"unknown tunnel pipeline {pipeline!r}")
         self.params = params
         self.cloud_all = np.asarray(cloud_all, dtype=float)
         self.v_prev = unit(np.asarray(v0, dtype=float)) * params.v
@@ -293,7 +249,6 @@ class TunnelNavigator:
         self.rng = rng
         self.pipeline = pipeline
         self.probe_distances = probe_distances or [params.d1, params.d2]
-        self.simple_k = simple_k
         self.robust_state = RobustPerceptionState()
         self.mode = "M1"
         self.terminated = False
@@ -308,18 +263,11 @@ class TunnelNavigator:
             return np.zeros(3)
         p = self.params
         try:
-            if self.pipeline == "simple":
-                try:
-                    g1, g2 = perceive_simple(c, self.v_prev, local, self.simple_k, p)
-                    cents = self._centroids_from_pair(c, g1, g2)
-                except SliceStarvation:
-                    # degenerate nearest-neighbor geometry: slice fallback
-                    cents = slice_centroids(c, f, local, p)
-            elif self.pipeline == "robust":
+            if self.pipeline == "robust":
                 got = perceive_robust(c, f, local, self.probe_distances, p,
                                       self.robust_state)
                 if got is None:
-                    if self.robust_state.failures >= 5:
+                    if self.robust_state.failures >= ROBUST_FAIL_LIMIT:
                         self.terminated = True
                     return self.v_prev
                 cents = self._centroids_from_pair(c, *got)

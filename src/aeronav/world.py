@@ -7,7 +7,8 @@ the query time, so all reads are parallel-safe.
 
 Distances are to the obstacle as a set: zero inside.  Spheres, cylinders
 and ellipsoids are exact (the ellipsoid solves the standard one-dimensional
-distance equation); walls use exact point-segment distances.
+distance equation); walls use exact point-segment distances.  Sensing is
+omnidirectional: every point within range, with optional Gaussian noise.
 """
 from __future__ import annotations
 
@@ -232,10 +233,9 @@ def _any_perp(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SensingModel:
-    """Abstract range sensor: everything within d_sensing is seen, optionally
-    gated by a cone FOV, with i.i.d. Gaussian noise per axis."""
+    """Abstract omnidirectional range sensor: everything within d_sensing is
+    seen, with i.i.d. Gaussian noise per axis."""
     d_sensing: float
-    fov_half_angle: float | None = None
     sigma: float = 0.0
 
     def __post_init__(self):
@@ -266,9 +266,6 @@ class World:
             if d < best_d - 1e-15:
                 best_d, best_q, best_i = d, q, i
         return best_d, best_q, best_i
-
-    def distance(self, p: np.ndarray, t: float = 0.0) -> float:
-        return self.nearest_obstacle(p, t)[0]
 
     def batch_distance(self, points: np.ndarray, t: float = 0.0,
                        known_only: bool = False) -> np.ndarray:
@@ -399,23 +396,12 @@ def _ray_segment(origin, dirs, a, b, max_range) -> np.ndarray:
 
 
 def sense_points(p: np.ndarray, points: np.ndarray, model: SensingModel,
-                 rng: np.random.Generator | None = None,
-                 heading: np.ndarray | None = None) -> np.ndarray:
-    """Subset of `points` within range (and FOV cone if configured), with
-    Gaussian noise added from the caller's seeded stream.  May be empty."""
+                 rng: np.random.Generator | None = None) -> np.ndarray:
+    """Subset of `points` within range, with Gaussian noise added from the
+    caller's seeded stream.  May be empty."""
     points = np.asarray(points, dtype=float)
-    rel = points - np.asarray(p, dtype=float)
-    d = np.linalg.norm(rel, axis=1)
-    mask = d <= model.d_sensing
-    if model.fov_half_angle is not None:
-        if heading is None:
-            raise ValueError("FOV sensing requires a heading")
-        h = np.asarray(heading, dtype=float)
-        h = h / np.linalg.norm(h)
-        with np.errstate(invalid="ignore"):
-            cosang = rel @ h / np.where(d > 0.0, d, 1.0)
-        mask &= cosang >= np.cos(model.fov_half_angle)
-    out = points[mask]
+    d = np.linalg.norm(points - np.asarray(p, dtype=float), axis=1)
+    out = points[d <= model.d_sensing]
     if model.sigma > 0.0:
         if rng is None:
             raise ValueError("noisy sensing requires an rng")

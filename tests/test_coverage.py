@@ -5,7 +5,7 @@ from aeronav.coverage import (BarrierFrame, CoverageGains, CoverageSim,
                               FrameError, SweepEvent, SweepPlan, cell_centroid,
                               circumcenter, clip_halfplane, coverage_control,
                               polygon_area, polygon_second_moment,
-                              tracking_accel_with_repulsion, voronoi_cells)
+                              voronoi_cells)
 
 RECT_X20 = np.array([[20.0, 0.0, 0.0], [20.0, 10.0, 0.0],
                      [20.0, 10.0, 10.0], [20.0, 0.0, 10.0]])
@@ -187,43 +187,6 @@ def test_coverage_control_saturates_far():
     g = CoverageGains()
     u = coverage_control(np.zeros(3), np.array([1e6, 1e6, 1e6]), g)
     assert np.linalg.norm(u) == pytest.approx(g.u_max, rel=1e-6)
-
-
-def test_repulsion_zero_at_exact_spacing():
-    a = tracking_accel_with_repulsion(np.zeros(3), np.zeros(3), np.zeros(3),
-                                      np.zeros(3), np.array([[0.5, 0, 0]]),
-                                      np.eye(3), np.eye(3), l_rep=1.0, d_rep=0.5)
-    assert np.allclose(a, [0, 0, 9.81], atol=1e-12)
-
-
-def test_repulsion_magnitude_and_potential_gradient():
-    """Neighbor at half the critical distance: magnitude L (d^2 - d^2/4);
-    cross-checked against the finite difference of the implied potential."""
-    d_rep, l_rep = 2.0, 1.3
-    p = np.array([1.0, 0.0, 0.0])
-    q = np.zeros(3)
-    a = tracking_accel_with_repulsion(p, np.zeros(3), p, np.zeros(3),
-                                      np.array([q]), np.eye(3) * 1e-12,
-                                      np.eye(3) * 1e-12, l_rep=l_rep, d_rep=d_rep)
-    rep = a - np.array([0, 0, 9.81])
-    expected_mag = l_rep * (d_rep ** 2 - 1.0)
-    assert np.linalg.norm(rep) == pytest.approx(expected_mag, rel=1e-9)
-    assert rep[0] > 0  # pushes away from the neighbor
-
-    # implied potential U(r) = l (d^2 r - r^3/3); force = -dU/dr * (-r_hat)
-    def potential(r):
-        return -l_rep * (d_rep ** 2 * r - r ** 3 / 3.0)
-
-    h = 1e-6
-    fd_mag = -(potential(1.0 + h) - potential(1.0 - h)) / (2 * h)
-    assert fd_mag == pytest.approx(expected_mag, rel=1e-6)
-
-
-def test_repulsion_coincident_raises():
-    with pytest.raises(ValueError):
-        tracking_accel_with_repulsion(np.zeros(3), np.zeros(3), np.zeros(3),
-                                      np.zeros(3), np.array([[0.0, 0, 0]]),
-                                      np.eye(3), np.eye(3), 1.0, 1.0)
 
 
 def _barrier_sim(n=20, seed=0, bounded=True):

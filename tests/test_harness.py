@@ -12,12 +12,19 @@ from aeronav.harness.runner import build_obstacle, build_world, run
 from aeronav.harness import scenarios
 
 
+MISSING = object()  # minimal_cfg(key=MISSING) drops the key
+
+
 def minimal_cfg(**over):
     cfg = {"version": 1, "name": "t", "seed": 1, "kind": "hybrid2d",
            "duration": 1.0, "start": [0.0, 0.0], "goal": [2.0, 0.0],
            "world": {"obstacles": []}}
     cfg.update(over)
-    return cfg
+    return {k: v for k, v in cfg.items() if v is not MISSING}
+
+
+def obstacle_cfg(**spec):
+    return {"world": {"obstacles": [spec]}}
 
 
 def test_validate_ok():
@@ -77,6 +84,44 @@ def test_bad_kind_rejected():
     pytest.param({"agents": []}, id="agents-list"),
     pytest.param({"monitors": []}, id="monitors-list"),
     pytest.param({"output": []}, id="output-list"),
+    pytest.param({"start": MISSING}, id="hybrid2d-start-missing"),
+    pytest.param({"goal": MISSING}, id="hybrid2d-goal-missing"),
+    pytest.param({"start": [0.0, 0.0, 0.0]}, id="hybrid2d-start-3d"),
+    pytest.param({"goal": [2.0, "0"]}, id="hybrid2d-goal-string"),
+    pytest.param({"kind": "reactive3d", "goal": [2.0, 0.0, 0.0]},
+                 id="reactive3d-start-2d"),
+    pytest.param({"kind": "deform3d", "start": [0.0, 0.0, 0.0]},
+                 id="deform3d-goal-2d"),
+    pytest.param({"kind": "deform3d_quad", "start": [0.0, 0.0, 0.0],
+                  "goal": MISSING}, id="deform3d_quad-goal-missing"),
+    pytest.param({"kind": "tunnel", "start": "auto", "tunnel": {"radius": 1.5}},
+                 id="tunnel-shape-missing"),
+    pytest.param({"kind": "tunnel", "start": "auto"}, id="tunnel-section-missing"),
+    pytest.param({"kind": "tunnel", "start": [0.0, 0.0, 0.0],
+                  "tunnel": {"shape": "straight"}}, id="tunnel-heading-missing"),
+    pytest.param({"kind": "flocking"}, id="flocking-agents-missing"),
+    pytest.param({"kind": "flocking", "agents": {"count": 4}},
+                 id="flocking-spawn-missing"),
+    pytest.param({"kind": "coverage", "agents": {"spawn": [[0.0, 0.0, 0.0]]}},
+                 id="coverage-count-missing"),
+    pytest.param({"kind": "coverage",
+                  "agents": {"count": 2, "spawn": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]},
+                  "params": {"coverage": {"gamma": 1.0}}},
+                 id="coverage-boundary-missing"),
+    pytest.param(obstacle_cfg(type="sphere", center=[1.0, 1.0]),
+                 id="sphere-radius-missing"),
+    pytest.param(obstacle_cfg(type="sphere", radius=1.0), id="sphere-center-missing"),
+    pytest.param(obstacle_cfg(type="cylinder", base=[0.0, 0.0, 0.0],
+                              axis=[0.0, 0.0, 1.0], radius=1.0),
+                 id="cylinder-height-missing"),
+    pytest.param(obstacle_cfg(type="cylinder", axis=[0.0, 0.0, 1.0], radius=1.0,
+                              height=2.0), id="cylinder-base-missing"),
+    pytest.param(obstacle_cfg(type="ellipsoid", center=[0.0, 0.0, 0.0]),
+                 id="ellipsoid-semi-missing"),
+    pytest.param(obstacle_cfg(type="wall", loop=True), id="wall-vertices-missing"),
+    pytest.param(obstacle_cfg(center=[1.0, 1.0], radius=1.0), id="obstacle-type-missing"),
+    pytest.param(obstacle_cfg(type="cone", center=[1.0, 1.0], radius=1.0),
+                 id="obstacle-type-unknown"),
 ])
 def test_bad_value_rejected(over):
     with pytest.raises(ConfigError):

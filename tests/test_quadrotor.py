@@ -6,8 +6,7 @@ from aeronav.quadrotor import (FlatSample, FlatnessGains, InfeasibleProfile,
                                QuadrotorTracker, TrapezoidalProfile,
                                attitude_torque, flat_outputs_to_attitude_thrust,
                                min_jerk_eval, min_jerk_segment,
-                               min_jerk_trajectory, position_smc,
-                               velocity_cmd_to_accel)
+                               min_jerk_trajectory, position_smc)
 
 G = FlatnessGains()
 
@@ -48,7 +47,7 @@ def test_smc_bound():
 
 
 def test_smc_sech_term_is_gradient_of_tanh_term():
-    """The cancellation term equals d/de_p of K1 tanh(mu e_p) applied to e_v
+    """The sech^2 term equals d/de_p of K1 tanh(mu e_p) applied to e_v
     (finite-difference check below 1e-6)."""
     rng = np.random.default_rng(1)
     mu = G.mu
@@ -122,14 +121,6 @@ def test_attitude_loop_converges_from_roll_error():
         st = step_quadrotor(st, GRAVITY, tau, 0.01)
     err = np.arccos(np.clip((np.trace(r_des.T @ st.R) - 1) / 2, -1, 1))
     assert err < np.deg2rad(0.5)
-
-
-def test_velocity_cmd_variant():
-    a = velocity_cmd_to_accel(np.array([0.5, 0, 0]), np.array([0.5, 0, 0]), G)
-    assert np.allclose(a, [0, 0, GRAVITY])
-    # bound
-    a = velocity_cmd_to_accel(np.array([100.0, 100, 100]), np.zeros(3), G)
-    assert np.linalg.norm(a) <= np.max(np.diag(G.k3)) * np.sqrt(3) + GRAVITY + 1e-9
 
 
 def test_min_jerk_zero_move():
@@ -249,21 +240,3 @@ def test_thrust_positive_under_tilt():
     a = np.array([3.0, -2.0, GRAVITY])
     t, _ = flat_outputs_to_attitude_thrust(a, 0.3, st.R)
     assert t > 0.0
-
-
-def test_velocity_command_speed_tracking_regression():
-    """Constant-direction velocity command through the velocity->acceleration
-    variant and the full quadrotor stack: speed converges within 5%."""
-    from aeronav.quadrotor import attitude_torque as att
-    v_cmd = 1.2 * np.array([np.cos(0.4), np.sin(0.4), 0.1])
-    st = QuadrotorState.hover()
-    g = FlatnessGains()
-    from aeronav.plants import QuadrotorParams
-    params = QuadrotorParams()
-    for _ in range(900):
-        a_cmd = velocity_cmd_to_accel(v_cmd, st.v, g)
-        thrust, r_des = flat_outputs_to_attitude_thrust(a_cmd, 0.0, st.R)
-        tau = att(st, r_des, np.zeros(3), g)
-        st = step_quadrotor(st, thrust, tau, 0.01, params)
-    err = np.linalg.norm(st.v - v_cmd) / np.linalg.norm(v_cmd)
-    assert err < 0.05

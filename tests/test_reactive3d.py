@@ -4,7 +4,7 @@ import pytest
 from aeronav.geom import angle_between, unit
 from aeronav.plants import Heading3DState, LimitSet, step_heading3d
 from aeronav.reactive3d import (Mode3D, PlaneOfAvoidance, Reactive3DNavigator,
-                                Reactive3DParams, ReferenceGenerator,
+                                Reactive3DParams,
                                 avoid_law_3d, build_plane, pp_omega,
                                 tangent_to_ellipsoid)
 from aeronav.world import Ellipsoid, World
@@ -146,9 +146,8 @@ def test_goal_membership_of_plane():
 
 
 def _closed_loop(world, goal, start, heading, params=P44, duration=80.0,
-                 forced_tangent=None, control_dt=0.05):
-    nav = Reactive3DNavigator(params, world, goal, control_dt=control_dt,
-                              forced_tangent=forced_tangent)
+                 control_dt=0.05):
+    nav = Reactive3DNavigator(params, world, goal, control_dt=control_dt)
     state = Heading3DState(np.asarray(start, dtype=float), unit(np.asarray(heading, dtype=float)))
     lim = LimitSet(v_max=params.v_bar, u_max=params.omega_max)
     t = 0.0
@@ -182,52 +181,3 @@ def test_single_ellipsoid_closed_loop_distance_bound():
     assert plane_resid < 1e-6
     kinds = [k for _, k in nav.events]
     assert "R1" in kinds and "R2" in kinds
-
-
-def test_reference_generator_straight_constant_speed():
-    gen = ReferenceGenerator(np.zeros(3), np.array([1.0, 0, 0]), 1.0, P44)
-    samples = gen.generate(1.0, np.zeros(3), horizon=1.0, resolution=0.01)
-    assert len(samples) == 100
-    for s in samples:
-        assert np.allclose(s.v, [1.0, 0, 0], atol=1e-9)
-        assert abs(s.p[1]) < 1e-12 and abs(s.p[2]) < 1e-12
-
-
-def test_reference_velocity_norm_tracks_commanded_speed():
-    gen = ReferenceGenerator(np.zeros(3), np.array([1.0, 0, 0]), 0.2, P44)
-    samples = gen.generate(0.9, np.zeros(3), horizon=3.0, resolution=0.01)
-    norms = np.array([np.linalg.norm(s.v) for s in samples])
-    # |v_r| = V at every sample: monotone approach to the commanded value
-    assert np.all(np.diff(norms) > -1e-12)
-    assert norms[-1] == pytest.approx(0.9, abs=0.02)
-    assert np.all(norms <= P44.v_bar + 1e-9)
-
-
-def test_reference_accel_matches_finite_difference():
-    """a_r consistent with the finite difference of v_r to O(resolution):
-    the mismatch shrinks at first order when the resolution is halved."""
-    def max_err(res):
-        gen = ReferenceGenerator(np.zeros(3), unit(np.array([1.0, 0.3, 0.0])), 0.4, P44)
-        omega = 0.6 * unit(np.cross(gen.state.a, [0, 0, 1.0]))
-        samples = gen.generate(0.9, omega, horizon=1.0, resolution=res)
-        vs = np.array([s.v for s in samples])
-        accs = np.array([s.a for s in samples])
-        fd = (vs[2:] - vs[:-2]) / (2 * res)
-        return float(np.max(np.linalg.norm(fd - accs[1:-1], axis=1)))
-
-    e1, e2 = max_err(0.01), max_err(0.005)
-    assert e2 < 0.7 * e1  # first-order shrinkage
-    # in the smooth regime (speed already at command) the match is tight
-    gen = ReferenceGenerator(np.zeros(3), unit(np.array([1.0, 0.3, 0.0])), 0.9, P44)
-    omega = 0.6 * unit(np.cross(gen.state.a, [0, 0, 1.0]))
-    samples = gen.generate(0.9, omega, horizon=1.0, resolution=0.01)
-    vs = np.array([s.v for s in samples])
-    accs = np.array([s.a for s in samples])
-    fd = (vs[2:] - vs[:-2]) / 0.02
-    assert np.max(np.linalg.norm(fd - accs[1:-1], axis=1)) < 0.01
-
-
-def test_reference_resolution_validation():
-    gen = ReferenceGenerator(np.zeros(3), np.array([1.0, 0, 0]), 1.0, P44)
-    with pytest.raises(ValueError):
-        gen.generate(1.0, np.zeros(3), horizon=0.005, resolution=0.01)

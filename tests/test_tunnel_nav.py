@@ -4,8 +4,7 @@ import pytest
 from aeronav.tunnel_nav import (RobustPerceptionState, SliceStarvation,
                                 TunnelNavigator, TunnelParams,
                                 estimate_normals, perceive_robust,
-                                perceive_simple, slice_centroids, tunnel_law,
-                                voxel_downsample)
+                                slice_centroids, tunnel_law, voxel_downsample)
 from aeronav.tunnels import generate_tunnel
 
 
@@ -135,37 +134,6 @@ def test_estimate_normals_on_cylinder_wall():
     assert abs(abs(n[1]) - 1.0) < 0.1
 
 
-def test_perceive_simple_near_wall_recovers_axis():
-    """Flying off-axis (the method's working regime): paired wall means put
-    G1/G2 near the tunnel axis."""
-    cloud = cylinder_cloud()
-    c = np.array([5.0, 0.5, 0.0])
-    g1, g2 = perceive_simple(c, np.array([1.0, 0, 0]), cloud, k=60, params=P)
-    assert abs(g1[1]) < 0.4 and abs(g1[2]) < 0.4
-    assert abs(g2[1]) < 0.4 and abs(g2[2]) < 0.4
-
-
-def test_perceive_simple_on_axis_degenerates_to_fallback():
-    cloud = cylinder_cloud()
-    c = np.array([5.0, 0.0, 0.0])
-    with pytest.raises(SliceStarvation):
-        perceive_simple(c, np.array([1.0, 0, 0]), cloud, k=80, params=P)
-    # the navigator falls back to plane slicing and still produces a command
-    nav = TunnelNavigator(P, cloud, np.array([1.0, 0, 0]), pipeline="simple")
-    v = nav.control(c)
-    assert np.linalg.norm(v) == pytest.approx(P.v, abs=1e-9)
-
-
-def test_perceive_simple_k_equals_cloud_size_global_centroid():
-    cloud = cylinder_cloud(length=6.0)
-    c = np.array([3.0, 1e-4, 0.0])
-    from scipy.spatial import cKDTree
-    g_a_expected = cloud.mean(axis=0)
-    # with k = |cloud| the nearest-neighbor mean is the global centroid
-    tree_mean = cloud[np.argsort(np.linalg.norm(cloud - c, axis=1))[:len(cloud)]].mean(axis=0)
-    assert np.allclose(tree_mean, g_a_expected, atol=1e-9)
-
-
 def test_perceive_robust_wide_tunnel_valid_without_repair():
     cloud = cylinder_cloud(radius=2.0)
     state = RobustPerceptionState()
@@ -208,6 +176,24 @@ def test_perceive_robust_termination_counter():
                               [1.0, 3.0], params, state)
         assert got is None
     assert state.failures >= 5
+
+
+def test_navigator_rejects_unknown_pipeline():
+    with pytest.raises(ValueError):
+        TunnelNavigator(P, cylinder_cloud(), np.array([1.0, 0, 0]), pipeline="simple")
+
+
+def test_robust_navigator_terminates_on_fifth_starved_tick():
+    """Past the tunnel's end the probe slices ahead are empty: the robust
+    navigator holds its last command for four ticks and stops on the fifth."""
+    cloud = cylinder_cloud()
+    nav = TunnelNavigator(P, cloud, np.array([1.0, 0, 0]), pipeline="robust")
+    c = np.array([40.0, 0.0, 0.0])
+    for _ in range(4):
+        assert np.array_equal(nav.control(c), [P.v, 0.0, 0.0])
+        assert not nav.terminated
+    nav.control(c)
+    assert nav.terminated
 
 
 def test_navigator_straight_run_completes():

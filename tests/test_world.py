@@ -115,14 +115,6 @@ def test_sense_points_deterministic_under_seed():
     assert a.tobytes() == b.tobytes()
 
 
-def test_sense_points_fov_cone():
-    pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    model = SensingModel(d_sensing=5.0, fov_half_angle=np.deg2rad(45))
-    out = sense_points(np.zeros(3), pts, model, heading=np.array([1.0, 0, 0]))
-    assert len(out) == 1
-    assert np.allclose(out[0], [1.0, 0.0, 0.0])
-
-
 def test_raycast_disc():
     w = World([Sphere(np.array([5.0, 0.0]), 1.0)])
     r = w.raycast_2d(np.zeros(2), np.array([0.0, np.pi / 2, np.pi]), 20.0)
