@@ -133,14 +133,15 @@ class PiecewisePath:
     """Chain of quintic segments with C2 junctions.
 
     The global parameter spans [0, n_segments]; segment i covers [i, i+1].
-    Paths are treated as immutable: deformation returns a new path.
+    Paths are treated as immutable (deformation returns a new path), so
+    each sample table is built once per resolution and kept.
     """
 
     def __init__(self, segments: list[QuinticBezier]):
         if not segments:
             raise ValueError("path needs at least one segment")
         self.segments = list(segments)
-        self._cache = None
+        self._tables = {}
 
     # -- construction -------------------------------------------------------
 
@@ -236,18 +237,25 @@ class PiecewisePath:
 
     # -- sampling / projection ----------------------------------------------
 
+    def _table(self, per_segment: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(params, points, cumulative chord length) sampled uniformly in
+        parameter, built once per resolution."""
+        table = self._tables.get(per_segment)
+        if table is None:
+            params, pts = [], []
+            for i, seg in enumerate(self.segments):
+                u = np.linspace(0.0, 1.0, per_segment, endpoint=(i == self.n_segments - 1))
+                params.append(i + u)
+                pts.append(seg.point(u))
+            pts = np.vstack(pts)
+            chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+            table = (np.concatenate(params), pts, np.concatenate([[0.0], np.cumsum(chord)]))
+            self._tables[per_segment] = table
+        return table
+
     def sample(self, per_segment: int = 200) -> tuple[np.ndarray, np.ndarray]:
         """(params, points) sampled uniformly in parameter over the path."""
-        if self._cache is not None and self._cache[2] == per_segment:
-            return self._cache[0], self._cache[1]
-        params, pts = [], []
-        for i, seg in enumerate(self.segments):
-            u = np.linspace(0.0, 1.0, per_segment, endpoint=(i == self.n_segments - 1))
-            params.append(i + u)
-            pts.append(seg.point(u))
-        params = np.concatenate(params)
-        pts = np.vstack(pts)
-        self._cache = (params, pts, per_segment)
+        params, pts, _ = self._table(per_segment)
         return params, pts
 
     def closest_param(self, p: np.ndarray, per_segment: int = 200) -> float:
@@ -255,20 +263,12 @@ class PiecewisePath:
         i = int(np.argmin(np.linalg.norm(pts - np.asarray(p, dtype=float), axis=1)))
         return float(params[i])
 
-    def point_ahead(self, s0: float, distance: float, step: float = 0.02) -> tuple[float, np.ndarray]:
-        """Walk forward from parameter s0 by `distance` of arclength."""
-        s, acc = s0, 0.0
-        prev = self.point(s0)
-        while acc < distance and s < self.n_segments:
-            s = min(s + step, self.n_segments)
-            cur = self.point(s)
-            acc += float(np.linalg.norm(cur - prev))
-            prev = cur
-        return s, prev
-
-    def arclength(self, per_segment: int = 200) -> float:
-        _, pts = self.sample(per_segment)
-        return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+    def point_ahead(self, s0: float, distance: float) -> tuple[float, np.ndarray]:
+        """Parameter and point `distance` of arclength past s0, by the chord
+        table at 200 samples per segment; clamped to the path's end."""
+        params, _, length = self._table(200)
+        s = float(np.interp(np.interp(s0, params, length) + distance, length, params))
+        return s, self.point(s)
 
     # -- deformation --------------------------------------------------------
 

@@ -99,7 +99,6 @@ def find_unsafe(path: PiecewisePath, world: World, d_safe: float,
 
 
 def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
-                   rng: np.random.Generator | None = None,
                    prev_normal: np.ndarray | None = None) -> np.ndarray:
     """v_safe = gamma * R_N(alpha0) T for the deformation at the unsafe point,
     with N = T x E (E toward the obstacle edge); when T and E are collinear
@@ -137,7 +136,7 @@ def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParam
 
 
 def deform(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
-           s_progress: float = 0.0, rng: np.random.Generator | None = None,
+           s_progress: float = 0.0,
            prev_normal: np.ndarray | None = None) -> tuple[PiecewisePath, np.ndarray]:
     """One deformation: move the control point at the worst clearance by
     v_safe and re-stitch the window spanning the violating interval.  The
@@ -163,7 +162,7 @@ def deform(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
             i_s -= 1
     anchor = unsafe.s_mid if unsafe.closest_mid is not None else unsafe.s
     anchor = float(np.clip(anchor, i_s + 0.05, i_e - 0.05))
-    v_safe = safe_direction(path, unsafe, params, rng, prev_normal)
+    v_safe = safe_direction(path, unsafe, params, prev_normal)
     p_c_new = path.point(anchor) + v_safe
     for q in (path.point(float(i_s)), path.point(float(i_e))):
         if np.linalg.norm(p_c_new - q) < 1e-6:
@@ -200,8 +199,7 @@ def _resubdivide_window(path: PiecewisePath, j_s: int, j_e: int, n_out: int) -> 
 
 
 def deform_until_safe(path: PiecewisePath, world: World, params: DeformParams,
-                      t: float = 0.0, s_progress: float = 0.0,
-                      rng: np.random.Generator | None = None) -> tuple[PiecewisePath, int]:
+                      t: float = 0.0, s_progress: float = 0.0) -> tuple[PiecewisePath, int]:
     """Repeat single deformations until the path ahead is clear or the
     iteration cap is hit.  Returns (path, number of deformations applied)."""
     prev_normal = None
@@ -210,7 +208,7 @@ def deform_until_safe(path: PiecewisePath, world: World, params: DeformParams,
                              params.check_resolution)
         if unsafe is None:
             return path, k
-        path, prev_normal = deform(path, unsafe, params, s_progress, rng, prev_normal)
+        path, prev_normal = deform(path, unsafe, params, s_progress, prev_normal)
     return path, params.max_deforms_per_check
 
 
@@ -320,12 +318,10 @@ class DeformNavigator:
     until safe, then track with the pure-pursuit guidance law."""
 
     def __init__(self, params: DeformParams, world: World, start: np.ndarray,
-                 goal: np.ndarray, rng: np.random.Generator | None = None,
-                 segment_length: float = 1.0):
+                 goal: np.ndarray, segment_length: float = 1.0):
         self.params = params
         self.world = world
         self.goal = np.asarray(goal, dtype=float)
-        self.rng = rng or np.random.default_rng(0)
         self.path = PiecewisePath.straight(start, goal, segment_length)
         self.deform_events: list[tuple[int, int]] = []
         self.hover_events: list[int] = []
@@ -333,7 +329,7 @@ class DeformNavigator:
     def control(self, state: Angle3DState, t: float, tick: int) -> tuple[float, float, float]:
         s_prog = self.path.closest_param(state.p)
         new_path, n_def = deform_until_safe(self.path, self.world, self.params,
-                                            t, s_prog, self.rng)
+                                            t, s_prog)
         if n_def:
             self.path = new_path
             self.deform_events.append((tick, n_def))

@@ -230,7 +230,7 @@ def _deform3d(cfg: dict) -> Engine:
     p = DeformParams(**cfg.get("params", {}).get("deform", {}))
     goal = np.asarray(cfg["goal"], dtype=float)
     start = np.asarray(cfg["start"], dtype=float)
-    nav = DeformNavigator(p, world, start, goal, np.random.default_rng(cfg["seed"]))
+    nav = DeformNavigator(p, world, start, goal)
     direction = goal - start
     state = Angle3DState(start.copy(), float(np.arctan2(direction[1], direction[0])),
                          0.0)
@@ -252,7 +252,6 @@ def _deform3d_quad(cfg: dict) -> Engine:
     gains = RefModelGains(v_max=max(2.0 * p.v, 1.0))
     goal = np.asarray(cfg["goal"], dtype=float)
     start = np.asarray(cfg["start"], dtype=float)
-    rng = np.random.default_rng(cfg["seed"])
     path = PiecewisePath.straight(start, goal, 1.0)
     direction = goal - start
     ref = RefModelState(start.copy(), float(np.arctan2(direction[1], direction[0])),
@@ -272,7 +271,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
         for k in range(first, min(first + n_sub, n_steps)):
             if k == first:
                 path, _ = deform_until_safe(path, world, p, t,
-                                            path.closest_param(ref.p), rng)
+                                            path.closest_param(ref.p))
             ref = reference_model_step(ref, path, p.v, gains, plant_dt)
             st = tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
                                          ref_acceleration(ref)), plant_dt)

@@ -30,11 +30,10 @@ GOLDEN = Path(__file__).resolve().parent / "digests.json"
 # Simulated seconds for the scenarios too slow to run whole in the test
 # suite (full-length host time on a 2-core machine in the comment).
 PREFIX = {
-    "deform-quad-tracking": 4.0,    # 11 s
-    "flock-n4": 60.0,               # 17 s
-    "flock-n20": 20.0,              # 11 s
-    "flock-n100": 4.0,              # 33 s
-    "coverage-barrier-n20": 5.0,    # 7 s
+    "flock-n4": 60.0,               # 19 s
+    "flock-n20": 20.0,              # 9 s
+    "flock-n100": 4.0,              # 31 s
+    "coverage-barrier-n20": 5.0,    # 8 s
 }
 
 

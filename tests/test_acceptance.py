@@ -85,7 +85,7 @@ def test_criterion_3_localism_invariant():
         hit = find_unsafe(path, world, params.d_check)
         if hit is None:
             continue
-        new_path, _ = deform(path, hit, params, 0.0, rng)
+        new_path, _ = deform(path, hit, params, 0.0)
         n_new = new_path.n_segments - path.n_segments + (0)
         # leading and trailing retained segments must match exactly
         k = 0

@@ -143,8 +143,8 @@ def test_replace_window_straight_path_same_midpoint_identity():
 
 def test_point_ahead_walks_arclength():
     path = PiecewisePath.from_waypoints([np.zeros(2), np.array([10.0, 0.0])])
-    s, pt = path.point_ahead(0.0, 3.0, step=0.001)
-    assert pt[0] == pytest.approx(3.0, abs=0.02)
+    s, pt = path.point_ahead(0.0, 3.0)
+    assert pt[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_curvature_against_finite_difference_oracle():

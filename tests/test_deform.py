@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aeronav.bezier import PiecewisePath
+from aeronav.bezier import PiecewisePath, QuinticBezier
 from aeronav.deform import (DeformNavigator, DeformParams, RefModelGains,
                             RefModelState, deform, deform_until_safe,
                             find_unsafe, ref_acceleration, ref_velocity,
@@ -25,6 +25,28 @@ def test_find_unsafe_on_path_crossing():
     assert hit is not None
     assert hit.d == pytest.approx(0.0)
     assert abs(hit.s - 10.0) < 1.1  # crossing region
+
+
+def test_path_tables_built_once_per_resolution(monkeypatch):
+    """The control tick's closest_param / find_unsafe / closest_param
+    sequence evaluates each segment once per sample resolution, and a
+    lookahead costs a single point evaluation."""
+    calls = []
+    point = QuinticBezier.point
+
+    def counted(seg, s):
+        calls.append(id(seg))
+        return point(seg, s)
+
+    monkeypatch.setattr(QuinticBezier, "point", counted)
+    path = straight_path()
+    w = World([Sphere(np.array([10.0, 0.0, 0.0]), 1.0)])
+    s = path.closest_param(np.array([3.0, 0.2, 0.0]))
+    assert find_unsafe(path, w, 0.5, s_from=s) is not None
+    path.closest_param(np.array([3.1, 0.2, 0.0]))
+    assert sorted(calls) == sorted(2 * [id(seg) for seg in path.segments])
+    path.point_ahead(s, 1.0)
+    assert len(calls) == 2 * path.n_segments + 1
 
 
 def test_find_unsafe_offset_distance_matches_oracle():
@@ -154,12 +176,12 @@ def test_reference_model_accel_finite_difference():
     assert np.max(np.linalg.norm(fd - a[1:-1], axis=1)) < 0.05
 
 
-def _run_deform_scenario(world, goal, gamma, duration=60.0, v=1.0, seed=0,
+def _run_deform_scenario(world, goal, gamma, duration=60.0, v=1.0,
                          d_safe=0.5, start=np.array([1.0, 1.0, 3.0]),
                          check_margin=0.35):
     params = DeformParams(safety_factor=gamma, d_safe=d_safe, v=v,
                           check_resolution=0.1, check_margin=check_margin)
-    nav = DeformNavigator(params, world, start, goal, np.random.default_rng(seed))
+    nav = DeformNavigator(params, world, start, goal)
     direction = goal - start
     st = Angle3DState(start.astype(float), float(np.arctan2(direction[1], direction[0])),
                       0.0)

@@ -1,7 +1,8 @@
 """Property tests of the swarm kernels against plain references written
 here: the nearest-first Voronoi clipping against an all-pairs clip, the
 batched null-space blend against one explicit projector product per agent,
-and one flocking tick against a per-agent loop over the force helpers."""
+and one flocking tick against a per-agent loop over the force helpers; and
+the tabled path lookahead against a dense chord sum."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aeronav import flocking
+from aeronav.bezier import PiecewisePath
 from aeronav.coverage import polygon_area, polygon_moments, voronoi_cells
 from aeronav.flocking import (FlockParams, FlockSim, goal_force, heading_angles,
                               neighbor_lists, nsb_blend, obstacle_force,
@@ -159,3 +161,48 @@ def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
     finally:
         flocking.step_flock_batch = stepper
     assert np.allclose(taus[0], want, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def waypoint_paths(draw):
+    """C2 paths through 2-6 random waypoints in 2D or 3D, consecutive
+    waypoints at least 0.5 m apart."""
+    dim = draw(st.sampled_from([2, 3]))
+    w = draw(arrays(float, (draw(st.integers(2, 6)), dim),
+                    elements=st.floats(-10.0, 10.0)))
+    assume(np.all(np.linalg.norm(np.diff(w, axis=0), axis=1) > 0.5))
+    return PiecewisePath.from_waypoints(w)
+
+
+def _dense_length(path, s0, s1, per_segment=20_000):
+    """Chord sum from s0 to s1 at per_segment samples per unit parameter."""
+    u = np.linspace(s0, s1, max(2, int(np.ceil((s1 - s0) * per_segment)) + 1))
+    i = np.minimum(u.astype(int), path.n_segments - 1)
+    pts = np.empty((len(u), path.dim))
+    for k in np.unique(i):
+        pts[i == k] = path.segments[k].point(u[i == k] - k)
+    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+
+
+@SETTINGS
+@given(path=waypoint_paths(), frac=st.floats(0.0, 1.0),
+       d=st.lists(st.floats(0.01, 60.0), min_size=2, max_size=2))
+def test_point_ahead_tracks_dense_arclength(path, frac, d):
+    s0 = frac * path.n_segments
+    d1, d2 = sorted(d)
+    s1, p1 = path.point_ahead(s0, d1)
+    s2, p2 = path.point_ahead(s0, d2)
+    assert np.array_equal(p1, path.point(s1)) and np.array_equal(p2, path.point(s2))
+    assert s0 - 1e-12 <= s1 <= s2 <= path.n_segments
+    # each of the two table lookups interpolates arclength linearly over a
+    # parameter step h = 1/200: error at most h^2/8 max|P''|, and the
+    # convex hull of the second-derivative control points bounds |P''|
+    d2p = max(20.0 * np.max(np.linalg.norm(np.diff(seg.control, 2, axis=0), axis=1))
+              for seg in path.segments)
+    slack = 2 * (1 / 200) ** 2 / 8 * d2p
+    if d2 > _dense_length(path, s0, path.n_segments) * (1 + 1e-4) + slack:
+        assert s2 == path.n_segments
+        assert np.array_equal(p2, path.point(path.n_segments))
+    for d_k, s_k in ((d1, s1), (d2, s2)):
+        if s_k < path.n_segments:
+            assert abs(_dense_length(path, s0, s_k) - d_k) <= 1e-4 * d_k + slack
