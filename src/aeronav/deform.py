@@ -40,6 +40,9 @@ class DeformParams:
     def __post_init__(self):
         if self.safety_factor < 0.0:
             raise ValueError("safety factor must be nonnegative")
+        if self.check_margin < 0.0:
+            # d_check >= d_safe: a path clear at d_check is clear at d_safe
+            raise ValueError("check margin must be nonnegative")
 
 
 @dataclass
@@ -338,9 +341,14 @@ class DeformNavigator:
         v, ub, ua = track_kinematic(state, self.path, self.params)
         # a violation still unresolved just ahead slows the vehicle down so
         # the deformation loop gets more ticks before the region is reached;
-        # a static blockage on top of the vehicle parks it outright
-        left = find_unsafe(self.path, self.world, self.params.d_safe, t,
-                           s_prog, self.params.check_resolution)
+        # a static blockage on top of the vehicle parks it outright.  Below
+        # the cap, deform_until_safe stopped on a clear scan of this path at
+        # d_check >= d_safe, so only a loop stopped at its cap can leave a
+        # violation.
+        left = None
+        if n_def == self.params.max_deforms_per_check:
+            left = find_unsafe(self.path, self.world, self.params.d_safe, t,
+                               s_prog, self.params.check_resolution)
         if left is not None and left.s_lo < s_prog + 2.0:
             moving = self.world.obstacles[left.obstacle_id].velocity_bound() > 1e-9
             if not moving:

@@ -5,9 +5,12 @@ Per control period the vehicle slices the sensed wall cloud with planes
 orthogonal to its motion at probe distances ahead, takes the slice
 centroids G1/G2, and either flies along A = G2 - G1 (when close enough to
 the estimated axis) or rotates that direction by a fixed angle toward the
-axis to re-center.  The robust pipeline ("robust") downsamples the cloud,
-probes several distances and repairs centroids too close to the wall; the
-default ("slices") uses the two slices as they are.
+axis to re-center.  The robust pipeline ("robust") downsamples the cloud to
+one mean per voxel (Rusu & Cousins 2011, the PCL voxel-grid filter), probes
+several distances and repairs centroids too close to the wall, fitting wall
+normals on the KD-tree it validates with; the default ("slices") uses the
+two slices as they are.  The downsampling averages all voxels that hold the
+same number of points at once.
 """
 from __future__ import annotations
 
@@ -123,8 +126,14 @@ def tunnel_law(c: np.ndarray, centroids: SliceCentroids,
 
 
 def voxel_downsample(cloud: np.ndarray, voxel: float) -> np.ndarray:
-    """Mean point per occupied voxel.  Output size never exceeds the input;
-    every input point lies within half a voxel diagonal of some output."""
+    """Mean point per occupied voxel, in lexicographic voxel order.  Output
+    size never exceeds the input.  A voxel's mean lies in the voxel's box,
+    so every input point lies within one voxel diagonal (sqrt(3) voxel) of
+    the mean of its own voxel; no tighter bound holds in general.
+
+    Voxels holding the same number of points are averaged together, one
+    (voxels, count, 3) `.mean(axis=1)` per distinct count, which sums each
+    voxel in the same order as a per-voxel `.mean(axis=0)`."""
     if voxel <= 0.0:
         raise ValueError("voxel size must be positive")
     if len(cloud) == 0:
@@ -134,23 +143,25 @@ def voxel_downsample(cloud: np.ndarray, voxel: float) -> np.ndarray:
     keys_sorted = keys[order]
     pts_sorted = cloud[order]
     change = np.any(np.diff(keys_sorted, axis=0) != 0, axis=1)
-    starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(cloud)]])
-    out = np.empty((len(starts) - 1, 3))
-    for i in range(len(starts) - 1):
-        out[i] = pts_sorted[starts[i]:starts[i + 1]].mean(axis=0)
+    starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
+    counts = np.diff(starts, append=len(cloud))
+    out = np.empty((len(starts), 3))
+    for m in np.unique(counts):
+        group = np.nonzero(counts == m)[0]
+        out[group] = pts_sorted[starts[group, None] + np.arange(m)].mean(axis=1)
     return out
 
 
-def estimate_normals(cloud: np.ndarray, query: np.ndarray, k: int = 10) -> np.ndarray:
+def estimate_normals(tree: cKDTree, query: np.ndarray, k: int = 10) -> np.ndarray:
     """Surface normals at the query points by local plane fit over the k
-    nearest cloud neighbors (smallest principal component)."""
-    tree = cKDTree(cloud)
-    k = min(k, len(cloud))
+    nearest neighbors among the tree's points (smallest principal
+    component)."""
+    k = min(k, tree.n)
     _, idx = tree.query(query, k=k)
     idx = np.atleast_2d(idx)
     out = np.empty((len(query), 3))
     for i, nb in enumerate(idx):
-        pts = cloud[nb]
+        pts = tree.data[nb]
         centered = pts - pts.mean(axis=0)
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         out[i] = vt[-1]
@@ -210,7 +221,7 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
             if ok:
                 continue
             d_g, _ = tree.query(g)
-            normal = estimate_normals(ws, g[None, :], k=normal_k)[0]
+            normal = estimate_normals(tree, g[None, :], k=normal_k)[0]
             # orient the normal to increase wall clearance
             probe = g + 0.05 * normal
             d_probe, _ = tree.query(probe)

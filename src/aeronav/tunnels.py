@@ -4,6 +4,14 @@ A tunnel is a tube swept along a smooth (or piecewise-linear) axis curve.
 The generator samples the wall surface as a point cloud and keeps the axis
 polyline as ground truth so runs can be scored by curvilinear progress.
 Frames along the axis are parallel-transported to avoid twist.
+
+The generator is array code: the axis samples, the rotations between
+consecutive tangents, every ring of the wall and the self-intersection
+check are computed at once.  The one loop left is the transport of the
+normal through those rotations, a recurrence (Wang et al. 2008,
+"Computation of rotation minimizing frames").  The array code adds and
+multiplies in the order of the per-sample reference loops in
+tests/test_tunnels.py, and must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -71,89 +79,100 @@ class TunnelCloud:
 
 
 def _parallel_frames(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tangents plus parallel-transported normals/binormals along a polyline."""
+    """Tangents plus parallel-transported normals/binormals along a polyline.
+
+    The rotation taking each tangent to the next (about c = t_prev x t_cur,
+    by atan2(|c|, t_prev . t_cur)) is computed for all samples at once; only
+    the transport of the normal through those rotations is sequential."""
     diffs = np.diff(axis, axis=0)
     seglen = np.linalg.norm(diffs, axis=1)
     if np.any(seglen < 1e-12):
         raise TunnelGenerationError("degenerate axis sampling")
     tangents = np.vstack([diffs / seglen[:, None], diffs[-1:] / seglen[-1]])
-    n0, _ = perpendicular_basis(tangents[0])
-    normals = [n0]
+    t_prev, t_next = tangents[:-1], tangents[1:]
+    c = np.cross(t_prev, t_next)
+    # one 1-D norm and dot per row: row-wise reductions round differently
+    s = np.array([np.linalg.norm(ci) for ci in c])
+    turns = s > 1e-12
+    rot_axes = c / np.where(turns, s, 1.0)[:, None]
+    ang = np.arctan2(s, [np.dot(a, b) for a, b in zip(t_prev, t_next)])
+    cos_a, sin_a = np.cos(ang), np.sin(ang)
+    normals = np.empty_like(tangents)
+    n = normals[0] = perpendicular_basis(tangents[0])[0]
     for i in range(1, len(axis)):
-        t_prev, t_cur = tangents[i - 1], tangents[i]
-        n = normals[-1]
-        c = np.cross(t_prev, t_cur)
-        s = np.linalg.norm(c)
-        if s > 1e-12:
-            axis_rot = c / s
-            ang = np.arctan2(s, float(np.dot(t_prev, t_cur)))
-            cr, sr = np.cos(ang), np.sin(ang)
-            n = (cr * n + sr * np.cross(axis_rot, n)
-                 + (1 - cr) * axis_rot * np.dot(axis_rot, n))
-        n = n - np.dot(n, t_cur) * t_cur
-        normals.append(unit(n))
-    normals = np.asarray(normals)
+        if turns[i - 1]:
+            k, cr = rot_axes[i - 1], cos_a[i - 1]
+            n = (cr * n + sin_a[i - 1] * np.cross(k, n)
+                 + (1 - cr) * k * np.dot(k, n))
+        t_cur = tangents[i]
+        n = normals[i] = unit(n - np.dot(n, t_cur) * t_cur)
     binormals = np.cross(tangents, normals)
     return tangents, normals, binormals
 
 
-def _check_axis(axis: np.ndarray, radius: float, closed: bool) -> None:
+def _check_axis(axis: np.ndarray, axis_s: np.ndarray, radius: float,
+                closed: bool) -> None:
     """Reject self-intersecting axes: samples far apart along the curve must
     not come closer than the tube diameter in space."""
-    seg = np.linalg.norm(np.diff(axis, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    tree = cKDTree(axis)
-    pairs = tree.query_pairs(r=1.5 * radius)
-    for i, j in pairs:
-        gap = abs(s[i] - s[j])
-        if closed:
-            gap = min(gap, total - gap)
-        if gap > 4.0 * radius:
-            raise TunnelGenerationError("self-intersecting tunnel axis")
+    pairs = cKDTree(axis).query_pairs(r=1.5 * radius, output_type="ndarray")
+    gap = np.abs(axis_s[pairs[:, 0]] - axis_s[pairs[:, 1]])
+    if closed:
+        gap = np.minimum(gap, axis_s[-1] - gap)
+    if np.any(gap > 4.0 * radius):
+        raise TunnelGenerationError("self-intersecting tunnel axis")
+
+
+def _square_section(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n points walked evenly around the square [-1, 1]^2, counterclockwise
+    from (-1, -1), as (u, w) coordinates."""
+    tpar = np.linspace(0.0, 4.0, n, endpoint=False)
+    side = tpar.astype(np.int64)
+    frac = tpar - side
+    up, down = -1 + 2 * frac, 1 - 2 * frac
+    one = np.ones(n)
+    u = np.choose(side, [up, one, down, -one])
+    w = np.choose(side, [-one, up, one, down])
+    return u, w
 
 
 def _sweep(axis: np.ndarray, radius: float, *, closed: bool, shape: str,
            density: float, section: str = "circle",
            radius_fn=None) -> TunnelCloud:
-    """Sample rings along the axis at `density` points per meter of axis."""
-    _check_axis(axis, radius, closed)
-    tangents, normals, binormals = _parallel_frames(axis)
+    """Sample rings along the axis at `density` points per meter of axis;
+    ring i holds axis[i] + (r_i u) n_i + (r_i w) b_i for the section's
+    (u, w) table, all rings in one array expression."""
     seg = np.linalg.norm(np.diff(axis, axis=0), axis=1)
     axis_s = np.concatenate([[0.0], np.cumsum(seg)])
-    ds = float(np.mean(seg))
-    ring_pts = max(8, int(np.ceil(density * ds)))
-    phis = np.linspace(0.0, 2.0 * np.pi, ring_pts, endpoint=False)
-    pts = []
-    for i in range(len(axis)):
-        r_i = radius if radius_fn is None else float(radius_fn(axis_s[i]))
-        if section == "circle":
-            ring = (axis[i][None, :]
-                    + r_i * np.cos(phis)[:, None] * normals[i][None, :]
-                    + r_i * np.sin(phis)[:, None] * binormals[i][None, :])
-        else:  # square cross-section of half-width r_i
-            tpar = np.linspace(0.0, 4.0, ring_pts, endpoint=False)
-            xy = np.empty((ring_pts, 2))
-            for k, tt in enumerate(tpar):
-                side, frac = int(tt), tt - int(tt)
-                if side == 0:
-                    xy[k] = (-1 + 2 * frac, -1)
-                elif side == 1:
-                    xy[k] = (1, -1 + 2 * frac)
-                elif side == 2:
-                    xy[k] = (1 - 2 * frac, 1)
-                else:
-                    xy[k] = (-1, 1 - 2 * frac)
-            ring = (axis[i][None, :]
-                    + r_i * xy[:, 0:1] * normals[i][None, :]
-                    + r_i * xy[:, 1:2] * binormals[i][None, :])
-        pts.append(ring)
-    return TunnelCloud(np.vstack(pts), axis, axis_s, radius, shape, closed)
+    _check_axis(axis, axis_s, radius, closed)
+    _, normals, binormals = _parallel_frames(axis)
+    ring_pts = max(8, int(np.ceil(density * float(np.mean(seg)))))
+    if section == "circle":
+        phis = np.linspace(0.0, 2.0 * np.pi, ring_pts, endpoint=False)
+        u, w = np.cos(phis), np.sin(phis)
+    else:  # square cross-section of half-width r_i
+        u, w = _square_section(ring_pts)
+    r = np.full(len(axis), float(radius)) if radius_fn is None else radius_fn(axis_s)
+    ru = (r[:, None] * u)[:, :, None]
+    rw = (r[:, None] * w)[:, :, None]
+    pts = (axis[:, None, :] + ru * normals[:, None, :]) + rw * binormals[:, None, :]
+    return TunnelCloud(pts.reshape(-1, 3), axis, axis_s, radius, shape, closed)
+
+
+# waypoints of the polyline shapes, in units of the tunnel length; the
+# pipeline bends in all three axes
+_POLYLINES = {
+    "sharp-bends": [(0, 0, 0), (0.35, 0, 0), (0.35, 0.3, 0), (0.7, 0.3, 0.15),
+                    (1, 0.3, 0.15)],
+    "s-shape": [(0, 0, 0), (0.3, 0, 0), (0.5, 0.25, 0), (0.7, 0, 0), (1, 0, 0)],
+    "rectangular": [(0, 0, 0), (0.4, 0, 0), (0.4, 0.35, 0), (0.9, 0.35, 0)],
+    "pipeline": [(0, 0, 0), (0.25, 0, 0), (0.45, 0.18, 0), (0.6, 0.18, 0.18),
+                 (0.85, 0.05, 0.18), (1, 0.05, 0.18)],
+}
 
 
 def generate_tunnel(shape: str, *, radius: float = 2.0, length: float = 40.0,
                     density: float = 400.0, ds: float = 0.1,
-                    seed: int | None = None, **kw) -> TunnelCloud:
+                    **kw) -> TunnelCloud:
     """Build one of the stock tunnel shapes.
 
     density is points per meter of axis; ds the axis sampling step.
@@ -174,17 +193,14 @@ def generate_tunnel(shape: str, *, radius: float = 2.0, length: float = 40.0,
         arc_r = kw.get("bend_radius", length * 0.25)
         s_tot = 2 * run + 0.5 * np.pi * arc_r
         n = int(np.ceil(s_tot / ds)) + 1
-        svals = np.linspace(0.0, s_tot, n)
-        axis = np.empty((n, 3))
-        for i, s in enumerate(svals):
-            if s < run:
-                axis[i] = (s, 0.0, 0.0)
-            elif s < run + 0.5 * np.pi * arc_r:
-                th = (s - run) / arc_r
-                axis[i] = (run + arc_r * np.sin(th), arc_r * (1 - np.cos(th)), 0.0)
-            else:
-                s2 = s - run - 0.5 * np.pi * arc_r
-                axis[i] = (run + arc_r, arc_r + s2, 0.0)
+        s = np.linspace(0.0, s_tot, n)
+        after = s >= run + 0.5 * np.pi * arc_r
+        arc = (s >= run) & ~after
+        th = (s - run) / arc_r
+        s2 = s - run - 0.5 * np.pi * arc_r
+        axis = np.stack([np.select([arc, after], [run + arc_r * np.sin(th), run + arc_r], s),
+                         np.select([arc, after], [arc_r * (1 - np.cos(th)), arc_r + s2], 0.0),
+                         np.zeros(n)], axis=1)
         closed = False
     elif shape == "torus":
         ring_r = kw.get("ring_radius", length / (2.0 * np.pi))
@@ -204,30 +220,16 @@ def generate_tunnel(shape: str, *, radius: float = 2.0, length: float = 40.0,
         axis = np.stack([helix_r * np.cos(th), helix_r * np.sin(th),
                          pitch * th / (2.0 * np.pi)], axis=1)
         closed = False
-    elif shape in ("sharp-bends", "s-shape", "pipeline", "rectangular"):
-        if shape == "sharp-bends":
-            wps = [(0, 0, 0), (0.35 * length, 0, 0), (0.35 * length, 0.3 * length, 0),
-                   (0.7 * length, 0.3 * length, 0.15 * length), (length, 0.3 * length, 0.15 * length)]
-        elif shape == "s-shape":
-            wps = [(0, 0, 0), (0.3 * length, 0, 0), (0.5 * length, 0.25 * length, 0),
-                   (0.7 * length, 0, 0), (length, 0, 0)]
-        elif shape == "rectangular":
-            wps = [(0, 0, 0), (0.4 * length, 0, 0), (0.4 * length, 0.35 * length, 0),
-                   (0.9 * length, 0.35 * length, 0)]
-        else:  # pipeline: bends in all three axes
-            wps = [(0, 0, 0), (0.25 * length, 0, 0), (0.45 * length, 0.18 * length, 0),
-                   (0.6 * length, 0.18 * length, 0.18 * length),
-                   (0.85 * length, 0.05 * length, 0.18 * length),
-                   (length, 0.05 * length, 0.18 * length)]
-        pts = [np.asarray(wps[0], dtype=float)]
+    elif shape in _POLYLINES:
+        wps = np.asarray(_POLYLINES[shape]) * length
+        # each leg runs from the last sample of the previous one
+        legs = [wps[:1]]
         for wp in wps[1:]:
-            wp = np.asarray(wp, dtype=float)
-            seg = wp - pts[-1]
+            base = legs[-1][-1]
+            seg = wp - base
             n = max(1, int(np.ceil(np.linalg.norm(seg) / ds)))
-            base = pts[-1]
-            for k in range(1, n + 1):
-                pts.append(base + seg * (k / n))
-        axis = np.asarray(pts)
+            legs.append(base + seg * (np.arange(1, n + 1) / n)[:, None])
+        axis = np.concatenate(legs)
         # round corners slightly so frames stay well-conditioned
         for _ in range(kw.get("corner_smoothing", 12 if shape != "rectangular" else 8)):
             axis[1:-1] = 0.5 * axis[1:-1] + 0.25 * (axis[:-2] + axis[2:])

@@ -397,11 +397,14 @@ def _ray_segment(origin, dirs, a, b, max_range) -> np.ndarray:
 
 def sense_points(p: np.ndarray, points: np.ndarray, model: SensingModel,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Subset of `points` within range, with Gaussian noise added from the
-    caller's seeded stream.  May be empty."""
+    """Subset of the (N, 3) `points` within range of p, with Gaussian noise
+    added from the caller's seeded stream.  May be empty."""
     points = np.asarray(points, dtype=float)
-    d = np.linalg.norm(points - np.asarray(p, dtype=float), axis=1)
-    out = points[d <= model.d_sensing]
+    sq = points - np.asarray(p, dtype=float)
+    sq *= sq
+    # summed in the order of norm(axis=1), so the range mask is the same
+    # bit for bit, at a fraction of norm's cost
+    out = points[np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2]) <= model.d_sensing]
     if model.sigma > 0.0:
         if rng is None:
             raise ValueError("noisy sensing requires an rng")

@@ -199,6 +199,45 @@ def _run_deform_scenario(world, goal, gamma, duration=60.0, v=1.0,
     return nav, st, min_d
 
 
+def _count_batch_calls(world):
+    calls = []
+    batch = world.batch_distance
+
+    def counted(*a, **k):
+        calls.append(1)
+        return batch(*a, **k)
+    world.batch_distance = counted
+    return calls
+
+
+def test_clear_tick_scans_the_path_once():
+    """A tick whose d_check scan finds the path clear does not scan it again
+    at d_safe <= d_check: World.batch_distance runs once."""
+    w = World([Sphere(np.array([10.0, 5.0, 0.0]), 1.0)])
+    calls = _count_batch_calls(w)
+    nav = DeformNavigator(DeformParams(), w, np.zeros(3), np.array([20.0, 0.0, 0.0]))
+    nav.control(Angle3DState(np.zeros(3), 0.0, 0.0), 0.0, 0)
+    assert nav.deform_events == []
+    assert len(calls) == 1
+
+
+def test_capped_tick_scans_again_at_d_safe():
+    """When deform_until_safe stops at its cap the last deformation is
+    unchecked, so the tick scans the path again."""
+    w = World([Sphere(np.array([10.0, 0.2, 0.0]), 0.8)])
+    calls = _count_batch_calls(w)
+    params = DeformParams(max_deforms_per_check=1)
+    nav = DeformNavigator(params, w, np.zeros(3), np.array([20.0, 0.0, 0.0]))
+    nav.control(Angle3DState(np.zeros(3), 0.0, 0.0), 0.0, 0)
+    assert nav.deform_events == [(0, 1)]
+    assert len(calls) == 2
+
+
+def test_negative_check_margin_rejected():
+    with pytest.raises(ValueError):
+        DeformParams(check_margin=-0.1)
+
+
 def test_static_cylinder_field_safe():
     """A cylinder blocking the straight route: deform-and-track keeps the
     safety margin and still reaches the goal."""

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from aeronav.tunnel_nav import (RobustPerceptionState, SliceStarvation,
                                 TunnelNavigator, TunnelParams,
@@ -110,15 +114,52 @@ def test_speed_norm_constant_contract():
         c = c + v * params.delta
 
 
+def _loop_voxel_downsample(cloud, voxel):
+    """Test-local copy of the per-voxel loop: one .mean(axis=0) per voxel."""
+    keys = np.floor(cloud / voxel).astype(np.int64)
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    pts_sorted = cloud[order]
+    change = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+    starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(cloud)]])
+    return np.array([pts_sorted[a:b].mean(axis=0)
+                     for a, b in zip(starts[:-1], starts[1:])])
+
+
+def _own_voxel_distance(cloud, out, voxel):
+    """Distance from each input point to the output of its own voxel (np.unique
+    orders voxel keys like the lexsort, first coordinate first)."""
+    keys = np.floor(cloud / voxel).astype(np.int64)
+    _, own = np.unique(keys, axis=0, return_inverse=True)
+    return np.linalg.norm(cloud - out[own.ravel()], axis=1)
+
+
 def test_voxel_downsample_properties():
-    rng = np.random.default_rng(0)
-    cloud = rng.uniform(-3, 3, size=(4000, 3))
+    """Each point lies within one voxel diagonal of its own voxel's mean; half
+    a diagonal to the nearest output does not hold: two points at the near
+    corner pull the mean away from a third at the far corner."""
+    cloud = np.array([[0.01, 0.01, 0.01], [0.01, 0.01, 0.01], [0.49, 0.49, 0.49]])
     out = voxel_downsample(cloud, 0.5)
+    assert len(out) == 1
+    d = _own_voxel_distance(cloud, out, 0.5)
+    assert d.max() == pytest.approx(0.554, abs=1e-3)
+    assert d.max() > 0.5 * np.sqrt(3) * 0.5
+    assert d.max() <= np.sqrt(3) * 0.5
+
+
+clustered = st.sampled_from([0.0, 0.01, 0.49, 0.5, 1.3, -0.7, -2.0])
+spread = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=st.integers(1, 400).flatmap(lambda n: st.one_of(
+           arrays(np.float64, (n, 3), elements=spread),
+           arrays(np.float64, (n, 3), elements=clustered))),
+       voxel=st.floats(0.05, 2.0))
+def test_voxel_downsample_equals_per_voxel_loop(cloud, voxel):
+    out = voxel_downsample(cloud, voxel)
+    assert np.array_equal(out, _loop_voxel_downsample(cloud, voxel))
     assert len(out) <= len(cloud)
-    # every input within half a voxel diagonal of some output
-    from scipy.spatial import cKDTree
-    d, _ = cKDTree(out).query(cloud)
-    assert np.max(d) <= 0.5 * np.sqrt(3) * 0.5 + 1e-9 + 0.5 * np.sqrt(3) * 0.5
+    assert np.all(_own_voxel_distance(cloud, out, voxel) <= np.sqrt(3) * voxel + 1e-9)
 
 
 def test_voxel_downsample_bad_voxel():
@@ -129,7 +170,7 @@ def test_voxel_downsample_bad_voxel():
 def test_estimate_normals_on_cylinder_wall():
     cloud = cylinder_cloud()
     q = np.array([[10.0, 1.5, 0.0]])
-    n = estimate_normals(cloud, q, k=12)[0]
+    n = estimate_normals(cKDTree(cloud), q, k=12)[0]
     # wall normal is radial: +-y here
     assert abs(abs(n[1]) - 1.0) < 0.1
 
@@ -160,7 +201,6 @@ def test_perceive_robust_repair_pushes_clear():
     got = perceive_robust(np.array([5.0, 0, 0]), np.array([1.0, 0, 0]), half,
                           [1.0, 2.0, 3.0], params, state, voxel=0.1)
     if got is not None:
-        from scipy.spatial import cKDTree
         tree = cKDTree(voxel_downsample(half, 0.1))
         for g in got:
             d, _ = tree.query(g)

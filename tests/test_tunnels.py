@@ -1,7 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aeronav.tunnels import TunnelCloud, TunnelGenerationError, generate_tunnel
+from aeronav.geom import perpendicular_basis, unit
+from aeronav.tunnels import (_POLYLINES, TunnelCloud, TunnelGenerationError,
+                             _parallel_frames, generate_tunnel)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_straight_cylinder_points_at_radius():
@@ -74,3 +83,145 @@ def test_xyz_roundtrip(tmp_path):
 def test_wall_distance_query():
     tc = generate_tunnel("straight", radius=2.0, length=10.0)
     assert tc.wall_distance(np.array([5.0, 0.0, 0.0])) == pytest.approx(2.0, abs=0.05)
+
+
+def test_helix_meeting_itself_rejected():
+    """Turns 1 m apart in a 1.5 m tube: the axis check rejects it."""
+    with pytest.raises(TunnelGenerationError):
+        generate_tunnel("helix", radius=1.5, length=30.0, pitch=1.0)
+
+
+def test_stock_torus_passes_the_axis_check():
+    tcfg = json.loads((CONFIGS / "tunnel-b-torus.json").read_text())["tunnel"]
+    tc = generate_tunnel(tcfg.pop("shape"), **tcfg)
+    assert tc.closed
+
+
+@st.composite
+def smooth_polylines(draw):
+    """A line plus a few random sinusoids, sampled finely enough that the
+    polyline turns smoothly."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 300))
+    t = np.linspace(0.0, 1.0, m)[:, None]
+    axis = 20.0 * t * unit(rng.normal(size=3))
+    for _ in range(draw(st.integers(0, 4))):
+        amp, freq, phase = rng.normal(size=3), rng.uniform(0.2, 2.0), rng.uniform(0, 6)
+        axis = axis + 2.0 * amp * np.sin(2.0 * np.pi * freq * t + phase)
+    return axis
+
+
+@settings(max_examples=100, deadline=None)
+@given(axis=smooth_polylines())
+def test_parallel_frames_are_orthonormal(axis):
+    tangents, normals, binormals = _parallel_frames(axis)
+    assert np.allclose(np.linalg.norm(tangents, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
+    assert np.max(np.abs(np.sum(normals * tangents, axis=1))) < 1e-12
+    assert np.array_equal(binormals, np.cross(tangents, normals))
+
+
+# Test-local copies of the per-sample loops the generator used to run; the
+# array code must reproduce them bit for bit.
+
+def _loop_smooth_bend_axis(length, ds=0.1):
+    run = length * 0.3
+    arc_r = length * 0.25
+    s_tot = 2 * run + 0.5 * np.pi * arc_r
+    n = int(np.ceil(s_tot / ds)) + 1
+    axis = np.empty((n, 3))
+    for i, s in enumerate(np.linspace(0.0, s_tot, n)):
+        if s < run:
+            axis[i] = (s, 0.0, 0.0)
+        elif s < run + 0.5 * np.pi * arc_r:
+            th = (s - run) / arc_r
+            axis[i] = (run + arc_r * np.sin(th), arc_r * (1 - np.cos(th)), 0.0)
+        else:
+            s2 = s - run - 0.5 * np.pi * arc_r
+            axis[i] = (run + arc_r, arc_r + s2, 0.0)
+    return axis
+
+
+def _loop_polyline_axis(shape, length, ds=0.1):
+    wps = [tuple(f * length for f in wp) for wp in _POLYLINES[shape]]
+    pts = [np.asarray(wps[0], dtype=float)]
+    for wp in wps[1:]:
+        wp = np.asarray(wp, dtype=float)
+        seg = wp - pts[-1]
+        n = max(1, int(np.ceil(np.linalg.norm(seg) / ds)))
+        base = pts[-1]
+        for k in range(1, n + 1):
+            pts.append(base + seg * (k / n))
+    axis = np.asarray(pts)
+    for _ in range(12 if shape != "rectangular" else 8):
+        axis[1:-1] = 0.5 * axis[1:-1] + 0.25 * (axis[:-2] + axis[2:])
+    return axis
+
+
+def _loop_frames(axis):
+    diffs = np.diff(axis, axis=0)
+    seglen = np.linalg.norm(diffs, axis=1)
+    tangents = np.vstack([diffs / seglen[:, None], diffs[-1:] / seglen[-1]])
+    normals = [perpendicular_basis(tangents[0])[0]]
+    for i in range(1, len(axis)):
+        t_prev, t_cur = tangents[i - 1], tangents[i]
+        n = normals[-1]
+        c = np.cross(t_prev, t_cur)
+        s = np.linalg.norm(c)
+        if s > 1e-12:
+            axis_rot = c / s
+            ang = np.arctan2(s, float(np.dot(t_prev, t_cur)))
+            cr, sr = np.cos(ang), np.sin(ang)
+            n = (cr * n + sr * np.cross(axis_rot, n)
+                 + (1 - cr) * axis_rot * np.dot(axis_rot, n))
+        n = n - np.dot(n, t_cur) * t_cur
+        normals.append(unit(n))
+    normals = np.asarray(normals)
+    return normals, np.cross(tangents, normals)
+
+
+def _loop_sweep(axis, radii, density, section):
+    normals, binormals = _loop_frames(axis)
+    ds = float(np.mean(np.linalg.norm(np.diff(axis, axis=0), axis=1)))
+    ring_pts = max(8, int(np.ceil(density * ds)))
+    phis = np.linspace(0.0, 2.0 * np.pi, ring_pts, endpoint=False)
+    xy = np.empty((ring_pts, 2))
+    for k, tt in enumerate(np.linspace(0.0, 4.0, ring_pts, endpoint=False)):
+        side, frac = int(tt), tt - int(tt)
+        xy[k] = [(-1 + 2 * frac, -1), (1, -1 + 2 * frac),
+                 (1 - 2 * frac, 1), (-1, 1 - 2 * frac)][side]
+    pts = []
+    for i, r_i in enumerate(radii):
+        if section == "circle":
+            ring = (axis[i][None, :]
+                    + r_i * np.cos(phis)[:, None] * normals[i][None, :]
+                    + r_i * np.sin(phis)[:, None] * binormals[i][None, :])
+        else:
+            ring = (axis[i][None, :]
+                    + r_i * xy[:, 0:1] * normals[i][None, :]
+                    + r_i * xy[:, 1:2] * binormals[i][None, :])
+        pts.append(ring)
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("tunnel-*.json")),
+                         ids=lambda p: p.stem)
+def test_stock_clouds_equal_the_per_sample_loops(path):
+    tcfg = json.loads(path.read_text())["tunnel"]
+    tcfg.pop("noise_sigma", None)
+    shape, radius, length = tcfg["shape"], tcfg["radius"], tcfg["length"]
+    tc = generate_tunnel(**tcfg)
+    if shape == "smooth-bend":
+        axis = _loop_smooth_bend_axis(length)
+    elif shape in _POLYLINES:
+        axis = _loop_polyline_axis(shape, length)
+    else:
+        axis = tc.axis
+    assert np.array_equal(tc.axis, axis)
+    if shape == "narrowing":
+        r0, r1 = radius, tcfg["end_radius"]
+        radii = [float(r0 + (r1 - r0) * s / length) for s in tc.axis_s]
+    else:
+        radii = [radius] * len(axis)
+    section = "square" if shape == "rectangular" else "circle"
+    assert np.array_equal(tc.points, _loop_sweep(axis, radii, tcfg["density"], section))

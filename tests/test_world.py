@@ -101,6 +101,23 @@ def test_sense_points_within_range_noiseless_subset():
     assert all(tuple(row) in as_set for row in out)
 
 
+def test_sense_points_mask_equals_norm_mask_at_the_range():
+    """The range mask is the `norm(axis=1) <= d_sensing` mask, also for points
+    exactly at d_sensing: each threshold below is one point's own distance."""
+    rng = np.random.default_rng(3)
+    p = rng.uniform(-1.0, 1.0, 3)
+    pts = rng.uniform(-6.0, 6.0, size=(2000, 3))
+    d = np.linalg.norm(pts - p, axis=1)
+    for r in d[:40]:
+        for r_k in (r, np.nextafter(r, 0.0)):
+            want = pts[np.linalg.norm(pts - p, axis=1) <= r_k]
+            got = sense_points(p, pts, SensingModel(d_sensing=float(r_k)))
+            assert np.array_equal(got, want)
+    exact = np.array([[5.0, 0.0, 0.0], [0.0, -5.0, 0.0], [3.0, 4.0, 0.0], [0.0, 3.0, -4.0]])
+    got = sense_points(np.zeros(3), exact, SensingModel(d_sensing=5.0))
+    assert np.array_equal(got, exact)
+
+
 def test_sense_points_full_coverage_when_range_large():
     pts = np.random.default_rng(1).uniform(-1, 1, size=(100, 3))
     model = SensingModel(d_sensing=10.0)
