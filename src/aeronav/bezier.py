@@ -61,17 +61,6 @@ class QuinticBezier:
         powers = np.stack([s ** k for k in range(len(c) - 1, -1, -1)], axis=-1)
         return powers @ c
 
-    def split(self, u: float) -> tuple["QuinticBezier", "QuinticBezier"]:
-        """De Casteljau subdivision at parameter u."""
-        pts = [self.control.copy()]
-        cur = self.control.copy()
-        for _ in range(5):
-            cur = (1.0 - u) * cur[:-1] + u * cur[1:]
-            pts.append(cur.copy())
-        left = np.stack([pts[k][0] for k in range(6)])
-        right = np.stack([pts[5 - k][k] for k in range(6)])
-        return QuinticBezier(left), QuinticBezier(right)
-
 
 def hermite_quintic(p0, d0, dd0, p1, d1, dd1) -> QuinticBezier:
     """Unique quintic with prescribed endpoint value/first/second derivative

@@ -8,7 +8,7 @@ across the volume; deformation events reshape it in flight.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,13 +61,6 @@ class BarrierFrame:
 
     def rotation(self) -> np.ndarray:
         return np.column_stack((self.a1, self.a2, self.a3))
-
-    def transform_matrix(self) -> np.ndarray:
-        """4x4 affine frame->world matrix [a1 a2 a3 origin; 0 0 0 1]."""
-        t = np.eye(4)
-        t[:3, :3] = self.rotation()
-        t[:3, 3] = self.origin
-        return t
 
     def to_local(self, p: np.ndarray) -> np.ndarray:
         """In-frame coordinates of a point (3,) or of points (n, 3)."""
@@ -231,18 +224,11 @@ def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
 
 @dataclass(frozen=True)
 class CoverageGains:
-    k_bar: np.ndarray = None        # unbounded law gain (diag)
-    k: np.ndarray = None            # bounded law gain (diag)
-    gamma: float = 1.0
+    k: np.ndarray = field(default_factory=lambda: np.diag([2.5, 0.5, 0.5]))  # diagonal
 
     def __post_init__(self):
-        if self.k_bar is None:
-            object.__setattr__(self, "k_bar", 0.3 * np.eye(3))
-        if self.k is None:
-            object.__setattr__(self, "k", np.diag([2.5, 0.5, 0.5]))
-        for m in (self.k_bar, self.k):
-            if np.any(np.diag(m) <= 0.0):
-                raise ValueError("coverage gains must be positive")
+        if np.any(np.diag(self.k) <= 0.0):
+            raise ValueError("coverage gains must be positive")
 
     @property
     def u_max(self) -> float:
@@ -250,14 +236,12 @@ class CoverageGains:
 
 
 def coverage_control(p: np.ndarray, centroid_world: np.ndarray,
-                     gains: CoverageGains, bounded: bool = True) -> np.ndarray:
-    """Lloyd-style velocity command toward the instantaneous Voronoi centroid:
-    unbounded K_bar (C - p), or the saturating K tanh(gamma (C - p)).  One
-    agent's (3,) vectors, or all agents' as (n, 3) rows."""
+                     gains: CoverageGains) -> np.ndarray:
+    """Lloyd-style velocity command toward the instantaneous Voronoi centroid,
+    the saturating K tanh(C - p).  One agent's (3,) vectors, or all agents'
+    as (n, 3) rows."""
     e = np.asarray(centroid_world, dtype=float) - np.asarray(p, dtype=float)
-    if bounded:
-        return np.tanh(gains.gamma * e) @ gains.k.T
-    return e @ gains.k_bar.T
+    return np.tanh(e) @ gains.k.T
 
 
 @dataclass
@@ -272,12 +256,11 @@ class SweepEvent:
 class SweepPlan:
     """Time-indexed pose of the sweeping plane.
 
-    Motion: constant speed g0 along the instantaneous normal a3 (or a
-    waypoint leg schedule).  Deform events apply at their times; a resize
-    shrinking the polygon below n_agents * min_spacing^2 is rejected."""
+    Motion: constant speed g0 along the instantaneous normal a3.  Deform
+    events apply at their times; a resize shrinking the polygon below
+    n_agents * min_area_per_agent is rejected."""
 
     def __init__(self, frame: BarrierFrame, g0: float = 1.5,
-                 legs: list | None = None,
                  events: list[SweepEvent] | None = None,
                  min_area_per_agent: float = 1.0, n_agents: int = 1,
                  u_max: float | None = None):
@@ -285,30 +268,13 @@ class SweepPlan:
             raise ValueError("sweep speed must respect the vehicles' limit")
         self.frame = frame
         self.g0 = g0
-        self.legs = legs or []          # [(direction (3,), duration)]
         self.events = sorted(events or [], key=lambda e: e.t)
         self.min_area = min_area_per_agent * n_agents
         self.rejected: list[SweepEvent] = []
-        self._leg_idx = 0
-        self._leg_elapsed = 0.0
         self.t = 0.0
 
-    def velocity(self) -> np.ndarray:
-        if self.legs:
-            if self._leg_idx >= len(self.legs):
-                return np.zeros(3)
-            direction, _ = self.legs[self._leg_idx]
-            return self.g0 * unit(np.asarray(direction, dtype=float))
-        return self.g0 * self.frame.a3
-
     def step(self, dt: float) -> BarrierFrame:
-        vel = self.velocity()
-        self.frame = self.frame.translated(vel * dt)
-        if self.legs and self._leg_idx < len(self.legs):
-            self._leg_elapsed += dt
-            if self._leg_elapsed >= self.legs[self._leg_idx][1] - 1e-12:
-                self._leg_idx += 1
-                self._leg_elapsed = 0.0
+        self.frame = self.frame.translated(self.g0 * self.frame.a3 * dt)
         self.t += dt
         while self.events and self.events[0].t <= self.t:
             ev = self.events.pop(0)
@@ -331,13 +297,12 @@ class CoverageSim:
     tick() records the state's events."""
 
     def __init__(self, q0: np.ndarray, frame: BarrierFrame,
-                 gains: CoverageGains, bounded: bool = True,
+                 gains: CoverageGains,
                  sweep: SweepPlan | None = None, control_dt: float = 0.1,
                  r_c: float | None = None):
         self.q = np.asarray(q0, dtype=float).copy()
         self.frame = frame
         self.gains = gains
-        self.bounded = bounded
         self.sweep = sweep
         self.control_dt = control_dt
         self.r_c = r_c
@@ -373,8 +338,7 @@ class CoverageSim:
         """Commanded velocities at the current state (ZOH input)."""
         out = np.zeros_like(self.q)
         idx = np.nonzero(self.active)[0]
-        out[idx] = coverage_control(self.q[idx], self.centroids()[0][idx], self.gains,
-                                    self.bounded)
+        out[idx] = coverage_control(self.q[idx], self.centroids()[0][idx], self.gains)
         return out
 
     def tick(self):

@@ -156,22 +156,21 @@ def goal_force(i: int, snapshot: FlockSnapshot, params: FlockParams) -> np.ndarr
     return goal_forces(snapshot.q, params)[i]
 
 
-def obstacle_force(i: int, snapshot: FlockSnapshot, params: FlockParams,
-                   world: World | None, t: float = 0.0) -> np.ndarray:
-    """Repulsive force inside the critical shell; the direction is a vortex
-    blend (half away from the surface, half tangential) so the swarm slides
-    around instead of stalling."""
-    if world is None or not world.obstacles:
-        return np.zeros(snapshot.m)
-    d, closest, _ = world.nearest_obstacle(snapshot.q[i], t)
+def obstacle_force(q_i: np.ndarray, d: float, closest: np.ndarray,
+                   params: FlockParams) -> np.ndarray:
+    """Repulsive force on the agent at q_i, whose nearest obstacle point is
+    `closest` at distance d, inside the critical shell; the direction is a
+    vortex blend (half away from the surface, half tangential) so the swarm
+    slides around instead of stalling."""
+    m = len(q_i)
     if d > params.big_c:
-        return np.zeros(snapshot.m)
+        return np.zeros(m)
     gate = sigmoid_gate(params.big_c - d, params.gamma)
-    e_away = unit_or_zero(snapshot.q[i] - closest)
+    e_away = unit_or_zero(q_i - closest)
     if np.linalg.norm(e_away) < 1e-9:
-        e_away = unit(np.ones(snapshot.m))
-    if snapshot.m == 3:
-        g_dir = unit_or_zero(params.goal - snapshot.q[i])
+        e_away = unit(np.ones(m))
+    if m == 3:
+        g_dir = unit_or_zero(params.goal - q_i)
         swirl = np.cross(np.cross(e_away, g_dir), e_away)
         swirl = unit_or_zero(swirl)
         n_io = unit(e_away + 0.9 * swirl) if np.linalg.norm(swirl) > 1e-9 else e_away
@@ -278,6 +277,16 @@ class FlockSim:
         self._theta_f_dot = np.zeros((n, m - 1))
         self._theta_f_ddot = np.zeros((n, m - 1))
         self._ema = 0.2    # filter constant for the feedforward derivatives
+        self._nearest = (None, [])   # (snapshot, its nearest_obstacle hits)
+
+    def nearest_obstacles(self) -> list:
+        """Each agent's `World.nearest_obstacle` (distance, closest point,
+        index) at the current state; the world is queried once per state,
+        however many readers ask."""
+        if self._nearest[0] is not self.snapshot:
+            self._nearest = (self.snapshot, [self.world.nearest_obstacle(q, self.t)
+                                             for q in self.snapshot.q])
+        return self._nearest[1]
 
     def tick(self):
         snap, p = self.snapshot, self.params
@@ -286,8 +295,8 @@ class FlockSim:
         f_g = goal_forces(snap.q, p)
         f_o = np.zeros_like(f_a)
         if self.world is not None and self.world.obstacles:
-            f_o = np.array([obstacle_force(i, snap, p, self.world, self.t)
-                            for i in range(snap.n)])
+            f_o = np.array([obstacle_force(q, d, closest, p) for q, (d, closest, _)
+                            in zip(snap.q, self.nearest_obstacles())])
         f_t = nsb_blend(f_o, f_a, f_g)
         # a vanishing blend holds the previous direction
         steer = _norms(f_t) > 1e-9

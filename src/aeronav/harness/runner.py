@@ -25,11 +25,11 @@ from ..plants import (Angle3DState, Heading3DState, LimitSet, QuadrotorState,
 from ..quadrotor import FlatSample, FlatnessGains, QuadrotorTracker
 from ..reactive3d import Reactive3DNavigator, Reactive3DParams
 from ..tunnel_nav import TunnelNavigator, TunnelParams
-from ..tunnels import generate_tunnel
+from ..tunnels import TunnelGenerationError, generate_tunnel
 from ..world import (Cylinder, Ellipsoid, Moving, SensingModel, Sphere, Wall,
                      World)
 from . import monitors as monitors_mod
-from .config import ConfigError, validate_config
+from .config import ConfigError, dataclass_params, validate_config
 from .runlog import RunLog
 
 GOAL = "goal"
@@ -55,27 +55,15 @@ def build_obstacle(spec: dict):
                       np.asarray(spec["axis"], dtype=float),
                       float(spec["radius"]), float(spec["height"]), known=known)
     elif kind == "ellipsoid":
-        rot = spec.get("rotation")
         ob = Ellipsoid(np.asarray(spec["center"], dtype=float),
-                       np.asarray(spec["semi"], dtype=float),
-                       None if rot is None else np.asarray(rot, dtype=float),
-                       known=known)
+                       np.asarray(spec["semi"], dtype=float), known=known)
     elif kind == "wall":
-        ob = Wall(np.asarray(spec["vertices"], dtype=float),
-                  loop=bool(spec.get("loop", False)), known=known)
+        ob = Wall(np.asarray(spec["vertices"], dtype=float), known=known)
     else:
         raise ConfigError(f"unknown obstacle type {kind!r}")
     motion = spec.get("motion")
     if motion:
-        ob = Moving(ob, kind=motion.get("kind", "linear"),
-                    velocity=None if "velocity" not in motion
-                    else np.asarray(motion["velocity"], dtype=float),
-                    direction=None if "direction" not in motion
-                    else np.asarray(motion["direction"], dtype=float),
-                    amplitude=float(motion.get("amplitude", 0.0)),
-                    omega=float(motion.get("omega", 0.0)),
-                    phase=float(motion.get("phase", 0.0)),
-                    known=known)
+        ob = Moving(ob, np.asarray(motion["velocity"], dtype=float), known=known)
     return ob
 
 
@@ -181,8 +169,7 @@ def _hybrid2d(cfg: dict) -> Engine:
     world = _world_with_obstacles(cfg)
     params = cfg.get("params", {})
     p = HybridParams(**params.get("hybrid", {}))
-    rrt_cfg = dict(params.get("rrt", {}))
-    rrt_cfg.setdefault("seed", cfg["seed"])
+    rrt_cfg = {"seed": cfg["seed"], **params.get("rrt", {})}
     control_dt = cfg.get("control_dt", 0.1)
     nav = HybridNavigator(p, world, np.asarray(cfg["goal"], dtype=float),
                           RrtParams(**rrt_cfg), np.random.default_rng(cfg["seed"]),
@@ -204,8 +191,7 @@ def _reactive3d(cfg: dict) -> Engine:
     p = Reactive3DParams(**cfg.get("params", {}).get("reactive3d", {}))
     goal = np.asarray(cfg["goal"], dtype=float)
     control_dt = cfg.get("control_dt", 0.05)
-    nav = Reactive3DNavigator(p, world, goal, control_dt=control_dt,
-                              rng=np.random.default_rng(cfg["seed"]))
+    nav = Reactive3DNavigator(p, world, goal, control_dt=control_dt)
     start = np.asarray(cfg["start"], dtype=float)
     heading = cfg.get("heading")
     a0 = unit(goal - start) if heading is None else unit(np.asarray(heading, dtype=float))
@@ -236,7 +222,7 @@ def _deform3d(cfg: dict) -> Engine:
                          0.0)
     return _vehicle(
         cfg, world, nav, state, step_angles3d,
-        LimitSet(v_max=p.v, u_max=cfg.get("params", {}).get("u_max", 3.0)), 0.3,
+        LimitSet(v_max=p.v, u_max=3.0), 0.3,
         cfg.get("control_dt", 0.1), mode="track",
         extra=lambda: {"deform_count": sum(n for _, n in nav.deform_events)},
         events=lambda: [(tick, "deform", {"count": n})
@@ -258,7 +244,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
                         0.0, 0.0, 0.0, 0.0, 0.0)
     tracker = QuadrotorTracker(
         QuadrotorState(start.copy(), np.zeros(3), np.eye(3), np.zeros(3)),
-        FlatnessGains(**cfg.get("params", {}).get("flatness", {})))
+        FlatnessGains())
     plant_dt = cfg.get("plant_dt", 0.01)
     n_sub = max(1, int(round(cfg.get("control_dt", 0.1) / plant_dt)))
     # the plant step count is fixed, so the last tick may be a partial one
@@ -300,7 +286,11 @@ def _tunnel(cfg: dict) -> Engine:
     the distance to the cloud's wall."""
     tcfg = dict(cfg.get("tunnel", {}))
     sigma = float(tcfg.pop("noise_sigma", 0.0))
-    cloud = generate_tunnel(tcfg.pop("shape"), **tcfg)
+    try:
+        cloud = generate_tunnel(tcfg.pop("shape"), **tcfg)
+    except TunnelGenerationError as exc:
+        # geometry the schema cannot see, e.g. a tube that meets itself
+        raise ConfigError(f"tunnel: {exc}") from None
     params = cfg.get("params", {})
     p = TunnelParams(**params.get("tunnel_nav", {}))
     if cfg.get("start") == "auto" or cfg.get("heading") == "auto":
@@ -359,18 +349,19 @@ def _tunnel(cfg: dict) -> Engine:
 
 def _flocking(cfg: dict) -> Engine:
     world = build_world(cfg)
-    pcfg = dict(cfg.get("params", {}).get("flock", {}))
-    if "goal" in pcfg:
-        pcfg["goal"] = np.asarray(pcfg["goal"], dtype=float)
-    p = FlockParams(**pcfg)
+    p = dataclass_params(FlockParams, cfg.get("params", {}).get("flock", {}),
+                         "params.flock")
     rng = np.random.default_rng(cfg["seed"])
     agents = cfg["agents"]
     n = int(agents["count"])
     spawn = np.asarray(agents["spawn"], dtype=float)
     min_spacing = float(agents.get("min_spacing", 1.5))
     q0 = np.empty((n, 3))
-    placed = 0
+    placed = attempts = 0
     while placed < n:
+        attempts += 1
+        if attempts > 1000 * n:
+            raise ConfigError(f"agents.spawn holds no {n} agents {min_spacing} m apart")
         cand = rng.uniform(spawn[0], spawn[1])
         if placed == 0 or np.min(np.linalg.norm(q0[:placed] - cand, axis=1)) > min_spacing:
             q0[placed] = cand
@@ -386,7 +377,7 @@ def _flocking(cfg: dict) -> Engine:
         mp = sim.min_pairwise()
         min_pair = min(min_pair, mp)
         if world.obstacles:
-            d_obs = min(world.nearest_obstacle(q, sim.t)[0] for q in sim.snapshot.q)
+            d_obs = min(d for d, _, _ in sim.nearest_obstacles())
             min_obs = min(min_obs, d_obs)
         gd = np.linalg.norm(sim.snapshot.q - p.goal, axis=1)
         if np.all(gd <= p.goal_radius + 0.5) and np.max(sim.speeds()) < 0.05:
@@ -422,10 +413,7 @@ def _coverage(cfg: dict) -> Engine:
     before the tick it is scheduled for."""
     pcfg = cfg.get("params", {}).get("coverage", {})
     frame = BarrierFrame.from_vertices(np.asarray(pcfg["boundary"], dtype=float))
-    gains = CoverageGains(
-        k_bar=np.diag(pcfg.get("k_bar", [0.3, 0.3, 0.3])),
-        k=np.diag(pcfg.get("k", [2.5, 0.5, 0.5])),
-        gamma=float(pcfg.get("gamma", 1.0)))
+    gains = CoverageGains(k=np.diag(pcfg.get("k", [2.5, 0.5, 0.5])))
     rng = np.random.default_rng(cfg["seed"])
     agents = cfg["agents"]
     n = int(agents["count"])
@@ -434,21 +422,12 @@ def _coverage(cfg: dict) -> Engine:
     sweep = None
     if "sweep" in pcfg:
         s = pcfg["sweep"]
-        events = [SweepEvent(t=float(e["t"]), kind=e["kind"],
-                             scale=float(e.get("scale", 1.0)),
-                             tilt_axis=None if "tilt_axis" not in e
-                             else np.asarray(e["tilt_axis"], dtype=float),
-                             tilt_angle=float(e.get("tilt_angle", 0.0)))
-                  for e in s.get("events", [])]
-        legs = [(np.asarray(leg[0], dtype=float), float(leg[1]))
-                for leg in s.get("legs", [])]
-        sweep = SweepPlan(frame, g0=float(s.get("g0", 1.5)), legs=legs,
-                          events=events,
+        sweep = SweepPlan(frame, g0=float(s.get("g0", 1.5)),
+                          events=[SweepEvent(**e) for e in s.get("events", [])],
                           min_area_per_agent=float(s.get("min_area_per_agent", 1.0)),
                           n_agents=n, u_max=gains.u_max)
-    sim = CoverageSim(q0, frame, gains, bounded=bool(pcfg.get("bounded", True)),
-                      sweep=sweep, control_dt=cfg.get("control_dt", 0.1),
-                      r_c=pcfg.get("r_c"))
+    sim = CoverageSim(q0, frame, gains, sweep=sweep,
+                      control_dt=cfg.get("control_dt", 0.1), r_c=pcfg.get("r_c"))
     removals = {int(r["tick"]): int(r["agent"]) for r in pcfg.get("removals", [])}
     removed, costs, min_pair, mp = [], [], np.inf, np.inf
 

@@ -74,7 +74,7 @@ def tangent_to_ellipsoid(p0: np.ndarray, ellipsoid: Ellipsoid,
     def candidates(phis):
         qs = (center[None, :] + r_circ * (np.cos(phis)[:, None] * e1[None, :]
                                           + np.sin(phis)[:, None] * e2[None, :]))
-        pts = np.array([ellipsoid.to_world(q * ellipsoid.semi) for q in qs])
+        pts = ellipsoid.to_world(qs * ellipsoid.semi)
         tangents = pts - p0
         tn = tangents / np.linalg.norm(tangents, axis=1)[:, None]
         return pts, tn @ a_dir
@@ -164,15 +164,15 @@ class Mode3D(Enum):
 
 
 class Reactive3DNavigator:
-    """Mode machine over pursuit/avoidance for the heading-vector plant."""
+    """Mode machine over pursuit/avoidance for the heading-vector plant, in a
+    world of static ellipsoids."""
 
     def __init__(self, params: Reactive3DParams, world: World, goal: np.ndarray,
-                 control_dt: float = 0.1, rng: np.random.Generator | None = None):
+                 control_dt: float = 0.1):
         self.p = params
         self.world = world
         self.goal = np.asarray(goal, dtype=float)
         self.control_dt = control_dt
-        self.rng = rng or np.random.default_rng(0)
         self.mode = Mode3D.PURSUIT
         self.plane: PlaneOfAvoidance | None = None
         self._d_prev: float | None = None
@@ -191,20 +191,8 @@ class Reactive3DNavigator:
 
         if self.mode == Mode3D.PURSUIT:
             if d <= self.p.big_c and d_dot < 0.0 and obs_id not in self._blocked:
-                obstacle = self.world.obstacles[obs_id]
-                if isinstance(obstacle, Ellipsoid):
-                    tangent, _ = tangent_to_ellipsoid(state.p, obstacle, state.a)
-                elif hasattr(obstacle, "radius") and hasattr(obstacle, "center"):
-                    sphere_as_ell = Ellipsoid(obstacle.center,
-                                              np.full(3, obstacle.radius))
-                    tangent, _ = tangent_to_ellipsoid(state.p, sphere_as_ell, state.a)
-                else:
-                    # no resolvable edge (e.g. a wall): grazing direction with
-                    # a seeded random out-of-plane tilt, flagged in events
-                    graze = steer_map(unit(closest - state.p), state.a)
-                    tilt = 0.2 * self.rng.standard_normal(3)
-                    tangent = unit(graze + tilt - np.dot(tilt, state.a) * state.a)
-                    self.events.append((tick, "random_plane"))
+                tangent, _ = tangent_to_ellipsoid(state.p, self.world.obstacles[obs_id],
+                                                  state.a)
                 self.plane = build_plane(state.p, state.a, tangent, closest, t)
                 self.mode = Mode3D.AVOID
                 self._avoid_id = obs_id

@@ -55,25 +55,6 @@ class TunnelCloud:
         _, idx = self._axis_tree.query(np.asarray(p, dtype=float))
         return float(self.axis_s[idx])
 
-    def axis_distance(self, p: np.ndarray) -> float:
-        """Distance from p to the axis polyline (r(p) of the tube)."""
-        d, _ = self._axis_tree.query(np.asarray(p, dtype=float))
-        return float(d)
-
-    @classmethod
-    def from_xyz_file(cls, path, nominal_radius: float = 1.0,
-                      axis: np.ndarray | None = None) -> "TunnelCloud":
-        """Load a cloud from whitespace-separated XYZ text (one point/line)."""
-        pts = np.loadtxt(path, dtype=float)
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != 3:
-            raise TunnelGenerationError("xyz file must have three columns")
-        if axis is None:
-            # fall back to a degenerate axis at the centroid
-            axis = np.vstack([pts.mean(axis=0), pts.mean(axis=0) + [1e-6, 0, 0]])
-        axis_s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(axis, axis=0), axis=1))])
-        return cls(pts, np.asarray(axis, dtype=float), axis_s, nominal_radius)
-
     def save_xyz(self, path) -> None:
         np.savetxt(path, self.points, fmt="%.6f")
 
@@ -170,29 +151,35 @@ _POLYLINES = {
 }
 
 
+SHAPES = ("straight", "smooth-bend", "torus", "helix", *_POLYLINES, "narrowing")
+# axis sampling step, in meters
+_DS = 0.1
+
+
 def generate_tunnel(shape: str, *, radius: float = 2.0, length: float = 40.0,
-                    density: float = 400.0, ds: float = 0.1,
-                    **kw) -> TunnelCloud:
+                    density: float = 400.0, end_radius: float | None = None,
+                    helix_radius: float = 8.0, pitch: float = 5.0,
+                    turns: float = 1.25) -> TunnelCloud:
     """Build one of the stock tunnel shapes.
 
-    density is points per meter of axis; ds the axis sampling step.
-    Shapes: straight, smooth-bend, torus, helix, sharp-bends, s-shape,
-    rectangular, pipeline, narrowing.
+    density is points per meter of axis; `shape` is one of SHAPES.  The
+    narrowing tube shrinks linearly from radius to end_radius (default
+    0.65 radius); the helix takes helix_radius, pitch and turns.
     """
     if radius <= 0.0 or length <= 0.0 or density <= 0.0:
         raise TunnelGenerationError("tunnel parameters must be positive")
 
     if shape == "straight":
-        n = int(np.ceil(length / ds)) + 1
+        n = int(np.ceil(length / _DS)) + 1
         axis = np.stack([np.linspace(0.0, length, n),
                          np.zeros(n), np.zeros(n)], axis=1)
         closed = False
     elif shape == "smooth-bend":
         # straight run, 90 degree arc, straight run
         run = length * 0.3
-        arc_r = kw.get("bend_radius", length * 0.25)
+        arc_r = length * 0.25
         s_tot = 2 * run + 0.5 * np.pi * arc_r
-        n = int(np.ceil(s_tot / ds)) + 1
+        n = int(np.ceil(s_tot / _DS)) + 1
         s = np.linspace(0.0, s_tot, n)
         after = s >= run + 0.5 * np.pi * arc_r
         arc = (s >= run) & ~after
@@ -203,45 +190,41 @@ def generate_tunnel(shape: str, *, radius: float = 2.0, length: float = 40.0,
                          np.zeros(n)], axis=1)
         closed = False
     elif shape == "torus":
-        ring_r = kw.get("ring_radius", length / (2.0 * np.pi))
-        n = int(np.ceil(2.0 * np.pi * ring_r / ds))
+        ring_r = length / (2.0 * np.pi)
+        n = int(np.ceil(2.0 * np.pi * ring_r / _DS))
         th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         axis = np.stack([ring_r * np.cos(th), ring_r * np.sin(th),
                          np.zeros(n)], axis=1)
         closed = True
     elif shape == "helix":
-        helix_r = kw.get("helix_radius", 8.0)
-        pitch = kw.get("pitch", 5.0)
-        turns = kw.get("turns", 1.25)
         th_max = 2.0 * np.pi * turns
-        circ = np.hypot(helix_r, pitch / (2 * np.pi))
-        n = int(np.ceil(th_max * circ / ds)) + 1
+        circ = np.hypot(helix_radius, pitch / (2 * np.pi))
+        n = int(np.ceil(th_max * circ / _DS)) + 1
         th = np.linspace(0.0, th_max, n)
-        axis = np.stack([helix_r * np.cos(th), helix_r * np.sin(th),
+        axis = np.stack([helix_radius * np.cos(th), helix_radius * np.sin(th),
                          pitch * th / (2.0 * np.pi)], axis=1)
         closed = False
     elif shape in _POLYLINES:
         wps = np.asarray(_POLYLINES[shape]) * length
         # each leg runs from the last sample of the previous one
-        legs = [wps[:1]]
+        pieces = [wps[:1]]
         for wp in wps[1:]:
-            base = legs[-1][-1]
+            base = pieces[-1][-1]
             seg = wp - base
-            n = max(1, int(np.ceil(np.linalg.norm(seg) / ds)))
-            legs.append(base + seg * (np.arange(1, n + 1) / n)[:, None])
-        axis = np.concatenate(legs)
+            n = max(1, int(np.ceil(np.linalg.norm(seg) / _DS)))
+            pieces.append(base + seg * (np.arange(1, n + 1) / n)[:, None])
+        axis = np.concatenate(pieces)
         # round corners slightly so frames stay well-conditioned
-        for _ in range(kw.get("corner_smoothing", 12 if shape != "rectangular" else 8)):
+        for _ in range(12 if shape != "rectangular" else 8):
             axis[1:-1] = 0.5 * axis[1:-1] + 0.25 * (axis[:-2] + axis[2:])
         closed = False
     elif shape == "narrowing":
-        n = int(np.ceil(length / ds)) + 1
+        n = int(np.ceil(length / _DS)) + 1
         axis = np.stack([np.linspace(0.0, length, n),
                          np.zeros(n), np.zeros(n)], axis=1)
-        r0 = kw.get("start_radius", radius)
-        r1 = kw.get("end_radius", 0.65 * radius)
-        return _sweep(axis, r0, closed=False, shape=shape, density=density,
-                      radius_fn=lambda s: r0 + (r1 - r0) * s / length)
+        r1 = 0.65 * radius if end_radius is None else end_radius
+        return _sweep(axis, radius, closed=False, shape=shape, density=density,
+                      radius_fn=lambda s: radius + (r1 - radius) * s / length)
     else:
         raise TunnelGenerationError(f"unknown tunnel shape {shape!r}")
 

@@ -1,9 +1,9 @@
 """Ground-truth obstacle world, synthetic sensing and distance queries.
 
-Obstacles are primitives (sphere/disc, cylinder, ellipsoid, polygon wall)
-plus a moving wrapper.  A `World` is an immutable snapshot apart from the
-time argument threaded through queries; moving obstacles are evaluated at
-the query time, so all reads are parallel-safe.
+Obstacles are primitives (sphere/disc, cylinder, axis-aligned ellipsoid,
+polyline wall) plus a constant-velocity wrapper.  A `World` is an immutable
+snapshot apart from the time argument threaded through queries; moving
+obstacles are evaluated at the query time, so all reads are parallel-safe.
 
 Distances are to the obstacle as a set: zero inside.  Spheres, cylinders
 and ellipsoids are exact (the ellipsoid solves the standard one-dimensional
@@ -105,10 +105,9 @@ class Cylinder(Obstacle):
 
 @dataclass
 class Ellipsoid(Obstacle):
-    """Ellipsoid with semi-axes `semi` and optional rotation (body->world)."""
+    """Axis-aligned ellipsoid with semi-axes `semi`."""
     center: np.ndarray
     semi: np.ndarray
-    rotation: np.ndarray | None = None
     known: bool = True
 
     def __post_init__(self):
@@ -116,16 +115,12 @@ class Ellipsoid(Obstacle):
         self.semi = np.asarray(self.semi, dtype=float)
         if np.any(self.semi <= 0.0):
             raise ValueError("ellipsoid semi-axes must be positive")
-        if self.rotation is None:
-            self.rotation = np.eye(len(self.center))
-        else:
-            self.rotation = np.asarray(self.rotation, dtype=float)
 
     def to_body(self, p: np.ndarray) -> np.ndarray:
-        return self.rotation.T @ (np.asarray(p, dtype=float) - self.center)
+        return np.asarray(p, dtype=float) - self.center
 
     def to_world(self, q: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(q, dtype=float) + self.center
+        return np.asarray(q, dtype=float) + self.center
 
     def level(self, p: np.ndarray, t: float = 0.0) -> float:
         """h1(p): negative inside, zero on the surface."""
@@ -158,9 +153,8 @@ class Ellipsoid(Obstacle):
 
 @dataclass
 class Wall(Obstacle):
-    """Polygon wall: polyline through `vertices`, closed if `loop`."""
+    """Polygon wall: open polyline through `vertices`."""
     vertices: np.ndarray
-    loop: bool = False
     known: bool = True
 
     def __post_init__(self):
@@ -169,11 +163,7 @@ class Wall(Obstacle):
             raise ValueError("wall needs at least two vertices")
 
     def segments(self):
-        v = self.vertices
-        segs = [(v[i], v[i + 1]) for i in range(len(v) - 1)]
-        if self.loop:
-            segs.append((v[-1], v[0]))
-        return segs
+        return list(zip(self.vertices[:-1], self.vertices[1:]))
 
     def distance(self, p, t=0.0):
         best, bq = _INF, None
@@ -186,37 +176,20 @@ class Wall(Obstacle):
 
 @dataclass
 class Moving(Obstacle):
-    """Wraps a primitive with a rigid translation over time.
-
-    kind="linear": offset = velocity * t.
-    kind="sinusoid": offset = amplitude * sin(omega t + phase) * direction.
-    """
+    """Wraps a primitive with a constant-velocity translation:
+    offset = velocity * t."""
     shape: Obstacle
-    kind: str = "linear"
-    velocity: np.ndarray | None = None
-    direction: np.ndarray | None = None
-    amplitude: float = 0.0
-    omega: float = 0.0
-    phase: float = 0.0
+    velocity: np.ndarray
     known: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("linear", "sinusoid"):
-            raise ValueError(f"unknown motion kind {self.kind!r}")
-        if self.velocity is not None:
-            self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.direction is not None:
-            self.direction = np.asarray(self.direction, dtype=float)
+        self.velocity = np.asarray(self.velocity, dtype=float)
 
     def offset(self, t: float) -> np.ndarray:
-        if self.kind == "linear":
-            return self.velocity * t
-        return self.amplitude * np.sin(self.omega * t + self.phase) * self.direction
+        return self.velocity * t
 
     def velocity_bound(self) -> float:
-        if self.kind == "linear":
-            return float(np.linalg.norm(self.velocity))
-        return abs(self.amplitude * self.omega) * float(np.linalg.norm(self.direction))
+        return float(np.linalg.norm(self.velocity))
 
     def distance(self, p, t=0.0):
         off = self.offset(t)
@@ -299,8 +272,9 @@ class World:
 
     def raycast_2d(self, origin: np.ndarray, angles: np.ndarray, max_range: float,
                    t: float = 0.0) -> np.ndarray:
-        """Ranges along rays from origin at absolute angles (2D worlds).
-        Misses report max_range."""
+        """Ranges along rays from origin at absolute angles (2D worlds of
+        discs and walls; other obstacles raise QueryError).  Misses report
+        max_range."""
         origin = np.asarray(origin, dtype=float)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         ranges = np.full(len(angles), max_range)
@@ -354,22 +328,6 @@ def _ray_ranges(o: Obstacle, origin, dirs, max_range, t) -> np.ndarray:
         sq = np.sqrt(np.maximum(disc, 0.0))
         t0 = -b - sq
         t1 = -b + sq
-        near = np.where(t0 >= 0.0, t0, np.where(t1 >= 0.0, 0.0, np.inf))
-        s[hit] = near[hit]
-        return np.minimum(s, max_range)
-    if isinstance(o, Ellipsoid):
-        # map to unit-sphere space
-        oc = (origin - o.center) / o.semi
-        dd = dirs / o.semi
-        aa = np.sum(dd * dd, axis=1)
-        b = dd @ oc
-        c = float(np.dot(oc, oc)) - 1.0
-        disc = b * b - aa * c
-        hit = disc >= 0.0
-        s = np.full(n, np.inf)
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        t0 = (-b - sq) / aa
-        t1 = (-b + sq) / aa
         near = np.where(t0 >= 0.0, t0, np.where(t1 >= 0.0, 0.0, np.inf))
         s[hit] = near[hit]
         return np.minimum(s, max_range)

@@ -25,15 +25,6 @@ def test_bezier_derivative_matches_finite_difference():
         assert np.allclose(b.deriv(s), fd, atol=1e-6)
 
 
-def test_de_casteljau_split_exact():
-    rng = np.random.default_rng(2)
-    b = QuinticBezier(rng.standard_normal((6, 2)))
-    left, right = b.split(0.37)
-    for u in np.linspace(0, 1, 17):
-        assert np.allclose(left.point(u), b.point(0.37 * u), atol=1e-12)
-        assert np.allclose(right.point(u), b.point(0.37 + 0.63 * u), atol=1e-12)
-
-
 def test_stitch_collinear_equally_spaced_is_straight():
     p1, p2, p3 = np.zeros(3), np.array([1.0, 1.0, 0.0]), np.array([2.0, 2.0, 0.0])
     d = p2 - p1

@@ -255,7 +255,7 @@ def test_dynamic_sphere_intercept_safe():
     with the larger safety factors used in the dynamic cases."""
     for gamma in (1.5, 2.5):
         mover = Moving(Sphere(np.array([12.0, 20.3, 3.0]), 1.0),
-                       kind="linear", velocity=np.array([0.0, -0.55, 0.0]))
+                       velocity=np.array([0.0, -0.55, 0.0]))
         w = World([mover])
         goal = np.array([20.0, 20.0, 3.0])
         nav, st, min_d = _run_deform_scenario(w, goal, gamma=gamma, duration=90.0,

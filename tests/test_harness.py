@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeronav.harness import monitors
 from aeronav.harness.config import ConfigError, load_config, save_config, validate_config
@@ -25,6 +27,12 @@ def minimal_cfg(**over):
 
 def obstacle_cfg(**spec):
     return {"world": {"obstacles": [spec]}}
+
+
+def obstacle3d_cfg(**spec):
+    """One obstacle in a 3D world (hybrid2d takes only discs and walls)."""
+    return {"kind": "deform3d", "start": [0.0, 0.0, 0.0], "goal": [2.0, 0.0, 0.0],
+            **obstacle_cfg(**spec)}
 
 
 def test_validate_ok():
@@ -106,19 +114,19 @@ def test_bad_kind_rejected():
                  id="coverage-count-missing"),
     pytest.param({"kind": "coverage",
                   "agents": {"count": 2, "spawn": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]},
-                  "params": {"coverage": {"gamma": 1.0}}},
+                  "params": {"coverage": {"k": [2.5, 0.5, 0.5]}}},
                  id="coverage-boundary-missing"),
     pytest.param(obstacle_cfg(type="sphere", center=[1.0, 1.0]),
                  id="sphere-radius-missing"),
     pytest.param(obstacle_cfg(type="sphere", radius=1.0), id="sphere-center-missing"),
-    pytest.param(obstacle_cfg(type="cylinder", base=[0.0, 0.0, 0.0],
-                              axis=[0.0, 0.0, 1.0], radius=1.0),
+    pytest.param(obstacle3d_cfg(type="cylinder", base=[0.0, 0.0, 0.0],
+                                axis=[0.0, 0.0, 1.0], radius=1.0),
                  id="cylinder-height-missing"),
-    pytest.param(obstacle_cfg(type="cylinder", axis=[0.0, 0.0, 1.0], radius=1.0,
-                              height=2.0), id="cylinder-base-missing"),
-    pytest.param(obstacle_cfg(type="ellipsoid", center=[0.0, 0.0, 0.0]),
+    pytest.param(obstacle3d_cfg(type="cylinder", axis=[0.0, 0.0, 1.0], radius=1.0,
+                                height=2.0), id="cylinder-base-missing"),
+    pytest.param(obstacle3d_cfg(type="ellipsoid", center=[0.0, 0.0, 0.0]),
                  id="ellipsoid-semi-missing"),
-    pytest.param(obstacle_cfg(type="wall", loop=True), id="wall-vertices-missing"),
+    pytest.param(obstacle_cfg(type="wall"), id="wall-vertices-missing"),
     pytest.param(obstacle_cfg(center=[1.0, 1.0], radius=1.0), id="obstacle-type-missing"),
     pytest.param(obstacle_cfg(type="cone", center=[1.0, 1.0], radius=1.0),
                  id="obstacle-type-unknown"),
@@ -167,7 +175,7 @@ def test_build_obstacles():
          "radius": 1.0, "height": 2.0},
         {"type": "ellipsoid", "center": [0, 0, 0], "semi": [1, 2, 3]},
         {"type": "sphere", "center": [5, 5], "radius": 0.5,
-         "motion": {"kind": "linear", "velocity": [0.1, 0.0]}},
+         "motion": {"velocity": [0.1, 0.0]}},
     ]}})
     assert len(w.obstacles) == 5
 
@@ -386,3 +394,196 @@ def test_cli_output_dir_env(tmp_path, monkeypatch):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (env_dir / "planar-trap.summary.json").exists()
+
+
+def _stock(name):
+    return json.loads(json.dumps(scenarios.stock(name)))
+
+
+def _set(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+# options that no stock scenario set, now deleted: each is an unknown key
+@pytest.mark.parametrize("name, path, value", [
+    pytest.param("reactive3d-ellipsoids", ("world", "obstacles", 0, "rotation"),
+                 [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], id="rotation"),
+    pytest.param("planar-trap", ("world", "obstacles", 0, "loop"), True, id="loop"),
+    *(pytest.param("planar-dynamic", ("world", "obstacles", 0, "motion", key), value,
+                   id=f"motion-{key}")
+      for key, value in (("kind", "linear"), ("direction", [0.0, 1.0]),
+                         ("amplitude", 1.0), ("omega", 0.5), ("phase", 0.0))),
+    *(pytest.param("tunnel-a-smooth-bend", ("tunnel", key), value, id=f"tunnel-{key}")
+      for key, value in (("ds", 0.1), ("bend_radius", 10.0), ("ring_radius", 6.0),
+                         ("corner_smoothing", 12), ("start_radius", 2.0))),
+    pytest.param("coverage-barrier-n20", ("params", "coverage", "bounded"), True,
+                 id="coverage-bounded"),
+    pytest.param("coverage-barrier-n20", ("params", "coverage", "k_bar"),
+                 [0.3, 0.3, 0.3], id="coverage-k_bar"),
+    pytest.param("coverage-barrier-n20", ("params", "coverage", "gamma"), 1.0,
+                 id="coverage-gamma"),
+    pytest.param("coverage-sweep", ("params", "coverage", "sweep", "legs"),
+                 [[[1.0, 0.0, 0.0], 2.0]], id="sweep-legs"),
+    pytest.param("deform-static-cylinders", ("params", "u_max"), 3.0, id="params-u_max"),
+    pytest.param("deform-quad-tracking", ("params", "flatness"), {"mu": 1.0},
+                 id="params-flatness"),
+])
+def test_deleted_key_rejected(name, path, value):
+    validate_config(_stock(name))
+    with pytest.raises(ConfigError, match="unknown key"):
+        validate_config(_set(_stock(name), path, value))
+
+
+@pytest.mark.parametrize("name, path, value", [
+    pytest.param("planar-trap", ("params", "hybrid", "v_maxx"), 1.0,
+                 id="hybrid-unknown-field"),
+    pytest.param("planar-trap", ("params", "hybrid", "v_max"), "fast",
+                 id="hybrid-string-field"),
+    pytest.param("planar-trap", ("params", "hybrid", "d_safe"), 5.0,
+                 id="hybrid-cross-field-rule"),
+    pytest.param("planar-static", ("params", "rrt", "max_iters"), 0.5,
+                 id="rrt-float-for-int"),
+    pytest.param("planar-static", ("params", "rrt", "goal_bias"), 1.5,
+                 id="rrt-goal-bias-range"),
+    pytest.param("planar-trap", ("params", "trap_range"), -1.0, id="trap-range-negative"),
+    pytest.param("planar-trap", ("params", "flock"), {}, id="section-of-other-kind"),
+    pytest.param("reactive3d-ellipsoids", ("params", "reactive3d", "big_c"), 0.0,
+                 id="reactive3d-zero"),
+    pytest.param("deform-static-cylinders", ("params", "deform", "v"), float("inf"),
+                 id="deform-inf"),
+    pytest.param("deform-static-cylinders", ("params", "deform", "max_deforms_per_check"),
+                 True, id="deform-bool-for-int"),
+    pytest.param("tunnel-a-smooth-bend", ("params", "tunnel_nav", "d1"), 9.0,
+                 id="tunnel-nav-cross-field-rule"),
+    pytest.param("tunnel-narrowing-robust", ("params", "pipeline"), "fast",
+                 id="pipeline-unknown"),
+    pytest.param("tunnel-narrowing-robust", ("params", "probe_distances"), [1.0],
+                 id="probe-distances-one"),
+    pytest.param("flock-n4", ("params", "flock", "goal"), [1.0, 2.0], id="flock-goal-2d"),
+    pytest.param("flock-n4", ("params", "flock", "alpha_neighbors"), 3,
+                 id="flock-neighbors-int"),
+    pytest.param("flock-n4", ("params", "record_every"), 0, id="record-every-zero"),
+    pytest.param("coverage-sweep", ("params", "coverage", "colour"), "red",
+                 id="coverage-unknown-key"),
+    pytest.param("coverage-sweep", ("params", "coverage", "k"), [1.0, -1.0, 1.0],
+                 id="coverage-k-negative"),
+    pytest.param("coverage-sweep", ("params", "coverage", "sweep", "g0"), 9.0,
+                 id="sweep-faster-than-agents"),
+    pytest.param("coverage-sweep", ("params", "coverage", "sweep", "events", 0, "kind"),
+                 "spin", id="sweep-event-kind"),
+    pytest.param("coverage-agent-removal", ("params", "coverage", "removals", 0, "agent"),
+                 99, id="removal-agent-out-of-range"),
+    pytest.param("coverage-barrier-n20", ("params", "coverage", "boundary"),
+                 [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+                 id="coverage-boundary-collinear"),
+    pytest.param("reactive3d-ellipsoids", ("world", "obstacles", 0),
+                 {"type": "sphere", "center": [5.0, 3.0, -3.0], "radius": 2.0},
+                 id="reactive3d-sphere"),
+    pytest.param("reactive3d-ellipsoids", ("world", "obstacles", 0, "motion"),
+                 {"velocity": [0.1, 0.0, 0.0]}, id="reactive3d-moving-ellipsoid"),
+    pytest.param("planar-trap", ("world", "obstacles", 0),
+                 {"type": "ellipsoid", "center": [5.0, 0.0], "semi": [1.0, 1.0]},
+                 id="hybrid2d-ellipsoid"),
+    pytest.param("planar-dynamic", ("world", "obstacles", 0, "motion"), {},
+                 id="motion-velocity-missing"),
+    pytest.param("tunnel-a-smooth-bend", ("tunnel", "shape"), "klein-bottle",
+                 id="tunnel-shape-unknown"),
+    pytest.param("tunnel-a-smooth-bend", ("monitors", "wall_margin"), "0.3",
+                 id="monitor-string"),
+    pytest.param("tunnel-a-smooth-bend", ("output", "svg"), "yes", id="output-string"),
+])
+def test_bad_params_rejected(name, path, value):
+    validate_config(_stock(name))
+    with pytest.raises(ConfigError):
+        validate_config(_set(_stock(name), path, value))
+
+
+def _key_paths(node, path=()):
+    """Every dict key and list index below `node`, as paths."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+_FUZZ_VALUES = [None, True, False, 0, 1, 3, -1, 0.5, 2.5, -0.5, float("nan"),
+                float("inf"), "", "auto", "x", [], [1.0], [1.0, 2.0],
+                [0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+                {}]
+_STOCK_NAMES = sorted(path.stem for path in scenarios.CONFIGS.glob("*.json"))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A stock config at duration 0 with one to three keys dropped or set
+    to another value."""
+    cfg = _stock(draw(st.sampled_from(_STOCK_NAMES)))
+    cfg["duration"] = 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(cfg))
+        path = paths[draw(st.integers(0, len(paths) - 1))]
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_VALUES))))
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=mutated_configs())
+def test_mutated_stock_configs_are_rejected_or_run(cfg):
+    """A mutated or truncated stock config either fails with a ConfigError
+    naming the bad key, or builds and runs at duration 0: never a bare
+    KeyError, TypeError or any other exception."""
+    try:
+        run(cfg)
+    except ConfigError:
+        pass
+
+
+# keys of the schema that no stock config sets, with the reason each stays
+_UNSET_ALLOWED = {
+    **{("output", key): "deployment setting, chosen per run"
+       for key in ("dir", "csv", "jsonl", "svg")},
+    **{("tunnel", key): "helix geometry kept for fixing the self-meeting stock helix"
+       for key in ("helix_radius", "pitch", "turns")},
+    ("coverage", "r_c"): "the distributed communication-range model, covered by "
+                         "the coverage property tests",
+}
+
+
+def test_every_schema_key_is_set_by_a_stock_config():
+    """An option no stock scenario sets either gets a scenario, joins the
+    allowlist with its reason, or is deleted."""
+    from aeronav.harness import config as C
+    cfgs = list(scenarios.all_scenarios().values())
+    obstacles = [o for c in cfgs for o in c.get("world", {}).get("obstacles", [])]
+    coverage = [c["params"]["coverage"] for c in cfgs if c["kind"] == "coverage"]
+    sweeps = [c["sweep"] for c in coverage if "sweep" in c]
+    sections = {
+        "top": (C._TOP_KEYS, cfgs),
+        "world": (C._WORLD_KEYS, [c["world"] for c in cfgs if "world" in c]),
+        "obstacle": (C._OBSTACLE_KEYS, obstacles),
+        "motion": (C._MOTION_KEYS, [o["motion"] for o in obstacles if "motion" in o]),
+        "tunnel": (C._TUNNEL_KEYS, [c["tunnel"] for c in cfgs if "tunnel" in c]),
+        "agents": (C._AGENT_KEYS, [c["agents"] for c in cfgs if "agents" in c]),
+        "monitors": (C._MONITOR_KEYS, [c["monitors"] for c in cfgs if "monitors" in c]),
+        "output": (C._OUTPUT_KEYS, [c["output"] for c in cfgs if "output" in c]),
+        "coverage": (C._COVERAGE_KEYS, coverage),
+        "removals": (C._REMOVAL_KEYS, [r for c in coverage for r in c.get("removals", [])]),
+        "sweep": (C._SWEEP_KEYS, sweeps),
+        "sweep.events": (C._SWEEP_EVENT_KEYS, [e for s in sweeps for e in s.get("events", [])]),
+        **{f"params[{kind}]": (keys, [c.get("params", {}) for c in cfgs if c["kind"] == kind])
+           for kind, keys in C._PARAMS_KEYS.items()},
+    }
+    unset = {(name, key) for name, (keys, found) in sections.items() for key in keys
+             if not any(key in f for f in found)}
+    assert unset == set(_UNSET_ALLOWED)

@@ -137,7 +137,9 @@ def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
     nb = neighbor_lists(snap, p.r_c)
     want = np.empty((n, 3))
     for i in range(n):
-        f_t = nsb_blend(obstacle_force(i, snap, p, world, sim.t),
+        f_o = (np.zeros(3) if world is None else
+               obstacle_force(snap.q[i], *world.nearest_obstacle(snap.q[i], sim.t)[:2], p))
+        f_t = nsb_blend(f_o,
                         spacing_force(i, snap, nb[i], p), goal_force(i, snap, p))
         th_f = heading_angles(f_t) if np.linalg.norm(f_t) > 1e-9 else th_prev[i]
         d1_raw = wrap_angle(th_f - th_prev[i]) / dt

@@ -71,7 +71,7 @@ def test_tangent_ellipsoid_residuals_and_grid_optimality():
                      ell.semi[2] * np.cos(TH)], axis=-1).reshape(-1, 3)
     grads = 2.0 * body / ell.semi ** 2
     feasible = np.abs(np.sum(grads * (body - q0), axis=1)) < 2e-2
-    world_pts = body[feasible] @ ell.rotation.T + ell.center
+    world_pts = body[feasible] + ell.center
     dirs = world_pts - p0
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     best_grid = np.max(dirs @ a_dir)

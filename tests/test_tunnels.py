@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aeronav.geom import perpendicular_basis, unit
-from aeronav.tunnels import (_POLYLINES, TunnelCloud, TunnelGenerationError,
+from aeronav.tunnels import (_POLYLINES, TunnelGenerationError,
                              _parallel_frames, generate_tunnel)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -75,9 +75,16 @@ def test_xyz_roundtrip(tmp_path):
     tc = generate_tunnel("straight", radius=1.0, length=5.0, density=400)
     path = tmp_path / "cloud.xyz"
     tc.save_xyz(path)
-    loaded = TunnelCloud.from_xyz_file(path, nominal_radius=1.0, axis=tc.axis)
-    assert loaded.points.shape == tc.points.shape
-    assert np.allclose(loaded.points, tc.points, atol=1e-5)
+    loaded = np.loadtxt(path)
+    assert loaded.shape == tc.points.shape
+    assert np.allclose(loaded, tc.points, atol=1e-5)
+
+
+def test_misspelt_option_raises():
+    """An option the generator does not take is an error, not the default
+    geometry built silently."""
+    with pytest.raises(TypeError, match="helix_radus"):
+        generate_tunnel("helix", radius=1.5, helix_radus=3.0)
 
 
 def test_wall_distance_query():

@@ -79,7 +79,7 @@ def test_rigid_transform_invariance():
 
 
 def test_moving_obstacle_continuity_and_speed_bound():
-    m = Moving(Sphere(np.zeros(2), 0.5), kind="linear", velocity=np.array([0.4, 0.2]))
+    m = Moving(Sphere(np.zeros(2), 0.5), velocity=np.array([0.4, 0.2]))
     assert m.velocity_bound() == pytest.approx(np.hypot(0.4, 0.2))
     prev = None
     for t in np.linspace(0, 10, 400):
@@ -145,3 +145,11 @@ def test_raycast_wall():
     r = w.raycast_2d(np.zeros(2), np.array([0.0, np.pi / 4]), 20.0)
     assert r[0] == pytest.approx(2.0)
     assert r[1] == pytest.approx(2.0 * np.sqrt(2.0))
+
+
+def test_raycast_ellipsoid_unsupported():
+    """Only discs and walls are raycast; an ellipsoid is refused, not
+    silently approximated."""
+    w = World([Ellipsoid(np.array([5.0, 0.0]), np.array([1.0, 2.0]))])
+    with pytest.raises(QueryError):
+        w.raycast_2d(np.zeros(2), np.array([0.0]), 20.0)
