@@ -52,8 +52,14 @@ def min_pair_distance(p: np.ndarray) -> float:
     return float(d.min())
 
 
+_TWO_PI = 2.0 * np.pi
+
+
 def wrap_angle(a):
-    """Wrap angle(s) to (-pi, pi]."""
+    """Wrap angle(s) to (-pi, pi].  A float takes Python's float modulo,
+    which rounds like np.mod (same sign rule, same signed zeros)."""
+    if isinstance(a, float):
+        return float(-(((-a) + np.pi) % _TWO_PI - np.pi))
     w = -(np.mod(-np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi)
     return float(w) if np.isscalar(a) or np.ndim(a) == 0 else w
 

@@ -112,6 +112,8 @@ _OUTPUT_KEYS = {"dir": "str", "csv": "bool", "jsonl": "bool", "svg": "bool"}
 _REMOVAL_KEYS = {"tick": "int", "agent": "int"}
 _SWEEP_EVENT_KEYS = {"t": "num", "kind": ("resize", "tilt"), "scale": "pos",
                      "tilt_axis": _array(3, **_NONZERO), "tilt_angle": "real"}
+# the fields of the other kind, which an event of a kind may not carry
+_SWEEP_EVENT_FOREIGN = {"resize": ("tilt_axis", "tilt_angle"), "tilt": ("scale",)}
 _SWEEP_KEYS = {"g0": "num", "min_area_per_agent": "num", "events": [_SWEEP_EVENT_KEYS]}
 _COVERAGE_KEYS = {"boundary": _points(3, 3), "k": _array(3, **_POSITIVE),
                   "r_c": "pos", "record_every": "int+", "removals": [_REMOVAL_KEYS],
@@ -242,7 +244,8 @@ def _check_world(world: dict, kind: str) -> None:
 
 def _check_coverage(cov: dict, count: int) -> None:
     """What the key specs cannot see: required keys, a planar boundary, the
-    agents removed and the sweep speed against the agents' speed limit."""
+    agents removed, the sweep speed against the agents' speed limit and the
+    fields of each sweep event's kind."""
     where = "params.coverage"
     _require(cov, ("boundary",), where)
     try:
@@ -261,6 +264,10 @@ def _check_coverage(cov: dict, count: int) -> None:
         raise ConfigError(f"{where}.sweep.g0 exceeds the agents' speed limit {u_max:.3f}")
     for ev in sweep.get("events", []):
         _require(ev, ("t", "kind"), f"{where}.sweep.events")
+        foreign = [k for k in _SWEEP_EVENT_FOREIGN[ev["kind"]] if k in ev]
+        if foreign:
+            raise ConfigError(f"{where}.sweep.events: a {ev['kind']!r} event "
+                              f"takes no {foreign}")
 
 
 def load_config(path) -> dict:

@@ -429,14 +429,19 @@ def _coverage(cfg: dict) -> Engine:
     sim = CoverageSim(q0, frame, gains, sweep=sweep,
                       control_dt=cfg.get("control_dt", 0.1), r_c=pcfg.get("r_c"))
     removals = {int(r["tick"]): int(r["agent"]) for r in pcfg.get("removals", [])}
-    removed, costs, min_pair, mp = [], [], np.inf, np.inf
+    # agent removals and the plane resizes the sweep refused, at their ticks
+    logged, costs, min_pair, mp = [], [], np.inf, np.inf
 
     def step(tick):
         nonlocal min_pair, mp
         if tick in removals:
             sim.remove_agent(removals[tick])
-            removed.append((tick, "agent_removed", {"agent": removals[tick]}))
+            logged.append((tick, "agent_removed", {"agent": removals[tick]}))
+        n_rejected = 0 if sweep is None else len(sweep.rejected)
         sim.tick()
+        if sweep is not None:
+            logged.extend((tick, "sweep_rejected", {"t": ev.t, "scale": ev.scale})
+                          for ev in sweep.rejected[n_rejected:])
         costs.append(sim.multicenter_cost())
         mp = sim.min_pairwise()
         min_pair = min(min_pair, mp)
@@ -478,7 +483,7 @@ def _coverage(cfg: dict) -> Engine:
         # the sim records a state's events when it ticks from it, at its time
         found = [(int(round(t / sim.control_dt)), kind, data)
                  for t, kind, data in sim.events]
-        return sorted(removed + found, key=lambda e: e[0])
+        return sorted(logged + found, key=lambda e: e[0])
 
     return Engine(sim.control_dt, step, rows, metrics, events,
                   record_every=int(pcfg.get("record_every", 5)))

@@ -8,6 +8,7 @@ coarser multiples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,11 +93,15 @@ class QuadrotorState:
         return cls(np.asarray(p, dtype=float), np.zeros(3), np.eye(3), np.zeros(3))
 
 
+def _non_finite(tick: int | None) -> FloatingPointError:
+    where = "" if tick is None else f" at tick {tick}"
+    return FloatingPointError(f"non-finite state or input{where}")
+
+
 def _check_finite(arrs, tick: int | None = None):
     for a in arrs:
         if not np.isfinite(a).all():
-            where = "" if tick is None else f" at tick {tick}"
-            raise FloatingPointError(f"non-finite state or input{where}")
+            raise _non_finite(tick)
 
 
 def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
@@ -107,22 +112,40 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_finite_scalars(values, tick: int | None = None):
+    if not all(map(math.isfinite, values)):
+        raise _non_finite(tick)
+
+
+def _clip(x, lo: float, hi: float) -> float:
+    """np.clip(x, lo, hi) for a scalar, NaN kept: max and min return their
+    first argument when a comparison with NaN is false."""
+    return min(max(x, lo), hi)
+
+
+def _rk4_float(y: float, k1: float, k2: float, k4: float, dt: float) -> float:
+    """One component of `rk4`'s update, in its operation order, for a system
+    whose derivative depends only on states with constant rates, so k3 = k2."""
+    return y + (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k2) + k4)
+
+
 def step_unicycle(state: Unicycle2DState, v: float, u: float, dt: float = PLANT_DT,
                   limits: LimitSet | None = None, tick: int | None = None) -> Unicycle2DState:
-    """RK4 step of xdot = V cos(th), ydot = V sin(th), thdot = u."""
+    """RK4 step of xdot = V cos(th), ydot = V sin(th), thdot = u, on floats
+    (the same result as `rk4` on arrays, bit for bit)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if limits is not None:
-        v = float(np.clip(v, 0.0, limits.v_max))
-        u = float(np.clip(u, -limits.u_max, limits.u_max))
-    _check_finite([np.array([state.x, state.y, state.theta, v, u])], tick)
-    y = np.array([state.x, state.y, state.theta])
-
-    def f(s):
-        return np.array([v * np.cos(s[2]), v * np.sin(s[2]), u])
-
-    x, yy, th = rk4(f, y, dt)
-    return Unicycle2DState(float(x), float(yy), wrap_angle(th))
+        v = float(_clip(v, 0.0, limits.v_max))
+        u = float(_clip(u, -limits.u_max, limits.u_max))
+    x, y, th = state.x, state.y, state.theta
+    _check_finite_scalars((x, y, th, v, u), tick)
+    th2, th4 = th + (0.5 * dt) * u, th + dt * u
+    c1, c2, c4 = math.cos(th), math.cos(th2), math.cos(th4)
+    s1, s2, s4 = math.sin(th), math.sin(th2), math.sin(th4)
+    return Unicycle2DState(float(_rk4_float(x, v * c1, v * c2, v * c4, dt)),
+                           float(_rk4_float(y, v * s1, v * s2, v * s4, dt)),
+                           wrap_angle(_rk4_float(th, u, u, u, dt)))
 
 
 def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = PLANT_DT,
@@ -153,24 +176,29 @@ def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = P
 def step_angles3d(state: Angle3DState, v: float, u_beta: float, u_alpha: float,
                   dt: float = PLANT_DT, limits: LimitSet | None = None,
                   tick: int | None = None) -> Angle3DState:
-    """RK4 step of the azimuth/flight-path-angle kinematics."""
+    """RK4 step of the azimuth/flight-path-angle kinematics, on floats in the
+    operation order of `rk4` (the same result as the array form, bit for
+    bit)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if limits is not None:
-        v = float(np.clip(v, 0.0, limits.v_max))
-        u_beta = float(np.clip(u_beta, -limits.u_max, limits.u_max))
-        u_alpha = float(np.clip(u_alpha, -limits.u_max, limits.u_max))
-    _check_finite([state.p, np.array([state.beta, state.alpha, v, u_beta, u_alpha])], tick)
-    y = np.array([*state.p, state.beta, state.alpha])
+        v = float(_clip(v, 0.0, limits.v_max))
+        u_beta = float(_clip(u_beta, -limits.u_max, limits.u_max))
+        u_alpha = float(_clip(u_alpha, -limits.u_max, limits.u_max))
+    px, py, pz = np.asarray(state.p, dtype=float).tolist()
+    b, al = state.beta, state.alpha
+    _check_finite_scalars((px, py, pz, b, al, v, u_beta, u_alpha), tick)
 
-    def f(s):
-        b, al = s[3], s[4]
-        ca = np.cos(al)
-        return np.array([v * np.cos(b) * ca, v * np.sin(b) * ca, v * np.sin(al),
-                         u_beta, u_alpha])
+    def f(b, al):
+        ca = math.cos(al)
+        return v * math.cos(b) * ca, v * math.sin(b) * ca, v * math.sin(al)
 
-    out = rk4(f, y, dt)
-    return Angle3DState(out[:3], wrap_angle(out[3]), wrap_angle(out[4]))
+    k1 = f(b, al)
+    k2 = f(b + (0.5 * dt) * u_beta, al + (0.5 * dt) * u_alpha)
+    k4 = f(b + dt * u_beta, al + dt * u_alpha)
+    p = np.array([_rk4_float(y0, *k, dt) for y0, *k in zip((px, py, pz), k1, k2, k4)])
+    return Angle3DState(p, wrap_angle(_rk4_float(b, u_beta, u_beta, u_beta, dt)),
+                        wrap_angle(_rk4_float(al, u_alpha, u_alpha, u_alpha, dt)))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,10 @@ several distances and repairs centroids too close to the wall, fitting wall
 normals on the KD-tree it validates with; the default ("slices") uses the
 two slices as they are.  The downsampling averages all voxels that hold the
 same number of points at once.
+
+Without sensor noise, the slices pipeline senses only the points it can
+use: a uniform grid over the fixed cloud (`SlabGrid`) hands it the cells
+near the two probe planes, and the range and slab tests run on those.
 """
 from __future__ import annotations
 
@@ -20,10 +24,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geom import unit, unit_or_zero
-from .world import SensingModel, sense_points
+from .world import SensingModel, in_range, sense_points
 
 # consecutive failed robust perceptions after which the navigator stops
 ROBUST_FAIL_LIMIT = 5
+# edge of the cubic cells of the slab grid [m]
+GRID_CELL = 1.0
 
 
 class SliceStarvation(Exception):
@@ -244,6 +250,53 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     return g1, g2
 
 
+class SlabGrid:
+    """Uniform grid of GRID_CELL cubes over a fixed (N, 3) cloud, which
+    finds the points near a few planes without visiting the rest (Teschner
+    et al. 2003, "Optimized spatial hashing for collision detection of
+    deformable objects").
+
+    Rows are stored cell by cell, in cloud order within a cell.  Every
+    point lies within the half-diagonal of its cell's centre, so a point
+    within `tol` of a plane and within `d_range` of c lies in a cell whose
+    centre is within `tol` and `d_range` of them plus the half-diagonal."""
+
+    def __init__(self, cloud: np.ndarray):
+        self.cloud = cloud
+        keys = np.floor(cloud / GRID_CELL).astype(np.int64)
+        self.order = np.lexsort(keys.T[::-1])
+        keys = keys[self.order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        self.starts = np.flatnonzero(first)
+        self.counts = np.diff(self.starts, append=len(keys))
+        self.centres = (keys[self.starts] + 0.5) * GRID_CELL
+        # the slack covers rounding and a heading within 1e-6 of unit length
+        self.reach = 0.5 * np.sqrt(3.0) * GRID_CELL + 0.01
+
+    def sensed_near_planes(self, c: np.ndarray, f: np.ndarray, offsets,
+                           tol: float, d_range: float) -> np.ndarray:
+        """The points within `d_range` of c (by `in_range`) of the cells
+        that can hold a point within `tol` of a plane through c + d f, d in
+        offsets, with normal f; in cloud order."""
+        along = self.centres @ f - float(c @ f)
+        near = np.zeros(len(along), dtype=bool)
+        for d in offsets:
+            near |= np.abs(along - d) <= tol + self.reach
+        cells = np.flatnonzero(near)
+        rel = self.centres[cells] - c
+        dist2 = np.einsum("ij,ij->i", rel, rel)
+        cells = cells[dist2 <= (d_range + self.reach) ** 2]
+        counts = self.counts[cells]
+        # positions in grid order: each cell's start, then one per row
+        pos = (np.repeat(self.starts[cells] + counts - np.cumsum(counts), counts)
+               + np.arange(counts.sum()))
+        rows = self.cloud[np.sort(self.order[pos])]
+        if d_range > self.reach and dist2.max(initial=0.0) <= (d_range - self.reach) ** 2:
+            return rows  # every gathered cell lies wholly in range
+        return rows[in_range(c, rows, d_range)]
+
+
 class TunnelNavigator:
     """Constant-speed tunnel executor over a sensed point cloud."""
 
@@ -260,6 +313,10 @@ class TunnelNavigator:
         self.rng = rng
         self.pipeline = pipeline
         self.probe_distances = probe_distances or [params.d1, params.d2]
+        # noisy sensing draws noise for every sensed point and the robust
+        # pipeline downsamples the whole sensed cloud: both need all of it
+        self.grid = (SlabGrid(self.cloud_all)
+                     if pipeline == "slices" and not self.sensing.sigma > 0.0 else None)
         self.robust_state = RobustPerceptionState()
         self.mode = "M1"
         self.terminated = False
@@ -268,7 +325,7 @@ class TunnelNavigator:
         if self.terminated:
             return np.zeros(3)
         f = unit(self.v_prev)
-        local = sense_points(c, self.cloud_all, self.sensing, self.rng)
+        local = self._sense(c, f)
         if len(local) == 0:
             self.terminated = True
             return np.zeros(3)
@@ -290,6 +347,15 @@ class TunnelNavigator:
         v_k, self.mode = tunnel_law(c, cents, p)
         self.v_prev = v_k
         return v_k
+
+    def _sense(self, c: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """The sensed cloud; with a grid, only its points in the cells near
+        the two probe planes, a superset of both slices in cloud order."""
+        if self.grid is None:
+            return sense_points(c, self.cloud_all, self.sensing, self.rng)
+        p = self.params
+        return self.grid.sensed_near_planes(c, f, (p.d1, p.d2), p.slice_tol,
+                                            self.sensing.d_sensing)
 
     @staticmethod
     def _centroids_from_pair(c, g1, g2) -> SliceCentroids:

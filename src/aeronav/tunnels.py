@@ -78,13 +78,16 @@ def _parallel_frames(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     rot_axes = c / np.where(turns, s, 1.0)[:, None]
     ang = np.arctan2(s, [np.dot(a, b) for a, b in zip(t_prev, t_next)])
     cos_a, sin_a = np.cos(ang), np.sin(ang)
+    axes_list = rot_axes.tolist()
     normals = np.empty_like(tangents)
     n = normals[0] = perpendicular_basis(tangents[0])[0]
     for i in range(1, len(axis)):
         if turns[i - 1]:
             k, cr = rot_axes[i - 1], cos_a[i - 1]
-            n = (cr * n + sin_a[i - 1] * np.cross(k, n)
-                 + (1 - cr) * k * np.dot(k, n))
+            # k x n from its components, which is how np.cross computes it
+            (k0, k1, k2), (n0, n1, n2) = axes_list[i - 1], n.tolist()
+            k_x_n = np.array([k1 * n2 - k2 * n1, k2 * n0 - k0 * n2, k0 * n1 - k1 * n0])
+            n = cr * n + sin_a[i - 1] * k_x_n + (1 - cr) * k * np.dot(k, n)
         t_cur = tangents[i]
         n = normals[i] = unit(n - np.dot(n, t_cur) * t_cur)
     binormals = np.cross(tangents, normals)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeronav import geom
 
@@ -116,6 +118,38 @@ def test_wrap_angle_range():
     # pi maps to +pi (half-open interval (-pi, pi])
     assert geom.wrap_angle(np.pi) == pytest.approx(np.pi)
     assert geom.wrap_angle(-np.pi) == pytest.approx(np.pi)
+
+
+def _wrap_angle_np(a: float) -> float:
+    return float(-(np.mod(-np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi))
+
+
+WRAP_EDGES = [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 3 * np.pi, -3 * np.pi,
+              1e300, -1e300, 5e-324, -5e-324, *(k * 2 * np.pi for k in range(-8, 9))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.floats(-20.0, 20.0), st.sampled_from(WRAP_EDGES)))
+def test_wrap_angle_float_path_matches_numpy(a):
+    """The float path gives the numpy expression's bits, sign of zero too."""
+    got, want = geom.wrap_angle(a), _wrap_angle_np(a)
+    assert type(got) is float
+    assert got == want and np.signbit(got) == np.signbit(want)
+
+
+def test_wrap_angle_float_path_edges():
+    for a in WRAP_EDGES:
+        got, want = geom.wrap_angle(a), _wrap_angle_np(a)
+        assert got == want and np.signbit(got) == np.signbit(want), a
+
+
+def test_wrap_angle_array_path_unchanged():
+    vals = np.array(WRAP_EDGES)
+    w = geom.wrap_angle(vals)
+    assert isinstance(w, np.ndarray)
+    want = np.array([_wrap_angle_np(a) for a in WRAP_EDGES])
+    assert np.array_equal(w, want) and np.array_equal(np.signbit(w), np.signbit(want))
 
 
 def test_angle_diff_shortest_arc():

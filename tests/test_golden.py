@@ -27,6 +27,7 @@ def test_golden_digest(name):
     assert cfg["duration"] == want["duration"]
     got = {"duration": cfg["duration"], **regen.digest(run(cfg))}
     recorded = {k: GOLDEN[k] for k in regen.versions()}
+    differ = [k for k in sorted(want.keys() | got.keys()) if got.get(k) != want.get(k)]
     assert got == want, (
-        f"{name}: run differs from the golden digests, which were recorded "
-        f"under {recorded}; this is {regen.versions()}")
+        f"{name}: {', '.join(differ)} differ from the golden digests, which "
+        f"were recorded under {recorded}; this is {regen.versions()}")

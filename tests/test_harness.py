@@ -35,9 +35,18 @@ def obstacle3d_cfg(**spec):
             **obstacle_cfg(**spec)}
 
 
+def sweep_cfg(**event):
+    """A coverage config whose sweep has one event."""
+    cfg = scenarios.coverage_sweep()
+    cfg["params"]["coverage"]["sweep"]["events"] = [{"t": 0.2, **event}]
+    return cfg
+
+
 def test_validate_ok():
     validate_config(minimal_cfg())
     validate_config(minimal_cfg(duration=0.0))   # builds, runs no tick
+    validate_config(sweep_cfg(kind="resize", scale=0.5))
+    validate_config(sweep_cfg(kind="tilt", tilt_axis=[0.0, 1.0, 0.0], tilt_angle=0.2))
 
 
 def test_unknown_top_key_rejected():
@@ -130,6 +139,12 @@ def test_bad_kind_rejected():
     pytest.param(obstacle_cfg(center=[1.0, 1.0], radius=1.0), id="obstacle-type-missing"),
     pytest.param(obstacle_cfg(type="cone", center=[1.0, 1.0], radius=1.0),
                  id="obstacle-type-unknown"),
+    pytest.param(sweep_cfg(kind="resize", scale=0.5, tilt_angle=0.2),
+                 id="sweep-resize-with-tilt-angle"),
+    pytest.param(sweep_cfg(kind="resize", tilt_axis=[0.0, 1.0, 0.0]),
+                 id="sweep-resize-with-tilt-axis"),
+    pytest.param(sweep_cfg(kind="tilt", tilt_axis=[0.0, 1.0, 0.0], tilt_angle=0.2,
+                           scale=0.5), id="sweep-tilt-with-scale"),
 ])
 def test_bad_value_rejected(over):
     with pytest.raises(ConfigError):
@@ -310,6 +325,19 @@ def test_coverage_events_reach_the_log():
     keys = [(e["tick"], e["agent"], e["neighbor"]) for e in found]
     assert len(set(keys)) == len(keys)
     assert {t for t, _, _ in keys} <= set(range(10))
+
+
+def test_refused_resize_reaches_the_log():
+    """A resize below the agents' minimum area is refused, and the log says
+    so at the tick that refused it, with the event's time and scale."""
+    cfg = sweep_cfg(kind="resize", scale=0.1)   # 1 m^2 left for 12 agents
+    cfg["duration"] = 0.5
+    res = run(cfg)
+    assert [e for e in res.log.events if e["kind"] == "sweep_rejected"] == [
+        {"tick": 1, "kind": "sweep_rejected", "t": 0.2, "scale": 0.1}]
+    cfg = sweep_cfg(kind="resize", scale=0.5)
+    cfg["duration"] = 0.5
+    assert not [e for e in run(cfg).log.events if e["kind"] == "sweep_rejected"]
 
 
 def test_run_determinism_byte_identical():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeronav.geom import unit
 from aeronav.plants import (Heading3DState, LimitSet, QuadrotorState,
-                            Unicycle2DState, step_angles3d, step_heading3d,
+                            Unicycle2DState, rk4, step_angles3d, step_heading3d,
                             step_flock_batch, step_quadrotor, step_unicycle,
                             Angle3DState, GRAVITY)
 
@@ -123,3 +125,102 @@ def test_flock_batch_nan_raises(bad):
 def test_limits_validation():
     with pytest.raises(ValueError):
         LimitSet(v_max=-1.0)
+
+
+# -- the float steppers against the array form they replaced ----------------
+
+def _wrap_np(a):
+    return float(-(np.mod(-np.asarray(a, dtype=float) + np.pi, 2.0 * np.pi) - np.pi))
+
+
+def _ref_unicycle(state, v, u, dt, limits=None):
+    """step_unicycle as array RK4 (`rk4` over a 3-element state)."""
+    if limits is not None:
+        v = float(np.clip(v, 0.0, limits.v_max))
+        u = float(np.clip(u, -limits.u_max, limits.u_max))
+    y = np.array([state.x, state.y, state.theta])
+    x, yy, th = rk4(lambda s: np.array([v * np.cos(s[2]), v * np.sin(s[2]), u]), y, dt)
+    return np.array([float(x), float(yy), _wrap_np(th)])
+
+
+def _ref_angles3d(state, v, u_beta, u_alpha, dt, limits=None):
+    """step_angles3d as array RK4 (`rk4` over a 5-element state)."""
+    if limits is not None:
+        v = float(np.clip(v, 0.0, limits.v_max))
+        u_beta = float(np.clip(u_beta, -limits.u_max, limits.u_max))
+        u_alpha = float(np.clip(u_alpha, -limits.u_max, limits.u_max))
+
+    def f(s):
+        b, al = s[3], s[4]
+        ca = np.cos(al)
+        return np.array([v * np.cos(b) * ca, v * np.sin(b) * ca, v * np.sin(al),
+                         u_beta, u_alpha])
+
+    out = rk4(f, np.array([*state.p, state.beta, state.alpha]), dt)
+    return np.array([*out[:3], _wrap_np(out[3]), _wrap_np(out[4])])
+
+
+ANGLE = st.floats(-10.0, 10.0)
+COMMAND = st.floats(-5.0, 5.0)
+DT = st.sampled_from([0.001, 0.01, 0.02, 0.05, 0.1])
+LIMITS = st.sampled_from([None, LimitSet(v_max=1.0, u_max=1.5), LimitSet(v_max=2.5, u_max=0.3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(xy=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), th=ANGLE,
+       v=COMMAND, u=COMMAND, dt=DT, limits=LIMITS)
+def test_step_unicycle_matches_array_rk4(xy, th, v, u, dt, limits):
+    state = Unicycle2DState(*xy, th)
+    got = step_unicycle(state, v, u, dt, limits=limits)
+    assert np.array_equal([got.x, got.y, got.theta], _ref_unicycle(state, v, u, dt, limits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.tuples(*[st.floats(-1e3, 1e3)] * 3), beta=ANGLE, alpha=ANGLE,
+       v=COMMAND, ub=COMMAND, ua=COMMAND, dt=DT, limits=LIMITS)
+def test_step_angles3d_matches_array_rk4(p, beta, alpha, v, ub, ua, dt, limits):
+    state = Angle3DState(np.array(p), beta, alpha)
+    got = step_angles3d(state, v, ub, ua, dt, limits=limits)
+    assert np.array_equal([*got.p, got.beta, got.alpha],
+                          _ref_angles3d(state, v, ub, ua, dt, limits))
+
+
+LIM = LimitSet(v_max=1.0, u_max=1.5)
+
+
+@pytest.mark.parametrize("limits", [None, LIM])
+@pytest.mark.parametrize("which", range(2))
+def test_unicycle_nan_command_raises(limits, which):
+    cmd = [0.5, 0.1]
+    cmd[which] = np.nan
+    with pytest.raises(FloatingPointError):
+        step_unicycle(Unicycle2DState(0.0, 0.0, 0.0), *cmd, 0.01, limits=limits)
+
+
+@pytest.mark.parametrize("limits", [None, LIM])
+@pytest.mark.parametrize("which", range(3))
+def test_angles3d_nan_command_raises(limits, which):
+    cmd = [0.5, 0.1, -0.1]
+    cmd[which] = np.nan
+    with pytest.raises(FloatingPointError):
+        step_angles3d(Angle3DState(np.zeros(3), 0.0, 0.0), *cmd, 0.01, limits=limits)
+
+
+def test_angles3d_nan_state_raises():
+    with pytest.raises(FloatingPointError, match="at tick 7"):
+        step_angles3d(Angle3DState(np.array([0.0, np.nan, 0.0]), 0.0, 0.0),
+                      0.5, 0.0, 0.0, 0.01, tick=7)
+
+
+@pytest.mark.parametrize("cmd", [(np.inf, np.inf, -np.inf), (-np.inf, -np.inf, np.inf)])
+def test_infinite_command_clipped_under_limits(cmd):
+    st_u = Unicycle2DState(1.0, 2.0, 0.3)
+    got = step_unicycle(st_u, cmd[0], cmd[1], 0.01, limits=LIM)
+    assert np.array_equal([got.x, got.y, got.theta],
+                          _ref_unicycle(st_u, cmd[0], cmd[1], 0.01, LIM))
+    st_a = Angle3DState(np.array([1.0, 2.0, 3.0]), 0.3, -0.2)
+    got = step_angles3d(st_a, *cmd, 0.01, limits=LIM)
+    assert np.array_equal([*got.p, got.beta, got.alpha],
+                          _ref_angles3d(st_a, *cmd, 0.01, LIM))
+    with pytest.raises(FloatingPointError):
+        step_unicycle(st_u, cmd[0], cmd[1], 0.01)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
+from aeronav.geom import unit
 from aeronav.tunnel_nav import (RobustPerceptionState, SliceStarvation,
                                 TunnelNavigator, TunnelParams,
                                 estimate_normals, perceive_robust,
-                                slice_centroids, tunnel_law, voxel_downsample)
+                                slice_centroids, slice_points, tunnel_law,
+                                voxel_downsample)
 from aeronav.tunnels import generate_tunnel
-
+from aeronav.world import SensingModel, sense_points
 
 
 def cylinder_cloud(radius=1.5, length=30.0):
@@ -251,3 +255,122 @@ def test_navigator_straight_run_completes():
             break
     assert c[0] > 26.0
     assert min_wall > 0.0
+
+
+# -- slab grid: the slices of the noise-free pipeline, row for row ----------
+
+def _whole_cloud_slices(c, f, cloud, params):
+    """The two slices cut from the whole sensed cloud."""
+    local = sense_points(c, cloud, SensingModel(d_sensing=params.d_sensing))
+    return [slice_points(local, c + d * f, f, params.slice_tol)
+            for d in (params.d1, params.d2)]
+
+
+def _grid_slices(nav, c, f):
+    local = nav._sense(c, f)
+    return [slice_points(local, c + d * f, f, nav.params.slice_tol)
+            for d in (nav.params.d1, nav.params.d2)]
+
+
+# cell faces sit on whole meters: draw many coordinates there
+coordinate = st.one_of(st.floats(-12.0, 12.0), st.integers(-12, 12).map(float),
+                       st.sampled_from([0.5, -0.5, 0.1, -0.1, 1e-9]))
+heading = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda h: np.linalg.norm(h) > 0.1).map(lambda h: unit(np.array(h)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud=st.integers(0, 120).flatmap(
+           lambda n: arrays(np.float64, (n, 3), elements=coordinate)),
+       c=st.tuples(*[coordinate] * 3).map(np.array), f=heading,
+       d1=st.floats(0.0, 5.0), gap=st.floats(0.1, 5.0), tol=st.floats(0.01, 1.5),
+       d_sensing=st.floats(0.5, 25.0))
+def test_grid_slices_equal_whole_cloud_slices(cloud, c, f, d1, gap, tol, d_sensing):
+    params = TunnelParams(d1=d1, d2=d1 + gap, slice_tol=tol, d_sensing=d_sensing)
+    nav = TunnelNavigator(params, cloud, f)
+    assert nav.grid is not None
+    for got, want in zip(_grid_slices(nav, c, f), _whole_cloud_slices(c, f, cloud, params)):
+        assert np.array_equal(got, want)
+
+
+def test_grid_slices_on_boundaries():
+    """Rings every 0.1 m with slice_tol 0.1 put whole rings on the slab
+    faces, and points exactly d_sensing away sit on the range sphere."""
+    params = TunnelParams(d1=3.0, d2=4.0, slice_tol=0.1, d_sensing=5.0)
+    f = np.array([1.0, 0.0, 0.0])
+    tube = cylinder_cloud(radius=1.5, length=30.0)
+    on_sphere = np.array([[x + dx, y, z] for x in range(2, 20)
+                          for dx, y, z in [(3.0, 4.0, 0.0), (3.0, 0.0, -4.0),
+                                           (4.0, -3.0, 0.0), (4.0, 3.0 + 1e-12, 0.0)]])
+    cloud = np.vstack([tube, on_sphere])
+    nav = TunnelNavigator(params, cloud, f)
+    on_face = 0
+    for x in np.arange(2.0, 20.0, 0.05):
+        c = np.array([x, 0.0, 0.0])
+        want = _whole_cloud_slices(c, f, cloud, params)
+        for got, want_i, d in zip(_grid_slices(nav, c, f), want, (3.0, 4.0)):
+            assert np.array_equal(got, want_i)
+            on_face += np.count_nonzero(np.abs(np.abs(got[:, 0] - (x + d)) - 0.1) < 1e-9)
+    assert on_face > 0
+    c = np.array([10.0, 0.0, 0.0])
+    s1, s2 = _grid_slices(nav, c, f)
+    assert [13.0, 4.0, 0.0] in s1.tolist() and [14.0, -3.0, 0.0] in s2.tolist()
+    assert [14.0, 3.0 + 1e-12, 0.0] not in s2.tolist()
+
+
+def test_grid_range_cuts_inside_cells():
+    """A sensing range shorter than a cell's half-diagonal cuts through the
+    cells the vehicle sits in, so the points still need their range test."""
+    rng = np.random.default_rng(4)
+    one_cell = rng.uniform(0.0, 1.0, (400, 3))
+    f = unit(np.array([1.0, 0.3, -0.2]))
+    cut = 0
+    for cloud, d_sensing in itertools.product(
+            (one_cell, np.vstack([one_cell, rng.uniform(-1.0, 2.0, (400, 3))])),
+            (0.3, 0.6, 0.9, 1.5)):
+        params = TunnelParams(d1=0.0, d2=0.25, slice_tol=0.5, d_sensing=d_sensing)
+        nav = TunnelNavigator(params, cloud, f)
+        for c in ([0.5, 0.5, 0.5], [0.1, 0.9, 0.4], [1.0, 1.0, 0.0]):
+            c = np.array(c)
+            want = _whole_cloud_slices(c, f, cloud, params)
+            cut += len(want[0]) < np.count_nonzero(np.abs((cloud - c) @ f) <= 0.5)
+            for got, want_i in zip(_grid_slices(nav, c, f), want):
+                assert np.array_equal(got, want_i)
+    assert cut >= 12
+
+
+@pytest.mark.parametrize("x", [28.5, 100.0], ids=["empty-slab", "empty-sense"])
+def test_grid_empty_slab_terminates_as_whole_cloud(x):
+    cloud = cylinder_cloud(length=30.0)
+    f = np.array([1.0, 0.0, 0.0])
+    nav = TunnelNavigator(P, cloud, f)
+    ref = TunnelNavigator(P, cloud, f)
+    ref.grid = None  # sense the whole cloud
+    c = np.array([x, 0.0, 0.0])
+    got, want = nav.control(c), ref.control(c)
+    assert np.array_equal(got, np.zeros(3)) and np.array_equal(want, np.zeros(3))
+    assert nav.terminated and ref.terminated
+
+
+def test_grid_closed_loop_matches_whole_cloud():
+    cloud = generate_tunnel("smooth-bend", radius=1.5, length=30.0).points
+    f = np.array([1.0, 0.0, 0.0])
+    nav, ref = TunnelNavigator(P, cloud, f), TunnelNavigator(P, cloud, f)
+    ref.grid = None
+    c = np.array([1.0, 0.3, -0.2])
+    for _ in range(250):
+        v = nav.control(c)
+        assert np.array_equal(v, ref.control(c)) and nav.mode == ref.mode
+        if nav.terminated:
+            break
+        c = c + v * P.delta
+    assert c[0] > 10.0
+
+
+def test_grid_only_for_noise_free_slices():
+    cloud = cylinder_cloud()
+    f = np.array([1.0, 0.0, 0.0])
+    noisy = SensingModel(d_sensing=20.0, sigma=0.01)
+    assert TunnelNavigator(P, cloud, f, sensing=noisy,
+                           rng=np.random.default_rng(0)).grid is None
+    assert TunnelNavigator(P, cloud, f, pipeline="robust").grid is None
