@@ -308,7 +308,8 @@ class CoverageSim:
         self.r_c = r_c
         self.t = 0.0
         self.active = np.ones(len(self.q), dtype=bool)
-        self.events: list = []      # (t, kind, data)
+        self.events: list = []      # (tick index, kind, data)
+        self.ticks = 0
         self._state = None          # (q, active, frame, _Partition)
 
     def remove_agent(self, idx: int):
@@ -343,11 +344,13 @@ class CoverageSim:
 
     def tick(self):
         _check_finite([self.q])
-        self.events.extend((self.t, kind, data) for kind, data in self._partition().events)
+        self.events.extend((self.ticks, kind, data)
+                           for kind, data in self._partition().events)
         self.q = self.q + self.velocities() * self.control_dt
         if self.sweep is not None:
             self.frame = self.sweep.step(self.control_dt)
         self.t += self.control_dt
+        self.ticks += 1
 
     def min_pairwise(self) -> float:
         return min_pair_distance(self.q[self.active])

@@ -326,8 +326,7 @@ class DeformNavigator:
         self.world = world
         self.goal = np.asarray(goal, dtype=float)
         self.path = PiecewisePath.straight(start, goal, segment_length)
-        self.deform_events: list[tuple[int, int]] = []
-        self.hover_events: list[int] = []
+        self.events: list[tuple[int, str, dict]] = []
 
     def control(self, state: Angle3DState, t: float, tick: int) -> tuple[float, float, float]:
         s_prog = self.path.closest_param(state.p)
@@ -335,7 +334,7 @@ class DeformNavigator:
                                             t, s_prog)
         if n_def:
             self.path = new_path
-            self.deform_events.append((tick, n_def))
+            self.events.append((tick, "deform", {"count": n_def}))
         if np.linalg.norm(state.p - self.goal) < 0.3:
             return 0.0, 0.0, 0.0
         v, ub, ua = track_kinematic(state, self.path, self.params)
@@ -354,7 +353,7 @@ class DeformNavigator:
             if not moving:
                 # static blockage: hold back until the deformer clears it
                 # (movers are evaded at speed on the deformed path instead)
-                self.hover_events.append(tick)
+                self.events.append((tick, "hover", {}))
                 gap = max(left.s_lo - s_prog, 0.0)
                 if gap < 0.8:
                     return 0.0, 0.0, 0.0

@@ -102,10 +102,11 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
                    params: FlockParams, rng: np.random.Generator | None = None,
-                   log: list | None = None) -> np.ndarray:
+                   nudged: list | None = None) -> np.ndarray:
     """f_alpha,i = sum_j k_ij tanh(|q_ij| - d_ij) n_ij over each agent's force
     neighbors: the in-range agents (within[i, j]), or the two nearest of them
-    for alpha_neighbors = "nearest2".  diff and d are `geom.pairwise`."""
+    for alpha_neighbors = "nearest2".  diff and d are `geom.pairwise`; the
+    coincident pairs (i, j) nudged apart are appended to nudged."""
     if params.alpha_neighbors == "nearest2" and len(d) > 2:
         near = np.argpartition(np.where(within, d, np.inf), 1, axis=1)[:, :2]
         keep = np.zeros_like(within)
@@ -121,8 +122,8 @@ def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
         for i, j in np.argwhere(close):
             diff[i, j] = rng.standard_normal(diff.shape[2]) * 1e-6
             dist[i, j] = np.linalg.norm(diff[i, j])
-            if log is not None:
-                log.append(("coincident_guard", int(i), int(j)))
+            if nudged is not None:
+                nudged.append((int(i), int(j)))
     gain = params.k_ij * np.tanh(dist - params.d_ij)
     terms = gain[..., None] * (diff / np.where(within, dist, 1.0)[..., None])
     # summed over j in index order, as a per-agent loop would
@@ -131,13 +132,12 @@ def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
 
 def spacing_force(i: int, snapshot: FlockSnapshot, neighbors: np.ndarray,
                   params: FlockParams,
-                  rng: np.random.Generator | None = None,
-                  log: list | None = None) -> np.ndarray:
+                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Agent i's row of `spacing_forces` with the given force neighbors."""
     diff, d = pairwise(snapshot.q)
     within = np.zeros(d.shape, dtype=bool)
     within[i, neighbors] = True
-    return spacing_forces(diff, d, within, params, rng, log)[i]
+    return spacing_forces(diff, d, within, params, rng)[i]
 
 
 def goal_forces(q: np.ndarray, params: FlockParams) -> np.ndarray:
@@ -271,7 +271,8 @@ class FlockSim:
         self.control_dt = control_dt
         self.plant_dt = plant_dt
         self.rng = rng or np.random.default_rng(0)
-        self.events: list = []
+        self.events: list = []      # (tick index, kind, data)
+        self.ticks = 0
         self.t = 0.0
         self._theta_f = self.snapshot.theta.copy()
         self._theta_f_dot = np.zeros((n, m - 1))
@@ -291,7 +292,10 @@ class FlockSim:
     def tick(self):
         snap, p = self.snapshot, self.params
         diff, d = pairwise(snap.q)
-        f_a = spacing_forces(diff, d, _in_range(d, p.r_c), p, self.rng, self.events)
+        nudged = []
+        f_a = spacing_forces(diff, d, _in_range(d, p.r_c), p, self.rng, nudged)
+        self.events.extend((self.ticks, "coincident_guard", {"agents": [i, j]})
+                           for i, j in nudged)
         f_g = goal_forces(snap.q, p)
         f_o = np.zeros_like(f_a)
         if self.world is not None and self.world.obstacles:
@@ -316,6 +320,7 @@ class FlockSim:
             q, th, nu = step_flock_batch(q, th, nu, tau, self.plant_dt)
         self.snapshot = FlockSnapshot(q, th, nu)
         self.t += self.control_dt
+        self.ticks += 1
         return self.snapshot
 
     def min_pairwise(self) -> float:

@@ -1,16 +1,25 @@
-"""Post-hoc run monitors.
+"""Run monitors.
 
-Monitors only read the finished log (plus per-engine metrics), so enabling
-or disabling them cannot change a trajectory byte.  A failed monitor marks
-the run FAILED with the first violating tick.  A clearance check passes only
-when the value is at least its threshold: +inf (no obstacle, no other agent)
-passes and NaN fails.
+Monitors read the run's per-tick safety record and its metrics, never the
+log rows, so enabling or disabling them cannot change a trajectory byte, and
+a tick the log decimates away is still checked.  A failed monitor marks the
+run FAILED with the first violating tick.  A clearance check passes only
+when the value is at least its threshold (above it for `wall_margin`): +inf
+(no obstacle, no other agent) passes and NaN fails.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import ConfigError
+
+# per-tick monitor -> the clearance metric it bounds and the test a sample passes
+CLEARANCE_MONITORS = {"d_safe": ("min_d_obs", operator.ge),
+                      "min_pair": ("min_pair_d", operator.ge),
+                      "wall_margin": ("min_wall_distance", operator.gt)}
 
 
 @dataclass
@@ -21,30 +30,50 @@ class MonitorResult:
     first_violation_tick: int | None = None
 
 
-def _first_violation(records, predicate):
-    for r in records:
-        if not predicate(r):
-            return r["tick"]
-    return None
+def min_keep_nan(a: float, b: float) -> float:
+    """min(a, b), or NaN if either is; min() drops a NaN second argument."""
+    return a if a != a or a <= b else b
 
 
-def evaluate(log, monitors: dict, metrics: dict) -> list[MonitorResult]:
+class SafetyRecord:
+    """A run's per-tick safety record: the running minimum of each sampled
+    clearance metric (keys), and the first tick whose sample fails each
+    clearance monitor in monitors, which must bound one of them."""
+
+    def __init__(self, keys, monitors: dict):
+        self.minima = dict.fromkeys(keys, np.inf)
+        self.first_violation: dict[str, int] = {}
+        self._checks = [(name, key, float(monitors[name]), ok)
+                        for name, (key, ok) in CLEARANCE_MONITORS.items() if name in monitors]
+        for name, key, _, _ in self._checks:
+            if key not in self.minima:
+                raise ConfigError(f"monitors.{name}: this kind reports no {key}")
+
+    def add(self, tick: int, sample: dict) -> None:
+        for key, v in sample.items():
+            self.minima[key] = min_keep_nan(self.minima[key], v)
+        for name, key, thr, ok in self._checks:
+            if name not in self.first_violation and not ok(sample[key], thr):
+                self.first_violation[name] = tick
+
+
+def _clearance_result(name: str, record: SafetyRecord, detail: str) -> MonitorResult:
+    tick = record.first_violation.get(name)
+    return MonitorResult(name, tick is None,
+                         detail if tick is None else f"violated at tick {tick}", tick)
+
+
+def evaluate(record: SafetyRecord, monitors: dict, metrics: dict) -> list[MonitorResult]:
     out = []
     if not monitors:
         return out
     if "d_safe" in monitors:
-        thr = float(monitors["d_safe"])
-        tick = _first_violation(log.records, lambda r: r["d_obs"] >= thr)
-        out.append(MonitorResult("d_safe", tick is None,
-                                 f"min d_obs {metrics.get('min_d_obs', float('nan')):.4f} "
-                                 f">= {thr}" if tick is None else
-                                 f"violated at tick {tick}", tick))
+        out.append(_clearance_result(
+            "d_safe", record, f"min d_obs {metrics.get('min_d_obs', float('nan')):.4f} "
+                              f">= {float(monitors['d_safe'])}"))
     if "min_pair" in monitors:
-        thr = float(monitors["min_pair"])
-        tick = _first_violation(log.records, lambda r: r["min_pair"] >= thr)
-        out.append(MonitorResult("min_pair", tick is None,
-                                 f"min pairwise {metrics.get('min_pair_d', float('nan')):.4f}"
-                                 if tick is None else f"violated at tick {tick}", tick))
+        out.append(_clearance_result(
+            "min_pair", record, f"min pairwise {metrics.get('min_pair_d', float('nan')):.4f}"))
     if monitors.get("require_goal"):
         ok = bool(metrics.get("goal_reached", False))
         out.append(MonitorResult("goal_reached", ok,
@@ -81,10 +110,10 @@ def evaluate(log, monitors: dict, metrics: dict) -> list[MonitorResult]:
                                  "curvilinear progress strictly increasing"
                                  if ok else "progress stalled"))
     if "wall_margin" in monitors:
-        thr = float(monitors["wall_margin"])
         v = float(metrics.get("min_wall_distance", np.inf))
-        out.append(MonitorResult("wall_margin", v > thr,
-                                 f"min wall distance {v:.3f} > {thr}"))
+        thr = float(monitors["wall_margin"])
+        out.append(_clearance_result("wall_margin", record,
+                                     f"min wall distance {v:.3f} > {thr}"))
     if "sweep_speed" in monitors:
         g0 = float(monitors["sweep_speed"])
         tol = float(monitors.get("sweep_tol", 0.05))

@@ -1,7 +1,8 @@
 """Scenario runner: builds the world from a validated config, executes the
-selected engine deterministically under the config seed, and scores the
-log with the configured monitors.  Every kind runs through the one tick
-loop in `run()`, driving an `Engine` built from the config."""
+selected engine deterministically under the config seed, and scores every
+tick's clearance and the final metrics with the configured monitors.  Every
+kind runs through the one tick loop in `run()`, driving an `Engine` built
+from the config."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from ..planner2d import RrtParams
 from ..plants import (Angle3DState, Heading3DState, LimitSet, QuadrotorState,
                       Unicycle2DState, flock_direction, step_angles3d,
                       step_heading3d, step_unicycle)
-from ..quadrotor import FlatSample, FlatnessGains, QuadrotorTracker
+from ..quadrotor import FlatSample, QuadrotorTracker
 from ..reactive3d import Reactive3DNavigator, Reactive3DParams
 from ..tunnel_nav import TunnelNavigator, TunnelParams
 from ..tunnels import TunnelGenerationError, generate_tunnel
@@ -78,14 +79,18 @@ def build_world(cfg: dict) -> World:
 class Engine:
     """One scenario kind as `run()` drives it: step(tick) advances one control
     period and returns None, GOAL (log this tick, then stop) or TERMINATED
-    (stop unlogged); rows(tick) are the tick's log rows, logged every
-    record_every ticks and on the last and the GOAL tick; events() and
-    metrics() are read at the end.  n_ticks defaults to duration / control_dt."""
+    (stop unsampled and unlogged); sample() is the tick's clearance keyed by
+    the metric it bounds (before the first tick, it names them); run() drains
+    the (tick, kind, data) lists in events into the log after every step;
+    rows(tick) are the tick's log rows, logged every record_every ticks and
+    on the last and the GOAL tick; metrics(logged events) are read at the
+    end.  n_ticks defaults to duration / control_dt."""
     control_dt: float
     step: Callable[[int], str | None]
+    sample: Callable[[], dict]
     rows: Callable[[int], list]
-    metrics: Callable[[], dict]
-    events: Callable[[], list] = list
+    metrics: Callable[[list], dict]
+    events: tuple = ()
     record_every: int = 1
     n_ticks: int | None = None
 
@@ -97,19 +102,25 @@ def run(cfg: dict) -> RunResult:
     n_ticks = (engine.n_ticks if engine.n_ticks is not None
                else int(round(cfg["duration"] / engine.control_dt)))
     log = RunLog(name=cfg.get("name", kind))
+    monitors = cfg.get("monitors", {})
+    record = monitors_mod.SafetyRecord(engine.sample(), monitors)
     for tick in range(n_ticks):
         status = engine.step(tick)
+        for source in engine.events:
+            for ev_tick, name, data in source:
+                log.event(ev_tick, name, **data)
+            source.clear()
         if status == TERMINATED:
             break
+        record.add(tick, engine.sample())
         if status == GOAL or tick % engine.record_every == 0 or tick == n_ticks - 1:
             for row in engine.rows(tick):
                 log.add(*row)
         if status == GOAL:
             break
-    for tick, name, data in engine.events():
-        log.event(tick, name, **data)
-    metrics = engine.metrics()
-    results = monitors_mod.evaluate(log, cfg.get("monitors", {}), metrics)
+    metrics = {key: float(v) for key, v in record.minima.items()}
+    metrics.update(engine.metrics(log.events))
+    results = monitors_mod.evaluate(record, monitors, metrics)
     passed = monitors_mod.all_passed(results)
     metrics["passed"] = passed
     log.metrics = metrics
@@ -130,23 +141,22 @@ def _world_with_obstacles(cfg: dict) -> World:
 
 
 def _vehicle(cfg, world, nav, state, stepper, limits, goal_tol, control_dt,
-             mode=None, extra=dict, events=list, watch=None) -> Engine:
+             mode=None, extra=lambda events: {}, watch=None) -> Engine:
     """A navigator commanding a plant stepper every control period, stopping
     within goal_tol of the goal.  mode overrides the navigator's logged mode,
-    extra() adds metrics, watch(state) sees the state after every tick."""
+    extra(events) adds metrics, watch(state) sees the state after every tick."""
     plant_dt = cfg.get("plant_dt", 0.01)
     n_sub = max(1, int(round(control_dt / plant_dt)))
     goal = np.asarray(cfg["goal"], dtype=float)
-    t, min_d, d, cmd, goal_time = 0.0, np.inf, np.inf, None, None
+    t, d, cmd, goal_time = 0.0, np.inf, None, None
 
     def step(tick):
-        nonlocal state, t, min_d, d, cmd, goal_time
+        nonlocal state, t, d, cmd, goal_time
         cmd = nav.control(state, t, tick)
         for _ in range(n_sub):
             state = stepper(state, *cmd, plant_dt, limits=limits)
             t += plant_dt
         d = _clearance(world, state.position, t)
-        min_d = min(min_d, d)
         if watch is not None:
             watch(state)
         if np.linalg.norm(state.position - goal) < goal_tol:
@@ -158,11 +168,16 @@ def _vehicle(cfg, world, nav, state, stepper, limits, goal_tol, control_dt,
         return [(tick, t, 0, state.position, cmd[0] * state.heading,
                  mode or nav.mode.value, d, np.inf)]
 
-    def metrics():
-        return {"min_d_obs": float(min_d), "goal_reached": goal_time is not None,
-                "goal_time": goal_time, **extra()}
+    def metrics(events):
+        return {"goal_reached": goal_time is not None, "goal_time": goal_time,
+                **extra(events)}
 
-    return Engine(control_dt, step, rows, metrics, events)
+    return Engine(control_dt, step, lambda: {"min_d_obs": d}, rows, metrics,
+                  (nav.events,))
+
+
+def _count(events, *kinds) -> int:
+    return sum(1 for e in events if e["kind"] in kinds)
 
 
 def _hybrid2d(cfg: dict) -> Engine:
@@ -180,10 +195,8 @@ def _hybrid2d(cfg: dict) -> Engine:
     return _vehicle(
         cfg, world, nav, state, step_unicycle,
         LimitSet(v_max=p.v_max, u_max=p.u_max), p.goal_tol, control_dt,
-        extra=lambda: {"replan_count": nav.replan_count,
-                       "mode_switches": sum(1 for e in nav.events
-                                            if e.kind in ("R1", "R2"))},
-        events=lambda: [(e.tick, e.kind, e.data) for e in nav.events])
+        extra=lambda events: {"replan_count": nav.replan_count,
+                              "mode_switches": _count(events, "R1", "R2")})
 
 
 def _reactive3d(cfg: dict) -> Engine:
@@ -206,9 +219,8 @@ def _reactive3d(cfg: dict) -> Engine:
     return _vehicle(
         cfg, world, nav, Heading3DState(start, a0), step_heading3d,
         LimitSet(v_max=p.v_bar, u_max=p.omega_max), 0.3, control_dt, watch=watch,
-        extra=lambda: {"plane_residual": float(plane_resid),
-                       "encounters": sum(1 for _, k in nav.events if k == "R1")},
-        events=lambda: [(tick, name, {}) for tick, name in nav.events])
+        extra=lambda events: {"plane_residual": float(plane_resid),
+                              "encounters": _count(events, "R1")})
 
 
 def _deform3d(cfg: dict) -> Engine:
@@ -224,15 +236,15 @@ def _deform3d(cfg: dict) -> Engine:
         cfg, world, nav, state, step_angles3d,
         LimitSet(v_max=p.v, u_max=3.0), 0.3,
         cfg.get("control_dt", 0.1), mode="track",
-        extra=lambda: {"deform_count": sum(n for _, n in nav.deform_events)},
-        events=lambda: [(tick, "deform", {"count": n})
-                        for tick, n in nav.deform_events])
+        extra=lambda events: {"deform_count": sum(e["count"] for e in events
+                                                  if e["kind"] == "deform")})
 
 
 def _deform3d_quad(cfg: dict) -> Engine:
     """Deformable path tracked by the quadrotor through the third-order
     reference model.  Deformation and the log row follow the first plant step
-    of a tick; clearance and goal are checked at every plant step."""
+    of a tick; the tick's clearance is the minimum over its plant steps, and
+    the goal is checked at every plant step."""
     world = build_world(cfg)
     p = DeformParams(**cfg.get("params", {}).get("deform", {}))
     gains = RefModelGains(v_max=max(2.0 * p.v, 1.0))
@@ -243,17 +255,17 @@ def _deform3d_quad(cfg: dict) -> Engine:
     ref = RefModelState(start.copy(), float(np.arctan2(direction[1], direction[0])),
                         0.0, 0.0, 0.0, 0.0, 0.0)
     tracker = QuadrotorTracker(
-        QuadrotorState(start.copy(), np.zeros(3), np.eye(3), np.zeros(3)),
-        FlatnessGains())
+        QuadrotorState(start.copy(), np.zeros(3), np.eye(3), np.zeros(3)))
     plant_dt = cfg.get("plant_dt", 0.01)
     n_sub = max(1, int(round(cfg.get("control_dt", 0.1) / plant_dt)))
     # the plant step count is fixed, so the last tick may be a partial one
     n_steps = int(round(cfg["duration"] / plant_dt))
-    t, min_d, errs, goal_time, row = 0.0, np.inf, [], None, None
+    t, d_tick, errs, goal_time, row = 0.0, np.inf, [], None, None
 
     def step(tick):
-        nonlocal path, ref, t, min_d, goal_time, row
+        nonlocal path, ref, t, d_tick, goal_time, row
         first = tick * n_sub
+        d_tick = np.inf
         for k in range(first, min(first + n_sub, n_steps)):
             if k == first:
                 path, _ = deform_until_safe(path, world, p, t,
@@ -264,7 +276,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
             t += plant_dt
             errs.append(float(np.linalg.norm(st.p - ref.p)))
             d = _clearance(world, st.p, t)
-            min_d = min(min_d, d)
+            d_tick = monitors_mod.min_keep_nan(d_tick, d)
             if k == first:
                 row = (tick, t, 0, st.p, st.v, "track", d, np.inf)
             if np.linalg.norm(st.p - goal) < 0.4:
@@ -272,13 +284,13 @@ def _deform3d_quad(cfg: dict) -> Engine:
                 return GOAL
         return None
 
-    def metrics():
+    def metrics(events):
         rms = float(np.sqrt(np.mean(np.square(errs)))) if errs else 0.0
-        return {"min_d_obs": float(min_d), "goal_reached": goal_time is not None,
-                "goal_time": goal_time, "tracking_rms": rms}
+        return {"goal_reached": goal_time is not None, "goal_time": goal_time,
+                "tracking_rms": rms}
 
-    return Engine(n_sub * plant_dt, step, lambda tick: [row], metrics,
-                  n_ticks=-(-n_steps // n_sub))
+    return Engine(n_sub * plant_dt, step, lambda: {"min_d_obs": d_tick},
+                  lambda tick: [row], metrics, n_ticks=-(-n_steps // n_sub))
 
 
 def _tunnel(cfg: dict) -> Engine:
@@ -306,21 +318,20 @@ def _tunnel(cfg: dict) -> Engine:
                           rng=np.random.default_rng(cfg["seed"]),
                           pipeline=params.get("pipeline", "slices"),
                           probe_distances=params.get("probe_distances"))
-    t, min_wall, v, dw = 0.0, np.inf, None, None
+    t, v, dw = 0.0, None, np.inf
     q_prev = cloud.curvilinear(c)
     q_unwrapped = [q_prev]
     # closed tunnels complete after one full loop, open ones near the end
     target = cloud.length * (1.0 if cloud.closed else 0.86)
 
     def step(tick):
-        nonlocal c, t, min_wall, v, dw, q_prev
+        nonlocal c, t, v, dw, q_prev
         v = nav.control(c)
         if nav.terminated:
             return TERMINATED
         c = c + v * p.delta
         t += p.delta
         dw = cloud.wall_distance(c)
-        min_wall = min(min_wall, dw)
         q_now = cloud.curvilinear(c)
         dq = q_now - q_prev
         if cloud.closed:
@@ -332,7 +343,7 @@ def _tunnel(cfg: dict) -> Engine:
     def rows(tick):
         return [(tick, t, 0, c, v, nav.mode, dw, np.inf, f"q={q_unwrapped[-1]:.3f}")]
 
-    def metrics():
+    def metrics(events):
         q_arr = np.asarray(q_unwrapped)
         window = int(round(float(cfg.get("monitors", {}).get("progress_window", 5.0))
                            / p.delta))
@@ -340,11 +351,11 @@ def _tunnel(cfg: dict) -> Engine:
             np.all(q_arr[window:] - q_arr[:-window] > 0.0))
         # a run stops on the tick that reaches the target
         completed = bool(q_unwrapped[-1] - q_unwrapped[0] >= target)
-        return {"min_wall_distance": float(min_wall), "progress_monotone": monotone,
+        return {"progress_monotone": monotone,
                 "completed": completed, "progress": float(q_arr[-1] - q_arr[0]),
                 "goal_reached": completed}
 
-    return Engine(p.delta, step, rows, metrics)
+    return Engine(p.delta, step, lambda: {"min_wall_distance": dw}, rows, metrics)
 
 
 def _flocking(cfg: dict) -> Engine:
@@ -369,16 +380,14 @@ def _flocking(cfg: dict) -> Engine:
     sim = FlockSim(q0, np.zeros((n, 2)), p, world=world if world.obstacles else None,
                    control_dt=cfg.get("control_dt", 0.1),
                    plant_dt=cfg.get("plant_dt", 0.01), rng=rng)
-    min_pair, min_obs, mp, d_obs, goal_time = np.inf, np.inf, np.inf, np.inf, None
+    mp, d_obs, goal_time = np.inf, np.inf, None
 
     def step(tick):
-        nonlocal min_pair, min_obs, mp, d_obs, goal_time
+        nonlocal mp, d_obs, goal_time
         sim.tick()
         mp = sim.min_pairwise()
-        min_pair = min(min_pair, mp)
         if world.obstacles:
             d_obs = min(d for d, _, _ in sim.nearest_obstacles())
-            min_obs = min(min_obs, d_obs)
         gd = np.linalg.norm(sim.snapshot.q - p.goal, axis=1)
         if np.all(gd <= p.goal_radius + 0.5) and np.max(sim.speeds()) < 0.05:
             goal_time = sim.t
@@ -390,7 +399,7 @@ def _flocking(cfg: dict) -> Engine:
         vel = snap.nu[:, :1] * flock_direction(snap.theta)
         return [(tick, sim.t, i, snap.q[i], vel[i], "flock", d_obs, mp) for i in range(n)]
 
-    def metrics():
+    def metrics(events):
         q = sim.snapshot.q
         nb = neighbor_lists(sim.snapshot, p.r_c)
         lattice_err = 0.0
@@ -398,13 +407,13 @@ def _flocking(cfg: dict) -> Engine:
             if len(nb[i]):
                 dists = np.linalg.norm(q[nb[i]] - q[i], axis=1)
                 lattice_err = max(lattice_err, abs(float(np.min(dists)) - p.d_ij))
-        return {"min_pair_d": float(min_pair), "min_d_obs": float(min_obs),
-                "goal_reached": goal_time is not None, "goal_time": goal_time,
+        return {"goal_reached": goal_time is not None, "goal_time": goal_time,
                 "final_max_speed": float(np.max(sim.speeds())),
                 "lattice_err": float(lattice_err),
                 "adjacency_full_rank": sim.adjacency_full_rank()}
 
-    return Engine(sim.control_dt, step, rows, metrics,
+    return Engine(sim.control_dt, step, lambda: {"min_pair_d": mp, "min_d_obs": d_obs},
+                  rows, metrics, (sim.events,),
                   record_every=int(cfg.get("params", {}).get("record_every", 10)))
 
 
@@ -430,10 +439,10 @@ def _coverage(cfg: dict) -> Engine:
                       control_dt=cfg.get("control_dt", 0.1), r_c=pcfg.get("r_c"))
     removals = {int(r["tick"]): int(r["agent"]) for r in pcfg.get("removals", [])}
     # agent removals and the plane resizes the sweep refused, at their ticks
-    logged, costs, min_pair, mp = [], [], np.inf, np.inf
+    logged, costs, mp = [], [], np.inf
 
     def step(tick):
-        nonlocal min_pair, mp
+        nonlocal mp
         if tick in removals:
             sim.remove_agent(removals[tick])
             logged.append((tick, "agent_removed", {"agent": removals[tick]}))
@@ -444,7 +453,6 @@ def _coverage(cfg: dict) -> Engine:
                           for ev in sweep.rejected[n_rejected:])
         costs.append(sim.multicenter_cost())
         mp = sim.min_pairwise()
-        min_pair = min(min_pair, mp)
         return None
 
     def rows(tick):
@@ -452,7 +460,7 @@ def _coverage(cfg: dict) -> Engine:
         return [(tick, sim.t, int(i), sim.q[i], vels[i], "cover", np.inf, mp)
                 for i in np.nonzero(sim.active)[0]]
 
-    def metrics():
+    def metrics(events):
         cents, _ = sim.centroids()
         act = np.nonzero(sim.active)[0]
         err = float(np.max(np.linalg.norm(cents[act] - sim.q[act], axis=1)))
@@ -471,22 +479,17 @@ def _coverage(cfg: dict) -> Engine:
                 sweep_err = max(sweep_err, float(np.linalg.norm(
                     vels[i] - float(np.dot(vels[i], a3)) * a3)))
                 sweep_err = max(sweep_err, abs(float(np.dot(vels[i], a3)) - sweep.g0))
-        return {"min_pair_d": float(min_pair), "final_centroid_err": err,
+        return {"final_centroid_err": err,
                 "final_max_speed": final_max_speed,
                 "cost_max_increase": float(increase),
                 "sweep_speed_err": float(sweep_err),
-                "comm_violations": sum(1 for e in sim.events
-                                       if e[1] == "comm_range_violation"),
+                "comm_violations": _count(events, "comm_range_violation"),
                 "goal_reached": True}
 
-    def events():
-        # the sim records a state's events when it ticks from it, at its time
-        found = [(int(round(t / sim.control_dt)), kind, data)
-                 for t, kind, data in sim.events]
-        return sorted(logged + found, key=lambda e: e[0])
-
-    return Engine(sim.control_dt, step, rows, metrics, events,
-                  record_every=int(pcfg.get("record_every", 5)))
+    # a tick's removal and refused resizes come before the events of the
+    # state the sim ticked from
+    return Engine(sim.control_dt, step, lambda: {"min_pair_d": mp}, rows, metrics,
+                  (logged, sim.events), record_every=int(pcfg.get("record_every", 5)))
 
 
 ENGINES = {"hybrid2d": _hybrid2d, "reactive3d": _reactive3d, "deform3d": _deform3d,

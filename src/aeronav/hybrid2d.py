@@ -14,7 +14,7 @@ drawn in a random clear direction and the global planner is re-run from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -122,13 +122,6 @@ def turn_direction(state: Unicycle2DState, closest_point: np.ndarray) -> float:
     return 1.0 if cross >= 0.0 else -1.0
 
 
-@dataclass
-class NavEvent:
-    tick: int
-    kind: str
-    data: dict = field(default_factory=dict)
-
-
 class HybridNavigator:
     """Per-vehicle executive.  One `control()` call per control period."""
 
@@ -146,7 +139,7 @@ class HybridNavigator:
         self.trap_range = params.big_c if trap_range is None else trap_range
         self.mode = NavMode.TRACKING
         self.path: PiecewisePath | None = None
-        self.events: list[NavEvent] = []
+        self.events: list[tuple[int, str, dict]] = []
         self.replan_count = 0
         self._d_prev: float | None = None
         self._gamma = 1.0
@@ -166,7 +159,7 @@ class HybridNavigator:
         res = rrt_plan(start, self.goal, self.world, self.rrt,
                        bounds=self.bounds, t=t, rng=self.rng)
         if not res.success:
-            self.events.append(NavEvent(from_tick, "plan_failed", {"reason": res.reason}))
+            self.events.append((from_tick, "plan_failed", {"reason": res.reason}))
             return False
         pruned = prune_path(res.waypoints, self.world, self.rrt, t)
         self.path = smooth_path(pruned, r_min=self.p.v_max / self.p.u_max).path
@@ -198,14 +191,14 @@ class HybridNavigator:
         p_ge = escape_goal(state.position, state.theta, angles, ranges,
                            self.trap_range, self.p.escape_distance, self.rng)
         self.replan_count += 1
-        self.events.append(NavEvent(tick, "replan", {"escape": p_ge.tolist()}))
+        self.events.append((tick, "replan", {"escape": p_ge.tolist()}))
         res = rrt_plan(p_ge, self.goal, self.world, self.rrt,
                        bounds=self.bounds, t=t, rng=self.rng)
         self.mode = NavMode.TRACKING
         self._blocked_ids.add(blocking_id)
         self._d_prev = None
         if not res.success:
-            self.events.append(NavEvent(tick, "replan_overrun"))
+            self.events.append((tick, "replan_overrun", {}))
             return False
         pruned = prune_path(res.waypoints, self.world, self.rrt, t)
         wps = np.vstack([state.position[None, :], pruned])
@@ -236,7 +229,7 @@ class HybridNavigator:
                 planned = self._replan_from_trap(state, t, tick, angles, ranges, obs_id)
             except RuntimeError:
                 if not self._stopped:
-                    self.events.append(NavEvent(tick, "trap_unescapable"))
+                    self.events.append((tick, "trap_unescapable", {}))
                     self._stopped = True
                 return 0.0, 0.0
             if not planned:
@@ -260,7 +253,7 @@ class HybridNavigator:
                 self.mode = NavMode.REACTIVE
                 self._gamma = turn_direction(state, closest)
                 self._reactive_obstacle = obs_id
-                self.events.append(NavEvent(tick, "R1", {"obstacle": obs_id, "d": d}))
+                self.events.append((tick, "R1", {"obstacle": obs_id, "d": d}))
         else:
             _, _, target = pure_pursuit_2d(state, self.path, self.p)
             bearing = float(np.arctan2(target[1] - state.position[1],
@@ -269,7 +262,7 @@ class HybridNavigator:
             if aligned and self._corridor_clear(state, target, t):
                 self.mode = NavMode.TRACKING
                 self._blocked_ids.add(self._reactive_obstacle)
-                self.events.append(NavEvent(tick, "R2", {"obstacle": self._reactive_obstacle}))
+                self.events.append((tick, "R2", {"obstacle": self._reactive_obstacle}))
                 self._d_prev = None
 
         if self.mode == NavMode.REACTIVE:

@@ -25,12 +25,9 @@ class LimitSet:
     """Actuation limits.  All strictly positive."""
     v_max: float = 1.0
     u_max: float = 1.5          # angular rate bound [rad/s]
-    a_max: float = 10.0
-    thrust_min: float = 0.0     # mass-normalized [m/s^2]
-    thrust_max: float = 30.0
 
     def __post_init__(self):
-        if min(self.v_max, self.u_max, self.a_max, self.thrust_max) <= 0.0:
+        if min(self.v_max, self.u_max) <= 0.0:
             raise ValueError("limits must be strictly positive")
 
 
@@ -201,30 +198,19 @@ def step_angles3d(state: Angle3DState, v: float, u_beta: float, u_alpha: float,
                         wrap_angle(_rk4_float(al, u_alpha, u_alpha, u_alpha, dt)))
 
 
-@dataclass(frozen=True)
-class QuadrotorParams:
-    inertia: np.ndarray = None  # body inertia, kg m^2
-    g: float = GRAVITY
-
-    def __post_init__(self):
-        if self.inertia is None:
-            object.__setattr__(self, "inertia", np.diag([0.01, 0.01, 0.018]))
+QUAD_INERTIA = np.diag([0.01, 0.01, 0.018])   # body inertia, kg m^2
+QUAD_INERTIA_INV = np.linalg.inv(QUAD_INERTIA)
 
 
 def step_quadrotor(state: QuadrotorState, thrust: float, torque: np.ndarray,
-                   dt: float = PLANT_DT, params: QuadrotorParams | None = None,
-                   limits: LimitSet | None = None, tick: int | None = None) -> QuadrotorState:
+                   dt: float = PLANT_DT, tick: int | None = None) -> QuadrotorState:
     """RK4 step of the quadrotor rigid-body model with mass-normalized thrust:
     vdot = -g e3 + T R e3, Rdot = R [w]_x, Jwdot = -w x Jw + tau."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    params = params or QuadrotorParams()
     torque = np.asarray(torque, dtype=float)
-    if limits is not None:
-        thrust = float(np.clip(thrust, limits.thrust_min, limits.thrust_max))
     _check_finite([state.p, state.v, state.R, state.omega, torque, np.array([thrust])], tick)
-    j = params.inertia
-    j_inv = np.linalg.inv(j)
+    j, j_inv = QUAD_INERTIA, QUAD_INERTIA_INV
     e3 = np.array([0.0, 0.0, 1.0])
 
     y = np.concatenate([state.p, state.v, state.R.reshape(9), state.omega])
@@ -234,7 +220,7 @@ def step_quadrotor(state: QuadrotorState, thrust: float, torque: np.ndarray,
         r = s[6:15].reshape(3, 3)
         w = s[15:18]
         dp = v
-        dv = -params.g * e3 + thrust * (r @ e3)
+        dv = -GRAVITY * e3 + thrust * (r @ e3)
         dr = (r @ skew(w)).reshape(9)
         dw = j_inv @ (-np.cross(w, j @ w) + torque)
         return np.concatenate([dp, dv, dr, dw])

@@ -17,27 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import unit, vee
-from .plants import GRAVITY, QuadrotorParams, QuadrotorState, step_quadrotor
+from .plants import GRAVITY, QuadrotorState, step_quadrotor
 
 E3 = np.array([0.0, 0.0, 1.0])
 
-
-@dataclass(frozen=True)
-class FlatnessGains:
-    k1: np.ndarray = None            # sliding-surface position gain (diag)
-    k2: np.ndarray = None            # reaching-law gain (diag)
-    mu: float = 1.0
-    k_r: float = 2.0                 # attitude loop (values are ours, tuned)
-    k_omega: float = 0.35
-
-    def __post_init__(self):
-        if self.k1 is None:
-            object.__setattr__(self, "k1", np.diag([1.3, 1.3, 3.5]))
-        if self.k2 is None:
-            object.__setattr__(self, "k2", np.diag([2.0, 2.0, 4.0]))
-        for m in (self.k1, self.k2):
-            if np.any(np.diag(m) <= 0.0):
-                raise ValueError("gain diagonals must be positive")
+# flatness-based tracking gains
+K1 = np.diag([1.3, 1.3, 3.5])       # sliding-surface position gain
+K2 = np.diag([2.0, 2.0, 4.0])       # reaching-law gain
+MU = 1.0
+K_R = 2.0                           # attitude loop (values are ours, tuned)
+K_OMEGA = 0.35
 
 
 @dataclass
@@ -48,18 +37,16 @@ class FlatSample:
     yaw: float = 0.0
 
 
-def position_smc(state: QuadrotorState, ref: FlatSample,
-                 gains: FlatnessGains) -> np.ndarray:
+def position_smc(state: QuadrotorState, ref: FlatSample) -> np.ndarray:
     """Commanded acceleration (world frame, gravity feedforward included)."""
     if not (np.all(np.isfinite(ref.p)) and np.all(np.isfinite(ref.v))
             and np.all(np.isfinite(ref.a))):
         raise ValueError("reference sample must be finite")
     e_p = ref.p - state.p
     e_v = ref.v - state.v
-    mu = gains.mu
-    sigma = e_v + gains.k1 @ np.tanh(mu * e_p)
-    a_cmd = ref.a + GRAVITY * E3 + gains.k2 @ np.tanh(mu * sigma)
-    return a_cmd + mu * (gains.k1 @ (e_v * (1.0 / np.cosh(mu * e_p)) ** 2))
+    sigma = e_v + K1 @ np.tanh(MU * e_p)
+    a_cmd = ref.a + GRAVITY * E3 + K2 @ np.tanh(MU * sigma)
+    return a_cmd + MU * (K1 @ (e_v * (1.0 / np.cosh(MU * e_p)) ** 2))
 
 
 def flat_outputs_to_attitude_thrust(a_cmd: np.ndarray, yaw_ref: float,
@@ -84,12 +71,12 @@ def flat_outputs_to_attitude_thrust(a_cmd: np.ndarray, yaw_ref: float,
 
 
 def attitude_torque(state: QuadrotorState, r_des: np.ndarray,
-                    omega_des: np.ndarray, gains: FlatnessGains) -> np.ndarray:
+                    omega_des: np.ndarray) -> np.ndarray:
     """Geometric attitude loop: tau = -K_R e_R - K_w e_w with
     e_R = 0.5 (R_des^T R - R^T R_des)^vee."""
     e_r = 0.5 * vee(r_des.T @ state.R - state.R.T @ r_des)
     e_w = state.omega - np.asarray(omega_des, dtype=float)
-    return -gains.k_r * e_r - gains.k_omega * e_w
+    return -K_R * e_r - K_OMEGA * e_w
 
 
 class QuadrotorTracker:
@@ -97,17 +84,14 @@ class QuadrotorTracker:
     stepping the plant at dt (position loop at every step = 100 Hz when
     dt = 0.01)."""
 
-    def __init__(self, state: QuadrotorState, gains: FlatnessGains | None = None,
-                 params: QuadrotorParams | None = None):
+    def __init__(self, state: QuadrotorState):
         self.state = state
-        self.gains = gains or FlatnessGains()
-        self.params = params or QuadrotorParams()
 
     def step(self, ref: FlatSample, dt: float) -> QuadrotorState:
-        a_cmd = position_smc(self.state, ref, self.gains)
+        a_cmd = position_smc(self.state, ref)
         thrust, r_des = flat_outputs_to_attitude_thrust(a_cmd, ref.yaw, self.state.R)
-        tau = attitude_torque(self.state, r_des, np.zeros(3), self.gains)
-        self.state = step_quadrotor(self.state, thrust, tau, dt, self.params)
+        tau = attitude_torque(self.state, r_des, np.zeros(3))
+        self.state = step_quadrotor(self.state, thrust, tau, dt)
         return self.state
 
 

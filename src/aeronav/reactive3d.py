@@ -178,7 +178,7 @@ class Reactive3DNavigator:
         self._d_prev: float | None = None
         self._avoid_id = -1
         self._blocked: set[int] = set()
-        self.events: list[tuple[int, str]] = []
+        self.events: list[tuple[int, str, dict]] = []
 
     def control(self, state: Heading3DState, t: float, tick: int) -> tuple[float, np.ndarray]:
         if self.mode == Mode3D.AVOID:
@@ -196,7 +196,7 @@ class Reactive3DNavigator:
                 self.plane = build_plane(state.p, state.a, tangent, closest, t)
                 self.mode = Mode3D.AVOID
                 self._avoid_id = obs_id
-                self.events.append((tick, "R1"))
+                self.events.append((tick, "R1", {}))
         else:
             p_e = self.goal - state.p
             aligned = angle_between(state.a, p_e) < self.p.align_tol
@@ -204,7 +204,7 @@ class Reactive3DNavigator:
                     and self._goal_ray_clear(state, t)):
                 self.mode = Mode3D.PURSUIT
                 self._blocked.add(self._avoid_id)
-                self.events.append((tick, "R2"))
+                self.events.append((tick, "R2", {}))
                 self._d_prev = None
 
         for oid in list(self._blocked):

@@ -98,14 +98,20 @@ def slice_centroids(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
         if len(pts) == 0:
             raise SliceStarvation(f"no wall points in the slice at {d_i} m")
         slabs.append(pts.mean(axis=0))
-    g1, g2 = slabs
+    return _chord_centroids(c, *slabs, *counts)
+
+
+def _chord_centroids(c: np.ndarray, g1: np.ndarray, g2: np.ndarray,
+                     count1: int, count2: int) -> SliceCentroids:
+    """The centroid pair G1, G2 with the point-line distance h from c to
+    their chord."""
     a = g2 - g1
     an = np.linalg.norm(a)
     if an < 1e-9:
         raise SliceStarvation("degenerate slice chord (G1 == G2)")
     r = c - g1
     h = float(np.linalg.norm(r - np.dot(r, a / an) * (a / an)))
-    return SliceCentroids(g1, g2, counts[0], counts[1], h, a)
+    return SliceCentroids(g1, g2, count1, count2, h, a)
 
 
 def tunnel_law(c: np.ndarray, centroids: SliceCentroids,
@@ -338,7 +344,7 @@ class TunnelNavigator:
                     if self.robust_state.failures >= ROBUST_FAIL_LIMIT:
                         self.terminated = True
                     return self.v_prev
-                cents = self._centroids_from_pair(c, *got)
+                cents = _chord_centroids(c, *got, 1, 1)
             else:
                 cents = slice_centroids(c, f, local, p)
         except SliceStarvation:
@@ -356,13 +362,3 @@ class TunnelNavigator:
         p = self.params
         return self.grid.sensed_near_planes(c, f, (p.d1, p.d2), p.slice_tol,
                                             self.sensing.d_sensing)
-
-    @staticmethod
-    def _centroids_from_pair(c, g1, g2) -> SliceCentroids:
-        a = g2 - g1
-        an = np.linalg.norm(a)
-        if an < 1e-9:
-            raise SliceStarvation("degenerate centroid pair")
-        r = c - g1
-        h = float(np.linalg.norm(r - np.dot(r, a / an) * (a / an)))
-        return SliceCentroids(g1, g2, 1, 1, h, a)

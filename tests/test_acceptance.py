@@ -219,7 +219,7 @@ def test_criterion_6_coverage():
 
 # -- criterion 7: oracle and property identities --------------------------------
 
-def test_criterion_7_numeric_identities():
+def test_criterion_7_numeric_identities(long_hover_state):
     """The numeric identities behind the algorithms, re-run here in one
     sweep: polygon centroid vs grid (1e-4), circumcenter equidistance,
     stitched-spline C2 residuals (1e-9), minimum-jerk boundary residuals
@@ -230,9 +230,8 @@ def test_criterion_7_numeric_identities():
     from aeronav.coverage import cell_centroid, circumcenter
     from aeronav.geom import rodrigues_rotate, unit
     from aeronav.flocking import nsb_blend
-    from aeronav.plants import GRAVITY, QuadrotorState, step_quadrotor
-    from aeronav.quadrotor import (FlatnessGains, TrapezoidalProfile,
-                                   min_jerk_eval, min_jerk_segment)
+    from aeronav.quadrotor import (K1, MU, TrapezoidalProfile, min_jerk_eval,
+                                   min_jerk_segment)
     rng = np.random.default_rng(77)
     ok = True
 
@@ -300,23 +299,20 @@ def test_criterion_7_numeric_identities():
     ok &= bool(np.allclose(nsb_blend(e1, e2, np.zeros(3)), e1 + e2, atol=1e-12))
 
     # sech^2 cancellation term is the gradient of the tanh term
-    g = FlatnessGains()
     for _ in range(25):
         e_p, e_v = rng.standard_normal(3), rng.standard_normal(3)
-        analytic = g.mu * (g.k1 @ (e_v * (1 / np.cosh(g.mu * e_p)) ** 2))
+        analytic = MU * (K1 @ (e_v * (1 / np.cosh(MU * e_p)) ** 2))
         h = 1e-6
         fd = np.zeros(3)
         for i in range(3):
             d = np.zeros(3)
             d[i] = h
-            fd += (g.k1 @ np.tanh(g.mu * (e_p + d)) -
-                   g.k1 @ np.tanh(g.mu * (e_p - d))) / (2 * h) * e_v[i]
+            fd += (K1 @ np.tanh(MU * (e_p + d)) -
+                   K1 @ np.tanh(MU * (e_p - d))) / (2 * h) * e_v[i]
         ok &= float(np.max(np.abs(analytic - fd))) < 1e-6
 
     # SO(3) drift over a long hover
-    st = QuadrotorState.hover()
-    for _ in range(100_000):
-        st = step_quadrotor(st, GRAVITY, np.zeros(3), 0.01)
+    st = long_hover_state
     ok &= float(np.max(np.abs(st.R.T @ st.R - np.eye(3)))) < 1e-6
 
     _report("criterion-7 oracles", bool(ok))

@@ -311,8 +311,8 @@ def test_queries_record_nothing_tick_records_once():
     assert sim.centroids()[0] is cents
     sim.tick()
     first = list(sim.events)
-    assert first and all(t == 0.0 and kind == "comm_range_violation"
-                         for t, kind, _ in first)
+    assert first and all(tick == 0 and kind == "comm_range_violation"
+                         for tick, kind, _ in first)
     assert len({(d["agent"], d["neighbor"]) for _, _, d in first}) == len(first)
     sim.velocities()
     sim.centroids()

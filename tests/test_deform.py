@@ -217,7 +217,7 @@ def test_clear_tick_scans_the_path_once():
     calls = _count_batch_calls(w)
     nav = DeformNavigator(DeformParams(), w, np.zeros(3), np.array([20.0, 0.0, 0.0]))
     nav.control(Angle3DState(np.zeros(3), 0.0, 0.0), 0.0, 0)
-    assert nav.deform_events == []
+    assert nav.events == []
     assert len(calls) == 1
 
 
@@ -229,7 +229,7 @@ def test_capped_tick_scans_again_at_d_safe():
     params = DeformParams(max_deforms_per_check=1)
     nav = DeformNavigator(params, w, np.zeros(3), np.array([20.0, 0.0, 0.0]))
     nav.control(Angle3DState(np.zeros(3), 0.0, 0.0), 0.0, 0)
-    assert nav.deform_events == [(0, 1)]
+    assert nav.events == [(0, "deform", {"count": 1})]
     assert len(calls) == 2
 
 
@@ -247,7 +247,7 @@ def test_static_cylinder_field_safe():
     nav, st, min_d = _run_deform_scenario(w, goal, gamma=0.6, duration=80.0)
     assert np.linalg.norm(st.p - goal) < 0.3
     assert min_d >= 0.5
-    assert len(nav.deform_events) >= 1
+    assert any(kind == "deform" for _, kind, _ in nav.events)
 
 
 def test_dynamic_sphere_intercept_safe():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from aeronav.harness import monitors
 from aeronav.harness.config import ConfigError, load_config, save_config, validate_config
 from aeronav.harness.runlog import CSV_HEADER, RunLog, emit
-from aeronav.harness.runner import build_obstacle, build_world, run
+from aeronav.harness import runner
+from aeronav.harness.runner import ENGINES, Engine, build_world, run
 from aeronav.harness import scenarios
 
 
@@ -262,15 +263,114 @@ def test_zero_duration_run_has_header_only():
     res = run(cfg)
     assert res.log.records == []
     assert res.log.to_csv().startswith(CSV_HEADER)
+    assert res.metrics["min_d_obs"] == np.inf
 
 
 def test_monitors_fail_nan_clearance_pass_inf():
-    log = RunLog()
-    log.add(0, 0.1, 0, [0.0, 0.0], [0.0, 0.0], "m", np.inf, np.inf)
-    log.add(1, 0.2, 0, [0.0, 0.0], [0.0, 0.0], "m", np.nan, np.nan)
-    results = monitors.evaluate(log, {"d_safe": 0.5, "min_pair": 1.0}, {})
+    mons = {"d_safe": 0.5, "min_pair": 1.0}
+    record = monitors.SafetyRecord(("min_d_obs", "min_pair_d"), mons)
+    record.add(0, {"min_d_obs": np.inf, "min_pair_d": np.inf})
+    assert [m.passed for m in monitors.evaluate(record, mons, {})] == [True, True]
+    record.add(1, {"min_d_obs": np.nan, "min_pair_d": np.nan})
+    record.add(2, {"min_d_obs": 1.0, "min_pair_d": 2.0})
+    results = monitors.evaluate(record, mons, {})
     assert [(m.name, m.passed, m.first_violation_tick) for m in results] == [
         ("d_safe", False, 1), ("min_pair", False, 1)]
+
+
+def stub_engine(samples, record_every=1):
+    """An engine factory whose tick k has clearance samples[k], which its
+    rows log."""
+    def build(cfg):
+        d = np.inf
+
+        def step(tick):
+            nonlocal d
+            d = samples[tick]
+
+        def rows(tick):
+            return [(tick, 0.1 * (tick + 1), 0, [0.0, 0.0], [0.0, 0.0], "stub", d, np.inf)]
+
+        return Engine(0.1, step, lambda: {"min_d_obs": d}, rows, lambda events: {},
+                      record_every=record_every, n_ticks=len(samples))
+    return build
+
+
+def test_violation_on_an_unlogged_tick_fails(monkeypatch):
+    """The monitors see every control tick: a dip below d_safe on a tick the
+    log decimates away fails the run, at that tick."""
+    samples = [2.0] * 25
+    samples[13] = 0.1
+    monkeypatch.setitem(ENGINES, "hybrid2d", stub_engine(samples, record_every=10))
+    res = run(minimal_cfg(monitors={"d_safe": 0.5}))
+    assert [r["tick"] for r in res.log.records] == [0, 10, 20, 24]
+    assert min(r["d_obs"] for r in res.log.records) == 2.0
+    assert res.metrics["min_d_obs"] == 0.1
+    assert [(m.name, m.passed, m.first_violation_tick) for m in res.monitors] == [
+        ("d_safe", False, 13)]
+    assert not res.passed
+
+
+def test_run_minimum_keeps_a_nan_sample(monkeypatch):
+    """A NaN clearance stays in the metric, whatever the later samples, and
+    fails d_safe at its tick."""
+    monkeypatch.setitem(ENGINES, "hybrid2d", stub_engine([2.0, np.nan, 1.0]))
+    res = run(minimal_cfg(monitors={"d_safe": 0.5}))
+    assert np.isnan(res.metrics["min_d_obs"])
+    assert [(m.passed, m.first_violation_tick) for m in res.monitors] == [(False, 1)]
+
+
+def test_wall_margin_reports_first_violation_tick():
+    cfg = scenarios.tunnel_scenario("a")
+    cfg["duration"] = 0.5
+    cfg["monitors"] = {"wall_margin": 0.0}
+    assert run(cfg).passed
+    cfg["monitors"] = {"wall_margin": 100.0}
+    res = run(cfg)
+    assert [(m.name, m.passed, m.first_violation_tick) for m in res.monitors] == [
+        ("wall_margin", False, 0)]
+
+
+def test_clearance_monitor_of_a_metric_the_kind_lacks_rejected():
+    """A tunnel logs its wall distance in the d_obs column but reports no
+    min_d_obs, so d_safe there would check nothing."""
+    cfg = scenarios.tunnel_scenario("a")
+    cfg["monitors"] = {"d_safe": 0.1}
+    with pytest.raises(ConfigError, match="monitors.d_safe"):
+        run(cfg)
+
+
+def test_hover_reaches_the_log():
+    """A static blockage the capped deformation loop leaves just ahead holds
+    the vehicle, and each held tick is a hover event after its deform."""
+    cfg = {"version": 1, "name": "hover", "seed": 0, "kind": "deform3d",
+           "duration": 0.3, "start": [0.0, 0.0, 0.0], "goal": [20.0, 0.0, 0.0],
+           "world": {"obstacles": [{"type": "sphere", "center": [2.5, 0.0, 0.0],
+                                    "radius": 1.5}]},
+           "params": {"deform": {"max_deforms_per_check": 1}}}
+    res = run(cfg)
+    assert [(e["tick"], e["kind"]) for e in res.log.events] == [
+        (0, "deform"), (0, "hover"), (1, "deform"), (1, "hover"),
+        (2, "deform"), (2, "hover")]
+    assert res.metrics["deform_count"] == 3
+
+
+def test_coincident_guard_reaches_the_log(monkeypatch):
+    """Agents that coincide at run time are nudged apart, and the log says
+    which pair at which tick."""
+    class CoincidentStart(runner.FlockSim):
+        def __init__(self, q0, *args, **kw):
+            q0 = q0.copy()
+            q0[1] = q0[0]
+            super().__init__(q0, *args, **kw)
+
+    monkeypatch.setattr(runner, "FlockSim", CoincidentStart)
+    cfg = scenarios.flock_scenario(4)
+    cfg["duration"] = 0.3
+    res = run(cfg)
+    assert [e for e in res.log.events if e["kind"] == "coincident_guard"] == [
+        {"tick": 0, "kind": "coincident_guard", "agents": [0, 1]},
+        {"tick": 0, "kind": "coincident_guard", "agents": [1, 0]}]
 
 
 OBSTACLE_KINDS = {"hybrid2d": scenarios.planar_trap_wall,

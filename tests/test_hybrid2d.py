@@ -175,7 +175,7 @@ def test_execution_r1_switch():
     wld = World([Sphere(np.array([6.0, 0.0]), 1.0, known=False)],
                 bounds=np.array([[-2.0, -8.0], [16.0, 8.0]]))
     nav, state, min_d = _run_navigator(wld, np.array([14.0, 0.0]))
-    kinds = [e.kind for e in nav.events]
+    kinds = [kind for _, kind, _ in nav.events]
     assert "R1" in kinds
     assert "R2" in kinds
     assert min_d >= P.d_safe
@@ -186,7 +186,7 @@ def test_execution_single_r1_per_encounter():
     wld = World([Sphere(np.array([6.0, 0.0]), 1.0, known=False)],
                 bounds=np.array([[-2.0, -8.0], [16.0, 8.0]]))
     nav, _, _ = _run_navigator(wld, np.array([14.0, 0.0]))
-    r1s = [e for e in nav.events if e.kind == "R1"]
+    r1s = [e for e in nav.events if e[1] == "R1"]
     assert len(r1s) == 1
 
 

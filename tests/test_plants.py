@@ -76,10 +76,8 @@ def test_turning_radius_bound():
     assert np.min(radius) >= (1.0 / 1.5) * 0.99
 
 
-def test_so3_drift_hover_long_run():
-    st = QuadrotorState.hover()
-    for _ in range(100_000):
-        st = step_quadrotor(st, GRAVITY, np.zeros(3), 0.01)
+def test_so3_drift_hover_long_run(long_hover_state):
+    st = long_hover_state
     err = np.max(np.abs(st.R.T @ st.R - np.eye(3)))
     assert err < 1e-6
     assert np.linalg.det(st.R) == pytest.approx(1.0, abs=1e-8)

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from aeronav.plants import GRAVITY, QuadrotorState, step_quadrotor
-from aeronav.quadrotor import (FlatSample, FlatnessGains, InfeasibleProfile,
+from aeronav.quadrotor import (K1, K2, MU, FlatSample, InfeasibleProfile,
                                QuadrotorTracker, TrapezoidalProfile,
                                attitude_torque, flat_outputs_to_attitude_thrust,
                                min_jerk_eval, min_jerk_segment,
                                min_jerk_trajectory, position_smc)
-
-G = FlatnessGains()
 
 
 def hover_ref(p=(0.0, 0.0, 0.0)):
@@ -17,7 +15,7 @@ def hover_ref(p=(0.0, 0.0, 0.0)):
 
 def test_smc_hover_command():
     st = QuadrotorState.hover()
-    a = position_smc(st, hover_ref(), G)
+    a = position_smc(st, hover_ref())
     assert np.allclose(a, [0, 0, GRAVITY], atol=1e-12)
 
 
@@ -26,13 +24,13 @@ def test_smc_bound():
     (the sech^2 weight is <= 1, so this holds for unit-bounded velocity
     errors; larger e_v scales the second term accordingly)."""
     rng = np.random.default_rng(0)
-    lim = (np.max(np.diag(G.k2)) + G.mu * np.max(np.diag(G.k1))) * np.sqrt(3)
+    lim = (np.max(np.diag(K2)) + MU * np.max(np.diag(K1))) * np.sqrt(3)
     for _ in range(300):
         p_ref = rng.standard_normal(3) * 5
         v_err = rng.uniform(-1.0, 1.0, 3)
         st = QuadrotorState(rng.standard_normal(3) * 5, -v_err, np.eye(3), np.zeros(3))
         ref = FlatSample(p_ref, np.zeros(3), rng.standard_normal(3))
-        a = position_smc(st, ref, G)
+        a = position_smc(st, ref)
         assert np.linalg.norm(a - ref.a - GRAVITY * np.array([0, 0, 1.0])) <= lim + 1e-9
     # general states: second term scales with the velocity-error infinity norm
     for _ in range(300):
@@ -41,8 +39,8 @@ def test_smc_bound():
         ref = FlatSample(rng.standard_normal(3) * 5, rng.standard_normal(3),
                          rng.standard_normal(3))
         scale = max(1.0, float(np.max(np.abs(ref.v - st.v))))
-        a = position_smc(st, ref, G)
-        lim_g = (np.max(np.diag(G.k2)) + G.mu * np.max(np.diag(G.k1)) * scale) * np.sqrt(3)
+        a = position_smc(st, ref)
+        lim_g = (np.max(np.diag(K2)) + MU * np.max(np.diag(K1)) * scale) * np.sqrt(3)
         assert np.linalg.norm(a - ref.a - GRAVITY * np.array([0, 0, 1.0])) <= lim_g + 1e-9
 
 
@@ -50,18 +48,18 @@ def test_smc_sech_term_is_gradient_of_tanh_term():
     """The sech^2 term equals d/de_p of K1 tanh(mu e_p) applied to e_v
     (finite-difference check below 1e-6)."""
     rng = np.random.default_rng(1)
-    mu = G.mu
+    mu = MU
     for _ in range(50):
         e_p = rng.standard_normal(3)
         e_v = rng.standard_normal(3)
-        analytic = mu * (G.k1 @ (e_v * (1.0 / np.cosh(mu * e_p)) ** 2))
+        analytic = mu * (K1 @ (e_v * (1.0 / np.cosh(mu * e_p)) ** 2))
         h = 1e-6
         fd = np.zeros(3)
         for i in range(3):
             ep1, ep2 = e_p.copy(), e_p.copy()
             ep1[i] += h
             ep2[i] -= h
-            fd += (G.k1 @ np.tanh(mu * ep1) - G.k1 @ np.tanh(mu * ep2)) / (2 * h) * e_v[i]
+            fd += (K1 @ np.tanh(mu * ep1) - K1 @ np.tanh(mu * ep2)) / (2 * h) * e_v[i]
         assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
@@ -95,7 +93,7 @@ def test_flat_outputs_tilt_oracle():
 
 def test_attitude_torque_zero_at_reference():
     st = QuadrotorState.hover()
-    tau = attitude_torque(st, np.eye(3), np.zeros(3), G)
+    tau = attitude_torque(st, np.eye(3), np.zeros(3))
     assert np.allclose(tau, 0.0)
 
 
@@ -117,7 +115,7 @@ def test_attitude_loop_converges_from_roll_error():
                         np.zeros(3))
     r_des = np.eye(3)
     for _ in range(300):
-        tau = attitude_torque(st, r_des, np.zeros(3), G)
+        tau = attitude_torque(st, r_des, np.zeros(3))
         st = step_quadrotor(st, GRAVITY, tau, 0.01)
     err = np.arccos(np.clip((np.trace(r_des.T @ st.R) - 1) / 2, -1, 1))
     assert err < np.deg2rad(0.5)

@@ -179,5 +179,5 @@ def test_single_ellipsoid_closed_loop_distance_bound():
     assert np.linalg.norm(state.p - goal) < 0.3
     assert min_d >= 0.95 * P44.d0
     assert plane_resid < 1e-6
-    kinds = [k for _, k in nav.events]
+    kinds = [kind for _, kind, _ in nav.events]
     assert "R1" in kinds and "R2" in kinds
