@@ -99,12 +99,12 @@ def clip_halfplane(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
     if len(poly) == 0:
         return poly
     s = poly @ a - b
-    inside = s <= 1e-12
-    if inside.all():
+    if s.max() <= 1e-12:     # False for a NaN, which takes the clip below
         return poly
     # keep each inside vertex k, and the crossing point of edge k -> k+1
     out = []
-    s, inside, pts = s.tolist(), inside.tolist(), poly.tolist()
+    s, pts = s.tolist(), poly.tolist()
+    inside = [v <= 1e-12 for v in s]
     for k in range(-len(pts), 0):
         if inside[k]:
             out.append(pts[k])
@@ -181,6 +181,12 @@ def circumcenter(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
     return (w1 * p1 + w2 * p2 + w3 * p3) / s
 
 
+def _reach(vertices: list, gx: float, gy: float) -> float:
+    """4 max_v |v - g|^2 over a vertex list, on floats, rounded as the array
+    form 4.0 * ((poly - g) ** 2).sum(axis=1).max()."""
+    return 4.0 * max((x - gx) * (x - gx) + (y - gy) * (y - gy) for x, y in vertices)
+
+
 def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
                   neighbor_mask: np.ndarray | None = None) -> list[np.ndarray]:
     """Voronoi cell polygons inside the boundary polygon (2D), clipping each
@@ -195,7 +201,7 @@ def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
     n = len(g)
     if n == 0:
         return []
-    _, d = pairwise(g)
+    diff, d = pairwise(g)
     if np.any(d + np.eye(n) < 1e-9):
         raise ValueError("duplicate projected generators: cells undefined")
     candidates = ~np.eye(n, dtype=bool)
@@ -203,21 +209,23 @@ def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
         candidates &= neighbor_mask
     order = np.argsort(d, axis=1, kind="stable")
     half_sq = 0.5 * np.einsum("ij,ij->i", g, g)
+    sq = d * d
     boundary = np.array(boundary, dtype=float)
     cells = []
-    for i in range(n):
+    for i, (gx, gy) in enumerate(g.tolist()):
+        sq_i, off_i = sq[i].tolist(), (half_sq - half_sq[i]).tolist()
         poly = boundary
-        reach = 4.0 * ((poly - g[i]) ** 2).sum(axis=1).max()
-        for j in order[i][candidates[i, order[i]]]:
-            if d[i, j] ** 2 > reach:
+        reach = _reach(boundary.tolist(), gx, gy)
+        for j in order[i][candidates[i, order[i]]].tolist():
+            if sq_i[j] > reach:
                 break
-            clipped = clip_halfplane(poly, g[j] - g[i], half_sq[j] - half_sq[i])
+            clipped = clip_halfplane(poly, diff[i, j], off_i[j])
             if clipped is poly:
                 continue
             poly = clipped
             if len(poly) == 0:
                 break
-            reach = 4.0 * ((poly - g[i]) ** 2).sum(axis=1).max()
+            reach = _reach(poly.tolist(), gx, gy)
         cells.append(poly)
     return cells
 

@@ -314,11 +314,9 @@ class FlockSim:
         a, alpha = flocking_control(snap.nu[:, 0], snap.theta, snap.nu[:, 1:], f_t,
                                     flock_direction(snap.theta), th_f, d1, d2, p)
         tau = np.column_stack((a, alpha))
-        q, th, nu = snap.q, snap.theta, snap.nu
         steps = max(1, int(round(self.control_dt / self.plant_dt)))
-        for _ in range(steps):
-            q, th, nu = step_flock_batch(q, th, nu, tau, self.plant_dt)
-        self.snapshot = FlockSnapshot(q, th, nu)
+        self.snapshot = FlockSnapshot(*step_flock_batch(snap.q, snap.theta, snap.nu, tau,
+                                                        self.plant_dt, steps))
         self.t += self.control_dt
         self.ticks += 1
         return self.snapshot

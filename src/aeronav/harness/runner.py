@@ -236,8 +236,11 @@ def _deform3d(cfg: dict) -> Engine:
         cfg, world, nav, state, step_angles3d,
         LimitSet(v_max=p.v, u_max=3.0), 0.3,
         cfg.get("control_dt", 0.1), mode="track",
-        extra=lambda events: {"deform_count": sum(e["count"] for e in events
-                                                  if e["kind"] == "deform")})
+        extra=lambda events: {"deform_count": _deform_count(events)})
+
+
+def _deform_count(events) -> int:
+    return sum(e["count"] for e in events if e["kind"] == "deform")
 
 
 def _deform3d_quad(cfg: dict) -> Engine:
@@ -261,6 +264,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
     # the plant step count is fixed, so the last tick may be a partial one
     n_steps = int(round(cfg["duration"] / plant_dt))
     t, d_tick, errs, goal_time, row = 0.0, np.inf, [], None, None
+    deforms = []    # (tick, "deform", {"count": n}), as DeformNavigator records them
 
     def step(tick):
         nonlocal path, ref, t, d_tick, goal_time, row
@@ -268,8 +272,10 @@ def _deform3d_quad(cfg: dict) -> Engine:
         d_tick = np.inf
         for k in range(first, min(first + n_sub, n_steps)):
             if k == first:
-                path, _ = deform_until_safe(path, world, p, t,
-                                            path.closest_param(ref.p))
+                path, n_def = deform_until_safe(path, world, p, t,
+                                                path.closest_param(ref.p))
+                if n_def:
+                    deforms.append((tick, "deform", {"count": n_def}))
             ref = reference_model_step(ref, path, p.v, gains, plant_dt)
             st = tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
                                          ref_acceleration(ref)), plant_dt)
@@ -287,10 +293,10 @@ def _deform3d_quad(cfg: dict) -> Engine:
     def metrics(events):
         rms = float(np.sqrt(np.mean(np.square(errs)))) if errs else 0.0
         return {"goal_reached": goal_time is not None, "goal_time": goal_time,
-                "tracking_rms": rms}
+                "tracking_rms": rms, "deform_count": _deform_count(events)}
 
     return Engine(n_sub * plant_dt, step, lambda: {"min_d_obs": d_tick},
-                  lambda tick: [row], metrics, n_ticks=-(-n_steps // n_sub))
+                  lambda tick: [row], metrics, (deforms,), n_ticks=-(-n_steps // n_sub))
 
 
 def _tunnel(cfg: dict) -> Engine:

@@ -236,7 +236,7 @@ def step_quadrotor(state: QuadrotorState, thrust: float, torque: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def flock_direction(theta: np.ndarray) -> np.ndarray:
-    """Unit direction of orientation angles theta, (m-1,) or (n, m-1): the
+    """Unit direction of orientation angles theta, (..., m-1) -> (..., m): the
     heading's [cos, sin] for m = 2, [cos(th)cos(psi), cos(th)sin(psi), sin(th)]
     for m = 3 with theta = [flight path th, heading psi]."""
     c, s = np.cos(theta), np.sin(theta)
@@ -250,24 +250,52 @@ def flock_direction(theta: np.ndarray) -> np.ndarray:
 
 
 def step_flock_batch(q: np.ndarray, theta: np.ndarray, nu: np.ndarray,
-                     tau: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One RK4 step of n copies of the nonholonomic acceleration-level model.
+                     tau: np.ndarray, dt: float,
+                     steps: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`steps` RK4 steps of n copies of the nonholonomic acceleration-level
+    model, with the accelerations held.
 
     q: (n, m) positions; theta: (n, m-1) orientation angles; nu: (n, m) stacked
-    [v, Omega]; tau: (n, m) stacked [a, alpha] accelerations (held constant).
-    The direction vector is `flock_direction(theta)`.  RK4 runs on the
-    packed (n, 3m - 1) state [q | theta | nu].
+    [v, Omega]; tau: (n, m) stacked [a, alpha] accelerations.  The direction
+    vector is `flock_direction(theta)`.  Each step equals `rk4` on the packed
+    (n, 3m - 1) state [q | theta | nu] followed by `wrap_angle` of theta, bit
+    for bit.  With tau held, every stage of nu is nu plus a constant and the
+    angle stages depend only on theta and Omega, so the stages of all steps
+    are computed at once; only the wrapped angles are a loop.  Raises
+    FloatingPointError if an input, or the state after any step, is not
+    finite.
     """
     _check_finite([q, theta, nu, tau])
-    m = q.shape[1]
-    dy_nu = np.empty((len(q), 3 * m - 1))  # every derivative's nu part is tau
-    dy_nu[:, 2 * m - 1:] = tau
-
-    def f(y):
-        dy = dy_nu.copy()
-        dy[:, :m] = y[:, 2 * m - 1:2 * m] * flock_direction(y[:, m:2 * m - 1])
-        dy[:, m:2 * m - 1] = y[:, 2 * m:]
-        return dy
-
-    y1 = rk4(f, np.hstack((q, theta, nu)), dt)
-    return y1[:, :m], wrap_angle(y1[:, m:2 * m - 1]), y1[:, 2 * m - 1:]
+    h2, h6 = 0.5 * dt, dt / 6.0
+    two_tau = 2.0 * tau
+    nus = np.empty((steps + 1,) + nu.shape)   # nu before and after each step
+    nus[0] = nu
+    nus[1:] = h6 * (((tau + two_tau) + two_tau) + tau)
+    np.add.accumulate(nus, out=nus)
+    nu1 = nus[:-1]
+    nu2 = nu1 + h2 * tau                      # stages 2 and 3
+    nu4 = nu1 + dt * tau
+    om1, om2, om4 = nu1[..., 1:], nu2[..., 1:], nu4[..., 1:]
+    two_om2 = 2.0 * om2
+    dth = h6 * (((om1 + two_om2) + two_om2) + om4)
+    ths = np.empty((steps + 1,) + theta.shape)
+    ths[0] = theta
+    for k in range(steps):   # wrap_angle, inline
+        ths[k + 1] = -(np.mod(-(ths[k] + dth[k]) + np.pi, 2.0 * np.pi) - np.pi)
+    th1 = ths[:-1]
+    # speeds and angles of the four stages of every step
+    v = np.empty((4,) + nu1[..., :1].shape)
+    v[0], v[1], v[2], v[3] = nu1[..., :1], nu2[..., :1], nu2[..., :1], nu4[..., :1]
+    angles = np.empty((4,) + th1.shape)
+    angles[0] = th1
+    np.add(th1, h2 * om1, out=angles[1])
+    np.add(th1, h2 * om2, out=angles[2])
+    np.add(th1, dt * om2, out=angles[3])
+    kq = v * flock_direction(angles)
+    qs = np.empty((steps + 1,) + q.shape)
+    qs[0] = q
+    two_k2, two_k3 = 2.0 * kq[1], 2.0 * kq[2]
+    qs[1:] = h6 * (((kq[0] + two_k2) + two_k3) + kq[3])
+    np.add.accumulate(qs, out=qs)
+    _check_finite([qs, ths, nus])
+    return qs[-1], ths[-1], nus[-1]

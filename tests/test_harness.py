@@ -355,6 +355,17 @@ def test_hover_reaches_the_log():
     assert res.metrics["deform_count"] == 3
 
 
+def test_quadrotor_deformations_reach_the_log():
+    """The quadrotor-tracked deformable path records its deformations as
+    the kinematic one does: stock deform-quad-tracking deforms 9 times on
+    its first tick."""
+    cfg = scenarios.stock("deform-quad-tracking")
+    cfg["duration"] = 0.5
+    res = run(cfg)
+    assert res.log.events == [{"tick": 0, "kind": "deform", "count": 9}]
+    assert res.metrics["deform_count"] == 9
+
+
 def test_coincident_guard_reaches_the_log(monkeypatch):
     """Agents that coincide at run time are nudged apart, and the log says
     which pair at which tick."""

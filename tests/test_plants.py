@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from aeronav.geom import unit
+from aeronav.geom import unit, wrap_angle
 from aeronav.plants import (Heading3DState, LimitSet, QuadrotorState,
-                            Unicycle2DState, rk4, step_angles3d, step_heading3d,
-                            step_flock_batch, step_quadrotor, step_unicycle,
-                            Angle3DState, GRAVITY)
+                            Unicycle2DState, flock_direction, rk4, step_angles3d,
+                            step_heading3d, step_flock_batch, step_quadrotor,
+                            step_unicycle, Angle3DState, GRAVITY)
 
 
 def test_unicycle_straight():
@@ -181,6 +182,59 @@ def test_step_angles3d_matches_array_rk4(p, beta, alpha, v, ub, ua, dt, limits):
     got = step_angles3d(state, v, ub, ua, dt, limits=limits)
     assert np.array_equal([*got.p, got.beta, got.alpha],
                           _ref_angles3d(state, v, ub, ua, dt, limits))
+
+
+def _ref_flock(q, theta, nu, tau, dt, steps):
+    """step_flock_batch as `steps` chained `rk4` steps on the packed
+    [q | theta | nu] state, theta wrapped after each."""
+    m = q.shape[1]
+
+    def f(y):
+        return np.hstack((y[:, 2 * m - 1:2 * m] * flock_direction(y[:, m:2 * m - 1]),
+                          y[:, 2 * m:], tau))
+
+    for _ in range(steps):
+        y = rk4(f, np.hstack((q, theta, nu)), dt)
+        q, theta, nu = y[:, :m], wrap_angle(y[:, m:2 * m - 1]), y[:, 2 * m - 1:]
+    return q, theta, nu
+
+
+# angles anywhere, and within 1e-3 of +-pi, where a slow rate wraps
+FLOCK_ANGLE = st.one_of(st.floats(-np.pi, np.pi), st.floats(np.pi - 1e-3, np.pi),
+                        st.floats(-np.pi, -np.pi + 1e-3))
+
+
+@st.composite
+def flock_holds(draw):
+    """(q, theta, nu, tau, dt, steps) for n agents in m = 2 or 3 dimensions;
+    rates and accelerations up to 1e3, enough to wrap within a hold."""
+    n, m = draw(st.integers(1, 6)), draw(st.sampled_from([2, 3]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
+    rate = st.floats(-scale, scale)
+    return (draw(arrays(float, (n, m), elements=st.floats(-100.0, 100.0))),
+            draw(arrays(float, (n, m - 1), elements=FLOCK_ANGLE)),
+            draw(arrays(float, (n, m), elements=rate)),
+            draw(arrays(float, (n, m), elements=rate)),
+            draw(st.sampled_from([0.001, 0.01, 0.05])), draw(st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hold=flock_holds())
+def test_step_flock_batch_matches_chained_rk4(hold):
+    got = step_flock_batch(*hold)
+    want = _ref_flock(*hold)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_flock_batch_raises_when_a_middle_step_overflows():
+    # finite inputs whose positions overflow in the 4th of 10 steps
+    q, theta, nu = np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3))
+    tau = np.zeros((2, 3))
+    tau[:, 0] = 1e307
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert all(np.isfinite(a).all() for a in step_flock_batch(q, theta, nu, tau, 1.0, 3))
+        with pytest.raises(FloatingPointError):
+            step_flock_batch(q, theta, nu, tau, 1.0, 10)
 
 
 LIM = LimitSet(v_max=1.0, u_max=1.5)

@@ -1,5 +1,6 @@
 """Property tests of the swarm kernels against plain references written
-here: the nearest-first Voronoi clipping against an all-pairs clip, the
+here: the nearest-first Voronoi clipping against an all-pairs clip and, bit
+for bit, against the same clips with no early stop, the
 batched null-space blend against one explicit projector product per agent,
 and one flocking tick against a per-agent loop over the force helpers; and
 the tabled path lookahead against a dense chord sum."""
@@ -11,11 +12,12 @@ from hypothesis.extra.numpy import arrays
 
 from aeronav import flocking
 from aeronav.bezier import PiecewisePath
-from aeronav.coverage import polygon_area, polygon_moments, voronoi_cells
+from aeronav.coverage import (clip_halfplane, polygon_area, polygon_moments,
+                              voronoi_cells)
 from aeronav.flocking import (FlockParams, FlockSim, goal_force, heading_angles,
                               neighbor_lists, nsb_blend, obstacle_force,
                               spacing_force)
-from aeronav.geom import wrap_angle
+from aeronav.geom import pairwise, wrap_angle
 from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
 
@@ -90,6 +92,33 @@ def test_voronoi_cells_equal_all_pairs_clip(g, boundary, r_c):
         assert np.allclose(_moments(cell), _moments(ref), rtol=0.0, atol=1e-9)
 
 
+def _cells_nearest_first(g, boundary, mask=None):
+    """Every cell clipped by `clip_halfplane` with every other (in-range)
+    generator, nearest first in stable order, with no early stop."""
+    _, d = pairwise(g)
+    half_sq = 0.5 * np.einsum("ij,ij->i", g, g)
+    cells = []
+    for i in range(len(g)):
+        poly = boundary
+        for j in np.argsort(d[i], kind="stable"):
+            if j != i and (mask is None or mask[i, j]) and len(poly):
+                poly = clip_halfplane(poly, g[j] - g[i], half_sq[j] - half_sq[i])
+        cells.append(poly)
+    return cells
+
+
+@SETTINGS
+@given(g=generators, boundary=st.sampled_from([BOX, HEXAGON]),
+       r_c=st.one_of(st.none(), st.floats(0.5, 8.0)))
+def test_voronoi_cells_equal_nearest_first_clips_bit_for_bit(g, boundary, r_c):
+    assume(_distinct(g))
+    mask = None if r_c is None else np.linalg.norm(g[:, None] - g[None], axis=2) <= r_c
+    got = voronoi_cells(g, boundary, mask)
+    want = _cells_nearest_first(g, boundary, mask)
+    assert len(got) == len(want)
+    assert all(np.array_equal(c, w) for c, w in zip(got, want))
+
+
 @SETTINGS
 @given(g=generators, boundary=st.sampled_from([BOX, HEXAGON]))
 def test_voronoi_cells_tile_the_boundary(g, boundary):
@@ -153,7 +182,8 @@ def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
         want[i] = [a, *alpha]
     taus = []
 
-    def capture(q, th, nu, tau, h):
+    def capture(q, th, nu, tau, h, steps):
+        assert steps == 10
         taus.append(tau)
         return q, th, nu
 
