@@ -8,11 +8,13 @@ across the volume; deformation events reshape it in flight.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-from .geom import min_pair_distance, pairwise, unit
+from .geom import dot3, matmul_lr, min_pair_distance, norm3, pairwise, unit
 from .plants import _check_finite
 
 EPS_AREA = 1e-12
@@ -39,22 +41,22 @@ class BarrierFrame:
         if len(e) < 3:
             raise FrameError("need at least three boundary vertices")
         a1 = e[1] - e[0]
-        n1 = np.linalg.norm(a1)
+        n1 = norm3(a1)
         if n1 < 1e-12:
             raise FrameError("degenerate first edge")
         a1 = a1 / n1
         b = e[-1] - e[0]
-        nb = np.linalg.norm(b)
+        nb = norm3(b)
         if nb < 1e-12:
             raise FrameError("degenerate closing edge")
         b = b / nb
-        a2 = b - float(np.dot(a1, b)) * a1
-        n2 = np.linalg.norm(a2)
+        a2 = b - dot3(a1, b) * a1
+        n2 = norm3(a2)
         if n2 < 1e-9:
             raise FrameError("collinear boundary vertices: frame undefined")
         a2 = a2 / n2
         a3 = np.cross(a1, a2)
-        local3 = (e - e[0]) @ np.column_stack((a1, a2, a3))
+        local3 = matmul_lr(e - e[0], np.column_stack((a1, a2, a3)))
         if np.max(np.abs(local3[:, 2])) > 1e-8:
             raise FrameError("boundary vertices are not coplanar")
         return cls(e[0].copy(), a1, a2, a3, e.copy(), local3[:, :2])
@@ -64,12 +66,12 @@ class BarrierFrame:
 
     def to_local(self, p: np.ndarray) -> np.ndarray:
         """In-frame coordinates of a point (3,) or of points (n, 3)."""
-        return (np.asarray(p, dtype=float) - self.origin) @ self.rotation()
+        return matmul_lr(np.asarray(p, dtype=float) - self.origin, self.rotation())
 
     def to_world(self, local: np.ndarray) -> np.ndarray:
         """World point(s) of in-frame coordinates, (..., 3) or in-plane (..., 2)."""
         local = np.asarray(local, dtype=float)
-        return self.origin + local @ self.rotation()[:, :local.shape[-1]].T
+        return self.origin + matmul_lr(local, self.rotation()[:, :local.shape[-1]].T)
 
     def project(self, p: np.ndarray) -> np.ndarray:
         """In-frame 2D coordinates of the projection of p onto the plane."""
@@ -89,28 +91,35 @@ class BarrierFrame:
         if tilt_axis is not None and tilt_angle != 0.0:
             from .geom import rodrigues_matrix
             rot = rodrigues_matrix(unit(np.asarray(tilt_axis, dtype=float)), tilt_angle)
-            verts = centroid + (verts - centroid) @ rot.T
+            verts = centroid + matmul_lr(verts - centroid, rot.T)
         return BarrierFrame.from_vertices(verts)
 
 
-def clip_halfplane(poly: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon with {q: a.q <= b}; poly
-    itself when every vertex is inside."""
-    if len(poly) == 0:
-        return poly
-    s = poly @ a - b
-    if s.max() <= 1e-12:     # False for a NaN, which takes the clip below
-        return poly
-    # keep each inside vertex k, and the crossing point of edge k -> k+1
-    out = []
-    s, pts = s.tolist(), poly.tolist()
+def clip_halfplane(poly: np.ndarray, a, b: float) -> np.ndarray:
+    """Sutherland-Hodgman clip of a convex polygon (k, 2) with {q: a.q <= b};
+    poly itself when every vertex is inside.  Computed on Python floats:
+    each vertex is decided by x * a0 + y * a1 - b."""
+    pts = poly.tolist()
+    ax, ay, b = float(a[0]), float(a[1]), float(b)
+    s = [x * ax + y * ay - b for x, y in pts]
     inside = [v <= 1e-12 for v in s]
-    for k in range(-len(pts), 0):
+    if all(inside):          # False for a NaN, which takes the clip below
+        return poly
+    # keep each inside vertex k, and the crossing point of edge k -> k + 1
+    out = []
+    n = len(pts)
+    for k in range(n):
+        k1 = k + 1 if k + 1 < n else 0
         if inside[k]:
             out.append(pts[k])
-        if inside[k] != inside[k + 1] and abs(s[k] - s[k + 1]) > 1e-15:
-            t = min(max(s[k] / (s[k] - s[k + 1]), 0.0), 1.0)
-            (x0, y0), (x1, y1) = pts[k], pts[k + 1]
+            if inside[k1]:
+                continue
+        elif not inside[k1]:
+            continue            # both ends outside: no crossing
+        s0, s1 = s[k], s[k1]
+        if abs(s0 - s1) > 1e-15:
+            t = min(max(s0 / (s0 - s1), 0.0), 1.0)
+            (x0, y0), (x1, y1) = pts[k], pts[k1]
             out.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
     return np.array(out) if out else np.empty((0, 2))
 
@@ -181,10 +190,15 @@ def circumcenter(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
     return (w1 * p1 + w2 * p2 + w3 * p3) / s
 
 
+def _half_sq(p: np.ndarray) -> np.ndarray:
+    """|p|^2 / 2 of each row of p (n, 2), in element-wise arithmetic."""
+    return 0.5 * (p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])
+
+
 def _reach(vertices: list, gx: float, gy: float) -> float:
     """4 max_v |v - g|^2 over a vertex list, on floats, rounded as the array
     form 4.0 * ((poly - g) ** 2).sum(axis=1).max()."""
-    return 4.0 * max((x - gx) * (x - gx) + (y - gy) * (y - gy) for x, y in vertices)
+    return 4.0 * max([(x - gx) * (x - gx) + (y - gy) * (y - gy) for x, y in vertices])
 
 
 def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
@@ -208,18 +222,24 @@ def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
     if neighbor_mask is not None:
         candidates &= neighbor_mask
     order = np.argsort(d, axis=1, kind="stable")
-    half_sq = 0.5 * np.einsum("ij,ij->i", g, g)
-    sq = d * d
+    half_sq = _half_sq(g)
+    # the rows of each generator i, as Python floats: squared distances,
+    # bisector offsets, bisector normals, and the candidates nearest first
+    sq, off = (d * d).tolist(), (half_sq[None, :] - half_sq[:, None]).tolist()
+    normals = diff.tolist()
+    orders = order.tolist()
+    keep = np.take_along_axis(candidates, order, axis=1).tolist()
     boundary = np.array(boundary, dtype=float)
+    corners = boundary.tolist()
     cells = []
     for i, (gx, gy) in enumerate(g.tolist()):
-        sq_i, off_i = sq[i].tolist(), (half_sq - half_sq[i]).tolist()
+        sq_i, off_i, normals_i = sq[i], off[i], normals[i]
         poly = boundary
-        reach = _reach(boundary.tolist(), gx, gy)
-        for j in order[i][candidates[i, order[i]]].tolist():
+        reach = _reach(corners, gx, gy)
+        for j in compress(orders[i], keep[i]):
             if sq_i[j] > reach:
                 break
-            clipped = clip_halfplane(poly, diff[i, j], off_i[j])
+            clipped = clip_halfplane(poly, normals_i[j], off_i[j])
             if clipped is poly:
                 continue
             poly = clipped
@@ -249,7 +269,8 @@ def coverage_control(p: np.ndarray, centroid_world: np.ndarray,
     the saturating K tanh(C - p).  One agent's (3,) vectors, or all agents'
     as (n, 3) rows."""
     e = np.asarray(centroid_world, dtype=float) - np.asarray(p, dtype=float)
-    return np.tanh(e) @ gains.k.T
+    tanh_e = np.array([math.tanh(v) for v in e.ravel().tolist()]).reshape(e.shape)
+    return matmul_lr(tanh_e, gains.k.T)
 
 
 @dataclass
@@ -385,12 +406,12 @@ class _Partition:
         if mask is not None:
             # out-of-range pairs whose bisector would still cut a cell break
             # the distributed assumption: log, keep the in-range result
-            half_sq = 0.5 * np.einsum("ij,ij->i", proj, proj)
+            half_sq = _half_sq(proj)
             for row, cell in enumerate(cells):
                 far = np.nonzero(~mask[row])[0]
                 if len(cell) < 3 or len(far) == 0:
                     continue
-                cut = np.any(cell @ (proj[far] - proj[row]).T
+                cut = np.any(matmul_lr(cell, (proj[far] - proj[row]).T)
                              > half_sq[far] - half_sq[row] + 1e-9, axis=0)
                 events.extend(("comm_range_violation",
                                {"agent": int(idx[row]), "neighbor": int(idx[j])})

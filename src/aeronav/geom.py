@@ -5,6 +5,7 @@ All functions are pure; nothing in here mutates its arguments.
 """
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -34,6 +35,30 @@ def unit_or_zero(v: np.ndarray) -> np.ndarray:
     if n < EPS:
         return np.zeros_like(v)
     return v / n
+
+
+def dot3(u, v) -> float:
+    """u . v of two 3-vectors on Python floats, summed left to right.  Unlike
+    np.dot, which calls the BLAS kernel OpenBLAS picks for the CPU, it gives
+    the same bits on every host."""
+    return (float(u[0]) * float(v[0]) + float(u[1]) * float(v[1])
+            + float(u[2]) * float(v[2]))
+
+
+def norm3(v) -> float:
+    """|v| of a 3-vector as sqrt(dot3(v, v)), the same bits on every host."""
+    return math.sqrt(dot3(v, v))
+
+
+def matmul_lr(x, m) -> np.ndarray:
+    """x @ m for x of shape (..., k) and m of shape (k, l), as element-wise
+    products summed left to right over k.  numpy's element-wise `*` and `+`
+    round alike on every host, where matmul's BLAS kernel does not."""
+    x, m = np.asarray(x, dtype=float), np.asarray(m, dtype=float)
+    out = x[..., :1] * m[0]
+    for k in range(1, len(m)):
+        out = out + x[..., k:k + 1] * m[k]
+    return out
 
 
 def pairwise(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

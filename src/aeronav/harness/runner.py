@@ -17,7 +17,7 @@ from ..deform import (DeformNavigator, DeformParams, RefModelGains,
                       RefModelState, deform_until_safe, ref_acceleration,
                       ref_velocity, reference_model_step)
 from ..flocking import FlockParams, FlockSim, neighbor_lists
-from ..geom import unit
+from ..geom import dot3, norm3, unit
 from ..hybrid2d import HybridNavigator, HybridParams
 from ..planner2d import RrtParams
 from ..plants import (Angle3DState, Heading3DState, LimitSet, QuadrotorState,
@@ -482,9 +482,9 @@ def _coverage(cfg: dict) -> Engine:
         else:
             a3 = sim.frame.a3
             for i in act:
-                sweep_err = max(sweep_err, float(np.linalg.norm(
-                    vels[i] - float(np.dot(vels[i], a3)) * a3)))
-                sweep_err = max(sweep_err, abs(float(np.dot(vels[i], a3)) - sweep.g0))
+                along = dot3(vels[i], a3)
+                sweep_err = max(sweep_err, norm3(vels[i] - along * a3))
+                sweep_err = max(sweep_err, abs(along - sweep.g0))
         return {"final_centroid_err": err,
                 "final_max_speed": final_max_speed,
                 "cost_max_increase": float(increase),

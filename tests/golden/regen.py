@@ -7,8 +7,9 @@ Runs every stock scenario, `configs/*.json` as loaded by
 records, per scenario, the sha256 of its run-log CSV, of its metrics dict
 and of its event list (both as JSON with sorted keys), and the duration it
 ran for.  Most scenarios run at full length; the slow ones in PREFIX run
-only for a prefix of their stock duration.  The numpy and scipy versions
-are recorded too, since float results can move with them.
+only for a prefix of their stock duration.  The numpy, scipy and C library
+versions are recorded too, since float results can move with them: the
+coverage runs call the C library's `tanh` through `math`.
 
 Given scenario names, only those are rerun and rewritten; every other entry
 stays as it is.  With --check nothing is written: each scenario whose
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
@@ -39,12 +41,13 @@ PREFIX = {
     "flock-n4": 60.0,               # 6 s
     "flock-n20": 20.0,              # 4 s
     "flock-n100": 4.0,              # 20 s
-    "coverage-barrier-n20": 5.0,    # 5 s
+    "coverage-barrier-n20": 5.0,    # 3 s
 }
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "libc": " ".join(platform.libc_ver())}
 
 
 def _sha(text: str) -> str:

@@ -54,6 +54,16 @@ def test_clip_halfplane_square():
     assert polygon_area(out) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_clip_halfplane_takes_a_nan_vertex_down_the_clip(k):
+    """A NaN side value is never read as inside, wherever it sits."""
+    sq = np.array([[0.0, 0], [2, 0], [2, 2], [0, 2]])
+    sq[k, k % 2] = np.nan
+    for a, b in ((np.array([1.0, 0.0]), 10.0), (np.array([0.0, -1.0]), 10.0),
+                 (np.array([1.0, 0.0]), 1.0)):
+        assert clip_halfplane(sq, a, b) is not sq
+
+
 def test_voronoi_two_generators_mirror_cells():
     boundary = np.array([[0.0, 0], [4, 0], [4, 4], [0, 4]])
     cells = voronoi_cells(np.array([[1.0, 2.0], [3.0, 2.0]]), boundary)

@@ -1,9 +1,12 @@
 """Property tests of the swarm kernels against plain references written
 here: the nearest-first Voronoi clipping against an all-pairs clip and, bit
-for bit, against the same clips with no early stop, the
-batched null-space blend against one explicit projector product per agent,
-and one flocking tick against a per-agent loop over the force helpers; and
-the tabled path lookahead against a dense chord sum."""
+for bit, against the same clips with no early stop; the coverage path's
+float arithmetic, bit for bit, against the element-wise sums it promises;
+the batched null-space blend against one explicit projector product per
+agent, and one flocking tick against a per-agent loop over the force
+helpers; and the tabled path lookahead against a dense chord sum."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 from aeronav import flocking
 from aeronav.bezier import PiecewisePath
-from aeronav.coverage import (clip_halfplane, polygon_area, polygon_moments,
+from aeronav.coverage import (BarrierFrame, CoverageGains, clip_halfplane,
+                              coverage_control, polygon_area, polygon_moments,
                               voronoi_cells)
 from aeronav.flocking import (FlockParams, FlockSim, goal_force, heading_angles,
                               neighbor_lists, nsb_blend, obstacle_force,
@@ -126,6 +130,72 @@ def test_voronoi_cells_tile_the_boundary(g, boundary):
     cells = voronoi_cells(g, boundary)
     assert sum(polygon_area(c) for c in cells) == pytest.approx(polygon_area(boundary),
                                                                 rel=1e-9)
+
+
+def _clip_by_sides(poly, s):
+    """Sutherland-Hodgman of poly, deciding by the given side values s."""
+    inside = s <= 1e-12
+    if inside.all():
+        return poly
+    out = []
+    for k in range(-len(poly), 0):
+        if inside[k]:
+            out.append(poly[k])
+        if inside[k] != inside[k + 1] and abs(s[k] - s[k + 1]) > 1e-15:
+            t = min(max(s[k] / (s[k] - s[k + 1]), 0.0), 1.0)
+            out.append(poly[k] + t * (poly[k + 1] - poly[k]))
+    return np.array(out) if out else np.empty((0, 2))
+
+
+finite = st.floats(-20.0, 20.0)
+
+
+@SETTINGS
+@given(poly=st.sampled_from([BOX, HEXAGON, BOX[::-1] - 5.0]),
+       a=arrays(float, 2, elements=finite), b=finite)
+def test_clip_sides_are_element_wise_sums(poly, a, b):
+    """The side values that decide a clip are x * a0 + y * a1 - b, rounded
+    step by step as numpy's element-wise arithmetic rounds them."""
+    got = clip_halfplane(poly, a, b)
+    want = _clip_by_sides(poly, poly[:, 0] * a[0] + poly[:, 1] * a[1] - b)
+    assert (got is poly) == (want is poly)
+    assert np.array_equal(got, want)
+
+
+vec3 = arrays(float, 3, elements=st.floats(-50.0, 50.0))
+
+
+@SETTINGS
+@given(p=arrays(float, st.tuples(st.integers(1, 6), st.just(3)),
+                elements=st.floats(-50.0, 50.0)),
+       c=vec3, k=arrays(float, 3, elements=st.floats(0.1, 5.0)))
+def test_coverage_control_is_math_tanh_times_gain(p, c, k):
+    u = coverage_control(p, c, CoverageGains(k=np.diag(k)))
+    e = c - p
+    assert u.shape == p.shape
+    for row in range(len(p)):
+        for col in range(3):
+            assert u[row, col] == math.tanh(float(e[row, col])) * float(k[col])
+
+
+@SETTINGS
+@given(shift=vec3, angles=arrays(float, 2, elements=st.floats(-3.0, 3.0)),
+       pts=arrays(float, (4, 3), elements=st.floats(-50.0, 50.0)))
+def test_frame_maps_are_left_to_right_float_sums(shift, angles, pts):
+    """project and to_world equal the products of the frame's axes summed
+    left to right on Python floats."""
+    ca, sa, cb, sb = (math.cos(angles[0]), math.sin(angles[0]),
+                      math.cos(angles[1]), math.sin(angles[1]))
+    u, v = np.array([ca * cb, sa * cb, sb]), np.array([-sa, ca, 0.0])
+    frame = BarrierFrame.from_vertices(shift + np.array([0 * u, 4 * u, 4 * u + 3 * v, 3 * v]))
+    o, axes = frame.origin.tolist(), (frame.a1.tolist(), frame.a2.tolist())
+    proj, world = frame.project(pts), frame.to_world(pts[:, :2])
+    for row, (x, y, z) in enumerate(pts.tolist()):
+        for col, a in enumerate(axes):
+            assert proj[row, col] == (x - o[0]) * a[0] + (y - o[1]) * a[1] + (z - o[2]) * a[2]
+        for r in range(3):
+            assert world[row, r] == o[r] + (x * axes[0][r] + y * axes[1][r])
+    assert np.array_equal(frame.project(pts[0]), proj[0])
 
 
 def _projector(f):
