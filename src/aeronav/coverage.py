@@ -14,7 +14,7 @@ from itertools import compress
 
 import numpy as np
 
-from .geom import dot3, matmul_lr, min_pair_distance, norm3, pairwise, unit
+from .geom import dot3, matmul_lr, min_pair_distance, norm3, pairwise, skew
 from .plants import _check_finite
 
 EPS_AREA = 1e-12
@@ -85,12 +85,15 @@ class BarrierFrame:
     def reshaped(self, scale: float = 1.0, tilt_axis: np.ndarray | None = None,
                  tilt_angle: float = 0.0) -> "BarrierFrame":
         """Scale about the boundary centroid and/or tilt about an axis
-        through it; the polygon stays planar."""
+        through it; the polygon stays planar.  The tilt is Rodrigues'
+        rotation in element-wise arithmetic: the same bits on every host."""
         centroid = self.boundary_world.mean(axis=0)
         verts = centroid + scale * (self.boundary_world - centroid)
         if tilt_axis is not None and tilt_angle != 0.0:
-            from .geom import rodrigues_matrix
-            rot = rodrigues_matrix(unit(np.asarray(tilt_axis, dtype=float)), tilt_angle)
+            n = np.asarray(tilt_axis, dtype=float)
+            n = n / norm3(n)
+            c, s = np.cos(tilt_angle), np.sin(tilt_angle)
+            rot = c * np.eye(3) + s * skew(n) + (1.0 - c) * np.outer(n, n)
             verts = centroid + matmul_lr(verts - centroid, rot.T)
         return BarrierFrame.from_vertices(verts)
 

@@ -19,18 +19,20 @@ from .plants import Angle3DState
 from .world import World
 
 
+ALPHA0 = np.pi / 2                   # rotation angle of the tangent
+CHECK_RESOLUTION = 0.1               # along-path sampling for the checker
+MAX_DEFORMS_PER_CHECK = 10
+LOOKAHEAD = 1.0                      # guidance target distance along the path
+K_BETA = 2.0                         # guidance gains
+K_ALPHA = 2.0
+C = 3.0                              # guidance tanh steepness
+
+
 @dataclass(frozen=True)
 class DeformParams:
     safety_factor: float = 0.6       # deformation magnitude gamma [m]
-    alpha0: float = np.pi / 2        # rotation angle of the tangent
     d_safe: float = 0.5
-    check_resolution: float = 0.1    # along-path sampling for the checker
-    lookahead: float = 1.0
-    k_beta: float = 2.0              # guidance gains
-    k_alpha: float = 2.0
-    c: float = 3.0                   # guidance tanh steepness
     v: float = 1.0                   # constant tracking speed
-    max_deforms_per_check: int = 10
     check_margin: float = 0.35       # extra path clearance for tracking error
 
     @property
@@ -132,9 +134,9 @@ def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParam
         away = unit(away)
     normal = unit(np.cross(tangent, away))
     # rotate the tangent toward growing clearance
-    cand = rodrigues_rotate(tangent, normal, params.alpha0)
+    cand = rodrigues_rotate(tangent, normal, ALPHA0)
     if np.dot(cand, away) < 0.0:
-        cand = rodrigues_rotate(tangent, normal, -params.alpha0)
+        cand = rodrigues_rotate(tangent, normal, -ALPHA0)
     return params.safety_factor * cand
 
 
@@ -206,13 +208,13 @@ def deform_until_safe(path: PiecewisePath, world: World, params: DeformParams,
     """Repeat single deformations until the path ahead is clear or the
     iteration cap is hit.  Returns (path, number of deformations applied)."""
     prev_normal = None
-    for k in range(params.max_deforms_per_check):
+    for k in range(MAX_DEFORMS_PER_CHECK):
         unsafe = find_unsafe(path, world, params.d_check, t, s_progress,
-                             params.check_resolution)
+                             CHECK_RESOLUTION)
         if unsafe is None:
             return path, k
         path, prev_normal = deform(path, unsafe, params, s_progress, prev_normal)
-    return path, params.max_deforms_per_check
+    return path, MAX_DEFORMS_PER_CHECK
 
 
 def track_kinematic(state: Angle3DState, path: PiecewisePath,
@@ -220,14 +222,14 @@ def track_kinematic(state: Angle3DState, path: PiecewisePath,
     """Pure-pursuit guidance u_mu = k_mu tanh(c (mu_d - mu)) for the
     azimuth/flight-path angles toward a lookahead target; constant speed."""
     s0 = path.closest_param(state.p)
-    _, target = path.point_ahead(s0, params.lookahead)
+    _, target = path.point_ahead(s0, LOOKAHEAD)
     v_d = target - state.p
     if np.linalg.norm(v_d) < 1e-9:
         return params.v, 0.0, 0.0
     beta_d = float(np.arctan2(v_d[1], v_d[0]))
     alpha_d = float(np.arctan2(v_d[2], np.hypot(v_d[0], v_d[1])))
-    u_beta = params.k_beta * np.tanh(params.c * angle_diff(beta_d, state.beta))
-    u_alpha = params.k_alpha * np.tanh(params.c * angle_diff(alpha_d, state.alpha))
+    u_beta = K_BETA * np.tanh(C * angle_diff(beta_d, state.beta))
+    u_alpha = K_ALPHA * np.tanh(C * angle_diff(alpha_d, state.alpha))
     return params.v, float(u_beta), float(u_alpha)
 
 
@@ -251,27 +253,26 @@ class RefModelState:
                          np.sin(self.alpha)])
 
 
-@dataclass(frozen=True)
-class RefModelGains:
-    c1_v: float = 1.0
-    c2_v: float = 3.0
-    c1_ang: float = 1.5
-    c2_ang: float = 4.0
-    gamma1: float = 2.0
-    gamma2: float = 2.0
-    v_max: float = 2.0
-    lookahead: float = 1.0
+# gains of the reference model's sliding surfaces, speed and angle loops
+REF_C1_V = 1.0
+REF_C2_V = 3.0
+REF_C1_ANG = 1.5
+REF_C2_ANG = 4.0
+REF_GAMMA1 = 2.0
+REF_GAMMA2 = 2.0
+REF_LOOKAHEAD = 1.0
 
 
 def reference_model_step(ref: RefModelState, path: PiecewisePath, v_d: float,
-                         gains: RefModelGains, dt: float) -> RefModelState:
+                         v_max: float, dt: float) -> RefModelState:
     """One step of the third-order reference generator: sliding surfaces
     sigma_mu = mu_dot + c1 tanh(gamma1 (mu - mu_d)) driven by bounded jerk and
-    angular accelerations u_mu = -c2 tanh(gamma2 sigma_mu)."""
+    angular accelerations u_mu = -c2 tanh(gamma2 sigma_mu); the speed is
+    clipped to [0, v_max]."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     s0 = path.closest_param(ref.p)
-    _, target = path.point_ahead(s0, gains.lookahead)
+    _, target = path.point_ahead(s0, REF_LOOKAHEAD)
     v_vec = target - ref.p
     if np.linalg.norm(v_vec) > 1e-9:
         beta_d = float(np.arctan2(v_vec[1], v_vec[0]))
@@ -279,14 +280,14 @@ def reference_model_step(ref: RefModelState, path: PiecewisePath, v_d: float,
     else:
         beta_d, alpha_d = ref.beta, ref.alpha
 
-    sig_v = ref.accel + gains.c1_v * np.tanh(gains.gamma1 * (ref.v - v_d))
-    jerk = -gains.c2_v * np.tanh(gains.gamma2 * sig_v)
-    sig_b = ref.omega_beta + gains.c1_ang * np.tanh(
-        gains.gamma1 * angle_diff(ref.beta, beta_d))
-    u_beta = -gains.c2_ang * np.tanh(gains.gamma2 * sig_b)
-    sig_a = ref.omega_alpha + gains.c1_ang * np.tanh(
-        gains.gamma1 * angle_diff(ref.alpha, alpha_d))
-    u_alpha = -gains.c2_ang * np.tanh(gains.gamma2 * sig_a)
+    sig_v = ref.accel + REF_C1_V * np.tanh(REF_GAMMA1 * (ref.v - v_d))
+    jerk = -REF_C2_V * np.tanh(REF_GAMMA2 * sig_v)
+    sig_b = ref.omega_beta + REF_C1_ANG * np.tanh(
+        REF_GAMMA1 * angle_diff(ref.beta, beta_d))
+    u_beta = -REF_C2_ANG * np.tanh(REF_GAMMA2 * sig_b)
+    sig_a = ref.omega_alpha + REF_C1_ANG * np.tanh(
+        REF_GAMMA1 * angle_diff(ref.alpha, alpha_d))
+    u_alpha = -REF_C2_ANG * np.tanh(REF_GAMMA2 * sig_a)
 
     ca = np.cos(ref.alpha)
     dp = ref.v * np.array([np.cos(ref.beta) * ca, np.sin(ref.beta) * ca,
@@ -294,7 +295,7 @@ def reference_model_step(ref: RefModelState, path: PiecewisePath, v_d: float,
     p1 = ref.p + dp * dt
     beta1 = ref.beta + ref.omega_beta * dt
     alpha1 = ref.alpha + ref.omega_alpha * dt
-    v1 = float(np.clip(ref.v + ref.accel * dt, 0.0, gains.v_max))
+    v1 = float(np.clip(ref.v + ref.accel * dt, 0.0, v_max))
     return RefModelState(p1, beta1, alpha1,
                          ref.omega_beta + u_beta * dt,
                          ref.omega_alpha + u_alpha * dt,
@@ -345,9 +346,9 @@ class DeformNavigator:
         # d_check >= d_safe, so only a loop stopped at its cap can leave a
         # violation.
         left = None
-        if n_def == self.params.max_deforms_per_check:
+        if n_def == MAX_DEFORMS_PER_CHECK:
             left = find_unsafe(self.path, self.world, self.params.d_safe, t,
-                               s_prog, self.params.check_resolution)
+                               s_prog, CHECK_RESOLUTION)
         if left is not None and left.s_lo < s_prog + 2.0:
             moving = self.world.obstacles[left.obstacle_id].velocity_bound() > 1e-9
             if not moving:

@@ -21,30 +21,28 @@ from .plants import flock_direction, step_flock_batch
 from .world import World
 
 
+KK1 = 0.25 * np.eye(2)           # orientation loop gains (diagonal, m-1)
+KK2 = 2.0 * np.eye(2)
+GAMMA = 1.0                      # sigmoid steepness
+MU = 1.0                         # smooth-sgn steepness for the speed damping
+THETA_DDOT_CAP = 2.0             # clamp on the filtered feedforward
+
+
 @dataclass(frozen=True)
 class FlockParams:
     k_ij: float = 0.6            # spacing force gain
     k_goal: float = 0.5
     k_obs: float = 1.0
     k_v: float = 2.5             # speed damping (must dominate, see check)
-    kk1: np.ndarray = None       # orientation loop gains (diagonal, m-1)
-    kk2: np.ndarray = None
     d_ij: float = 5.0            # desired separation
     d_s: float = 1.0             # hard safety margin
     r_c: float = 20.0            # communication range
     goal: np.ndarray = None
     goal_radius: float = 10.0
     big_c: float = 5.5           # obstacle critical shell
-    gamma: float = 1.0           # sigmoid steepness
-    mu: float = 1.0              # smooth-sgn steepness for the speed damping
     alpha_neighbors: str = "all"  # "all" | "nearest2" (large-swarm variant)
-    theta_ddot_cap: float = 2.0  # clamp on the filtered feedforward
 
     def __post_init__(self):
-        if self.kk1 is None:
-            object.__setattr__(self, "kk1", 0.25 * np.eye(2))
-        if self.kk2 is None:
-            object.__setattr__(self, "kk2", 2.0 * np.eye(2))
         if self.goal is None:
             object.__setattr__(self, "goal", np.zeros(3))
         if self.d_ij <= self.d_s:
@@ -146,7 +144,7 @@ def goal_forces(q: np.ndarray, params: FlockParams) -> np.ndarray:
     e = params.goal - q
     q_ig = _norms(e)
     at_goal = q_ig < 1e-9
-    gain = params.k_goal * sigmoid_gate(q_ig - params.goal_radius, params.gamma)
+    gain = params.k_goal * sigmoid_gate(q_ig - params.goal_radius, GAMMA)
     return np.where(at_goal[:, None], 0.0,
                     gain[:, None] * (e / np.where(at_goal, 1.0, q_ig)[:, None]))
 
@@ -165,7 +163,7 @@ def obstacle_force(q_i: np.ndarray, d: float, closest: np.ndarray,
     m = len(q_i)
     if d > params.big_c:
         return np.zeros(m)
-    gate = sigmoid_gate(params.big_c - d, params.gamma)
+    gate = sigmoid_gate(params.big_c - d, GAMMA)
     e_away = unit_or_zero(q_i - closest)
     if np.linalg.norm(e_away) < 1e-9:
         e_away = unit(np.ones(m))
@@ -219,11 +217,11 @@ def flocking_control(v_i, theta_i: np.ndarray, theta_dot_i: np.ndarray,
     """Acceleration-level law: a = f~ . r - k_v sgn(v) (smooth), and the
     orientation tracking law with feedforward.  One agent's arguments, or
     all agents' with a leading agent axis ((n,) speeds, (n, m) vectors)."""
-    a = _dot(f_tilde, r_i) - params.k_v * np.tanh(params.mu * v_i)
+    a = _dot(f_tilde, r_i) - params.k_v * np.tanh(MU * v_i)
     e = wrap_angle(theta_i - theta_f)
     e_dot = theta_dot_i - theta_f_dot
-    alpha = (theta_f_ddot - _apply(params.kk1, np.tanh(e))
-             - _apply(params.kk2, np.tanh(e_dot)))
+    alpha = (theta_f_ddot - _apply(KK1, np.tanh(e))
+             - _apply(KK2, np.tanh(e_dot)))
     return a, alpha
 
 
@@ -242,7 +240,7 @@ def flock_energy(snapshot: FlockSnapshot, params: FlockParams,
     kin = 0.5 * float(np.sum(snapshot.nu[:, 0] ** 2))
     ang = 0.0
     if e_theta is not None:
-        ang += float(np.sum(np.diag(params.kk1)[None, :] * np.log(np.cosh(e_theta))))
+        ang += float(np.sum(np.diag(KK1)[None, :] * np.log(np.cosh(e_theta))))
     if e_theta_dot is not None:
         ang += 0.5 * float(np.sum(e_theta_dot ** 2))
     return u_alpha + kin + ang
@@ -309,7 +307,7 @@ class FlockSim:
               + self._ema * (wrap_angle(th_f - self._theta_f) / self.control_dt))
         d2 = ((1 - self._ema) * self._theta_f_ddot
               + self._ema * ((d1 - self._theta_f_dot) / self.control_dt))
-        d2 = np.clip(d2, -p.theta_ddot_cap, p.theta_ddot_cap)
+        d2 = np.clip(d2, -THETA_DDOT_CAP, THETA_DDOT_CAP)
         self._theta_f, self._theta_f_dot, self._theta_f_ddot = th_f, d1, d2
         a, alpha = flocking_control(snap.nu[:, 0], snap.theta, snap.nu[:, 1:], f_t,
                                     flock_direction(snap.theta), th_f, d1, d2, p)

@@ -18,10 +18,6 @@ Z3 = np.array([0.0, 0.0, 1.0])
 E3 = Z3
 
 
-def norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
 def unit(v: np.ndarray) -> np.ndarray:
     """Normalize v; raises on (near-)zero input."""
     n = np.linalg.norm(v)

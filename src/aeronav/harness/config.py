@@ -103,11 +103,10 @@ _TUNNEL_KEYS = {"shape": SHAPES, "radius": "pos", "length": "pos", "density": "p
                 "pitch": "pos", "turns": "pos"}
 _AGENT_KEYS = {"count": "int+", "spawn": _points(3, 2, box=True), "min_spacing": "num"}
 _MONITOR_KEYS = {"d_safe": "num", "min_pair": "num", "expect_replans": "int",
-                 "require_goal": "bool", "lattice_spacing": "pos",
-                 "lattice_tol": "num", "max_speed_final": "num",
-                 "centroid_tol": "num", "cost_non_increasing": "bool",
-                 "progress_window": "pos", "wall_margin": "num",
-                 "sweep_speed": "num", "sweep_tol": "num"}
+                 "require_goal": "bool", "lattice_tol": "num",
+                 "max_speed_final": "num", "centroid_tol": "num",
+                 "cost_non_increasing": "bool", "progress_window": "pos",
+                 "wall_margin": "num", "sweep_tol": "num"}
 _OUTPUT_KEYS = {"dir": "str", "csv": "bool", "jsonl": "bool", "svg": "bool"}
 _REMOVAL_KEYS = {"tick": "int", "agent": "int"}
 _SWEEP_EVENT_KEYS = {"t": "num", "kind": ("resize", "tilt"), "scale": "pos",
@@ -134,10 +133,10 @@ _TOP_KEYS = {"version": None, "name": "str", "seed": "int", "kind": KINDS,
              "tunnel": _TUNNEL_KEYS, "agents": _AGENT_KEYS, "params": None,
              "monitors": _MONITOR_KEYS, "output": _OUTPUT_KEYS}
 # the spec of a dataclass field: a number is positive unless its default is
-# zero; array fields have these shapes (the flock is 3D)
+# zero; the one array field, the flock's goal, is a 3D point
 _FIELD_SPECS = {("float", False): "pos", ("float", True): "num",
-                ("int", False): "int+", ("int", True): "int", ("str", False): "str"}
-_ARRAY_FIELDS = {"goal": _array(3), "kk1": _array(2, 2), "kk2": _array(2, 2)}
+                ("int", False): "int+", ("str", False): "str"}
+_ARRAY_FIELDS = {"goal": _array(3)}
 
 
 def _reject_unknown(section: dict, allowed, where: str):

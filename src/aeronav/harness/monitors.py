@@ -94,12 +94,12 @@ def evaluate(record: SafetyRecord, monitors: dict, metrics: dict) -> list[Monito
         v = float(metrics.get("final_max_speed", np.inf))
         out.append(MonitorResult("final_speeds", v < tol,
                                  f"final max speed {v:.4f} (tol {tol})"))
-    if "lattice_spacing" in monitors:
-        d = float(monitors["lattice_spacing"])
-        tol = float(monitors.get("lattice_tol", 0.5))
+    if "lattice_tol" in monitors:
+        tol = float(monitors["lattice_tol"])
         err = float(metrics.get("lattice_err", np.inf))
         out.append(MonitorResult("quasi_lattice", err <= tol,
-                                 f"max |spacing - {d}| = {err:.3f} (tol {tol})"))
+                                 f"max |spacing - params.flock.d_ij| = {err:.3f} "
+                                 f"(tol {tol})"))
     if monitors.get("cost_non_increasing"):
         worst = float(metrics.get("cost_max_increase", np.inf))
         out.append(MonitorResult("lloyd_descent", worst <= 1e-6,
@@ -114,12 +114,12 @@ def evaluate(record: SafetyRecord, monitors: dict, metrics: dict) -> list[Monito
         thr = float(monitors["wall_margin"])
         out.append(_clearance_result("wall_margin", record,
                                      f"min wall distance {v:.3f} > {thr}"))
-    if "sweep_speed" in monitors:
-        g0 = float(monitors["sweep_speed"])
-        tol = float(monitors.get("sweep_tol", 0.05))
+    if "sweep_tol" in monitors:
+        tol = float(monitors["sweep_tol"])
         err = float(metrics.get("sweep_speed_err", np.inf))
         out.append(MonitorResult("sweep_consensus", err <= tol,
-                                 f"max |v - g0| = {err:.4f} (tol {tol})"))
+                                 f"max |v - params.coverage.sweep.g0| = {err:.4f} "
+                                 f"(tol {tol})"))
     return out
 
 

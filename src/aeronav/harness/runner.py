@@ -13,12 +13,12 @@ import numpy as np
 from ..bezier import PiecewisePath
 from ..coverage import (BarrierFrame, CoverageGains, CoverageSim, SweepEvent,
                         SweepPlan)
-from ..deform import (DeformNavigator, DeformParams, RefModelGains,
-                      RefModelState, deform_until_safe, ref_acceleration,
-                      ref_velocity, reference_model_step)
+from ..deform import (DeformNavigator, DeformParams, RefModelState,
+                      deform_until_safe, ref_acceleration, ref_velocity,
+                      reference_model_step)
 from ..flocking import FlockParams, FlockSim, neighbor_lists
 from ..geom import dot3, norm3, unit
-from ..hybrid2d import HybridNavigator, HybridParams
+from ..hybrid2d import GOAL_TOL, HybridNavigator, HybridParams
 from ..planner2d import RrtParams
 from ..plants import (Angle3DState, Heading3DState, LimitSet, QuadrotorState,
                       Unicycle2DState, flock_direction, step_angles3d,
@@ -184,17 +184,17 @@ def _hybrid2d(cfg: dict) -> Engine:
     world = _world_with_obstacles(cfg)
     params = cfg.get("params", {})
     p = HybridParams(**params.get("hybrid", {}))
-    rrt_cfg = {"seed": cfg["seed"], **params.get("rrt", {})}
     control_dt = cfg.get("control_dt", 0.1)
     nav = HybridNavigator(p, world, np.asarray(cfg["goal"], dtype=float),
-                          RrtParams(**rrt_cfg), np.random.default_rng(cfg["seed"]),
+                          RrtParams(**params.get("rrt", {})),
+                          np.random.default_rng(cfg["seed"]),
                           bounds=world.bounds, control_dt=control_dt,
                           trap_range=params.get("trap_range"))
     start = np.asarray(cfg["start"], dtype=float)
     state = Unicycle2DState(start[0], start[1], float(cfg.get("heading", [0.0])[0]))
     return _vehicle(
         cfg, world, nav, state, step_unicycle,
-        LimitSet(v_max=p.v_max, u_max=p.u_max), p.goal_tol, control_dt,
+        LimitSet(v_max=p.v_max, u_max=p.u_max), GOAL_TOL, control_dt,
         extra=lambda events: {"replan_count": nav.replan_count,
                               "mode_switches": _count(events, "R1", "R2")})
 
@@ -250,7 +250,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
     the goal is checked at every plant step."""
     world = build_world(cfg)
     p = DeformParams(**cfg.get("params", {}).get("deform", {}))
-    gains = RefModelGains(v_max=max(2.0 * p.v, 1.0))
+    v_max = max(2.0 * p.v, 1.0)
     goal = np.asarray(cfg["goal"], dtype=float)
     start = np.asarray(cfg["start"], dtype=float)
     path = PiecewisePath.straight(start, goal, 1.0)
@@ -276,7 +276,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
                                                 path.closest_param(ref.p))
                 if n_def:
                     deforms.append((tick, "deform", {"count": n_def}))
-            ref = reference_model_step(ref, path, p.v, gains, plant_dt)
+            ref = reference_model_step(ref, path, p.v, v_max, plant_dt)
             st = tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
                                          ref_acceleration(ref)), plant_dt)
             t += plant_dt

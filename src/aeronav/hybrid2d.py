@@ -32,6 +32,18 @@ class NavMode(Enum):
     REPLANNING = "replan"
 
 
+# Design constants of the laws below; no stock scenario varies them.
+GAMMA = 1.0                       # chi slope
+DELTA = 0.5                       # chi saturation band
+MU = 10.0                         # smooth-sgn steepness
+SCAN_RESOLUTION = np.deg2rad(1.0)
+ALIGN_TOL = 0.35                  # heading alignment epsilon-bar [rad]
+LOOKAHEAD_BASE = 0.8              # adaptive L = clamp(L0 + k*e_ct)
+LOOKAHEAD_GAIN = 1.0              # (constants are ours, not from the source method)
+LOOKAHEAD_MAX = 2.5
+GOAL_TOL = 0.3
+
+
 @dataclass(frozen=True)
 class HybridParams:
     v_max: float = 1.0
@@ -40,17 +52,8 @@ class HybridParams:
     d_safe: float = 0.5
     big_c: float = 2.0            # mode-switch threshold C (< d_sensing)
     d_sensing: float = 3.5
-    gamma: float = 1.0
-    delta: float = 0.5
-    mu: float = 10.0              # smooth-sgn steepness
     fov_half_angle: float = np.deg2rad(80.0)
-    scan_resolution: float = np.deg2rad(1.0)
     escape_distance: float = 3.0
-    align_tol: float = 0.35       # heading alignment epsilon-bar [rad]
-    lookahead_base: float = 0.8   # adaptive L = clamp(L0 + k*e_ct)
-    lookahead_gain: float = 1.0   # (constants are ours, not from the source method)
-    lookahead_max: float = 2.5
-    goal_tol: float = 0.3
 
     def __post_init__(self):
         if not (self.d0 > self.d_safe > 0.0):
@@ -66,14 +69,9 @@ def reactive_law_2d(d: float, d_dot: float, gamma_dir: float,
     """Constant-speed boundary following: u = Gamma*u_max*sgn(ddot + chi(d - d0))."""
     if d < 0.0:
         raise ValueError("distance must be nonnegative")
-    s = d_dot + chi(d - p.d0, p.gamma, p.delta)
-    u = gamma_dir * p.u_max * smooth_sgn(s, p.mu)
+    s = d_dot + chi(d - p.d0, GAMMA, DELTA)
+    u = gamma_dir * p.u_max * smooth_sgn(s, MU)
     return p.v_max, float(u)
-
-
-def adaptive_lookahead(cross_track: float, p: HybridParams) -> float:
-    return float(np.clip(p.lookahead_base + p.lookahead_gain * abs(cross_track),
-                         p.lookahead_base, p.lookahead_max))
 
 
 def pure_pursuit_2d(state: Unicycle2DState, path: PiecewisePath,
@@ -83,13 +81,14 @@ def pure_pursuit_2d(state: Unicycle2DState, path: PiecewisePath,
     pos = state.position
     s_close = path.closest_param(pos)
     cross_track = float(np.linalg.norm(path.point(s_close) - pos))
-    lookahead = adaptive_lookahead(cross_track, p)
+    lookahead = float(np.clip(LOOKAHEAD_BASE + LOOKAHEAD_GAIN * abs(cross_track),
+                              LOOKAHEAD_BASE, LOOKAHEAD_MAX))
     _, target = path.point_ahead(s_close, lookahead)
     theta_d = float(np.arctan2(target[1] - pos[1], target[0] - pos[0]))
     err = angle_diff(theta_d, state.theta)
     if abs(abs(err) - np.pi) < 1e-12:
         err = np.pi  # tie-break turns positive when the target is dead astern
-    u = p.u_max * smooth_sgn(err, p.mu)
+    u = p.u_max * smooth_sgn(err, MU)
     return p.v_max, float(u), target
 
 
@@ -150,14 +149,14 @@ class HybridNavigator:
         # +-alpha0 sub-cone while escape goals may use any clear direction
         self._scan_angles_rel = np.arange(-np.pi / 2,
                                           np.pi / 2 + 1e-9,
-                                          params.scan_resolution)
+                                          SCAN_RESOLUTION)
         self._trap_mask = np.abs(self._scan_angles_rel) <= params.fov_half_angle + 1e-9
 
     # -- planning -----------------------------------------------------------
 
     def plan(self, start: np.ndarray, t: float = 0.0, from_tick: int = 0) -> bool:
-        res = rrt_plan(start, self.goal, self.world, self.rrt,
-                       bounds=self.bounds, t=t, rng=self.rng)
+        res = rrt_plan(start, self.goal, self.world, self.rrt, self.rng,
+                       bounds=self.bounds, t=t)
         if not res.success:
             self.events.append((from_tick, "plan_failed", {"reason": res.reason}))
             return False
@@ -192,8 +191,8 @@ class HybridNavigator:
                            self.trap_range, self.p.escape_distance, self.rng)
         self.replan_count += 1
         self.events.append((tick, "replan", {"escape": p_ge.tolist()}))
-        res = rrt_plan(p_ge, self.goal, self.world, self.rrt,
-                       bounds=self.bounds, t=t, rng=self.rng)
+        res = rrt_plan(p_ge, self.goal, self.world, self.rrt, self.rng,
+                       bounds=self.bounds, t=t)
         self.mode = NavMode.TRACKING
         self._blocked_ids.add(blocking_id)
         self._d_prev = None
@@ -258,7 +257,7 @@ class HybridNavigator:
             _, _, target = pure_pursuit_2d(state, self.path, self.p)
             bearing = float(np.arctan2(target[1] - state.position[1],
                                        target[0] - state.position[0]))
-            aligned = abs(angle_diff(bearing, state.theta)) < self.p.align_tol
+            aligned = abs(angle_diff(bearing, state.theta)) < ALIGN_TOL
             if aligned and self._corridor_clear(state, target, t):
                 self.mode = NavMode.TRACKING
                 self._blocked_ids.add(self._reactive_obstacle)
@@ -268,7 +267,7 @@ class HybridNavigator:
         if self.mode == NavMode.REACTIVE:
             return reactive_law_2d(d, d_dot, self._gamma, self.p)
 
-        if np.linalg.norm(state.position - self.goal) < self.p.goal_tol:
+        if np.linalg.norm(state.position - self.goal) < GOAL_TOL:
             return 0.0, 0.0
         v, u, _ = pure_pursuit_2d(state, self.path, self.p)
         return v, u

@@ -26,7 +26,6 @@ class RrtParams:
     max_iters: int = 5000
     resolution: float = 0.05       # collision-check sampling along edges
     clearance: float = 0.0         # extra margin kept from known obstacles
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.goal_bias < 1.0):
@@ -53,12 +52,12 @@ def _edge_free(world: World, a, b, params: RrtParams, t: float) -> bool:
 
 
 def rrt_plan(start, goal, world: World, params: RrtParams,
-             bounds=None, t: float = 0.0,
-             rng: np.random.Generator | None = None) -> PlanResult:
+             rng: np.random.Generator, bounds=None, t: float = 0.0) -> PlanResult:
     """Grow a tree from start toward goal with straight-line steering.
 
-    Deterministic under a fixed seed.  Unreachable-within-budget is a
-    failure result, not an exception; infeasible endpoints are errors.
+    Every sample is drawn from rng, so a seeded rng fixes the result.
+    Unreachable-within-budget is a failure result, not an exception;
+    infeasible endpoints are errors.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -74,7 +73,6 @@ def rrt_plan(start, goal, world: World, params: RrtParams,
         raise PlanningError("start position is in collision")
     if not _free(world, goal, params, t):
         raise PlanningError("goal position is in collision")
-    rng = rng or np.random.default_rng(params.seed)
 
     nodes = [start]
     parents = [-1]

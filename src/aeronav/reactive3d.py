@@ -18,6 +18,10 @@ from .plants import Heading3DState
 from .world import Ellipsoid, World
 
 
+MU = 10.0                        # smooth-sgn and pursuit-speed steepness
+ALIGN_TOL = 0.2                  # R2 heading alignment [rad]
+
+
 @dataclass(frozen=True)
 class Reactive3DParams:
     v_bar: float = 1.0           # commanded speed
@@ -28,8 +32,6 @@ class Reactive3DParams:
     eps: float = 0.5             # R2 distance band: d <= d0 + eps
     gamma: float = 1.0
     delta: float = 0.5
-    mu: float = 10.0
-    align_tol: float = 0.2
 
     def __post_init__(self):
         if not (self.d0 > self.d_safe > 0.0):
@@ -145,7 +147,7 @@ def avoid_law_3d(heading: np.ndarray, d: float, d_dot: float,
         if abs(side) > 1e-9 * max(np.linalg.norm(toward), 1.0):
             gamma_dir = 1.0 if side > 0.0 else -1.0
     s = d_dot + chi(d - p.d0, p.gamma, p.delta)
-    return gamma_dir * p.omega_max * smooth_sgn(s, p.mu) * i_n
+    return gamma_dir * p.omega_max * smooth_sgn(s, MU) * i_n
 
 
 def pp_omega(s_r: np.ndarray, p_r: np.ndarray, p_goal: np.ndarray,
@@ -153,7 +155,7 @@ def pp_omega(s_r: np.ndarray, p_r: np.ndarray, p_goal: np.ndarray,
     """Pure-pursuit speed and turn rate toward the goal:
     V0 = V_bar tanh(mu |p_e|), Omega = Omega_max F(s_r, p_e)."""
     p_e = np.asarray(p_goal, dtype=float) - np.asarray(p_r, dtype=float)
-    v0 = p.v_bar * float(np.tanh(p.mu * np.linalg.norm(p_e)))
+    v0 = p.v_bar * float(np.tanh(MU * np.linalg.norm(p_e)))
     omega = p.omega_max * steer_map(s_r, p_e)
     return v0, omega
 
@@ -199,7 +201,7 @@ class Reactive3DNavigator:
                 self.events.append((tick, "R1", {}))
         else:
             p_e = self.goal - state.p
-            aligned = angle_between(state.a, p_e) < self.p.align_tol
+            aligned = angle_between(state.a, p_e) < ALIGN_TOL
             if (d <= self.p.d0 + self.p.eps and aligned
                     and self._goal_ray_clear(state, t)):
                 self.mode = Mode3D.PURSUIT

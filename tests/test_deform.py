@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from aeronav import deform as deform_mod
 from aeronav.bezier import PiecewisePath, QuinticBezier
-from aeronav.deform import (DeformNavigator, DeformParams, RefModelGains,
+from aeronav.deform import (K_ALPHA, K_BETA, MAX_DEFORMS_PER_CHECK, REF_C1_V,
+                            REF_C2_V, DeformNavigator, DeformParams,
                             RefModelState, deform, deform_until_safe,
                             find_unsafe, ref_acceleration, ref_velocity,
                             reference_model_step, track_kinematic)
@@ -78,7 +80,7 @@ def test_deform_overlapping_obstacle_resolves_within_cap():
     w = World([Sphere(np.array([10.0, 0.4, 0.0]), 0.8)])
     params = DeformParams(safety_factor=0.8, d_safe=0.7)
     path, n = deform_until_safe(straight_path(), w, params)
-    assert n <= params.max_deforms_per_check
+    assert n <= MAX_DEFORMS_PER_CHECK
     assert find_unsafe(path, w, params.d_safe) is None
 
 
@@ -87,7 +89,7 @@ def test_deform_until_safe_terminates_within_cap():
                         radius=1.0, height=10.0)])
     params = DeformParams(safety_factor=0.6, d_safe=0.5)
     path, n = deform_until_safe(straight_path(), w, params)
-    assert n <= params.max_deforms_per_check
+    assert n <= MAX_DEFORMS_PER_CHECK
     assert find_unsafe(path, w, params.d_safe) is None
 
 
@@ -118,8 +120,8 @@ def test_track_kinematic_bounded_by_gains():
         st = Angle3DState(rng.uniform(-5, 5, 3), float(rng.uniform(-np.pi, np.pi)),
                           float(rng.uniform(-1.2, 1.2)))
         _, ub, ua = track_kinematic(st, path, p)
-        assert abs(ub) <= p.k_beta + 1e-12
-        assert abs(ua) <= p.k_alpha + 1e-12
+        assert abs(ub) <= K_BETA + 1e-12
+        assert abs(ua) <= K_ALPHA + 1e-12
 
 
 def test_track_kinematic_converges_from_offset():
@@ -141,35 +143,34 @@ def test_track_kinematic_converges_from_offset():
 def test_reference_model_at_rest_on_path_zero_inputs():
     path = straight_path()
     ref = RefModelState(np.zeros(3), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    out = reference_model_step(ref, path, v_d=0.0, gains=RefModelGains(), dt=0.01)
+    out = reference_model_step(ref, path, v_d=0.0, v_max=2.0, dt=0.01)
     assert out.accel == pytest.approx(0.0, abs=1e-9)
     assert out.omega_beta == pytest.approx(0.0, abs=1e-9)
 
 
 def test_reference_model_speed_step_monotone_and_bounded():
     path = straight_path(60.0)
-    g = RefModelGains()
+    v_max = 2.0
     ref = RefModelState(np.zeros(3), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     vs, accs = [], []
     for _ in range(3000):
-        ref = reference_model_step(ref, path, v_d=1.0, gains=g, dt=0.01)
+        ref = reference_model_step(ref, path, v_d=1.0, v_max=v_max, dt=0.01)
         vs.append(ref.v)
         accs.append(ref.accel)
     vs = np.array(vs)
     assert vs[-1] == pytest.approx(1.0, abs=0.05)
     assert np.max(vs) <= 1.0 + 0.05       # small overshoot only
-    assert np.max(vs) <= g.v_max + 1e-9   # hard clamp respected
+    assert np.max(vs) <= v_max + 1e-9     # hard clamp respected
     # |a_r| bounded by the accumulated reaching-law authority
-    assert np.max(np.abs(accs)) <= g.c1_v + g.c2_v
+    assert np.max(np.abs(accs)) <= REF_C1_V + REF_C2_V
 
 
 def test_reference_model_accel_finite_difference():
     path = straight_path(60.0)
-    g = RefModelGains()
     ref = RefModelState(np.zeros(3), 0.0, 0.0, 0.0, 0.0, 0.5, 0.0)
     states = [ref]
     for _ in range(400):
-        states.append(reference_model_step(states[-1], path, 1.0, g, 0.01))
+        states.append(reference_model_step(states[-1], path, 1.0, 2.0, 0.01))
     v = np.array([ref_velocity(s) for s in states])
     a = np.array([ref_acceleration(s) for s in states])
     fd = (v[2:] - v[:-2]) / 0.02
@@ -180,7 +181,7 @@ def _run_deform_scenario(world, goal, gamma, duration=60.0, v=1.0,
                          d_safe=0.5, start=np.array([1.0, 1.0, 3.0]),
                          check_margin=0.35):
     params = DeformParams(safety_factor=gamma, d_safe=d_safe, v=v,
-                          check_resolution=0.1, check_margin=check_margin)
+                          check_margin=check_margin)
     nav = DeformNavigator(params, world, start, goal)
     direction = goal - start
     st = Angle3DState(start.astype(float), float(np.arctan2(direction[1], direction[0])),
@@ -221,13 +222,13 @@ def test_clear_tick_scans_the_path_once():
     assert len(calls) == 1
 
 
-def test_capped_tick_scans_again_at_d_safe():
+def test_capped_tick_scans_again_at_d_safe(monkeypatch):
     """When deform_until_safe stops at its cap the last deformation is
     unchecked, so the tick scans the path again."""
+    monkeypatch.setattr(deform_mod, "MAX_DEFORMS_PER_CHECK", 1)
     w = World([Sphere(np.array([10.0, 0.2, 0.0]), 0.8)])
     calls = _count_batch_calls(w)
-    params = DeformParams(max_deforms_per_check=1)
-    nav = DeformNavigator(params, w, np.zeros(3), np.array([20.0, 0.0, 0.0]))
+    nav = DeformNavigator(DeformParams(), w, np.zeros(3), np.array([20.0, 0.0, 0.0]))
     nav.control(Angle3DState(np.zeros(3), 0.0, 0.0), 0.0, 0)
     assert nav.events == [(0, "deform", {"count": 1})]
     assert len(calls) == 2

@@ -10,7 +10,6 @@ from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
 
 P4 = FlockParams(k_ij=0.6, k_goal=0.5, k_obs=1.0, k_v=2.5,
-                 kk1=0.25 * np.eye(2), kk2=2.0 * np.eye(2),
                  d_ij=5.0, d_s=1.0, r_c=20.0,
                  goal=np.array([50.0, 50.0, 80.0]), goal_radius=10.0,
                  big_c=5.5)

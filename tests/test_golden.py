@@ -1,9 +1,11 @@
 """Golden run-log digests: every stock scenario must reproduce, byte for
 byte, the run log, metrics and events recorded in tests/golden/digests.json
 (regenerate with `PYTHONPATH=src python tests/golden/regen.py`).  The
-coverage digests must also hold in child processes that emulate lower
-hosts: numpy's SIMD dispatch held back, OpenBLAS on older kernels."""
+coverage digests, and the frames of a tilted coverage plane, must also hold
+in child processes that emulate lower hosts: numpy's SIMD dispatch held
+back, OpenBLAS on older kernels."""
 import ctypes
+import functools
 import json
 import os
 import subprocess
@@ -82,7 +84,7 @@ EMULATED_HOSTS = {
 # the instructions each OpenBLAS core type's kernels execute
 CORE_NEEDS = {"Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",)}
 
-# The child asserts that its emulation took, then runs `regen.py --check`.
+# A child asserts that its emulation took, then runs its task.
 CHILD = """
 import ctypes, json, sys
 from numpy._core._multiarray_umath import __cpu_features__
@@ -94,9 +96,24 @@ if spec["openblas"]:
     get_core = getattr(ctypes.CDLL(lib), symbol)
     get_core.argtypes, get_core.restype = [], ctypes.c_char_p
     assert get_core().decode() == core, f"OpenBLAS runs {get_core()}, not {core}"
-sys.path.insert(0, spec["golden"])
+"""
+REGEN_CHECK = f"""
+sys.path.insert(0, {str(regen.GOLDEN.parent)!r})
 import regen
-sys.exit(regen.main(["--check", *spec["names"]]))
+sys.exit(regen.main(["--check", *{list(COVERAGE)!r}]))
+"""
+# sha256 of the boundaries of a 10 m square scaled and tilted about 2,000
+# seeded random axes, which have inexact norms (the stock axis has exact ones)
+RESHAPED_SHA = """
+import hashlib
+import numpy as np
+from aeronav.coverage import BarrierFrame
+frame = BarrierFrame.from_vertices(np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0],
+                                             [10.0, 10.0, 0.0], [0.0, 10.0, 0.0]]))
+sha = hashlib.sha256()
+for axis in np.random.default_rng(0).standard_normal((2000, 3)):
+    sha.update(frame.reshaped(0.9, axis, 0.25).boundary_world.tobytes())
+print(sha.hexdigest())
 """
 
 
@@ -112,12 +129,10 @@ def _openblas_corename():
     return None
 
 
-@pytest.mark.parametrize("host", sorted(EMULATED_HOSTS))
-def test_coverage_digests_on_emulated_hosts(host):
-    """The coverage digests do not depend on numpy's SIMD kernels or
-    OpenBLAS's: each emulated host, in a child process of its own, checks
-    them against digests.json."""
-    emulation = EMULATED_HOSTS[host]
+def _child(task: str, emulation: dict) -> subprocess.CompletedProcess:
+    """Run task in a child process under the emulation, a value of
+    EMULATED_HOSTS or {} for this host; skips where this host cannot
+    emulate it."""
     off = emulation.get("NPY_DISABLE_CPU_FEATURES", "").split()
     for feature in off:
         if feature not in __cpu_dispatch__:
@@ -136,9 +151,34 @@ def test_coverage_digests_on_emulated_hosts(host):
            if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    spec = {"off": off, "openblas": openblas, "golden": str(regen.GOLDEN.parent),
-            "names": list(COVERAGE)}
-    child = subprocess.run([sys.executable, "-c", CHILD, json.dumps(spec)],
-                           env={**env, **emulation}, capture_output=True, text=True,
-                           timeout=600)
+    spec = {"off": off, "openblas": openblas}
+    return subprocess.run([sys.executable, "-c", CHILD + task, json.dumps(spec)],
+                          env={**env, **emulation}, capture_output=True, text=True,
+                          timeout=600)
+
+
+@pytest.mark.parametrize("host", sorted(EMULATED_HOSTS))
+def test_coverage_digests_on_emulated_hosts(host):
+    """The coverage digests do not depend on numpy's SIMD kernels or
+    OpenBLAS's: each emulated host, in a child process of its own, checks
+    them against digests.json."""
+    emulation = EMULATED_HOSTS[host]
+    child = _child(REGEN_CHECK, emulation)
     assert child.returncode == 0, f"{host} {emulation}:\n{child.stdout}{child.stderr}"
+
+
+@functools.cache
+def _reshaped_sha_here() -> str:
+    child = _child(RESHAPED_SHA, {})
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+@pytest.mark.parametrize("host", sorted(EMULATED_HOSTS))
+def test_tilted_frames_on_emulated_hosts(host):
+    """A coverage plane tilted about a general axis gets the same frame on
+    every emulated host as on this one."""
+    emulation = EMULATED_HOSTS[host]
+    child = _child(RESHAPED_SHA, emulation)
+    assert child.returncode == 0, f"{host} {emulation}:\n{child.stderr}"
+    assert child.stdout == _reshaped_sha_here(), f"{host} {emulation}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aeronav import deform
 from aeronav.harness import monitors
 from aeronav.harness.config import ConfigError, load_config, save_config, validate_config
 from aeronav.harness.runlog import CSV_HEADER, RunLog, emit
@@ -278,6 +280,22 @@ def test_monitors_fail_nan_clearance_pass_inf():
         ("d_safe", False, 1), ("min_pair", False, 1)]
 
 
+def test_lattice_and_sweep_monitors_judge_the_params():
+    """The lattice and sweep monitors run on their tolerance alone and
+    name the param their metric is measured against; a spacing or sweep
+    speed of their own would be checked by nothing, so none is accepted."""
+    mons = {"lattice_tol": 0.5, "sweep_tol": 0.05}
+    results = monitors.evaluate(monitors.SafetyRecord((), mons), mons,
+                                {"lattice_err": 0.6, "sweep_speed_err": 0.01})
+    assert [(m.name, m.passed) for m in results] == [
+        ("quasi_lattice", False), ("sweep_consensus", True)]
+    assert "params.flock.d_ij" in results[0].detail
+    assert "params.coverage.sweep.g0" in results[1].detail
+    for key in ("lattice_spacing", "sweep_speed"):
+        with pytest.raises(ConfigError, match=key):
+            validate_config(minimal_cfg(monitors={key: 5.0}))
+
+
 def stub_engine(samples, record_every=1):
     """An engine factory whose tick k has clearance samples[k], which its
     rows log."""
@@ -340,14 +358,14 @@ def test_clearance_monitor_of_a_metric_the_kind_lacks_rejected():
         run(cfg)
 
 
-def test_hover_reaches_the_log():
+def test_hover_reaches_the_log(monkeypatch):
     """A static blockage the capped deformation loop leaves just ahead holds
     the vehicle, and each held tick is a hover event after its deform."""
+    monkeypatch.setattr(deform, "MAX_DEFORMS_PER_CHECK", 1)
     cfg = {"version": 1, "name": "hover", "seed": 0, "kind": "deform3d",
            "duration": 0.3, "start": [0.0, 0.0, 0.0], "goal": [20.0, 0.0, 0.0],
            "world": {"obstacles": [{"type": "sphere", "center": [2.5, 0.0, 0.0],
-                                    "radius": 1.5}]},
-           "params": {"deform": {"max_deforms_per_check": 1}}}
+                                    "radius": 1.5}]}}
     res = run(cfg)
     assert [(e["tick"], e["kind"]) for e in res.log.events] == [
         (0, "deform"), (0, "hover"), (1, "deform"), (1, "hover"),
@@ -594,8 +612,8 @@ def test_deleted_key_rejected(name, path, value):
                  id="reactive3d-zero"),
     pytest.param("deform-static-cylinders", ("params", "deform", "v"), float("inf"),
                  id="deform-inf"),
-    pytest.param("deform-static-cylinders", ("params", "deform", "max_deforms_per_check"),
-                 True, id="deform-bool-for-int"),
+    pytest.param("planar-static", ("params", "rrt", "max_iters"), True,
+                 id="rrt-bool-for-int"),
     pytest.param("tunnel-a-smooth-bend", ("params", "tunnel_nav", "d1"), 9.0,
                  id="tunnel-nav-cross-field-rule"),
     pytest.param("tunnel-narrowing-robust", ("params", "pipeline"), "fast",
@@ -701,9 +719,13 @@ _UNSET_ALLOWED = {
 
 def test_every_schema_key_is_set_by_a_stock_config():
     """An option no stock scenario sets either gets a scenario, joins the
-    allowlist with its reason, or is deleted."""
+    allowlist with its reason, or is deleted.  A params dataclass's field
+    counts as set if a stock config of any kind that takes the class sets
+    it."""
     from aeronav.harness import config as C
     cfgs = list(scenarios.all_scenarios().values())
+    classes = {spec for keys in C._PARAMS_KEYS.values() for spec in keys.values()
+               if isinstance(spec, type)}
     obstacles = [o for c in cfgs for o in c.get("world", {}).get("obstacles", [])]
     coverage = [c["params"]["coverage"] for c in cfgs if c["kind"] == "coverage"]
     sweeps = [c["sweep"] for c in coverage if "sweep" in c]
@@ -722,7 +744,14 @@ def test_every_schema_key_is_set_by_a_stock_config():
         "sweep.events": (C._SWEEP_EVENT_KEYS, [e for s in sweeps for e in s.get("events", [])]),
         **{f"params[{kind}]": (keys, [c.get("params", {}) for c in cfgs if c["kind"] == kind])
            for kind, keys in C._PARAMS_KEYS.items()},
+        **{cls.__name__: ([f.name for f in dataclasses.fields(cls)],
+                          [c["params"][key] for c in cfgs
+                           for key, spec in C._PARAMS_KEYS[c["kind"]].items()
+                           if spec is cls and key in c.get("params", {})])
+           for cls in classes},
     }
     unset = {(name, key) for name, (keys, found) in sections.items() for key in keys
              if not any(key in f for f in found)}
-    assert unset == set(_UNSET_ALLOWED)
+    allowed = set(_UNSET_ALLOWED)
+    assert unset == allowed, (f"set by no stock config: {sorted(unset - allowed)}; "
+                              f"allowed but set: {sorted(allowed - unset)}")

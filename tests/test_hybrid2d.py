@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from aeronav.bezier import PiecewisePath
-from aeronav.hybrid2d import (HybridNavigator, HybridParams, detect_trap,
-                              escape_goal, pure_pursuit_2d, reactive_law_2d,
-                              turn_direction)
+from aeronav.hybrid2d import (GOAL_TOL, MU, HybridNavigator, HybridParams,
+                              detect_trap, escape_goal, pure_pursuit_2d,
+                              reactive_law_2d, turn_direction)
 from aeronav.planner2d import RrtParams
 from aeronav.plants import LimitSet, Unicycle2DState, step_unicycle
 from aeronav.world import Sphere, Wall, World
@@ -22,7 +22,7 @@ def test_reactive_law_saturated_branch_value():
     # d - d0 = 10 saturates chi at delta*gamma = 0.5; law value evaluated
     # directly from its definition with the configured smooth-sgn steepness
     v, u = reactive_law_2d(P.d0 + 10.0, 0.0, 1.0, P)
-    assert u == pytest.approx(P.u_max * np.tanh(P.mu * 0.5))
+    assert u == pytest.approx(P.u_max * np.tanh(MU * 0.5))
     assert u > 0.0
 
 
@@ -77,7 +77,7 @@ def test_pure_pursuit_target_behind_saturates_positive():
     path = PiecewisePath.straight(np.array([0.0, 0.0]), np.array([-10.0, 0.0]))
     s = Unicycle2DState(0.5, 0.0, 0.0)  # heading +x, path goes -x
     v, u, _ = pure_pursuit_2d(s, path, P)
-    assert abs(u) == pytest.approx(P.u_max * np.tanh(P.mu * np.pi), rel=1e-6)
+    assert abs(u) == pytest.approx(P.u_max * np.tanh(MU * np.pi), rel=1e-6)
     assert u > 0.0  # documented tie-break at exactly pi
 
 
@@ -152,7 +152,7 @@ def _run_navigator(world, goal, seed=0, duration=60.0, params=P, trap_range=None
     nav = HybridNavigator(params, world, goal, RrtParams(step=1.5, goal_bias=0.2,
                                                          max_iters=4000,
                                                          clearance=params.d_safe + 0.2,
-                                                         resolution=0.05, seed=seed),
+                                                         resolution=0.05),
                           np.random.default_rng(seed),
                           bounds=world.bounds, trap_range=trap_range)
     state = Unicycle2DState(0.0, 0.0, 0.0)
@@ -165,7 +165,7 @@ def _run_navigator(world, goal, seed=0, duration=60.0, params=P, trap_range=None
             state = step_unicycle(state, v, u, 0.01, limits=lim)
             t += 0.01
         min_d = min(min_d, world.nearest_obstacle(state.position, t)[0])
-        if np.linalg.norm(state.position - goal) < params.goal_tol:
+        if np.linalg.norm(state.position - goal) < GOAL_TOL:
             break
     return nav, state, min_d
 
@@ -179,7 +179,7 @@ def test_execution_r1_switch():
     assert "R1" in kinds
     assert "R2" in kinds
     assert min_d >= P.d_safe
-    assert np.linalg.norm(state.position - np.array([14.0, 0.0])) < P.goal_tol
+    assert np.linalg.norm(state.position - np.array([14.0, 0.0])) < GOAL_TOL
 
 
 def test_execution_single_r1_per_encounter():
@@ -201,5 +201,5 @@ def test_execution_trap_triggers_single_replan():
                                        duration=120.0, params=params,
                                        trap_range=4.5)
     assert nav.replan_count == 1
-    assert np.linalg.norm(state.position - np.array([14.0, 0.0])) < params.goal_tol
+    assert np.linalg.norm(state.position - np.array([14.0, 0.0])) < GOAL_TOL
     assert min_d >= params.d_safe

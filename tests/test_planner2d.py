@@ -13,8 +13,9 @@ def free_world():
 
 
 def test_rrt_empty_world_high_goal_bias_is_direct():
-    params = RrtParams(step=20.0, goal_bias=0.99, max_iters=50, seed=1)
-    res = rrt_plan(np.zeros(2), np.array([5.0, 5.0]), free_world(), params)
+    params = RrtParams(step=20.0, goal_bias=0.99, max_iters=50)
+    res = rrt_plan(np.zeros(2), np.array([5.0, 5.0]), free_world(), params,
+                   rng=np.random.default_rng(1))
     assert res.success
     assert len(res.waypoints) == 2
     assert np.allclose(res.waypoints[0], [0, 0])
@@ -25,15 +26,16 @@ def test_rrt_goal_in_collision_raises():
     w = World([Sphere(np.array([5.0, 5.0]), 1.0)],
               bounds=np.array([[-10.0, -10.0], [10.0, 10.0]]))
     with pytest.raises(PlanningError):
-        rrt_plan(np.zeros(2), np.array([5.0, 5.0]), w, RrtParams(seed=2))
+        rrt_plan(np.zeros(2), np.array([5.0, 5.0]), w, RrtParams(),
+                 rng=np.random.default_rng(2))
 
 
 def test_rrt_deterministic_under_seed():
     w = World([Sphere(np.array([2.0, 2.0]), 1.0)],
               bounds=np.array([[-10.0, -10.0], [10.0, 10.0]]))
-    p = RrtParams(step=1.0, goal_bias=0.2, max_iters=2000, seed=7)
-    r1 = rrt_plan(np.zeros(2), np.array([6.0, 6.0]), w, p)
-    r2 = rrt_plan(np.zeros(2), np.array([6.0, 6.0]), w, p)
+    p = RrtParams(step=1.0, goal_bias=0.2, max_iters=2000)
+    r1 = rrt_plan(np.zeros(2), np.array([6.0, 6.0]), w, p, rng=np.random.default_rng(7))
+    r2 = rrt_plan(np.zeros(2), np.array([6.0, 6.0]), w, p, rng=np.random.default_rng(7))
     assert r1.success and r2.success
     assert np.array_equal(r1.waypoints, r2.waypoints)
 
@@ -42,9 +44,9 @@ def test_rrt_u_wall_with_clearance_oracle():
     """Path around a U-shaped wall; every dense sample keeps clearance."""
     wall = Wall(np.array([[2.0, -3.0], [2.0, 3.0], [5.0, 3.0], [5.0, -3.0]]))
     w = World([wall], bounds=np.array([[-2.0, -8.0], [12.0, 8.0]]))
-    params = RrtParams(step=1.0, goal_bias=0.1, max_iters=8000,
-                       clearance=0.4, seed=3)
-    res = rrt_plan(np.zeros(2), np.array([3.5, 0.0]), w, params)
+    params = RrtParams(step=1.0, goal_bias=0.1, max_iters=8000, clearance=0.4)
+    res = rrt_plan(np.zeros(2), np.array([3.5, 0.0]), w, params,
+                   rng=np.random.default_rng(3))
     assert res.success
     # dense collision-sampling oracle along the polyline
     for a, b in zip(res.waypoints[:-1], res.waypoints[1:]):
@@ -56,8 +58,9 @@ def test_rrt_u_wall_with_clearance_oracle():
 def test_rrt_budget_exhaustion_is_result_not_crash():
     wall = Wall(np.array([[2.0, -50.0], [2.0, 50.0]]))
     w = World([wall], bounds=np.array([[-5.0, -5.0], [5.0, 5.0]]))
-    params = RrtParams(step=0.5, goal_bias=0.1, max_iters=30, seed=0, clearance=0.2)
-    res = rrt_plan(np.array([-3.0, 0.0]), np.array([4.0, 0.0]), w, params)
+    params = RrtParams(step=0.5, goal_bias=0.1, max_iters=30, clearance=0.2)
+    res = rrt_plan(np.array([-3.0, 0.0]), np.array([4.0, 0.0]), w, params,
+                   rng=np.random.default_rng(0))
     # the wall spans all sampling space: must fail gracefully
     assert not res.success
     assert res.waypoints is None
@@ -71,9 +74,9 @@ def test_rrt_success_monotone_in_budget():
     for iters in (30, 120, 600):
         ok = 0
         for seed in range(50):
-            p = RrtParams(step=0.8, goal_bias=0.1, max_iters=iters,
-                          clearance=0.3, seed=seed)
-            ok += rrt_plan(np.array([0.0, 0.0]), np.array([5.0, 0.0]), w, p).success
+            p = RrtParams(step=0.8, goal_bias=0.1, max_iters=iters, clearance=0.3)
+            ok += rrt_plan(np.array([0.0, 0.0]), np.array([5.0, 0.0]), w, p,
+                           rng=np.random.default_rng(seed)).success
         rates.append(ok / 50)
     assert rates[0] <= rates[1] <= rates[2]
     assert rates[2] > 0.9

@@ -245,7 +245,7 @@ def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
         d1 = (1 - ema) * dot_prev[i] + ema * d1_raw
         d2_raw = (d1 - dot_prev[i]) / dt
         d2 = np.clip((1 - ema) * ddot_prev[i] + ema * d2_raw,
-                     -p.theta_ddot_cap, p.theta_ddot_cap)
+                     -flocking.THETA_DDOT_CAP, flocking.THETA_DDOT_CAP)
         a, alpha = flocking.flocking_control(snap.nu[i, 0], snap.theta[i], snap.nu[i, 1:],
                                              f_t, flock_direction(snap.theta[i]), th_f,
                                              d1, d2, p)
