@@ -19,12 +19,16 @@ near the two probe planes, and the range and slab tests run on those.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import unit, unit_or_zero
+from .tunnels import kd_tree
 from .world import SensingModel, in_range, sense_points
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # consecutive failed robust perceptions after which the navigator stops
 ROBUST_FAIL_LIMIT = 5
@@ -206,7 +210,7 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     if len(ws) == 0:
         state.failures += 1
         return None
-    tree = cKDTree(ws)
+    tree = kd_tree(ws)
 
     centroids = []
     for d_i in probe_distances:

@@ -18,13 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import perpendicular_basis, unit
 
 
 class TunnelGenerationError(Exception):
     pass
+
+
+def kd_tree(points: np.ndarray):
+    """scipy's cKDTree over the points.  scipy.spatial is imported here, at
+    the first tree, so that a run without a tunnel never loads scipy."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
 
 
 @dataclass
@@ -39,8 +45,8 @@ class TunnelCloud:
     def __post_init__(self):
         if len(self.points) == 0:
             raise TunnelGenerationError("tunnel cloud is empty")
-        self._tree = cKDTree(self.points)
-        self._axis_tree = cKDTree(self.axis)
+        self._tree = kd_tree(self.points)
+        self._axis_tree = kd_tree(self.axis)
 
     @property
     def length(self) -> float:
@@ -98,7 +104,7 @@ def _check_axis(axis: np.ndarray, axis_s: np.ndarray, radius: float,
                 closed: bool) -> None:
     """Reject self-intersecting axes: samples far apart along the curve must
     not come closer than the tube diameter in space."""
-    pairs = cKDTree(axis).query_pairs(r=1.5 * radius, output_type="ndarray")
+    pairs = kd_tree(axis).query_pairs(r=1.5 * radius, output_type="ndarray")
     gap = np.abs(axis_s[pairs[:, 0]] - axis_s[pairs[:, 1]])
     if closed:
         gap = np.minimum(gap, axis_s[-1] - gap)

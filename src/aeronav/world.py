@@ -6,8 +6,12 @@ snapshot apart from the time argument threaded through queries; moving
 obstacles are evaluated at the query time, so all reads are parallel-safe.
 
 Distances are to the obstacle as a set: zero inside.  Spheres, cylinders
-and ellipsoids are exact (the ellipsoid solves the standard one-dimensional
-distance equation); walls use exact point-segment distances.  Sensing is
+and ellipsoids are exact; walls use exact point-segment distances.  The
+ellipsoid solves the one-dimensional distance equation (Eberly, "Distance
+from a point to an ellipse, an ellipsoid, or a hyperellipsoid") with
+`brentq`, this module's own Brent solver (Brent 1973, "Algorithms for
+Minimization without Derivatives"): a port of scipy's on Python floats that
+takes the same iterates, so scipy is never imported here.  Sensing is
 omnidirectional: every point within range, with optional Gaussian noise.
 """
 from __future__ import annotations
@@ -15,15 +19,76 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geom import point_segment_distance
 
 _INF = float("inf")
+# brentq's tolerances and iteration limit, as the ellipsoid distance used them
+_XTOL, _RTOL, _MAXITER = 1e-12, 8.9e-16, 100
 
 
 class QueryError(Exception):
     pass
+
+
+def brentq(f, a: float, b: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method: a line-for-line port of scipy.optimize.brentq (its C solver,
+    scipy/optimize/Zeros/brentq.c) on Python floats, at xtol=_XTOL,
+    rtol=_RTOL, maxiter=_MAXITER.  The same steps in the same operation
+    order give the same iterates, bit for bit, and the same errors:
+    ValueError for a same-sign bracket or a NaN value of f, RuntimeError
+    after _MAXITER iterations."""
+    def fx(x):
+        y = float(f(x))
+        if y != y:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 * delta
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:        # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                   # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:   # C's inf or NaN, which fails the test below
+                stry = _INF
+            limit = 3 * abs(sbis) - delta
+            if abs(spre) < limit:       # C's MIN(|spre|, limit)
+                limit = abs(spre)
+            if 2 * abs(stry) < limit:   # good short step
+                spre, scur = scur, stry
+            else:                       # bisect
+                spre = scur = sbis
+        else:                           # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
 class Obstacle:
@@ -135,18 +200,26 @@ class Ellipsoid(Obstacle):
             # nearest) -- distance to the set is zero either way
             qn = np.linalg.norm(q / self.semi)
             if qn < 1e-12:
-                return 0.0, self.to_world(np.array([self.semi[0], 0.0, 0.0])
-                                          if len(self.semi) == 3 else self.semi)
+                tip = np.zeros_like(self.semi)
+                tip[0] = self.semi[0]
+                return 0.0, self.to_world(tip)
             return 0.0, self.to_world(q / qn)
 
-        # closest point q* = a_i^2 q_i / (a_i^2 + s); s > 0 solves F(s) = 1
+        # closest point q* = a_i^2 q_i / (a_i^2 + s); s > 0 solves F(s) = 1,
+        # F summed on floats left to right as np.sum adds the few terms
+        terms = list(zip(a2.tolist(), q.tolist()))
+
         def f(s):
-            return float(np.sum((a2 * q / (a2 + s)) ** 2 / a2) - 1.0)
+            total = 0.0
+            for b, x in terms:
+                y = b * x / (b + s)
+                total += y * y / b
+            return total - 1.0
 
         hi = float(np.linalg.norm(q) * np.max(self.semi) + np.max(a2))
         while f(hi) > 0.0:
             hi *= 2.0
-        s = brentq(f, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
+        s = brentq(f, 0.0, hi)
         qs = a2 * q / (a2 + s)
         return float(np.linalg.norm(q - qs)), self.to_world(qs)
 

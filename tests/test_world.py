@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
+from aeronav import world
 from aeronav.world import (Cylinder, Ellipsoid, Moving, QueryError,
-                           SensingModel, Sphere, Wall, World, sense_points)
+                           SensingModel, Sphere, Wall, World, brentq,
+                           sense_points)
+
+SOLVER = settings(max_examples=300, deadline=None)
 
 
 def test_sphere_offset_distance():
@@ -45,6 +54,140 @@ def test_ellipsoid_distance_vs_surface_sampling_oracle():
 def test_ellipsoid_inside_distance_zero():
     ell = Ellipsoid(np.zeros(3), np.array([2.0, 3.0, 1.0]))
     assert ell.distance(np.array([0.5, 0.5, 0.1]))[0] == 0.0
+
+
+@pytest.mark.parametrize("center, semi", [([1.0, 2.0], [2.0, 1.0]),
+                                          ([1.0, 2.0, -1.0], [2.0, 1.0, 3.0])])
+def test_ellipsoid_center_maps_to_a_surface_point(center, semi):
+    """At the exact center the direction anchor is the tip of the first
+    semi-axis, on the surface in 2D as in 3D."""
+    ell = Ellipsoid(np.array(center), np.array(semi))
+    d, q = ell.distance(ell.center)
+    assert d == 0.0
+    assert ell.level(q) == 0.0
+    tip = [semi[0]] + [0.0] * (len(semi) - 1)
+    assert q.tolist() == [c + t for c, t in zip(center, tip)]
+
+
+def _scipy_brentq(f, a, b, maxiter=100):
+    return optimize.brentq(f, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=maxiter)
+
+
+def _outcome(solver, f, a, b, **kw):
+    """The root as its exact repr, or the exception's type and message."""
+    try:
+        return repr(solver(f, a, b, **kw))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _horner(coefs):
+    def f(x):
+        y = 0.0
+        for c in coefs:
+            y = y * x + c
+        return y
+    return f
+
+
+coef = st.floats(-100.0, 100.0, allow_nan=False)
+end = st.floats(-50.0, 50.0, allow_nan=False)
+
+
+@SOLVER
+@given(st.lists(coef, min_size=2, max_size=6), end, end, st.floats(0.0, 1.0))
+def test_brentq_equals_scipy_bit_for_bit(coefs, a, b, at):
+    """Polynomials with a root at the fraction `at` of the bracket (and
+    maybe others): the same root to the last bit, or the same error (a
+    same-sign bracket)."""
+    coefs[-1] -= _horner(coefs)(a + at * (b - a))
+    f = _horner(coefs)
+    assert _outcome(brentq, f, a, b) == _outcome(_scipy_brentq, f, a, b)
+
+
+@pytest.mark.parametrize("f, a, b, kind", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, "ValueError"),                      # same sign
+    (lambda x: -1.0 if x < 1 / 3 else 1.0, -1e300, 1e300, "RuntimeError"),  # 100 steps
+    (lambda x: math.nan if x > 0.5 else x - 0.3, 0.0, 1.0, "ValueError"),
+    (lambda x: x, 0.0, 1.0, "root"),                                       # at an end
+    (lambda x: x - 1.0, 0.0, 1.0, "root"),
+])
+def test_brentq_errors_and_ends_as_scipy(f, a, b, kind):
+    got = _outcome(brentq, f, a, b)
+    assert got == _outcome(_scipy_brentq, f, a, b)
+    assert (got[0] if isinstance(got, tuple) else "root") == kind
+
+
+@pytest.mark.parametrize("maxiter", [0, 1, 2, 3])
+def test_brentq_iteration_limit_as_scipy(monkeypatch, maxiter):
+    """Out of iterations on a cubic: the same RuntimeError as scipy's at
+    the same limit."""
+    monkeypatch.setattr(world, "_MAXITER", maxiter)
+    f = lambda x: x ** 3 - 0.3
+    got = _outcome(brentq, f, 0.0, 1.0)
+    assert got == _outcome(_scipy_brentq, f, 0.0, 1.0, maxiter=maxiter)
+    assert got[0] == "RuntimeError"
+
+
+def _distance_reference(ell, p):
+    """Ellipsoid.distance outside the ellipsoid as it was computed with
+    numpy's F(s) and scipy's brentq."""
+    q = ell.to_body(p)
+    a2 = ell.semi ** 2
+
+    def f(s):
+        return float(np.sum((a2 * q / (a2 + s)) ** 2 / a2) - 1.0)
+
+    hi = float(np.linalg.norm(q) * np.max(ell.semi) + np.max(a2))
+    while f(hi) > 0.0:
+        hi *= 2.0
+    s = _scipy_brentq(f, 0.0, hi)
+    qs = a2 * q / (a2 + s)
+    return float(np.linalg.norm(q - qs)), ell.to_world(qs)
+
+
+axis_len = st.floats(0.05, 8.0)
+unit_coord = st.floats(-1.0, 1.0)
+
+
+@SOLVER
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+    st.lists(axis_len, min_size=n, max_size=n),
+    st.lists(unit_coord, min_size=n, max_size=n))),
+    st.sampled_from([1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.01, 1.5, 10.0, 1e4]))
+def test_ellipsoid_distance_equals_numpy_and_scipy_form(shape, scale):
+    """2D and 3D ellipsoids, points just off the surface and far from it:
+    the same distance and closest point, bit for bit."""
+    center, semi, u = (np.array(v) for v in shape)
+    norm = np.linalg.norm(u)
+    if norm < 1e-3:
+        u, norm = np.eye(len(u))[0], 1.0
+    ell = Ellipsoid(center, semi)
+    p = center + semi * (u / norm) * scale
+    if ell.level(p) <= 0.0:     # rounded onto or into the surface
+        return
+    d, q = ell.distance(p)
+    d_ref, q_ref = _distance_reference(ell, p)
+    assert (d, q.tolist()) == (d_ref, q_ref.tolist())
+
+
+def test_ellipsoid_distance_equals_numpy_and_scipy_form_in_bulk():
+    """The same on 5,000 seeded 2D and 3D queries: rare solver steps, such
+    as a short step at the edge of its bound, show up only in a batch this
+    large."""
+    rng = np.random.default_rng(20240611)
+    differ = 0
+    for k in range(5000):
+        semi = rng.uniform(0.05, 8.0, 2 + k % 2)
+        ell = Ellipsoid(rng.normal(size=len(semi)), semi)
+        p = ell.center + rng.normal(size=len(semi)) * rng.uniform(0.5, 40.0)
+        if ell.level(p) <= 0.0:
+            continue
+        d, q = ell.distance(p)
+        d_ref, q_ref = _distance_reference(ell, p)
+        differ += (d, q.tolist()) != (d_ref, q_ref.tolist())
+    assert differ == 0
 
 
 def test_cylinder_distance():
