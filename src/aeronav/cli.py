@@ -11,6 +11,7 @@ AERONAV_OUTPUT_DIR overrides the output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,8 +41,7 @@ def _write_outputs(result, cfg, out_dir: Path) -> list[Path]:
     if out.get("svg"):
         written.append(emit(result.log, "svg", out_dir / f"{name}.svg"))
     summary = {"name": name, "passed": result.passed, "metrics": result.metrics,
-               "monitors": [{"name": m.name, "passed": m.passed,
-                             "detail": m.detail} for m in result.monitors]}
+               "monitors": [dataclasses.asdict(m) for m in result.monitors]}
     spath = out_dir / f"{name}.summary.json"
     spath.parent.mkdir(parents=True, exist_ok=True)
     with open(spath, "w") as fh:
@@ -49,6 +49,11 @@ def _write_outputs(result, cfg, out_dir: Path) -> list[Path]:
         fh.write("\n")
     written.append(spath)
     return written
+
+
+def _monitor_line(m) -> str:
+    status = "ok" if m.passed else "FAIL"
+    return f"  [{status}] {m.name}: {m.detail} (margin {m.margin:.4g})"
 
 
 def cmd_run(args) -> int:
@@ -61,7 +66,7 @@ def cmd_run(args) -> int:
     status = "PASS" if result.passed else "FAILED"
     print(f"{cfg.get('name', 'run')}: {status} ({wall:.1f}s)")
     for m in result.monitors:
-        print(f"  [{'ok' if m.passed else 'FAIL'}] {m.name}: {m.detail}")
+        print(_monitor_line(m))
     return 0 if result.passed else 1
 
 
@@ -79,6 +84,9 @@ def cmd_suite(args) -> int:
         if not result.passed:
             failures += 1
         print(f"{name}: {status} ({wall:.1f}s)")
+        for m in result.monitors:
+            if not m.passed:
+                print(_monitor_line(m))
     print(f"{len(configs) - failures}/{len(configs)} scenarios passed")
     return 0 if failures == 0 else 1
 

@@ -19,6 +19,7 @@ from ..planner2d import RrtParams
 from ..reactive3d import Reactive3DParams
 from ..tunnel_nav import TunnelParams
 from ..tunnels import SHAPES
+from .monitors import MONITORS, judged
 
 SCHEMA_VERSION = 1
 
@@ -102,11 +103,7 @@ _TUNNEL_KEYS = {"shape": SHAPES, "radius": "pos", "length": "pos", "density": "p
                 "noise_sigma": "num", "end_radius": "pos", "helix_radius": "pos",
                 "pitch": "pos", "turns": "pos"}
 _AGENT_KEYS = {"count": "int+", "spawn": _points(3, 2, box=True), "min_spacing": "num"}
-_MONITOR_KEYS = {"d_safe": "num", "min_pair": "num", "expect_replans": "int",
-                 "require_goal": "bool", "lattice_tol": "num",
-                 "max_speed_final": "num", "centroid_tol": "num",
-                 "cost_non_increasing": "bool", "progress_window": "pos",
-                 "wall_margin": "num", "sweep_tol": "num"}
+_MONITOR_KEYS = {m.key: m.spec for m in MONITORS}
 _OUTPUT_KEYS = {"dir": "str", "csv": "bool", "jsonl": "bool", "svg": "bool"}
 _REMOVAL_KEYS = {"tick": "int", "agent": "int"}
 _SWEEP_EVENT_KEYS = {"t": "num", "kind": ("resize", "tilt"), "scale": "pos",
@@ -215,6 +212,9 @@ def validate_config(cfg: dict) -> dict:
         if kind == "coverage":
             _require(cfg.get("params", {}), ("coverage",), "params")
             _check_coverage(cfg["params"]["coverage"], cfg["agents"]["count"])
+    for m in MONITORS:
+        if m.key in cfg.get("monitors", {}) and m not in judged(cfg):
+            raise ConfigError(f"monitors.{m.key}: this run reports no {m.metric}")
     return cfg
 
 

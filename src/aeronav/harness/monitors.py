@@ -1,25 +1,73 @@
-"""Run monitors.
-
-Monitors read the run's per-tick safety record and its metrics, never the
-log rows, so enabling or disabling them cannot change a trajectory byte, and
-a tick the log decimates away is still checked.  A failed monitor marks the
-run FAILED with the first violating tick.  A clearance check passes only
-when the value is at least its threshold (above it for `wall_margin`): +inf
-(no obstacle, no other agent) passes and NaN fails.
-"""
+"""Run monitors, one row of MONITORS each.  They read the run's per-tick
+safety record and its metrics, never the log rows, so they cannot change a
+trajectory byte and still check every tick the log decimates away.  Each
+verdict carries a signed margin, the value's distance past the threshold in
+the metric's units: >= 0 (> 0 for a strict test) exactly when it passes, so
++inf (no obstacle, no other agent) passes a clearance and NaN fails."""
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+VEHICLES = ("hybrid2d", "reactive3d", "deform3d", "deform3d_quad")
+# a coverage run reports its sweep consensus with a sweep, its Lloyd descent without
+SWEPT = "coverage+sweep"
+# test -> the margin of value v over threshold t, >= 0 when v passes
+_MARGINS = {">=": lambda v, t: v - t, ">": lambda v, t: v - t,
+            "<=": lambda v, t: t - v, "<": lambda v, t: t - v,
+            "==": lambda v, t: 0.0 - abs(v - t),
+            "true": lambda v, t: v if v != v else 1.0 if v else -1.0}
+_STRICT = (">", "<")
 
-# per-tick monitor -> the clearance metric it bounds and the test a sample passes
-CLEARANCE_MONITORS = {"d_safe": ("min_d_obs", operator.ge),
-                      "min_pair": ("min_pair_d", operator.ge),
-                      "wall_margin": ("min_wall_distance", operator.gt)}
+
+@dataclass(frozen=True)
+class Monitor:
+    key: str            # monitors.<key>, a config value of type spec, turns it on
+    spec: str
+    name: str           # of its result
+    metric: str         # the value it tests against the threshold
+    test: str           # metric <test> threshold: >=, >, <=, <, == or true
+    kinds: tuple        # the runs that report the metric
+    detail: str         # formats v (the value), thr and the metrics
+    fail: str | None = None         # the detail of a failure, if it differs
+    per_tick: bool = False          # judge every tick's sample, not the end
+    fixed: float | None = None      # the threshold, if not the config value
+
+
+MONITORS = (
+    Monitor("d_safe", "num", "d_safe", "min_d_obs", ">=", VEHICLES + ("flocking",),
+            "min d_obs {v:.4f} >= {thr}", per_tick=True),
+    Monitor("min_pair", "num", "min_pair", "min_pair_d", ">=",
+            ("flocking", "coverage", SWEPT), "min pairwise {v:.4f}", per_tick=True),
+    Monitor("require_goal", "bool", "goal_reached", "goal_reached", "true",
+            VEHICLES + ("tunnel", "flocking"), "goal reached at t={goal_time}",
+            fail="goal not reached"),
+    Monitor("expect_replans", "int", "replans", "replan_count", "==", ("hybrid2d",),
+            "expected {thr:.0f}, got {v:.0f}"),
+    Monitor("centroid_tol", "num", "centroid_convergence", "final_centroid_err", "<",
+            ("coverage", SWEPT), "max |C - p| = {v:.4f} (tol {thr})"),
+    Monitor("max_speed_final", "num", "final_speeds", "final_max_speed", "<",
+            ("flocking", "coverage", SWEPT), "final max speed {v:.4f} (tol {thr})"),
+    Monitor("lattice_tol", "num", "quasi_lattice", "lattice_err", "<=", ("flocking",),
+            "max |spacing - params.flock.d_ij| = {v:.3f} (tol {thr})"),
+    Monitor("cost_non_increasing", "bool", "lloyd_descent", "cost_max_increase", "<=",
+            ("coverage",), "max tick-to-tick cost increase {v:.2e}", fixed=1e-6),
+    Monitor("progress_window", "pos", "progress", "progress_monotone", "true", ("tunnel",),
+            "curvilinear progress strictly increasing", fail="progress stalled"),
+    Monitor("wall_margin", "num", "wall_margin", "min_wall_distance", ">", ("tunnel",),
+            "min wall distance {v:.3f} > {thr}", per_tick=True),
+    Monitor("sweep_tol", "num", "sweep_consensus", "sweep_speed_err", "<=", (SWEPT,),
+            "max |v - params.coverage.sweep.g0| = {v:.4f} (tol {thr})"),
+)
+
+
+def judged(cfg: dict) -> list[Monitor]:
+    """The monitors whose metric a run of this config reports."""
+    swept = cfg["kind"] == "coverage" and "sweep" in cfg["params"]["coverage"]
+    return [m for m in MONITORS if (SWEPT if swept else cfg["kind"]) in m.kinds]
 
 
 @dataclass
@@ -28,6 +76,7 @@ class MonitorResult:
     passed: bool
     detail: str = ""
     first_violation_tick: int | None = None
+    margin: float = np.nan
 
 
 def min_keep_nan(a: float, b: float) -> float:
@@ -36,18 +85,15 @@ def min_keep_nan(a: float, b: float) -> float:
 
 
 class SafetyRecord:
-    """A run's per-tick safety record: the running minimum of each sampled
-    clearance metric (keys), and the first tick whose sample fails each
-    clearance monitor in monitors, which must bound one of them."""
+    """A run's running minimum of each sampled clearance metric (keys) and
+    the first tick whose sample fails each per-tick monitor in monitors."""
 
     def __init__(self, keys, monitors: dict):
         self.minima = dict.fromkeys(keys, np.inf)
         self.first_violation: dict[str, int] = {}
-        self._checks = [(name, key, float(monitors[name]), ok)
-                        for name, (key, ok) in CLEARANCE_MONITORS.items() if name in monitors]
-        for name, key, _, _ in self._checks:
-            if key not in self.minima:
-                raise ConfigError(f"monitors.{name}: this kind reports no {key}")
+        self._checks = [(m.key, m.metric, float(monitors[m.key]),
+                         operator.ge if m.test == ">=" else operator.gt)
+                        for m in MONITORS if m.per_tick and m.key in monitors]
 
     def add(self, tick: int, sample: dict) -> None:
         for key, v in sample.items():
@@ -57,71 +103,20 @@ class SafetyRecord:
                 self.first_violation[name] = tick
 
 
-def _clearance_result(name: str, record: SafetyRecord, detail: str) -> MonitorResult:
-    tick = record.first_violation.get(name)
-    return MonitorResult(name, tick is None,
-                         detail if tick is None else f"violated at tick {tick}", tick)
-
-
 def evaluate(record: SafetyRecord, monitors: dict, metrics: dict) -> list[MonitorResult]:
+    """Judge the configured monitors in table order; a bool key is on if true."""
     out = []
-    if not monitors:
-        return out
-    if "d_safe" in monitors:
-        out.append(_clearance_result(
-            "d_safe", record, f"min d_obs {metrics.get('min_d_obs', float('nan')):.4f} "
-                              f">= {float(monitors['d_safe'])}"))
-    if "min_pair" in monitors:
-        out.append(_clearance_result(
-            "min_pair", record, f"min pairwise {metrics.get('min_pair_d', float('nan')):.4f}"))
-    if monitors.get("require_goal"):
-        ok = bool(metrics.get("goal_reached", False))
-        out.append(MonitorResult("goal_reached", ok,
-                                 f"goal reached at t={metrics.get('goal_time')}"
-                                 if ok else "goal not reached"))
-    if "expect_replans" in monitors:
-        want = int(monitors["expect_replans"])
-        got = int(metrics.get("replan_count", 0))
-        out.append(MonitorResult("replans", got == want,
-                                 f"expected {want}, got {got}"))
-    if "centroid_tol" in monitors:
-        tol = float(monitors["centroid_tol"])
-        err = float(metrics.get("final_centroid_err", np.inf))
-        out.append(MonitorResult("centroid_convergence", err < tol,
-                                 f"max |C - p| = {err:.4f} (tol {tol})"))
-    if "max_speed_final" in monitors:
-        tol = float(monitors["max_speed_final"])
-        v = float(metrics.get("final_max_speed", np.inf))
-        out.append(MonitorResult("final_speeds", v < tol,
-                                 f"final max speed {v:.4f} (tol {tol})"))
-    if "lattice_tol" in monitors:
-        tol = float(monitors["lattice_tol"])
-        err = float(metrics.get("lattice_err", np.inf))
-        out.append(MonitorResult("quasi_lattice", err <= tol,
-                                 f"max |spacing - params.flock.d_ij| = {err:.3f} "
-                                 f"(tol {tol})"))
-    if monitors.get("cost_non_increasing"):
-        worst = float(metrics.get("cost_max_increase", np.inf))
-        out.append(MonitorResult("lloyd_descent", worst <= 1e-6,
-                                 f"max tick-to-tick cost increase {worst:.2e}"))
-    if "progress_window" in monitors:
-        ok = bool(metrics.get("progress_monotone", False))
-        out.append(MonitorResult("progress", ok,
-                                 "curvilinear progress strictly increasing"
-                                 if ok else "progress stalled"))
-    if "wall_margin" in monitors:
-        v = float(metrics.get("min_wall_distance", np.inf))
-        thr = float(monitors["wall_margin"])
-        out.append(_clearance_result("wall_margin", record,
-                                     f"min wall distance {v:.3f} > {thr}"))
-    if "sweep_tol" in monitors:
-        tol = float(monitors["sweep_tol"])
-        err = float(metrics.get("sweep_speed_err", np.inf))
-        out.append(MonitorResult("sweep_consensus", err <= tol,
-                                 f"max |v - params.coverage.sweep.g0| = {err:.4f} "
-                                 f"(tol {tol})"))
+    for m in MONITORS:
+        if monitors.get(m.key, False) is False:
+            continue
+        thr = m.fixed if m.fixed is not None else float(monitors[m.key])
+        v = float((record.minima if m.per_tick else metrics).get(m.metric, np.nan))
+        margin = _MARGINS[m.test](v, thr)
+        tick = record.first_violation.get(m.key)
+        passed = tick is None if m.per_tick else (
+            margin > 0 if m.test in _STRICT else margin >= 0)
+        text = m.detail if passed or m.fail is None else m.fail
+        detail = (f"violated at tick {tick}" if tick is not None
+                  else text.format_map(defaultdict(lambda: None, metrics, v=v, thr=thr)))
+        out.append(MonitorResult(m.name, passed, detail, tick, margin))
     return out
-
-
-def all_passed(results: list[MonitorResult]) -> bool:
-    return all(r.passed for r in results)

@@ -121,7 +121,7 @@ def run(cfg: dict) -> RunResult:
     metrics = {key: float(v) for key, v in record.minima.items()}
     metrics.update(engine.metrics(log.events))
     results = monitors_mod.evaluate(record, monitors, metrics)
-    passed = monitors_mod.all_passed(results)
+    passed = all(r.passed for r in results)
     metrics["passed"] = passed
     log.metrics = metrics
     return RunResult(log, metrics, results, passed)
@@ -472,25 +472,22 @@ def _coverage(cfg: dict) -> Engine:
         err = float(np.max(np.linalg.norm(cents[act] - sim.q[act], axis=1)))
         vels = sim.velocities()
         final_max_speed = float(np.max(np.linalg.norm(vels[act], axis=1)))
+        out = {"final_centroid_err": err, "final_max_speed": final_max_speed,
+               "comm_violations": _count(events, "comm_range_violation")}
         # Lloyd descent is asserted for static barriers only; removal ticks jump
         # by construction and a moving/deforming plane re-centers the cost
-        increase = sweep_err = 0.0
         if sweep is None:
+            increase = 0.0
             for k in range(1, len(costs)):
                 if k not in removals and k - 1 not in removals:
                     increase = max(increase, float(costs[k] - costs[k - 1]))
-        else:
-            a3 = sim.frame.a3
-            for i in act:
-                along = dot3(vels[i], a3)
-                sweep_err = max(sweep_err, norm3(vels[i] - along * a3))
-                sweep_err = max(sweep_err, abs(along - sweep.g0))
-        return {"final_centroid_err": err,
-                "final_max_speed": final_max_speed,
-                "cost_max_increase": float(increase),
-                "sweep_speed_err": float(sweep_err),
-                "comm_violations": _count(events, "comm_range_violation"),
-                "goal_reached": True}
+            return {**out, "cost_max_increase": increase}
+        a3, sweep_err = sim.frame.a3, 0.0
+        for i in act:
+            along = dot3(vels[i], a3)
+            sweep_err = max(sweep_err, norm3(vels[i] - along * a3))
+            sweep_err = max(sweep_err, abs(along - sweep.g0))
+        return {**out, "sweep_speed_err": float(sweep_err)}
 
     # a tick's removal and refused resizes come before the events of the
     # state the sim ticked from

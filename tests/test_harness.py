@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import operator
+import re
 import subprocess
 import sys
 
@@ -351,11 +354,89 @@ def test_wall_margin_reports_first_violation_tick():
 
 def test_clearance_monitor_of_a_metric_the_kind_lacks_rejected():
     """A tunnel logs its wall distance in the d_obs column but reports no
-    min_d_obs, so d_safe there would check nothing."""
-    cfg = scenarios.tunnel_scenario("a")
-    cfg["monitors"] = {"d_safe": 0.1}
-    with pytest.raises(ConfigError, match="monitors.d_safe"):
-        run(cfg)
+    min_d_obs, so d_safe there would check nothing; nor would a clearance
+    monitor on any other run that does not sample its metric."""
+    for name, key in [("tunnel-a-smooth-bend", "d_safe"), ("tunnel-a-smooth-bend", "min_pair"),
+                      ("planar-trap", "min_pair"), ("planar-trap", "wall_margin"),
+                      ("coverage-sweep", "d_safe"), ("flock-n4", "wall_margin")]:
+        cfg = _stock(name)
+        cfg["monitors"] = {key: 0.1}
+        with pytest.raises(ConfigError, match=f"monitors.{key}"):
+            validate_config(cfg)
+        with pytest.raises(ConfigError, match=f"monitors.{key}"):
+            run(cfg)
+
+
+# monitors whose metric the run does not report: each passed without measuring
+# anything or failed on a missing metric, before the config check refused them
+@pytest.mark.parametrize("name, key, value", [
+    pytest.param("coverage-barrier-n20", "sweep_tol", 0.0, id="sweep_tol-no-sweep"),
+    pytest.param("coverage-sweep", "cost_non_increasing", True, id="lloyd-sweep"),
+    pytest.param("coverage-sweep", "require_goal", True, id="goal-coverage"),
+    pytest.param("flock-n4", "expect_replans", 0, id="replans-flocking"),
+    pytest.param("planar-trap", "lattice_tol", 0.5, id="lattice-hybrid2d"),
+    pytest.param("planar-trap", "centroid_tol", 0.05, id="centroid-hybrid2d"),
+    pytest.param("planar-trap", "sweep_tol", 0.05, id="sweep-hybrid2d"),
+    pytest.param("planar-trap", "progress_window", 5.0, id="progress-hybrid2d"),
+    pytest.param("tunnel-a-smooth-bend", "max_speed_final", 0.05, id="speed-tunnel"),
+])
+def test_monitor_of_a_metric_the_run_lacks_rejected(name, key, value):
+    cfg = _stock(name)
+    cfg["monitors"][key] = value
+    with pytest.raises(ConfigError, match=f"monitors.{key}"):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in scenarios.CONFIGS.glob("*.json")))
+def test_monitor_kinds_match_the_metrics_each_run_reports(name):
+    """The table's kinds column against the engines: a stock config, run for
+    no tick, may set exactly the monitors whose metric its run reports."""
+    cfg = _stock(name)
+    cfg["duration"] = 0.0
+    metrics = run(cfg).metrics
+    assert monitors.judged(cfg) == [m for m in monitors.MONITORS if m.metric in metrics]
+
+
+# each monitor's verdict on value v at threshold t, written out per key
+_VERDICTS = {"d_safe": operator.ge, "min_pair": operator.ge, "wall_margin": operator.gt,
+             "require_goal": lambda v, t: v == v and v != 0,
+             "progress_window": lambda v, t: v == v and v != 0,
+             "expect_replans": operator.eq, "centroid_tol": operator.lt,
+             "max_speed_final": operator.lt, "lattice_tol": operator.le,
+             "cost_non_increasing": lambda v, t: v <= 1e-6, "sweep_tol": operator.le}
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(data=st.data())
+def test_margin_sign_is_the_verdict(data):
+    """Every monitor passes exactly when its margin is >= 0 (> 0 for a
+    strict test), on NaN, infinite and tied values too: NaN has a NaN margin
+    and fails, +inf (no obstacle, one agent) passes a clearance."""
+    m = data.draw(st.sampled_from(monitors.MONITORS))
+    setting = {"bool": st.just(True), "int": st.integers(0, 5)}.get(
+        m.spec, st.floats(0.0, 10.0) if m.spec == "num" else st.floats(0.1, 10.0))
+    setting = data.draw(setting)
+    t = 1e-6 if m.key == "cost_non_increasing" else float(setting)
+    v = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, t, 0.0, 1.0])
+                  | st.floats(allow_nan=True, allow_infinity=True))
+    mons = {m.key: setting}
+    record = monitors.SafetyRecord((m.metric,) if m.per_tick else (), mons)
+    if m.per_tick:
+        record.add(0, {m.metric: v})
+    (res,) = monitors.evaluate(record, mons, {m.metric: v})
+    strict = m.key in ("wall_margin", "centroid_tol", "max_speed_final")
+    assert res.passed == (res.margin > 0 if strict else res.margin >= 0)
+    assert res.passed == bool(_VERDICTS[m.key](v, t))
+    if math.isnan(v):
+        assert math.isnan(res.margin) and not res.passed
+    elif m.test == "true":
+        assert res.margin in (1.0, -1.0)
+    elif m.test == "==":
+        assert res.margin == -abs(v - t)
+    if v == math.inf and m.per_tick:
+        assert res.passed
+    if m.per_tick:
+        assert res.first_violation_tick == (None if res.passed else 0)
 
 
 def test_hover_reaches_the_log(monkeypatch):
@@ -511,6 +592,13 @@ def test_cli_run_and_exit_code(tmp_path):
     assert (tmp_path / "runs" / "planar-trap.csv").exists()
     assert (tmp_path / "runs" / "planar-trap.svg").exists()
     assert "PASS" in proc.stdout
+    summary = json.loads((tmp_path / "runs" / "planar-trap.summary.json").read_text())
+    mons = summary["monitors"]
+    assert [(m["name"], m["first_violation_tick"]) for m in mons] == [
+        ("d_safe", None), ("goal_reached", None), ("replans", None)]
+    assert mons[0]["margin"] > 0 and [m["margin"] for m in mons[1:]] == [1.0, 0.0]
+    for m in mons:
+        assert f"  [ok] {m['name']}: {m['detail']} (margin {m['margin']:.4g})\n" in proc.stdout
 
 
 def test_cli_gen_tunnel_and_plot(tmp_path):
@@ -537,6 +625,19 @@ def test_cli_suite_directory(tmp_path):
     proc = _cli(["suite", str(tmp_path), "--out", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
     assert "2/2 scenarios passed" in proc.stdout
+    assert "margin" not in proc.stdout
+    # a failing scenario lists its failed monitors, with their margins
+    cfg = {**scenarios.tunnel_scenario("a"), "name": "c-fail", "duration": 0.5,
+           "monitors": {"progress_window": 5.0, "wall_margin": 100.0}}
+    save_config(cfg, tmp_path / "c.json")
+    proc = _cli(["suite", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1, proc.stderr
+    assert "2/3 scenarios passed" in proc.stdout
+    assert re.search(r"^c: FAILED \(.*\)\n  \[FAIL\] wall_margin: violated at tick 0 "
+                     r"\(margin -9\d\.\d+\)\n2/3", proc.stdout, re.M), proc.stdout
+    summary = json.loads((tmp_path / "out" / "c-fail.summary.json").read_text())
+    assert [(m["name"], m["passed"], m["first_violation_tick"]) for m in summary["monitors"]] \
+        == [("progress", True, None), ("wall_margin", False, 0)]
 
 
 def test_cli_output_dir_env(tmp_path, monkeypatch):
