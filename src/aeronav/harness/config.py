@@ -85,7 +85,7 @@ _SCALARS = {"pos": ("a finite number > 0", lambda x: _is_number(x) and x > 0),
             "bool": ("true or false", lambda x: isinstance(x, bool)),
             "str": ("a string", lambda x: isinstance(x, str))}
 
-_WORLD_KEYS = {"bounds", "obstacles"}
+_WORLD_KEYS = {"bounds", "obstacles", "random_discs"}
 # fields the runner reads for each obstacle type
 _OBSTACLE_FIELDS = {"sphere": ("center", "radius"),
                     "cylinder": ("base", "axis", "radius", "height"),
@@ -97,6 +97,16 @@ _MOTION_KEYS = {"velocity"}
 # obstacle types a kind's navigator can handle: the planar one raycasts
 # discs and walls, the reactive one resolves tangents to static ellipsoids
 _KIND_OBSTACLES = {"hybrid2d": ("sphere", "wall"), "reactive3d": ("ellipsoid",)}
+# the obstacle types a kind's random discs may become: a disc on the plane,
+# a cylinder or a sphere at z = 0 in 3D; other kinds take none
+_KIND_DISCS = {"hybrid2d": ("sphere",), "deform3d": ("cylinder", "sphere"),
+               "deform3d_quad": ("cylinder", "sphere")}
+# the fields of a random disc that are drawn, not taken from its template
+_DRAWN_FIELDS = ("center", "base", "radius")
+_RANDOM_DISC_KEYS = {"count": "int+", "box": _points(2, 2, box=True),
+                     "radius": _array(2, ok=lambda v: 0 < v[0] <= v[1],
+                                      want=", 0 < min <= max"),
+                     "keepout_gap": "num", "gap": "num", "obstacle": None}
 # dimension of points for the single-vehicle kinds; the others are 3D
 _VEHICLE_DIM = {"hybrid2d": 2, "reactive3d": 3, "deform3d": 3, "deform3d_quad": 3}
 _TUNNEL_KEYS = {"shape": SHAPES, "radius": "pos", "length": "pos", "density": "pos",
@@ -237,7 +247,21 @@ def _check_world(world: dict, kind: str) -> None:
             if kind == "reactive3d":
                 raise ConfigError(f"{where}: kind 'reactive3d' takes static obstacles")
 
-    world_specs = {"bounds": _points(dim, 2, box=True), "obstacles": [obstacle]}
+    def random_discs(spec, where):
+        if kind not in _KIND_DISCS:
+            raise ConfigError(f"{where}: kind {kind!r} takes no random discs")
+        _check(spec, _RANDOM_DISC_KEYS, where)
+        _require(spec, _RANDOM_DISC_KEYS, where)
+        template, where = spec["obstacle"], f"{where}.obstacle"
+        _check(template, {**{key: field_specs[key] for key in ("known", "axis", "height")},
+                          "type": _KIND_DISCS[kind]}, where)
+        _require(template, ("type",), where)
+        fields = [f for f in _OBSTACLE_FIELDS[template["type"]] if f not in _DRAWN_FIELDS]
+        _reject_unknown(template, {"type", "known", *fields}, where)
+        _require(template, fields, where)
+
+    world_specs = {"bounds": _points(dim, 2, box=True), "obstacles": [obstacle],
+                   "random_discs": random_discs}
     _check(world, {key: world_specs[key] for key in _WORLD_KEYS}, "world")
 
 

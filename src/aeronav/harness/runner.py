@@ -5,6 +5,7 @@ kind runs through the one tick loop in `run()`, driving an `Engine` built
 from the config."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,9 +69,49 @@ def build_obstacle(spec: dict):
     return ob
 
 
+# random discs are drawn in blocks of candidates, up to this many in all
+_DISC_BLOCK, _DISC_ATTEMPTS = 1000, 200_000
+
+
+def random_discs(cfg: dict) -> list[dict]:
+    """The obstacles `world.random_discs` draws from the run's seed: discs
+    uniform in `box` and `radius`, a candidate kept unless it comes within
+    r + keepout_gap of the start or goal xy or within r1 + r2 + gap of a kept
+    disc, each made from the `obstacle` template with its centre (a
+    cylinder's base) at z = 0 in 3D."""
+    spec = cfg.get("world", {}).get("random_discs")
+    if spec is None:
+        return []
+    (x0, y0), (x1, y1) = spec["box"]
+    r0, r1 = spec["radius"]
+    sx, sy, sr = x1 - x0, y1 - y0, r1 - r0
+    keepout = [cfg[key][:2] for key in ("start", "goal")]
+    keepout_gap, gap, count = spec["keepout_gap"], spec["gap"], spec["count"]
+    rng = np.random.default_rng(cfg["seed"])
+    discs = []
+    for _ in range(_DISC_ATTEMPTS // _DISC_BLOCK):
+        for ux, uy, ur in rng.random((_DISC_BLOCK, 3)).tolist():
+            x, y, r = x0 + sx * ux, y0 + sy * uy, r0 + sr * ur
+            if not (any(math.sqrt((x - a) * (x - a) + (y - b) * (y - b)) < r + keepout_gap
+                        for a, b in keepout)
+                    or any(math.sqrt((x - a) * (x - a) + (y - b) * (y - b)) < r + r2 + gap
+                           for a, b, r2 in discs)):
+                discs.append((x, y, r))
+                if len(discs) == count:
+                    template = spec["obstacle"]
+                    at = "base" if template["type"] == "cylinder" else "center"
+                    dim = len(cfg["start"])
+                    return [{**template, at: [x, y, 0.0][:dim], "radius": r}
+                            for x, y, r in discs]
+    raise ConfigError(f"world.random_discs: {count} discs do not fit in "
+                      f"{_DISC_ATTEMPTS} draws")
+
+
 def build_world(cfg: dict) -> World:
+    """Drawn obstacles first, then the listed ones: a tie for the nearest
+    obstacle goes to the lower index."""
     spec = cfg.get("world", {})
-    obstacles = [build_obstacle(o) for o in spec.get("obstacles", [])]
+    obstacles = [build_obstacle(o) for o in random_discs(cfg) + spec.get("obstacles", [])]
     bounds = spec.get("bounds")
     return World(obstacles, None if bounds is None else np.asarray(bounds, dtype=float))
 
@@ -324,14 +365,14 @@ def _tunnel(cfg: dict) -> Engine:
                           rng=np.random.default_rng(cfg["seed"]),
                           pipeline=params.get("pipeline", "slices"),
                           probe_distances=params.get("probe_distances"))
-    t, v, dw = 0.0, None, np.inf
+    t, v, dw, goal_time = 0.0, None, np.inf, None
     q_prev = cloud.curvilinear(c)
     q_unwrapped = [q_prev]
     # closed tunnels complete after one full loop, open ones near the end
     target = cloud.length * (1.0 if cloud.closed else 0.86)
 
     def step(tick):
-        nonlocal c, t, v, dw, q_prev
+        nonlocal c, t, v, dw, q_prev, goal_time
         v = nav.control(c)
         if nav.terminated:
             return TERMINATED
@@ -344,7 +385,10 @@ def _tunnel(cfg: dict) -> Engine:
             dq = (dq + 0.5 * cloud.length) % cloud.length - 0.5 * cloud.length
         q_unwrapped.append(q_unwrapped[-1] + dq)
         q_prev = q_now
-        return GOAL if q_unwrapped[-1] - q_unwrapped[0] >= target else None
+        if q_unwrapped[-1] - q_unwrapped[0] >= target:
+            goal_time = t
+            return GOAL
+        return None
 
     def rows(tick):
         return [(tick, t, 0, c, v, nav.mode, dw, np.inf, f"q={q_unwrapped[-1]:.3f}")]
@@ -355,11 +399,8 @@ def _tunnel(cfg: dict) -> Engine:
                            / p.delta))
         monotone = len(q_arr) <= window or bool(
             np.all(q_arr[window:] - q_arr[:-window] > 0.0))
-        # a run stops on the tick that reaches the target
-        completed = bool(q_unwrapped[-1] - q_unwrapped[0] >= target)
-        return {"progress_monotone": monotone,
-                "completed": completed, "progress": float(q_arr[-1] - q_arr[0]),
-                "goal_reached": completed}
+        return {"progress_monotone": monotone, "progress": float(q_arr[-1] - q_arr[0]),
+                "goal_reached": goal_time is not None, "goal_time": goal_time}
 
     return Engine(p.delta, step, lambda: {"min_wall_distance": dw}, rows, metrics)
 

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from aeronav.harness import scenarios
+from aeronav.harness.scenarios import stock
 from aeronav.harness.runner import run
 
 
@@ -26,9 +26,9 @@ def test_criterion_1_hybrid_2d_cases():
     once, all three in under 10 s."""
     t0 = time.perf_counter()
     results = {}
-    for name, cfg in (("static", scenarios.planar_static_field()),
-                      ("dynamic", scenarios.planar_dynamic_crossers()),
-                      ("trap", scenarios.planar_trap_wall())):
+    for name, cfg in (("static", stock("planar-static")),
+                      ("dynamic", stock("planar-dynamic")),
+                      ("trap", stock("planar-trap"))):
         results[name] = run(cfg)
     wall = time.perf_counter() - t0
     ok = all(r.passed for r in results.values()) and wall < 10.0
@@ -43,7 +43,7 @@ def test_criterion_1_hybrid_2d_cases():
 def test_criterion_2_reactive_3d():
     """Five-ellipsoid run with the reference parameter set: goal reached,
     clearance never below 0.95 d0, in-plane residual below 1e-6."""
-    res = run(scenarios.reactive3d_ellipsoid_field())
+    res = run(stock("reactive3d-ellipsoids"))
     ok = (res.passed and res.metrics["plane_residual"] < 1e-6)
     _report("criterion-2 reactive-3d", ok,
             f"min_d={res.metrics['min_d_obs']:.3f} "
@@ -58,10 +58,10 @@ def test_criterion_3_deformable_paths():
     keep 0.5 m clearance; the quadrotor analogue tracks the deformed
     trajectory below 5 cm RMS."""
     runs = {
-        "static": run(scenarios.deform_static_cylinders()),
-        "dyn1.5": run(scenarios.deform_dynamic_intercept(1.5)),
-        "dyn2.5": run(scenarios.deform_dynamic_intercept(2.5)),
-        "quad": run(scenarios.deform_quad_tracking()),
+        "static": run(stock("deform-static-cylinders")),
+        "dyn1.5": run(stock("deform-dynamic-gamma1.5")),
+        "dyn2.5": run(stock("deform-dynamic-gamma2.5")),
+        "quad": run(stock("deform-quad-tracking")),
     }
     rms = runs["quad"].metrics["tracking_rms"]
     ok = all(r.passed for r in runs.values()) and rms < 0.05
@@ -114,13 +114,15 @@ def test_criterion_4_tunnel_table():
     t0 = time.perf_counter()
     details = []
     ok = True
-    for col in "abcdefg":
-        res = run(scenarios.tunnel_scenario(col))
-        okc = res.passed and res.metrics["completed"]
+    for name in ("tunnel-a-smooth-bend", "tunnel-b-torus", "tunnel-c-helix",
+                 "tunnel-d-sharp-bends", "tunnel-e-s-shape", "tunnel-f-rectangular",
+                 "tunnel-g-pipeline"):
+        res = run(stock(name))
+        okc = res.passed and res.metrics["goal_reached"]
         ok &= okc
-        details.append(f"{col}:{'ok' if okc else 'FAIL'}"
+        details.append(f"{name[7]}:{'ok' if okc else 'FAIL'}"
                        f"({res.metrics['min_wall_distance']:.2f}m)")
-    robust = run(scenarios.tunnel_narrowing_robust())
+    robust = run(stock("tunnel-narrowing-robust"))
     ok &= robust.passed and robust.metrics["min_wall_distance"] > 0.3
     wall = time.perf_counter() - t0
     ok &= wall < 60.0
@@ -134,7 +136,7 @@ def test_criterion_4_tunnel_table():
 def test_criterion_5_flock_n4():
     """Four-vehicle replica reaches the goal ball with lattice separations
     5 m +- 0.5 and final speeds below 0.05 m/s."""
-    res = run(scenarios.flock_scenario(4))
+    res = run(stock("flock-n4"))
     ok = res.passed
     _report("criterion-5 flock-n4", ok,
             f"min_pair={res.metrics['min_pair_d']:.2f} "
@@ -145,9 +147,9 @@ def test_criterion_5_flock_n4():
 def test_criterion_5_flock_n20_n100():
     """Scaled replicas pass the quasi-lattice (0.5 m) and collision-free
     monitors; the n=100 run completes in under 120 s."""
-    r20 = run(scenarios.flock_scenario(20))
+    r20 = run(stock("flock-n20"))
     t0 = time.perf_counter()
-    r100 = run(scenarios.flock_scenario(100))
+    r100 = run(stock("flock-n100"))
     wall = time.perf_counter() - t0
     ok = r20.passed and r100.passed and wall < 120.0
     _report("criterion-5 flock-n20/n100", ok,
@@ -196,10 +198,10 @@ def test_criterion_6_coverage():
     deformation replicas keep the safety monitors green; the Lloyd cost
     trace never rises beyond 1e-6."""
     from aeronav.coverage import CoverageGains, coverage_control
-    barrier = run(scenarios.coverage_barrier())
-    sweep = run(scenarios.coverage_sweep())
-    case5 = run(scenarios.coverage_agent_removal())
-    case6 = run(scenarios.coverage_plane_deform())
+    barrier = run(stock("coverage-barrier-n20"))
+    sweep = run(stock("coverage-sweep"))
+    case5 = run(stock("coverage-agent-removal"))
+    case6 = run(stock("coverage-plane-deform"))
     gains = CoverageGains(k=np.diag([2.5, 0.5, 0.5]))
     rng = np.random.default_rng(0)
     bound_ok = all(
@@ -323,16 +325,16 @@ def test_criterion_7_numeric_identities(long_hover_state):
 def test_criterion_8_determinism():
     """Representative scenarios from every family are byte-identical across
     two runs with the same seed."""
-    picks = [scenarios.planar_trap_wall(), scenarios.reactive3d_ellipsoid_field(),
-             scenarios.deform_dynamic_intercept(1.5), scenarios.tunnel_scenario("a"),
-             scenarios.coverage_sweep()]
+    picks = [stock("planar-trap"), stock("reactive3d-ellipsoids"),
+             stock("deform-dynamic-gamma1.5"), stock("tunnel-a-smooth-bend"),
+             stock("coverage-sweep")]
     ok = True
     for cfg in picks:
         a = run(cfg).log.to_csv()
         b = run(cfg).log.to_csv()
         ok &= (a == b)
     # and a multi-agent one
-    cfg = scenarios.flock_scenario(4)
+    cfg = stock("flock-n4")
     cfg = json.loads(json.dumps(cfg))
     cfg["duration"] = 30.0
     cfg["monitors"] = {}

@@ -249,8 +249,8 @@ def test_flocking_queries_each_state_once(monkeypatch):
     """The control law and the clearance scan share one nearest-obstacle
     query per agent and state: flock-n4 over 200 ticks queries its 201
     states, 804 calls, where querying per reader took 1,600."""
-    from aeronav.harness import scenarios
     from aeronav.harness.runner import run
+    from aeronav.harness.scenarios import stock
     calls = []
     query = World.nearest_obstacle
 
@@ -259,7 +259,7 @@ def test_flocking_queries_each_state_once(monkeypatch):
         return query(self, *args, **kwargs)
 
     monkeypatch.setattr(World, "nearest_obstacle", counted)
-    cfg = scenarios.flock_scenario(4)
+    cfg = stock("flock-n4")
     cfg["duration"] = 20.0
     res = run(cfg)
     assert res.log.records[-1]["tick"] == 199

@@ -43,7 +43,7 @@ def obstacle3d_cfg(**spec):
 
 def sweep_cfg(**event):
     """A coverage config whose sweep has one event."""
-    cfg = scenarios.coverage_sweep()
+    cfg = scenarios.stock("coverage-sweep")
     cfg["params"]["coverage"]["sweep"]["events"] = [{"t": 0.2, **event}]
     return cfg
 
@@ -158,7 +158,7 @@ def test_bad_value_rejected(over):
 
 
 def test_config_roundtrip(tmp_path):
-    cfg = scenarios.planar_trap_wall()
+    cfg = scenarios.stock("planar-trap")
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     loaded = load_config(path)
@@ -176,16 +176,93 @@ def test_stock_configs_canonical(tmp_path):
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-@pytest.mark.parametrize("builder", [scenarios.planar_static_field,
-                                     scenarios.deform_static_cylinders])
-def test_random_field_redraw_matches_stored(builder):
-    """Drawing the random obstacles again at the stored seed gives the
-    stored obstacles; another seed gives others."""
-    stored = builder()
-    assert builder(seed=stored["seed"]) == stored
-    other = builder(seed=stored["seed"] + 1)
-    assert other["world"]["obstacles"] != stored["world"]["obstacles"]
-    assert len(other["world"]["obstacles"]) == len(stored["world"]["obstacles"])
+RANDOM_FIELDS = ("planar-static", "deform-static-cylinders")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(RANDOM_FIELDS), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(1, 30), sphere=st.booleans())
+def test_random_discs_keep_their_distances(name, seed, count, sphere):
+    """Every drawn disc lies in the box and the radius range, clears the start
+    and goal xy by r + keepout_gap and every other disc by r1 + r2 + gap, and
+    becomes the template with its centre (a cylinder's base) at z = 0 in 3D."""
+    cfg = scenarios.stock(name, seed)
+    spec = cfg["world"]["random_discs"]
+    spec["count"] = count
+    if sphere:
+        spec["obstacle"] = {"type": "sphere", "known": False}
+    discs = runner.random_discs(validate_config(cfg))
+    assert len(discs) == count
+    (x0, y0), (x1, y1) = spec["box"]
+    at = "base" if spec["obstacle"]["type"] == "cylinder" else "center"
+    for i, disc in enumerate(discs):
+        x, y, *z = disc[at]
+        r = disc["radius"]
+        assert {k: v for k, v in disc.items() if k not in (at, "radius")} == spec["obstacle"]
+        assert z == [0.0][:len(cfg["start"]) - 2]
+        assert x0 <= x <= x1 and y0 <= y <= y1
+        assert spec["radius"][0] <= r <= spec["radius"][1]
+        for point in (cfg["start"], cfg["goal"]):
+            assert math.dist((x, y), point[:2]) >= r + spec["keepout_gap"]
+        for other in discs[:i]:
+            assert math.dist((x, y), other[at][:2]) >= r + other["radius"] + spec["gap"]
+
+
+def _one_draw_per_candidate(cfg) -> list:
+    """The reference sampler: a `uniform` call for each candidate's centre
+    and one for its radius, distances by `np.linalg.norm`."""
+    spec = cfg["world"]["random_discs"]
+    rng = np.random.default_rng(cfg["seed"])
+    keepout = [cfg["start"][:2], cfg["goal"][:2]]
+    out = []
+    while len(out) < spec["count"]:
+        c = rng.uniform(*spec["box"])
+        r = float(rng.uniform(*spec["radius"]))
+        if not (any(np.linalg.norm(c - k) < r + spec["keepout_gap"] for k in keepout)
+                or any(np.linalg.norm(c - c2) < r + r2 + spec["gap"] for c2, r2 in out)):
+            out.append((c, r))
+    return [(c.tolist(), r) for c, r in out]
+
+
+@pytest.mark.parametrize("name", RANDOM_FIELDS)
+@pytest.mark.parametrize("seed_offset", [0, 1, 2, 3])
+def test_random_discs_match_the_reference_sampler(name, seed_offset):
+    cfg = scenarios.stock(name, scenarios.stock(name)["seed"] + seed_offset)
+    at = "base" if name == "deform-static-cylinders" else "center"
+    assert [(d[at][:2], d["radius"]) for d in runner.random_discs(cfg)] == \
+        _one_draw_per_candidate(cfg)
+
+
+@pytest.mark.parametrize("name", RANDOM_FIELDS)
+def test_edited_seed_redraws_the_field(name, tmp_path, monkeypatch):
+    """A config file whose seed was edited runs in a field drawn from that
+    seed: as many discs, in the same place in the obstacle list, with other
+    radii."""
+    worlds = []
+
+    def spy(cfg):
+        worlds.append(build_world(cfg))
+        return worlds[-1]
+
+    monkeypatch.setattr(runner, "build_world", spy)
+    cfg = scenarios.stock(name)
+    path = tmp_path / "cfg.json"
+    for seed in (cfg["seed"], cfg["seed"] + 1):
+        save_config({**cfg, "seed": seed, "duration": 0.0}, path)
+        run(load_config(path))
+    stored, edited = ([(type(o).__name__, getattr(o, "radius", None)) for o in w.obstacles]
+                      for w in worlds)
+    assert [kind for kind, _ in edited] == [kind for kind, _ in stored]
+    drawn = cfg["world"]["random_discs"]["count"]
+    assert all(a != b for (_, a), (_, b) in zip(stored[:drawn], edited[:drawn]))
+    assert stored[drawn:] == edited[drawn:]
+
+
+def test_unfillable_random_discs_are_a_config_error():
+    cfg = scenarios.stock("planar-static")
+    cfg["world"]["random_discs"].update(count=2, box=[[4.0, -1.0], [5.0, 1.0]])
+    with pytest.raises(ConfigError, match="world.random_discs"):
+        run({**cfg, "duration": 0.0})
 
 
 def test_build_obstacles():
@@ -342,7 +419,7 @@ def test_run_minimum_keeps_a_nan_sample(monkeypatch):
 
 
 def test_wall_margin_reports_first_violation_tick():
-    cfg = scenarios.tunnel_scenario("a")
+    cfg = scenarios.stock("tunnel-a-smooth-bend")
     cfg["duration"] = 0.5
     cfg["monitors"] = {"wall_margin": 0.0}
     assert run(cfg).passed
@@ -350,6 +427,18 @@ def test_wall_margin_reports_first_violation_tick():
     res = run(cfg)
     assert [(m.name, m.passed, m.first_violation_tick) for m in res.monitors] == [
         ("wall_margin", False, 0)]
+
+
+def test_tunnel_goal_reports_its_time():
+    """A tunnel run that completes reports the time of its last tick, which
+    require_goal prints."""
+    cfg = scenarios.stock("tunnel-g-pipeline")
+    cfg["monitors"]["require_goal"] = True
+    res = run(cfg)
+    t = res.log.records[-1]["time_s"]
+    assert res.metrics["goal_reached"] and res.metrics["goal_time"] == t
+    assert [m.detail for m in res.monitors if m.name == "goal_reached"] == [
+        f"goal reached at t={t}"]
 
 
 def test_clearance_monitor_of_a_metric_the_kind_lacks_rejected():
@@ -475,7 +564,7 @@ def test_coincident_guard_reaches_the_log(monkeypatch):
             super().__init__(q0, *args, **kw)
 
     monkeypatch.setattr(runner, "FlockSim", CoincidentStart)
-    cfg = scenarios.flock_scenario(4)
+    cfg = scenarios.stock("flock-n4")
     cfg["duration"] = 0.3
     res = run(cfg)
     assert [e for e in res.log.events if e["kind"] == "coincident_guard"] == [
@@ -483,18 +572,18 @@ def test_coincident_guard_reaches_the_log(monkeypatch):
         {"tick": 0, "kind": "coincident_guard", "agents": [1, 0]}]
 
 
-OBSTACLE_KINDS = {"hybrid2d": scenarios.planar_trap_wall,
-                  "reactive3d": scenarios.reactive3d_ellipsoid_field,
-                  "deform3d": scenarios.deform_static_cylinders,
-                  "deform3d_quad": scenarios.deform_quad_tracking}
+OBSTACLE_KINDS = {"hybrid2d": "planar-trap", "reactive3d": "reactive3d-ellipsoids",
+                  "deform3d": "deform-static-cylinders",
+                  "deform3d_quad": "deform-quad-tracking"}
 
 
 @pytest.mark.parametrize("kind", sorted(OBSTACLE_KINDS))
 def test_obstacle_free_world(kind):
     """Kinds whose navigator needs an obstacle refuse an empty world with a
     ConfigError naming the kind; the others log +inf clearance."""
-    cfg = OBSTACLE_KINDS[kind]()
+    cfg = scenarios.stock(OBSTACLE_KINDS[kind])
     cfg["world"]["obstacles"] = []
+    cfg["world"].pop("random_discs", None)
     cfg["duration"] = 1.0
     if kind in ("hybrid2d", "reactive3d"):
         with pytest.raises(ConfigError, match=kind):
@@ -526,7 +615,7 @@ def test_goal_tick_is_logged():
 def test_coverage_events_reach_the_log():
     """Out-of-range bisectors that cut a cell are logged once per state, with
     their tick and agents, and the metric counts the same events."""
-    cfg = scenarios.coverage_sweep()
+    cfg = scenarios.stock("coverage-sweep")
     cfg["duration"] = 1.0
     cfg["params"]["coverage"]["r_c"] = 3.0
     res = run(cfg)
@@ -551,14 +640,14 @@ def test_refused_resize_reaches_the_log():
 
 
 def test_run_determinism_byte_identical():
-    cfg = scenarios.planar_trap_wall()
+    cfg = scenarios.stock("planar-trap")
     a = run(cfg).log.to_csv()
     b = run(cfg).log.to_csv()
     assert a == b
 
 
 def test_monitor_failure_marks_run():
-    cfg = scenarios.planar_trap_wall()
+    cfg = scenarios.stock("planar-trap")
     cfg = json.loads(json.dumps(cfg))
     cfg["monitors"]["d_safe"] = 50.0  # impossible bound
     res = run(cfg)
@@ -568,7 +657,7 @@ def test_monitor_failure_marks_run():
 
 
 def test_monitors_non_intrusive():
-    cfg = scenarios.planar_trap_wall()
+    cfg = scenarios.stock("planar-trap")
     with_mon = run(cfg).log.to_csv()
     cfg2 = json.loads(json.dumps(cfg))
     cfg2["monitors"] = {}
@@ -583,7 +672,7 @@ def _cli(args, **kw):
 
 def test_cli_run_and_exit_code(tmp_path):
     from aeronav.harness.config import save_config
-    cfg = scenarios.planar_trap_wall()
+    cfg = scenarios.stock("planar-trap")
     cfg["output"] = {"csv": True, "svg": True}
     path = tmp_path / "trap.json"
     save_config(cfg, path)
@@ -610,7 +699,7 @@ def test_cli_gen_tunnel_and_plot(tmp_path):
     # plot an actual run log
     from aeronav.harness.runner import run as run_scn
     from aeronav.harness.runlog import emit as emit_log
-    res = run_scn(scenarios.planar_trap_wall())
+    res = run_scn(scenarios.stock("planar-trap"))
     csv_path = tmp_path / "r.csv"
     emit_log(res.log, "csv", csv_path)
     proc = _cli(["plot", str(csv_path)])
@@ -620,14 +709,14 @@ def test_cli_gen_tunnel_and_plot(tmp_path):
 
 def test_cli_suite_directory(tmp_path):
     from aeronav.harness.config import save_config
-    save_config(scenarios.planar_trap_wall(), tmp_path / "a.json")
-    save_config(scenarios.tunnel_scenario("a"), tmp_path / "b.json")
+    save_config(scenarios.stock("planar-trap"), tmp_path / "a.json")
+    save_config(scenarios.stock("tunnel-a-smooth-bend"), tmp_path / "b.json")
     proc = _cli(["suite", str(tmp_path), "--out", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
     assert "2/2 scenarios passed" in proc.stdout
     assert "margin" not in proc.stdout
     # a failing scenario lists its failed monitors, with their margins
-    cfg = {**scenarios.tunnel_scenario("a"), "name": "c-fail", "duration": 0.5,
+    cfg = {**scenarios.stock("tunnel-a-smooth-bend"), "name": "c-fail", "duration": 0.5,
            "monitors": {"progress_window": 5.0, "wall_margin": 100.0}}
     save_config(cfg, tmp_path / "c.json")
     proc = _cli(["suite", str(tmp_path), "--out", str(tmp_path / "out")])
@@ -642,7 +731,7 @@ def test_cli_suite_directory(tmp_path):
 
 def test_cli_output_dir_env(tmp_path, monkeypatch):
     from aeronav.harness.config import save_config
-    cfg = scenarios.planar_trap_wall()
+    cfg = scenarios.stock("planar-trap")
     path = tmp_path / "c.json"
     save_config(cfg, path)
     env_dir = tmp_path / "envout"
@@ -748,6 +837,34 @@ def test_deleted_key_rejected(name, path, value):
                  id="hybrid2d-ellipsoid"),
     pytest.param("planar-dynamic", ("world", "obstacles", 0, "motion"), {},
                  id="motion-velocity-missing"),
+    pytest.param("planar-static", ("world", "random_discs", "count"), 0,
+                 id="random-discs-count-zero"),
+    pytest.param("planar-static", ("world", "random_discs", "box"),
+                 [[44.0, -9.0], [4.0, 9.0]], id="random-discs-box-unordered"),
+    pytest.param("planar-static", ("world", "random_discs", "radius"), [0.6, 0.2],
+                 id="random-discs-radius-unordered"),
+    pytest.param("planar-static", ("world", "random_discs", "radius"), [0.0, 0.2],
+                 id="random-discs-radius-zero"),
+    pytest.param("planar-static", ("world", "random_discs", "gap"), -1.0,
+                 id="random-discs-gap-negative"),
+    pytest.param("planar-static", ("world", "random_discs", "obstacle"),
+                 {"type": "cylinder", "axis": [0.0, 0.0, 1.0], "height": 1.0},
+                 id="random-discs-cylinder-on-the-plane"),
+    pytest.param("deform-static-cylinders", ("world", "random_discs", "obstacle", "type"),
+                 "wall", id="random-discs-wall"),
+    pytest.param("deform-static-cylinders", ("world", "random_discs", "obstacle", "base"),
+                 [0.0, 0.0, 0.0], id="random-discs-template-sets-a-drawn-field"),
+    pytest.param("deform-static-cylinders", ("world", "random_discs", "obstacle"),
+                 {"type": "sphere", "height": 1.0}, id="random-discs-sphere-with-height"),
+    pytest.param("deform-static-cylinders", ("world", "random_discs", "obstacle"),
+                 {"type": "cylinder", "axis": [0.0, 0.0, 1.0]},
+                 id="random-discs-cylinder-without-height"),
+    pytest.param("reactive3d-ellipsoids", ("world", "random_discs"),
+                 _stock("deform-static-cylinders")["world"]["random_discs"],
+                 id="random-discs-reactive3d"),
+    pytest.param("flock-n4", ("world", "random_discs"),
+                 _stock("deform-static-cylinders")["world"]["random_discs"],
+                 id="random-discs-flocking"),
     pytest.param("tunnel-a-smooth-bend", ("tunnel", "shape"), "klein-bottle",
                  id="tunnel-shape-unknown"),
     pytest.param("tunnel-a-smooth-bend", ("monitors", "wall_margin"), "0.3",
@@ -827,13 +944,18 @@ def test_every_schema_key_is_set_by_a_stock_config():
     cfgs = list(scenarios.all_scenarios().values())
     classes = {spec for keys in C._PARAMS_KEYS.values() for spec in keys.values()
                if isinstance(spec, type)}
-    obstacles = [o for c in cfgs for o in c.get("world", {}).get("obstacles", [])]
+    # a drawn obstacle sets its template's keys
+    obstacles = [o for c in cfgs
+                 for o in runner.random_discs(c) + c.get("world", {}).get("obstacles", [])]
+    random_discs = [c["world"]["random_discs"] for c in cfgs
+                    if "random_discs" in c.get("world", {})]
     coverage = [c["params"]["coverage"] for c in cfgs if c["kind"] == "coverage"]
     sweeps = [c["sweep"] for c in coverage if "sweep" in c]
     sections = {
         "top": (C._TOP_KEYS, cfgs),
         "world": (C._WORLD_KEYS, [c["world"] for c in cfgs if "world" in c]),
         "obstacle": (C._OBSTACLE_KEYS, obstacles),
+        "random_discs": (C._RANDOM_DISC_KEYS, random_discs),
         "motion": (C._MOTION_KEYS, [o["motion"] for o in obstacles if "motion" in o]),
         "tunnel": (C._TUNNEL_KEYS, [c["tunnel"] for c in cfgs if "tunnel" in c]),
         "agents": (C._AGENT_KEYS, [c["agents"] for c in cfgs if "agents" in c]),
