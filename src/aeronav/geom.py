@@ -46,6 +46,15 @@ def norm3(v) -> float:
     return math.sqrt(dot3(v, v))
 
 
+def sq_distances(a, b) -> np.ndarray:
+    """Squared distances between the broadcast 3-vectors of a and b, summed
+    (dx^2 + dy^2) + dz^2 as norm(axis=-1) and cKDTree sum them, so that
+    their square roots equal theirs bit for bit."""
+    d = np.subtract(a, b, dtype=float)
+    d *= d
+    return (d[..., 0] + d[..., 1]) + d[..., 2]
+
+
 def matmul_lr(x, m) -> np.ndarray:
     """x @ m for x of shape (..., k) and m of shape (k, l), as element-wise
     products summed left to right over k.  numpy's element-wise `*` and `+`

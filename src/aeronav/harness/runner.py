@@ -364,7 +364,8 @@ def _tunnel(cfg: dict) -> Engine:
                           sensing=SensingModel(d_sensing=p.d_sensing, sigma=sigma),
                           rng=np.random.default_rng(cfg["seed"]),
                           pipeline=params.get("pipeline", "slices"),
-                          probe_distances=params.get("probe_distances"))
+                          probe_distances=params.get("probe_distances"),
+                          grid=cloud.grid)
     t, v, dw, goal_time = 0.0, None, np.inf, None
     q_prev = cloud.curvilinear(c)
     q_unwrapped = [q_prev]

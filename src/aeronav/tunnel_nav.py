@@ -8,32 +8,27 @@ the estimated axis) or rotates that direction by a fixed angle toward the
 axis to re-center.  The robust pipeline ("robust") downsamples the cloud to
 one mean per voxel (Rusu & Cousins 2011, the PCL voxel-grid filter), probes
 several distances and repairs centroids too close to the wall, fitting wall
-normals on the KD-tree it validates with; the default ("slices") uses the
-two slices as they are.  The downsampling averages all voxels that hold the
-same number of points at once.
+normals to the nearest points of the downsampled cloud it validates
+against; the default ("slices") uses the two slices as they are.  The
+downsampling averages all voxels that hold the same number of points at
+once.
 
 Without sensor noise, the slices pipeline senses only the points it can
-use: a uniform grid over the fixed cloud (`SlabGrid`) hands it the cells
-near the two probe planes, and the range and slab tests run on those.
+use: the tunnel cloud's uniform grid (`tunnels.CellGrid`) hands it the
+cells near the two probe planes, and the range and slab tests run on those.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geom import unit, unit_or_zero
-from .tunnels import kd_tree
-from .world import SensingModel, in_range, sense_points
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
+from .geom import sq_distances, unit, unit_or_zero
+from .tunnels import GRID_CELL, CellGrid, k_nearest
+from .world import SensingModel, sense_points
 
 # consecutive failed robust perceptions after which the navigator stops
 ROBUST_FAIL_LIMIT = 5
-# edge of the cubic cells of the slab grid [m]
-GRID_CELL = 1.0
 
 
 class SliceStarvation(Exception):
@@ -168,16 +163,12 @@ def voxel_downsample(cloud: np.ndarray, voxel: float) -> np.ndarray:
     return out
 
 
-def estimate_normals(tree: cKDTree, query: np.ndarray, k: int = 10) -> np.ndarray:
+def estimate_normals(points: np.ndarray, query: np.ndarray, k: int = 10) -> np.ndarray:
     """Surface normals at the query points by local plane fit over the k
-    nearest neighbors among the tree's points (smallest principal
-    component)."""
-    k = min(k, tree.n)
-    _, idx = tree.query(query, k=k)
-    idx = np.atleast_2d(idx)
+    nearest of the (N, 3) points (smallest principal component)."""
     out = np.empty((len(query), 3))
-    for i, nb in enumerate(idx):
-        pts = tree.data[nb]
+    for i, q in enumerate(query):
+        pts = points[k_nearest(points, q, k)]
         centered = pts - pts.mean(axis=0)
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         out[i] = vt[-1]
@@ -210,7 +201,6 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     if len(ws) == 0:
         state.failures += 1
         return None
-    tree = kd_tree(ws)
 
     centroids = []
     for d_i in probe_distances:
@@ -223,12 +213,11 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
         state.failures += 1
         return None
 
-    def validate(pts):
-        d, _ = tree.query(np.atleast_2d(pts))
-        return np.asarray(d) > params.d_safe
+    def clearance(q):
+        return np.sqrt(sq_distances(ws, q[..., None, :]).min(axis=-1))
 
     cents = np.array(centroids)
-    valid = validate(cents)
+    valid = clearance(cents) > params.d_safe
     if np.count_nonzero(valid) < 2:
         # repair: push invalid centroids along the mean surface normal of
         # their nearest neighbors until they clear d_safe
@@ -236,18 +225,16 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
         for g, ok in zip(cents, valid):
             if ok:
                 continue
-            d_g, _ = tree.query(g)
-            normal = estimate_normals(tree, g[None, :], k=normal_k)[0]
+            d_g = clearance(g)
+            normal = estimate_normals(ws, g[None, :], k=normal_k)[0]
             # orient the normal to increase wall clearance
-            probe = g + 0.05 * normal
-            d_probe, _ = tree.query(probe)
-            if d_probe < d_g:
+            if clearance(g + 0.05 * normal) < d_g:
                 normal = -normal
             push = (params.d_safe - float(d_g)) * 1.25 + 0.05
             repaired.append(g + push * normal)
         if repaired:
             cents = np.vstack([cents, np.array(repaired)])
-            valid = validate(cents)
+            valid = clearance(cents) > params.d_safe
 
     good = cents[valid]
     if len(good) < 2:
@@ -260,60 +247,14 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     return g1, g2
 
 
-class SlabGrid:
-    """Uniform grid of GRID_CELL cubes over a fixed (N, 3) cloud, which
-    finds the points near a few planes without visiting the rest (Teschner
-    et al. 2003, "Optimized spatial hashing for collision detection of
-    deformable objects").
-
-    Rows are stored cell by cell, in cloud order within a cell.  Every
-    point lies within the half-diagonal of its cell's centre, so a point
-    within `tol` of a plane and within `d_range` of c lies in a cell whose
-    centre is within `tol` and `d_range` of them plus the half-diagonal."""
-
-    def __init__(self, cloud: np.ndarray):
-        self.cloud = cloud
-        keys = np.floor(cloud / GRID_CELL).astype(np.int64)
-        self.order = np.lexsort(keys.T[::-1])
-        keys = keys[self.order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-        self.starts = np.flatnonzero(first)
-        self.counts = np.diff(self.starts, append=len(keys))
-        self.centres = (keys[self.starts] + 0.5) * GRID_CELL
-        # the slack covers rounding and a heading within 1e-6 of unit length
-        self.reach = 0.5 * np.sqrt(3.0) * GRID_CELL + 0.01
-
-    def sensed_near_planes(self, c: np.ndarray, f: np.ndarray, offsets,
-                           tol: float, d_range: float) -> np.ndarray:
-        """The points within `d_range` of c (by `in_range`) of the cells
-        that can hold a point within `tol` of a plane through c + d f, d in
-        offsets, with normal f; in cloud order."""
-        along = self.centres @ f - float(c @ f)
-        near = np.zeros(len(along), dtype=bool)
-        for d in offsets:
-            near |= np.abs(along - d) <= tol + self.reach
-        cells = np.flatnonzero(near)
-        rel = self.centres[cells] - c
-        dist2 = np.einsum("ij,ij->i", rel, rel)
-        cells = cells[dist2 <= (d_range + self.reach) ** 2]
-        counts = self.counts[cells]
-        # positions in grid order: each cell's start, then one per row
-        pos = (np.repeat(self.starts[cells] + counts - np.cumsum(counts), counts)
-               + np.arange(counts.sum()))
-        rows = self.cloud[np.sort(self.order[pos])]
-        if d_range > self.reach and dist2.max(initial=0.0) <= (d_range - self.reach) ** 2:
-            return rows  # every gathered cell lies wholly in range
-        return rows[in_range(c, rows, d_range)]
-
-
 class TunnelNavigator:
     """Constant-speed tunnel executor over a sensed point cloud."""
 
     def __init__(self, params: TunnelParams, cloud_all: np.ndarray,
                  v0: np.ndarray, sensing: SensingModel | None = None,
                  rng: np.random.Generator | None = None,
-                 pipeline: str = "slices", probe_distances=None):
+                 pipeline: str = "slices", probe_distances=None,
+                 grid: CellGrid | None = None):
         if pipeline not in ("slices", "robust"):
             raise ValueError(f"unknown tunnel pipeline {pipeline!r}")
         self.params = params
@@ -324,8 +265,9 @@ class TunnelNavigator:
         self.pipeline = pipeline
         self.probe_distances = probe_distances or [params.d1, params.d2]
         # noisy sensing draws noise for every sensed point and the robust
-        # pipeline downsamples the whole sensed cloud: both need all of it
-        self.grid = (SlabGrid(self.cloud_all)
+        # pipeline downsamples the whole sensed cloud: both need all of it.
+        # A grid handed in must be the GRID_CELL grid over cloud_all.
+        self.grid = ((grid or CellGrid(self.cloud_all, GRID_CELL))
                      if pipeline == "slices" and not self.sensing.sigma > 0.0 else None)
         self.robust_state = RobustPerceptionState()
         self.mode = "M1"

@@ -19,18 +19,110 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import perpendicular_basis, unit
+from .geom import perpendicular_basis, sq_distances, unit
+from .world import in_range
 
 
 class TunnelGenerationError(Exception):
     pass
 
 
-def kd_tree(points: np.ndarray):
-    """scipy's cKDTree over the points.  scipy.spatial is imported here, at
-    the first tree, so that a run without a tunnel never loads scipy."""
-    from scipy.spatial import cKDTree
-    return cKDTree(points)
+# edge of the cubic cells of a tunnel cloud's grid [m]
+GRID_CELL = 1.0
+
+
+def k_nearest(points: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
+    """Rows of the k points nearest to q, ordered by squared distance and
+    then by row, as cKDTree.query(q, k) orders them where no two tie."""
+    return np.argsort(sq_distances(points, q), kind="stable")[:k]
+
+
+class CellGrid:
+    """Uniform grid of cubes of edge `cell` over a fixed (N, 3) point set
+    (Teschner et al. 2003, "Optimized spatial hashing for collision
+    detection of deformable objects").  Rows are stored cell by cell, in
+    point order within a cell.  A point within some distance of a query
+    lies in a cell whose centre is within that distance plus `reach`: the
+    half-diagonal, with a slack for rounding and a heading within 1e-6 of
+    unit length."""
+
+    def __init__(self, points: np.ndarray, cell: float):
+        self.points = points
+        keys = np.floor(points / cell).astype(np.int64)
+        self.order = np.lexsort(keys.T[::-1])
+        keys = keys[self.order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+        self.starts = np.flatnonzero(first)
+        self.counts = np.diff(self.starts, append=len(keys))
+        self.keys = keys[self.starts]
+        self.centres = (self.keys + 0.5) * cell
+        self.reach = 0.5 * np.sqrt(3.0) * cell + 0.01
+        self._sorted = points[self.order]
+
+    def _rows(self, pos: np.ndarray) -> np.ndarray:
+        return np.take(self._sorted, pos, axis=0)  # a third of fancy indexing's cost
+
+    def _positions(self, cells: np.ndarray) -> np.ndarray:
+        """Positions, in grid order, of the rows of the given cells."""
+        counts = self.counts[cells]
+        return (np.repeat(self.starts[cells] + counts - np.cumsum(counts), counts)
+                + np.arange(counts.sum()))
+
+    def nearest_distance(self, p: np.ndarray) -> float:
+        """Distance from p to the nearest point, cKDTree's bit for bit.  The
+        points of the cell whose centre is nearest put it at most u, and
+        only cells whose centre is within u + reach can hold nearer ones."""
+        rel = self.centres - p
+        centre_d2 = np.einsum("ij,ij->i", rel, rel)
+        first = np.argmin(centre_d2)
+        u = np.sqrt(sq_distances(self._sorted[self.starts[first]:][:self.counts[first]], p).min())
+        cells = np.flatnonzero(centre_d2 <= (u + self.reach) ** 2)
+        return float(np.sqrt(sq_distances(self._rows(self._positions(cells)), p).min()))
+
+    def pairs_within(self, r: float) -> np.ndarray:
+        """Row pairs (i, j), each once, of the points at most r apart, by
+        squared distance against r * r as cKDTree.query_pairs(r) compares
+        them.  With r below the cell edge by more than rounding (1e-9
+        relative, for coordinates within 1e6 edges of the origin) such
+        points lie in one cell or in two adjacent ones, so each cell is
+        paired with itself and the 13 neighbours after it."""
+        keys = self.keys - self.keys.min(axis=0) + 1
+        span = keys.max(axis=0) + 2
+        code = (keys[:, 0] * span[1] + keys[:, 1]) * span[2] + keys[:, 2]  # ascending
+        off = np.indices((3, 3, 3)).reshape(3, -1) - 1
+        steps = (off[0] * span[1] + off[1]) * span[2] + off[2]
+        steps = steps[steps >= 0]
+        want = (code[:, None] + steps).ravel()
+        at = np.minimum(np.searchsorted(code, want), len(code) - 1)
+        hit = np.flatnonzero(code[at] == want)
+        a, b = hit // len(steps), at[hit]
+        n = self.counts[a] * self.counts[b]
+        pair = np.repeat(np.arange(len(a)), n)
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        i = self.starts[a][pair] + k // self.counts[b][pair]
+        j = self.starts[b][pair] + k % self.counts[b][pair]
+        close = sq_distances(self._rows(i), self._rows(j)) <= r * r
+        keep = close & ((a != b)[pair] | (i < j))
+        return np.stack([self.order[i[keep]], self.order[j[keep]]], axis=1)
+
+    def sensed_near_planes(self, c: np.ndarray, f: np.ndarray, offsets,
+                           tol: float, d_range: float) -> np.ndarray:
+        """The points within `d_range` of c (by `in_range`) of the cells
+        that can hold a point within `tol` of a plane through c + d f, d in
+        offsets, with normal f; in point order."""
+        along = self.centres @ f - float(c @ f)
+        near = np.zeros(len(along), dtype=bool)
+        for d in offsets:
+            near |= np.abs(along - d) <= tol + self.reach
+        cells = np.flatnonzero(near)
+        rel = self.centres[cells] - c
+        dist2 = np.einsum("ij,ij->i", rel, rel)
+        cells = cells[dist2 <= (d_range + self.reach) ** 2]
+        rows = self.points[np.sort(self.order[self._positions(cells)])]
+        if d_range > self.reach and dist2.max(initial=0.0) <= (d_range - self.reach) ** 2:
+            return rows  # every gathered cell lies wholly in range
+        return rows[in_range(c, rows, d_range)]
 
 
 @dataclass
@@ -45,21 +137,19 @@ class TunnelCloud:
     def __post_init__(self):
         if len(self.points) == 0:
             raise TunnelGenerationError("tunnel cloud is empty")
-        self._tree = kd_tree(self.points)
-        self._axis_tree = kd_tree(self.axis)
+        self.grid = CellGrid(self.points, GRID_CELL)
 
     @property
     def length(self) -> float:
         return float(self.axis_s[-1])
 
     def wall_distance(self, p: np.ndarray) -> float:
-        return float(self._tree.query(np.asarray(p, dtype=float))[0])
+        return self.grid.nearest_distance(np.asarray(p, dtype=float))
 
     def curvilinear(self, p: np.ndarray) -> float:
-        """Arclength coordinate of the axis point nearest to p (wraps modulo
-        length for closed axes)."""
-        _, idx = self._axis_tree.query(np.asarray(p, dtype=float))
-        return float(self.axis_s[idx])
+        """Arclength coordinate of the axis sample nearest to p, the first
+        of equally near ones; in [0, length], unwrapped on closed axes."""
+        return float(self.axis_s[np.argmin(sq_distances(self.axis, p))])
 
     def save_xyz(self, path) -> None:
         np.savetxt(path, self.points, fmt="%.6f")
@@ -104,7 +194,9 @@ def _check_axis(axis: np.ndarray, axis_s: np.ndarray, radius: float,
                 closed: bool) -> None:
     """Reject self-intersecting axes: samples far apart along the curve must
     not come closer than the tube diameter in space."""
-    pairs = kd_tree(axis).query_pairs(r=1.5 * radius, output_type="ndarray")
+    r = 1.5 * radius
+    # cells a hair wider than r, so that rounding puts no pair two apart
+    pairs = CellGrid(axis, r * (1.0 + 1e-9)).pairs_within(r)
     gap = np.abs(axis_s[pairs[:, 0]] - axis_s[pairs[:, 1]])
     if closed:
         gap = np.minimum(gap, axis_s[-1] - gap)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import point_segment_distance
+from .geom import point_segment_distance, sq_distances
 
 _INF = float("inf")
 # brentq's tolerances and iteration limit, as the ellipsoid distance used them
@@ -428,11 +428,7 @@ def _ray_segment(origin, dirs, a, b, max_range) -> np.ndarray:
 
 def in_range(p: np.ndarray, points: np.ndarray, d_sensing: float) -> np.ndarray:
     """Mask of the rows of the (N, 3) float `points` within d_sensing of p."""
-    sq = points - np.asarray(p, dtype=float)
-    sq *= sq
-    # summed in the order of norm(axis=1), so the range mask is the same
-    # bit for bit, at a fraction of norm's cost
-    return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2]) <= d_sensing
+    return np.sqrt(sq_distances(points, p)) <= d_sensing
 
 
 def sense_points(p: np.ndarray, points: np.ndarray, model: SensingModel,

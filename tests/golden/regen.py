@@ -7,7 +7,7 @@ Runs every stock scenario, `configs/*.json` as loaded by
 records, per scenario, the sha256 of its run-log CSV, of its metrics dict
 and of its event list (both as JSON with sorted keys), and the duration it
 ran for.  Most scenarios run at full length; the slow ones in PREFIX run
-only for a prefix of their stock duration.  The numpy, scipy and C library
+only for a prefix of their stock duration.  The numpy and C library
 versions are recorded too, since float results can move with them: the
 coverage runs call the C library's `tanh` through `math`.
 
@@ -31,7 +31,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 GOLDEN = Path(__file__).resolve().parent / "digests.json"
 
@@ -46,8 +45,7 @@ PREFIX = {
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "libc": " ".join(platform.libc_ver())}
+    return {"numpy": np.__version__, "libc": " ".join(platform.libc_ver())}
 
 
 def _sha(text: str) -> str:

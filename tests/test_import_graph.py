@@ -1,7 +1,7 @@
-"""scipy stays out of the runs that do not use it.  aeronav owns the
-ellipsoid root-finder, and only the tunnel KD-trees (the tunnel clouds and
-robust perception) import scipy.spatial, at the first tree.  Each check runs
-in a fresh interpreter: this test process has loaded scipy already."""
+"""No run loads scipy: aeronav owns the ellipsoid root-finder and the cell
+grid over each tunnel cloud, and scipy is only the tests' oracle.  Each
+check runs in a fresh interpreter: this test process has loaded scipy
+already."""
 import json
 import os
 import subprocess
@@ -38,10 +38,16 @@ def test_runs_without_a_tunnel_never_load_scipy(name):
     assert _scipy_modules(task) == []
 
 
-def test_tunnels_load_scipy_spatial_and_never_scipy_optimize():
-    task = ("from aeronav.harness.runner import run\n"
-            "from aeronav.harness.scenarios import stock\n"
-            "run({**stock('tunnel-narrowing-robust'), 'duration': 1.0})\n")
-    loaded = _scipy_modules(task)
-    assert "scipy.spatial" in loaded
-    assert not [m for m in loaded if m.startswith("scipy.optimize")]
+def test_no_stock_run_and_no_gen_tunnel_loads_scipy(tmp_path):
+    """Every stock config for a second (each tunnel generates its whole
+    cloud and axis check first), then `aeronav gen-tunnel`, in one child."""
+    task = ("from aeronav.cli import main\n"
+            "from aeronav.harness.runner import run\n"
+            "from aeronav.harness.scenarios import all_scenarios\n"
+            "configs = all_scenarios()\n"
+            "assert len(configs) == 23\n"
+            "for cfg in configs.values():\n"
+            "    run({**cfg, 'duration': 1.0})\n"
+            f"assert main(['gen-tunnel', 'helix', '--out', {str(tmp_path / 'h.xyz')!r}]) == 0\n")
+    assert _scipy_modules(task) == []
+    assert (tmp_path / "h.xyz").stat().st_size > 0

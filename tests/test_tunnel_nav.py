@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
+from aeronav import tunnels
 from aeronav.geom import unit
+from aeronav.harness.runner import run
+from aeronav.harness.scenarios import stock
 from aeronav.tunnel_nav import (RobustPerceptionState, SliceStarvation,
                                 TunnelNavigator, TunnelParams,
                                 estimate_normals, perceive_robust,
@@ -174,7 +177,7 @@ def test_voxel_downsample_bad_voxel():
 def test_estimate_normals_on_cylinder_wall():
     cloud = cylinder_cloud()
     q = np.array([[10.0, 1.5, 0.0]])
-    n = estimate_normals(cKDTree(cloud), q, k=12)[0]
+    n = estimate_normals(cloud, q, k=12)[0]
     # wall normal is radial: +-y here
     assert abs(abs(n[1]) - 1.0) < 0.1
 
@@ -365,6 +368,18 @@ def test_grid_closed_loop_matches_whole_cloud():
             break
         c = c + v * P.delta
     assert c[0] > 10.0
+
+
+def test_tunnel_run_builds_one_grid(monkeypatch):
+    """The navigator senses through the grid its tunnel cloud built for
+    wall distances: one grid over the wall per run, beside the axis check's."""
+    cells = []
+    init = tunnels.CellGrid.__init__
+    monkeypatch.setattr(tunnels.CellGrid, "__init__",
+                        lambda self, points, cell: cells.append(cell) or init(self, points, cell))
+    res = run({**stock("tunnel-a-smooth-bend"), "duration": 2.0})
+    assert res.log.records[-1]["tick"] >= 10
+    assert len(cells) == 2 and cells.count(tunnels.GRID_CELL) == 1
 
 
 def test_grid_only_for_noise_free_slices():

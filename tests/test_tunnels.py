@@ -3,12 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
-from aeronav.geom import perpendicular_basis, unit
-from aeronav.tunnels import (_POLYLINES, TunnelGenerationError,
-                             _parallel_frames, generate_tunnel)
+from aeronav.geom import perpendicular_basis, sq_distances, unit
+from aeronav.tunnels import (_POLYLINES, GRID_CELL, CellGrid,
+                             TunnelGenerationError, _check_axis,
+                             _parallel_frames, generate_tunnel, k_nearest)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -38,7 +41,6 @@ def test_helix_wall_to_axis_distance_oracle():
     """Min wall-to-axis distance equals R within sampling tolerance."""
     tc = generate_tunnel("helix", radius=1.5, length=30.0)
     # dense sampling oracle: distance of wall points to the axis polyline
-    from scipy.spatial import cKDTree
     tree = cKDTree(tc.axis)
     d, _ = tree.query(tc.points)
     assert np.min(d) == pytest.approx(1.5, abs=0.05)
@@ -232,3 +234,102 @@ def test_stock_clouds_equal_the_per_sample_loops(path):
         radii = [radius] * len(axis)
     section = "square" if shape == "rectangular" else "circle"
     assert np.array_equal(tc.points, _loop_sweep(axis, radii, tcfg["density"], section))
+
+
+# -- the cell grid against scipy's cKDTree as the oracle ----------------------
+
+# cell faces sit on whole multiples of the edge: draw many coordinates there
+coordinate = st.one_of(st.floats(-12.0, 12.0), st.integers(-12, 12).map(float),
+                       st.sampled_from([0.5, -0.5, 1.5, -2.25, 1e-9]))
+clouds = st.integers(1, 80).flatmap(lambda n: arrays(np.float64, (n, 3), elements=coordinate))
+queries = st.lists(st.tuples(*[st.one_of(coordinate, st.floats(-1e3, 1e3))] * 3),
+                   min_size=1, max_size=6).map(np.array)
+cells = st.sampled_from([0.5, 1.0, 1.5, 2.25, 3.0])
+GRID = settings(max_examples=300, deadline=None)
+
+
+@GRID
+@given(cloud=clouds, q=queries, cell=cells)
+def test_grid_nearest_distance_equals_ckdtree_bit_for_bit(cloud, q, cell):
+    grid, tree = CellGrid(cloud, cell), cKDTree(cloud)
+    for p in q:
+        assert grid.nearest_distance(p) == tree.query(p)[0]
+
+
+def test_grid_nearest_distance_of_one_point_and_far_queries():
+    grid = CellGrid(np.array([[-3.0, 2.0, 0.0]]), GRID_CELL)
+    assert grid.nearest_distance(np.array([-3.0, 2.0, 0.0])) == 0.0
+    assert grid.nearest_distance(np.array([997.0, 2.0, 0.0])) == 1000.0
+    tc = generate_tunnel("smooth-bend", radius=2.5, length=40.0)
+    tree = cKDTree(tc.points)
+    for p in [(-500.0, 40.0, 3.0), (12.0, 10.0, -60.0), (1e4, -1e4, 1e4)]:
+        assert tc.wall_distance(np.array(p)) == tree.query(p)[0]
+
+
+@GRID
+@given(cloud=clouds, q=st.tuples(*[coordinate] * 3).map(np.array), k=st.integers(1, 12))
+def test_k_nearest_matches_ckdtree_query_k(cloud, q, k):
+    """The same distances in the same order; cKDTree's indices, with its
+    ties broken by (d^2, index), agree except in which of the points tied
+    at the k-th distance it keeps; with no tie there, they are its own."""
+    got = k_nearest(cloud, q, k)
+    d, idx = cKDTree(cloud).query(q, k=min(k, len(cloud)))
+    d, idx = np.atleast_1d(d), np.atleast_1d(idx)
+    d2 = sq_distances(cloud, q)
+    assert np.array_equal(np.sqrt(d2[got]), d)
+    want = idx[np.lexsort((idx, d2[idx]))]
+    inner = d2[got] < d2[got[-1]]
+    assert np.array_equal(got[inner], want[inner])
+    if len(cloud) == len(got) or np.sort(d2)[len(got)] > d2[got[-1]]:
+        assert np.array_equal(got, want)
+
+
+@GRID
+@given(cloud=clouds, cell=cells)
+@example(cloud=np.array([[0.0, 0.0, -1e-38], [0.0, 0.0, 1.0]]), cell=1.0)
+def test_grid_pairs_within_equal_query_pairs(cloud, cell):
+    """Pairs across a cell face at exactly r (whole coordinates) and ones
+    whose distance rounds down to r, such as 1 and -1e-38 at r = 1."""
+    pairs = CellGrid(cloud, cell * (1.0 + 1e-9)).pairs_within(cell)
+    got = {(min(i, j), max(i, j)) for i, j in pairs.tolist()}
+    assert len(got) == len(pairs)
+    assert got == cKDTree(cloud).query_pairs(r=cell)
+
+
+def _tree_axis_verdict(axis, axis_s, radius, closed):
+    """_check_axis on cKDTree.query_pairs: True where it accepts the axis."""
+    pairs = cKDTree(axis).query_pairs(r=1.5 * radius, output_type="ndarray")
+    gap = np.abs(axis_s[pairs[:, 0]] - axis_s[pairs[:, 1]])
+    if closed:
+        gap = np.minimum(gap, axis_s[-1] - gap)
+    return not np.any(gap > 4.0 * radius)
+
+
+@GRID
+@given(axis=st.one_of(smooth_polylines(), clouds), radius=st.floats(0.2, 3.0),
+       closed=st.booleans())
+@example(axis=np.array([[0.0, 0.0, -1e-38], [0.0, 4.0, 0.0], [0.0, 0.0, 1.5]]),
+         radius=1.0, closed=False)  # ends 1.5 apart after rounding, keys two apart
+def test_axis_check_verdict_equals_query_pairs(axis, radius, closed):
+    axis_s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(axis, axis=0), axis=1))])
+    try:
+        _check_axis(axis, axis_s, radius, closed)
+        accepted = True
+    except TunnelGenerationError:
+        accepted = False
+    assert accepted == _tree_axis_verdict(axis, axis_s, radius, closed)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("tunnel-*.json")),
+                         ids=lambda p: p.stem)
+def test_stock_progress_and_clearance_equal_ckdtree(path):
+    """curvilinear takes the axis sample cKDTree finds, and wall_distance
+    its distance, at points through and around each stock tunnel."""
+    tcfg = json.loads(path.read_text())["tunnel"]
+    tcfg.pop("noise_sigma", None)
+    tc = generate_tunnel(tcfg.pop("shape"), **tcfg)
+    wall, axis = cKDTree(tc.points), cKDTree(tc.axis)
+    rng = np.random.default_rng(0)
+    for p in tc.axis[::7] + rng.normal(0.0, 0.5 * tc.nominal_radius, (len(tc.axis[::7]), 3)):
+        assert tc.wall_distance(p) == wall.query(p)[0]
+        assert tc.curvilinear(p) == tc.axis_s[axis.query(p)[1]]
