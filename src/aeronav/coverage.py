@@ -159,40 +159,6 @@ def polygon_area(poly: np.ndarray) -> float:
     return float(polygon_moments([poly])[0][0])
 
 
-def cell_centroid(poly: np.ndarray) -> tuple[float, np.ndarray]:
-    """Shoelace mass and centroid of a convex polygon with unit density.
-    Vertices must be ordered; a zero-area cell is degenerate."""
-    if len(poly) < 3:
-        raise ValueError("degenerate cell: fewer than three vertices")
-    area, first, _ = polygon_moments([poly])
-    if abs(area[0]) < EPS_AREA:
-        raise ValueError("degenerate cell: zero area")
-    return float(area[0]), first[0] / area[0]
-
-
-def polygon_second_moment(poly: np.ndarray, about: np.ndarray) -> float:
-    """Integral of |q - about|^2 over the polygon (exact shoelace form)."""
-    area, first, second = polygon_moments([poly])
-    return float(_moment_about(area[0], first[0], second[0],
-                               np.asarray(about, dtype=float)))
-
-
-def circumcenter(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
-    """Circumcenter of a triangle from the edge-vector weights
-    w1 = -|a32|^2 (a21 . a13) etc., normalized by their sum."""
-    p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p1, p2, p3))
-    a32 = p3 - p2
-    a21 = p2 - p1
-    a13 = p1 - p3
-    w1 = -float(a32 @ a32) * float(a21 @ a13)
-    w2 = -float(a13 @ a13) * float(a32 @ a21)
-    w3 = -float(a21 @ a21) * float(a13 @ a32)
-    s = w1 + w2 + w3
-    if abs(s) < 1e-15:
-        raise ValueError("collinear points have no circumcenter")
-    return (w1 * p1 + w2 * p2 + w3 * p3) / s
-
-
 def _half_sq(p: np.ndarray) -> np.ndarray:
     """|p|^2 / 2 of each row of p (n, 2), in element-wise arithmetic."""
     return 0.5 * (p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])

@@ -329,13 +329,18 @@ class DeformNavigator:
         self.path = PiecewisePath.straight(start, goal, segment_length)
         self.events: list[tuple[int, str, dict]] = []
 
-    def control(self, state: Angle3DState, t: float, tick: int) -> tuple[float, float, float]:
-        s_prog = self.path.closest_param(state.p)
-        new_path, n_def = deform_until_safe(self.path, self.world, self.params,
-                                            t, s_prog)
+    def deform_ahead(self, p: np.ndarray, t: float, tick: int) -> tuple[float, int]:
+        """Deform the path ahead of its point closest to p until safe, and
+        record a deform event if any; returns (that param, deformations)."""
+        s_prog = self.path.closest_param(p)
+        self.path, n_def = deform_until_safe(self.path, self.world, self.params,
+                                             t, s_prog)
         if n_def:
-            self.path = new_path
             self.events.append((tick, "deform", {"count": n_def}))
+        return s_prog, n_def
+
+    def control(self, state: Angle3DState, t: float, tick: int) -> tuple[float, float, float]:
+        s_prog, n_def = self.deform_ahead(state.p, t, tick)
         if np.linalg.norm(state.p - self.goal) < 0.3:
             return 0.0, 0.0, 0.0
         v, ub, ua = track_kinematic(state, self.path, self.params)

@@ -33,7 +33,7 @@ class FlockParams:
     k_ij: float = 0.6            # spacing force gain
     k_goal: float = 0.5
     k_obs: float = 1.0
-    k_v: float = 2.5             # speed damping (must dominate, see check)
+    k_v: float = 2.5             # speed damping (> k_goal + k_ij per neighbour)
     d_ij: float = 5.0            # desired separation
     d_s: float = 1.0             # hard safety margin
     r_c: float = 20.0            # communication range
@@ -47,10 +47,6 @@ class FlockParams:
             object.__setattr__(self, "goal", np.zeros(3))
         if self.d_ij <= self.d_s:
             raise ValueError("need d_ij > d_s")
-
-    def damping_condition_ok(self, max_neighbors: int) -> bool:
-        """k_v > k_goal + sum of spacing gains over the densest neighborhood."""
-        return self.k_v > self.k_goal + self.k_ij * max_neighbors
 
 
 def sigmoid_gate(z, gamma: float):
@@ -68,10 +64,6 @@ class FlockSnapshot:
     @property
     def n(self) -> int:
         return len(self.q)
-
-    @property
-    def m(self) -> int:
-        return self.q.shape[1]
 
 
 def _in_range(d: np.ndarray, r_c: float) -> np.ndarray:
@@ -128,16 +120,6 @@ def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
     return np.where(within[..., None], terms, 0.0).sum(axis=1)
 
 
-def spacing_force(i: int, snapshot: FlockSnapshot, neighbors: np.ndarray,
-                  params: FlockParams,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Agent i's row of `spacing_forces` with the given force neighbors."""
-    diff, d = pairwise(snapshot.q)
-    within = np.zeros(d.shape, dtype=bool)
-    within[i, neighbors] = True
-    return spacing_forces(diff, d, within, params, rng)[i]
-
-
 def goal_forces(q: np.ndarray, params: FlockParams) -> np.ndarray:
     """k_goal times the sigmoid gate of the distance outside the goal ball,
     toward the goal; zero at the goal itself.  q: (n, m)."""
@@ -147,11 +129,6 @@ def goal_forces(q: np.ndarray, params: FlockParams) -> np.ndarray:
     gain = params.k_goal * sigmoid_gate(q_ig - params.goal_radius, GAMMA)
     return np.where(at_goal[:, None], 0.0,
                     gain[:, None] * (e / np.where(at_goal, 1.0, q_ig)[:, None]))
-
-
-def goal_force(i: int, snapshot: FlockSnapshot, params: FlockParams) -> np.ndarray:
-    """Agent i's row of `goal_forces`."""
-    return goal_forces(snapshot.q, params)[i]
 
 
 def obstacle_force(q_i: np.ndarray, d: float, closest: np.ndarray,

@@ -214,7 +214,10 @@ def validate_config(cfg: dict) -> dict:
             heading(cfg["heading"], "heading")
     elif kind == "tunnel":
         _require(cfg.get("tunnel", {}), ("shape",), "tunnel")
-        if "auto" not in (cfg.get("start"), cfg.get("heading")):
+        auto = [cfg.get(key) == "auto" for key in ("start", "heading")]
+        if any(auto) and not all(auto):
+            raise ConfigError('start and heading: set both to "auto" or neither')
+        if not any(auto):
             _array(3)(cfg.get("start"), "start")
             _array(3, **_NONZERO)(cfg.get("heading"), "heading")
     else:

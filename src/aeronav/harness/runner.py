@@ -11,12 +11,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..bezier import PiecewisePath
 from ..coverage import (BarrierFrame, CoverageGains, CoverageSim, SweepEvent,
                         SweepPlan)
 from ..deform import (DeformNavigator, DeformParams, RefModelState,
-                      deform_until_safe, ref_acceleration, ref_velocity,
-                      reference_model_step)
+                      ref_acceleration, ref_velocity, reference_model_step)
 from ..flocking import FlockParams, FlockSim, neighbor_lists
 from ..geom import dot3, norm3, unit
 from ..hybrid2d import GOAL_TOL, HybridNavigator, HybridParams
@@ -294,7 +292,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
     v_max = max(2.0 * p.v, 1.0)
     goal = np.asarray(cfg["goal"], dtype=float)
     start = np.asarray(cfg["start"], dtype=float)
-    path = PiecewisePath.straight(start, goal, 1.0)
+    nav = DeformNavigator(p, world, start, goal)
     direction = goal - start
     ref = RefModelState(start.copy(), float(np.arctan2(direction[1], direction[0])),
                         0.0, 0.0, 0.0, 0.0, 0.0)
@@ -305,19 +303,15 @@ def _deform3d_quad(cfg: dict) -> Engine:
     # the plant step count is fixed, so the last tick may be a partial one
     n_steps = int(round(cfg["duration"] / plant_dt))
     t, d_tick, errs, goal_time, row = 0.0, np.inf, [], None, None
-    deforms = []    # (tick, "deform", {"count": n}), as DeformNavigator records them
 
     def step(tick):
-        nonlocal path, ref, t, d_tick, goal_time, row
+        nonlocal ref, t, d_tick, goal_time, row
         first = tick * n_sub
         d_tick = np.inf
         for k in range(first, min(first + n_sub, n_steps)):
             if k == first:
-                path, n_def = deform_until_safe(path, world, p, t,
-                                                path.closest_param(ref.p))
-                if n_def:
-                    deforms.append((tick, "deform", {"count": n_def}))
-            ref = reference_model_step(ref, path, p.v, v_max, plant_dt)
+                nav.deform_ahead(ref.p, t, tick)
+            ref = reference_model_step(ref, nav.path, p.v, v_max, plant_dt)
             st = tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
                                          ref_acceleration(ref)), plant_dt)
             t += plant_dt
@@ -337,7 +331,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
                 "tracking_rms": rms, "deform_count": _deform_count(events)}
 
     return Engine(n_sub * plant_dt, step, lambda: {"min_d_obs": d_tick},
-                  lambda tick: [row], metrics, (deforms,), n_ticks=-(-n_steps // n_sub))
+                  lambda tick: [row], metrics, (nav.events,), n_ticks=-(-n_steps // n_sub))
 
 
 def _tunnel(cfg: dict) -> Engine:
@@ -352,7 +346,7 @@ def _tunnel(cfg: dict) -> Engine:
         raise ConfigError(f"tunnel: {exc}") from None
     params = cfg.get("params", {})
     p = TunnelParams(**params.get("tunnel_nav", {}))
-    if cfg.get("start") == "auto" or cfg.get("heading") == "auto":
+    if cfg.get("start") == "auto":      # validated: heading is "auto" too
         # deploy a little inside the tunnel, roughly along the axis tangent
         k0 = min(8, len(cloud.axis) - 2)
         c = cloud.axis[k0].copy()

@@ -85,20 +85,11 @@ class QuadrotorState:
     R: np.ndarray        # body->world rotation
     omega: np.ndarray    # body rates [rad/s]
 
-    @classmethod
-    def hover(cls, p=(0.0, 0.0, 0.0)) -> "QuadrotorState":
-        return cls(np.asarray(p, dtype=float), np.zeros(3), np.eye(3), np.zeros(3))
 
-
-def _non_finite(tick: int | None) -> FloatingPointError:
-    where = "" if tick is None else f" at tick {tick}"
-    return FloatingPointError(f"non-finite state or input{where}")
-
-
-def _check_finite(arrs, tick: int | None = None):
+def _check_finite(arrs):
     for a in arrs:
         if not np.isfinite(a).all():
-            raise _non_finite(tick)
+            raise FloatingPointError("non-finite state or input")
 
 
 def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
@@ -109,9 +100,9 @@ def rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_finite_scalars(values, tick: int | None = None):
+def _check_finite_scalars(values):
     if not all(map(math.isfinite, values)):
-        raise _non_finite(tick)
+        raise FloatingPointError("non-finite state or input")
 
 
 def _clip(x, lo: float, hi: float) -> float:
@@ -127,7 +118,7 @@ def _rk4_float(y: float, k1: float, k2: float, k4: float, dt: float) -> float:
 
 
 def step_unicycle(state: Unicycle2DState, v: float, u: float, dt: float = PLANT_DT,
-                  limits: LimitSet | None = None, tick: int | None = None) -> Unicycle2DState:
+                  limits: LimitSet | None = None) -> Unicycle2DState:
     """RK4 step of xdot = V cos(th), ydot = V sin(th), thdot = u, on floats
     (the same result as `rk4` on arrays, bit for bit)."""
     if dt <= 0.0:
@@ -136,7 +127,7 @@ def step_unicycle(state: Unicycle2DState, v: float, u: float, dt: float = PLANT_
         v = float(_clip(v, 0.0, limits.v_max))
         u = float(_clip(u, -limits.u_max, limits.u_max))
     x, y, th = state.x, state.y, state.theta
-    _check_finite_scalars((x, y, th, v, u), tick)
+    _check_finite_scalars((x, y, th, v, u))
     th2, th4 = th + (0.5 * dt) * u, th + dt * u
     c1, c2, c4 = math.cos(th), math.cos(th2), math.cos(th4)
     s1, s2, s4 = math.sin(th), math.sin(th2), math.sin(th4)
@@ -146,7 +137,7 @@ def step_unicycle(state: Unicycle2DState, v: float, u: float, dt: float = PLANT_
 
 
 def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = PLANT_DT,
-                   limits: LimitSet | None = None, tick: int | None = None) -> Heading3DState:
+                   limits: LimitSet | None = None) -> Heading3DState:
     """RK4 step of pdot = V a, adot = u with u constrained to a's orthogonal
     complement; heading renormalized after the step."""
     if dt <= 0.0:
@@ -157,7 +148,7 @@ def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = P
         un = np.linalg.norm(u)
         if un > limits.u_max:
             u = u * (limits.u_max / un)
-    _check_finite([state.p, state.a, u, np.array([v])], tick)
+    _check_finite([state.p, state.a, u, np.array([v])])
     y = np.concatenate([state.p, state.a])
 
     def f(s):
@@ -171,8 +162,7 @@ def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = P
 
 
 def step_angles3d(state: Angle3DState, v: float, u_beta: float, u_alpha: float,
-                  dt: float = PLANT_DT, limits: LimitSet | None = None,
-                  tick: int | None = None) -> Angle3DState:
+                  dt: float = PLANT_DT, limits: LimitSet | None = None) -> Angle3DState:
     """RK4 step of the azimuth/flight-path-angle kinematics, on floats in the
     operation order of `rk4` (the same result as the array form, bit for
     bit)."""
@@ -184,7 +174,7 @@ def step_angles3d(state: Angle3DState, v: float, u_beta: float, u_alpha: float,
         u_alpha = float(_clip(u_alpha, -limits.u_max, limits.u_max))
     px, py, pz = np.asarray(state.p, dtype=float).tolist()
     b, al = state.beta, state.alpha
-    _check_finite_scalars((px, py, pz, b, al, v, u_beta, u_alpha), tick)
+    _check_finite_scalars((px, py, pz, b, al, v, u_beta, u_alpha))
 
     def f(b, al):
         ca = math.cos(al)
@@ -203,13 +193,13 @@ QUAD_INERTIA_INV = np.linalg.inv(QUAD_INERTIA)
 
 
 def step_quadrotor(state: QuadrotorState, thrust: float, torque: np.ndarray,
-                   dt: float = PLANT_DT, tick: int | None = None) -> QuadrotorState:
+                   dt: float = PLANT_DT) -> QuadrotorState:
     """RK4 step of the quadrotor rigid-body model with mass-normalized thrust:
     vdot = -g e3 + T R e3, Rdot = R [w]_x, Jwdot = -w x Jw + tau."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     torque = np.asarray(torque, dtype=float)
-    _check_finite([state.p, state.v, state.R, state.omega, torque, np.array([thrust])], tick)
+    _check_finite([state.p, state.v, state.R, state.omega, torque, np.array([thrust])])
     j, j_inv = QUAD_INERTIA, QUAD_INERTIA_INV
     e3 = np.array([0.0, 0.0, 1.0])
 

@@ -187,11 +187,6 @@ class Ellipsoid(Obstacle):
     def to_world(self, q: np.ndarray) -> np.ndarray:
         return np.asarray(q, dtype=float) + self.center
 
-    def level(self, p: np.ndarray, t: float = 0.0) -> float:
-        """h1(p): negative inside, zero on the surface."""
-        q = self.to_body(p)
-        return float(np.sum((q / self.semi) ** 2) - 1.0)
-
     def distance(self, p, t=0.0):
         q = self.to_body(p)
         a2 = self.semi ** 2

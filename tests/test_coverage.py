@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from aeronav.coverage import (BarrierFrame, CoverageGains, CoverageSim,
-                              FrameError, SweepEvent, SweepPlan, cell_centroid,
-                              circumcenter, clip_halfplane, coverage_control,
-                              polygon_area, polygon_second_moment,
-                              voronoi_cells)
+                              FrameError, SweepEvent, SweepPlan, _moment_about,
+                              clip_halfplane, coverage_control, polygon_area,
+                              polygon_moments, voronoi_cells)
 
 RECT_X20 = np.array([[20.0, 0.0, 0.0], [20.0, 10.0, 0.0],
                      [20.0, 10.0, 10.0], [20.0, 0.0, 10.0]])
@@ -92,7 +91,7 @@ def test_voronoi_partition_area_sums():
     for g, c in zip(gen, cells):
         assert len(c) >= 3
         # convexity: generator inside iff on the kept side of every edge
-        m, cent = cell_centroid(c)
+        m = polygon_area(c)
         assert m > 0 or m < 0  # orientable
 
 
@@ -102,23 +101,36 @@ def test_voronoi_duplicate_generators_rejected():
         voronoi_cells(np.array([[1.0, 1.0], [1.0, 1.0]]), boundary)
 
 
+def centroid(poly):
+    """Mass and centroid of one polygon, as the coverage partition takes them
+    from `polygon_moments`."""
+    area, first, _ = polygon_moments([poly])
+    return area[0], first[0] / area[0]
+
+
+def second_moment(poly, about):
+    """Integral of |q - about|^2 over one polygon, as the coverage cost
+    takes it from `polygon_moments`."""
+    return float(_moment_about(*(m[0] for m in polygon_moments([poly])), about))
+
+
 def test_cell_centroid_unit_square():
     sq = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
-    m, c = cell_centroid(sq)
+    m, c = centroid(sq)
     assert m == pytest.approx(1.0)
     assert np.allclose(c, [0.5, 0.5], atol=1e-12)
 
 
 def test_cell_centroid_triangle():
     tri = np.array([[0.0, 0], [1, 0], [0, 1]])
-    m, c = cell_centroid(tri)
+    m, c = centroid(tri)
     assert m == pytest.approx(0.5)
     assert np.allclose(c, [1 / 3, 1 / 3], atol=1e-12)
 
 
 def test_cell_centroid_pentagon_vs_grid_oracle():
     poly = np.array([[0.0, 0], [4, 0], [5, 3], [2, 5], [-1, 3]])
-    m, c = cell_centroid(poly)
+    m, c = centroid(poly)
     # grid-integration oracle
     xs = np.linspace(-1, 5, 1200)
     ys = np.linspace(0, 5, 1000)
@@ -137,33 +149,10 @@ def test_cell_centroid_pentagon_vs_grid_oracle():
     assert m == pytest.approx(len(cell) * da, rel=2e-3)
 
 
-def test_cell_centroid_degenerate_raises():
-    with pytest.raises(ValueError):
-        cell_centroid(np.array([[0.0, 0], [1, 0], [2, 0]]))
-
-
-def test_circumcenter_right_triangle():
-    c = circumcenter(np.array([0.0, 0]), np.array([2.0, 0]), np.array([0.0, 2.0]))
-    assert np.allclose(c, [1.0, 1.0], atol=1e-12)
-
-
-def test_circumcenter_equidistance_identity():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        p1, p2, p3 = rng.uniform(-5, 5, size=(3, 2))
-        u, v = p2 - p1, p3 - p1
-        if abs(u[0] * v[1] - u[1] * v[0]) < 1e-3:
-            continue
-        c = circumcenter(p1, p2, p3)
-        r1, r2, r3 = (np.linalg.norm(c - p) for p in (p1, p2, p3))
-        assert r1 == pytest.approx(r2, rel=1e-9)
-        assert r1 == pytest.approx(r3, rel=1e-9)
-
-
 def test_second_moment_vs_grid():
     poly = np.array([[0.0, 0], [3, 0], [3, 2], [0, 2]])
     about = np.array([1.0, 0.5])
-    exact = polygon_second_moment(poly, about)
+    exact = second_moment(poly, about)
     # cell-centered grid oracle
     nx, ny = 900, 600
     xs = (np.arange(nx) + 0.5) * (3.0 / nx)

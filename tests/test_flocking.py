@@ -3,9 +3,10 @@ import pytest
 
 from aeronav.flocking import (FlockParams, FlockSim, FlockSnapshot,
                               collision_energy_bound, flock_energy,
-                              flocking_control, goal_force, heading_angles,
+                              flocking_control, goal_forces, heading_angles,
                               neighbor_lists, nsb_blend, sigmoid_gate,
-                              spacing_force)
+                              spacing_forces)
+from aeronav.geom import pairwise
 from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
 
@@ -21,42 +22,42 @@ def snap(positions):
     return FlockSnapshot(q, np.zeros((n, m - 1)), np.zeros((n, m)))
 
 
+def spacing(s):
+    """Every agent's spacing force over its neighbours within 20 m."""
+    diff, d = pairwise(s.q)
+    within = np.zeros(d.shape, dtype=bool)
+    for i, nb in enumerate(neighbor_lists(s, 20.0)):
+        within[i, nb] = True
+    return spacing_forces(diff, d, within, P4)
+
+
 def test_spacing_force_zero_at_desired_distance():
-    s = snap([[0.0, 0, 0], [5.0, 0, 0]])
-    nb = neighbor_lists(s, 20.0)
-    f = spacing_force(0, s, nb[0], P4)
+    f = spacing(snap([[0.0, 0, 0], [5.0, 0, 0]]))[0]
     assert np.allclose(f, 0.0, atol=1e-12)
 
 
 def test_spacing_force_attracts_and_repels():
-    s = snap([[0.0, 0, 0], [8.0, 0, 0]])
-    nb = neighbor_lists(s, 20.0)
-    f = spacing_force(0, s, nb[0], P4)
+    f = spacing(snap([[0.0, 0, 0], [8.0, 0, 0]]))[0]
     assert f[0] > 0.0  # too far: pull toward the neighbor
-    s2 = snap([[0.0, 0, 0], [2.0, 0, 0]])
-    f2 = spacing_force(0, s2, neighbor_lists(s2, 20.0)[0], P4)
+    f2 = spacing(snap([[0.0, 0, 0], [2.0, 0, 0]]))[0]
     assert f2[0] < 0.0  # too close: push away
 
 
 def test_equilateral_lattice_equilibrium():
     d = 5.0
     pts = [[0.0, 0, 0], [d, 0, 0], [d / 2, d * np.sqrt(3) / 2, 0]]
-    s = snap(pts)
-    nb = neighbor_lists(s, 20.0)
-    for i in range(3):
-        f = spacing_force(i, s, nb[i], P4)
-        assert np.allclose(f, 0.0, atol=1e-12)
+    f = spacing(snap(pts))
+    assert np.allclose(f, 0.0, atol=1e-12)
 
 
 def test_goal_force_vanishes_inside_ball():
-    s = snap([[48.0, 50.0, 80.0]])  # 2 m from center, radius 10
-    f = goal_force(0, s, P4)
+    # 2 m from center, radius 10
+    f = goal_forces(np.array([[48.0, 50.0, 80.0]]), P4)[0]
     assert np.linalg.norm(f) < P4.k_goal * 0.01
 
 
 def test_goal_force_outside_points_at_goal():
-    s = snap([[0.0, 0, 0]])
-    f = goal_force(0, s, P4)
+    f = goal_forces(np.zeros((1, 3)), P4)[0]
     assert np.linalg.norm(f) == pytest.approx(P4.k_goal, rel=1e-3)
     assert np.dot(f, P4.goal) > 0
 
@@ -135,11 +136,6 @@ def test_control_bounds_random():
         assert abs(a) <= a_lim + 1e-9
         alpha_lim = np.linalg.norm(th_ddot) + (0.25 + 2.0) * np.sqrt(2) + 1e-9
         assert np.linalg.norm(alpha) <= alpha_lim
-
-
-def test_damping_condition():
-    assert P4.damping_condition_ok(max_neighbors=3)   # 0.5 + 1.8 < 2.5
-    assert not P4.damping_condition_ok(max_neighbors=4)
 
 
 def test_params_validation():

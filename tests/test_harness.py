@@ -122,6 +122,14 @@ def test_bad_kind_rejected():
     pytest.param({"kind": "tunnel", "start": "auto"}, id="tunnel-section-missing"),
     pytest.param({"kind": "tunnel", "start": [0.0, 0.0, 0.0],
                   "tunnel": {"shape": "straight"}}, id="tunnel-heading-missing"),
+    pytest.param({"kind": "tunnel", "start": [50.0, 50.0, 50.0], "heading": "auto",
+                  "tunnel": {"shape": "straight"}}, id="tunnel-start-explicit-heading-auto"),
+    pytest.param({"kind": "tunnel", "start": "garbage", "heading": "auto",
+                  "tunnel": {"shape": "straight"}}, id="tunnel-start-garbage-heading-auto"),
+    pytest.param({"kind": "tunnel", "start": "auto", "heading": [1.0, 0.0, 0.0],
+                  "tunnel": {"shape": "straight"}}, id="tunnel-start-auto-heading-explicit"),
+    pytest.param({"kind": "tunnel", "start": "auto", "tunnel": {"shape": "straight"}},
+                 id="tunnel-start-auto-heading-missing"),
     pytest.param({"kind": "flocking"}, id="flocking-agents-missing"),
     pytest.param({"kind": "flocking", "agents": {"count": 4}},
                  id="flocking-spawn-missing"),
@@ -155,6 +163,16 @@ def test_bad_kind_rejected():
 def test_bad_value_rejected(over):
     with pytest.raises(ConfigError):
         validate_config(minimal_cfg(**over))
+
+
+@pytest.mark.parametrize("start, heading", [([50.0, 50.0, 50.0], "auto"),
+                                            ("auto", [1.0, 0.0, 0.0])])
+def test_tunnel_mixed_auto_names_both_keys(start, heading):
+    """"auto" places the vehicle by the tunnel axis, which sets both keys."""
+    cfg = minimal_cfg(kind="tunnel", start=start, heading=heading,
+                      tunnel={"shape": "straight"})
+    with pytest.raises(ConfigError, match="start and heading"):
+        validate_config(cfg)
 
 
 def test_config_roundtrip(tmp_path):

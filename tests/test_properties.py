@@ -18,9 +18,9 @@ from aeronav.bezier import PiecewisePath
 from aeronav.coverage import (BarrierFrame, CoverageGains, clip_halfplane,
                               coverage_control, polygon_area, polygon_moments,
                               voronoi_cells)
-from aeronav.flocking import (FlockParams, FlockSim, goal_force, heading_angles,
+from aeronav.flocking import (FlockParams, FlockSim, goal_forces, heading_angles,
                               neighbor_lists, nsb_blend, obstacle_force,
-                              spacing_force)
+                              spacing_forces)
 from aeronav.geom import pairwise, wrap_angle
 from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
@@ -233,13 +233,15 @@ def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
         sim.tick()
     snap, p, dt, ema = sim.snapshot, sim.params, sim.control_dt, sim._ema
     th_prev, dot_prev, ddot_prev = sim._theta_f, sim._theta_f_dot, sim._theta_f_ddot
-    nb = neighbor_lists(snap, p.r_c)
+    within = np.zeros((n, n), dtype=bool)
+    for i, nb in enumerate(neighbor_lists(snap, p.r_c)):
+        within[i, nb] = True
+    f_s, f_g = spacing_forces(*pairwise(snap.q), within, p), goal_forces(snap.q, p)
     want = np.empty((n, 3))
     for i in range(n):
         f_o = (np.zeros(3) if world is None else
                obstacle_force(snap.q[i], *world.nearest_obstacle(snap.q[i], sim.t)[:2], p))
-        f_t = nsb_blend(f_o,
-                        spacing_force(i, snap, nb[i], p), goal_force(i, snap, p))
+        f_t = nsb_blend(f_o, f_s[i], f_g[i])
         th_f = heading_angles(f_t) if np.linalg.norm(f_t) > 1e-9 else th_prev[i]
         d1_raw = wrap_angle(th_f - th_prev[i]) / dt
         d1 = (1 - ema) * dot_prev[i] + ema * d1_raw

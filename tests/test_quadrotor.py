@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from aeronav.bezier import PiecewisePath
+from aeronav.deform import (RefModelState, ref_acceleration, ref_velocity,
+                            reference_model_step)
 from aeronav.plants import GRAVITY, QuadrotorState, step_quadrotor
-from aeronav.quadrotor import (K1, K2, MU, FlatSample, InfeasibleProfile,
-                               QuadrotorTracker, TrapezoidalProfile,
+from aeronav.quadrotor import (K1, K2, MU, FlatSample, QuadrotorTracker,
                                attitude_torque, flat_outputs_to_attitude_thrust,
-                               min_jerk_eval, min_jerk_segment,
-                               min_jerk_trajectory, position_smc)
+                               position_smc)
+
+
+def at_rest():
+    return QuadrotorState(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3))
 
 
 def hover_ref(p=(0.0, 0.0, 0.0)):
@@ -14,7 +19,7 @@ def hover_ref(p=(0.0, 0.0, 0.0)):
 
 
 def test_smc_hover_command():
-    st = QuadrotorState.hover()
+    st = at_rest()
     a = position_smc(st, hover_ref())
     assert np.allclose(a, [0, 0, GRAVITY], atol=1e-12)
 
@@ -92,7 +97,7 @@ def test_flat_outputs_tilt_oracle():
 
 
 def test_attitude_torque_zero_at_reference():
-    st = QuadrotorState.hover()
+    st = at_rest()
     tau = attitude_torque(st, np.eye(3), np.zeros(3))
     assert np.allclose(tau, 0.0)
 
@@ -121,120 +126,27 @@ def test_attitude_loop_converges_from_roll_error():
     assert err < np.deg2rad(0.5)
 
 
-def test_min_jerk_zero_move():
-    k = min_jerk_segment((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0)
-    assert np.allclose(k, 0.0, atol=1e-12)
-
-
-def test_min_jerk_boundary_residuals():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        s0 = rng.standard_normal(3)
-        sf = rng.standard_normal(3)
-        tf = float(rng.uniform(0.5, 5.0))
-        k = min_jerk_segment(s0, sf, tf)
-        start = min_jerk_eval(s0, k, 0.0)
-        end = min_jerk_eval(s0, k, tf)
-        assert np.allclose(start, s0, atol=1e-9)
-        assert np.allclose(end, sf, atol=1e-9)
-
-
-def test_min_jerk_rest_to_rest_midpoint_velocity():
-    """Unit rest-to-rest displacement in unit time peaks at 15/8 velocity."""
-    k = min_jerk_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
-    _, v, _ = min_jerk_eval((0.0, 0.0, 0.0), k, 0.5)
-    assert v == pytest.approx(15.0 / 8.0, abs=1e-9)
-
-
-def test_min_jerk_optimality_against_perturbed_polynomials():
-    """Jerk cost of the quintic is no worse than degree-7 perturbations
-    satisfying the same boundary conditions (numeric optimization oracle)."""
-    k = min_jerk_segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
-
-    def jerk_cost(coeffs):
-        # position polynomial coefficients highest-first over [0, 1]
-        ts = np.linspace(0, 1, 2001)
-        d3 = np.polyder(np.poly1d(coeffs), 3)
-        return np.trapezoid(d3(ts) ** 2, ts)
-
-    # bump polynomial t^3 (1-t)^3 has zero value/velocity/acceleration at
-    # both ends, so quintic + eps*bump meets the same boundary conditions
-    bump = np.poly1d([-1.0, 3.0, -3.0, 1.0, 0.0, 0.0, 0.0])
-    rng = np.random.default_rng(5)
-    quintic = np.poly1d([k[0] / 120.0, k[1] / 24.0, k[2] / 6.0, 0.0, 0.0, 0.0])
-    c0 = jerk_cost(quintic.coefficients)
-    for _ in range(50):
-        eps = float(rng.uniform(-0.5, 0.5))
-        perturbed = np.polyadd(quintic, eps * bump)
-        assert jerk_cost(perturbed.coefficients) >= c0 - 1e-9
-
-
-def test_trapezoidal_zero_move():
-    prof = TrapezoidalProfile(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 2.0, 5.0)
-    assert prof.duration == 0.0
-    assert prof.eval(0.0)[0] == 1.0
-    assert all(abs(x) < 1e-12 for x in prof.eval(0.0)[1:])
-
-
-def test_trapezoidal_knot_continuity():
-    """Positions/velocities/accelerations continuous at the knots to 1e-9
-    for feasible random rest-to-rest moves."""
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        p0 = float(rng.uniform(-5, 5))
-        pf = p0 + float(rng.uniform(8.0, 40.0)) * (1 if rng.random() < 0.5 else -1)
-        prof = TrapezoidalProfile(p0, 0.0, 0.0, pf, 0.0, 0.0,
-                                  v_m=1.5, a_m=2.0, j_m=4.0)
-        for tk in prof.knots[1:-1]:
-            before = prof.eval(tk - 1e-10)
-            after = prof.eval(tk + 1e-10)
-            assert abs(before[0] - after[0]) < 1e-9
-            assert abs(before[1] - after[1]) < 1e-8
-            assert abs(before[2] - after[2]) < 1e-7
-        # endpoints honored
-        assert prof.eval(0.0)[0] == pytest.approx(p0, abs=1e-9)
-        assert prof.eval(prof.duration)[0] == pytest.approx(pf, abs=1e-9)
-        assert prof.eval(prof.duration)[1] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_trapezoidal_limits_and_cruise():
-    prof = TrapezoidalProfile(0.0, 0.0, 0.0, 30.0, 0.0, 0.0,
-                              v_m=1.5, a_m=2.0, j_m=4.0)
-    assert prof.dts[3] > 0.0  # cruise interval exists for the long move
-    ts = np.linspace(0, prof.duration, 4000)
-    vals = np.array([prof.eval(t) for t in ts])
-    assert np.max(np.abs(vals[:, 1])) <= 1.5 + 1e-9
-    assert np.max(np.abs(vals[:, 2])) <= 2.0 + 1e-9
-    assert np.max(np.abs(vals[:, 3])) <= 4.0 + 1e-9
-    # cruise at v_m
-    mid = vals[np.argmax(vals[:, 1])]
-    assert mid[1] == pytest.approx(1.5, abs=1e-9)
-
-
-def test_trapezoidal_infeasible_names_interval():
-    with pytest.raises(InfeasibleProfile) as err:
-        # cruise speed unreachable in so short a move
-        TrapezoidalProfile(0.0, 0.0, 0.0, 0.05, 0.0, 0.0, v_m=5.0, a_m=1.0, j_m=1.0)
-    assert err.value.interval in range(1, 8)
-
-
 def test_tracker_closed_loop_min_jerk_rms():
-    """Differential-flatness consistency: min-jerk trajectory at modest speed
-    tracked below 2 cm RMS position error."""
-    traj = min_jerk_trajectory(np.zeros(3), np.zeros(3), np.zeros(3),
-                               np.array([2.0, 1.0, 0.5]), np.zeros(3), np.zeros(3),
-                               t_f=6.0, dt=0.01)
-    tracker = QuadrotorTracker(QuadrotorState.hover())
+    """Differential-flatness consistency: the deform-quad reference model
+    along a straight path at 0.5 m/s, tracked below 2 cm RMS position error
+    over 6 s."""
+    goal = np.array([20.0, 10.0, 5.0])
+    path = PiecewisePath.straight(np.zeros(3), goal, 1.0)
+    ref = RefModelState(np.zeros(3), float(np.arctan2(goal[1], goal[0])),
+                        0.0, 0.0, 0.0, 0.0, 0.0)
+    tracker = QuadrotorTracker(at_rest())
     errs = []
-    for ref in traj:
-        st = tracker.step(ref, 0.01)
+    for _ in range(600):
+        ref = reference_model_step(ref, path, 0.5, 1.0, 0.01)
+        st = tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
+                                     ref_acceleration(ref)), 0.01)
         errs.append(np.linalg.norm(ref.p - st.p))
     rms = float(np.sqrt(np.mean(np.square(errs))))
     assert rms < 0.02
 
 
 def test_thrust_positive_under_tilt():
-    st = QuadrotorState.hover()
+    st = at_rest()
     a = np.array([3.0, -2.0, GRAVITY])
     t, _ = flat_outputs_to_attitude_thrust(a, 0.3, st.R)
     assert t > 0.0
