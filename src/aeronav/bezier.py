@@ -44,10 +44,6 @@ class QuinticBezier:
         if self.control.shape[0] != 6:
             raise ValueError("quintic Bezier needs six control points")
 
-    @property
-    def dim(self) -> int:
-        return self.control.shape[1]
-
     def point(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         t = np.stack([s ** 5, s ** 4, s ** 3, s ** 2, s, np.ones_like(s)], axis=-1)
@@ -184,10 +180,6 @@ class PiecewisePath:
     def n_segments(self) -> int:
         return len(self.segments)
 
-    @property
-    def dim(self) -> int:
-        return self.segments[0].dim
-
     def _locate(self, s: float) -> tuple[int, float]:
         s = float(np.clip(s, 0.0, self.n_segments))
         i = min(int(np.floor(s)), self.n_segments - 1)
@@ -203,18 +195,6 @@ class PiecewisePath:
 
     def tangent(self, s: float) -> np.ndarray:
         return unit(self.deriv(s))
-
-    def curvature(self, s: float) -> float:
-        d1 = self.deriv(s, 1)
-        d2 = self.deriv(s, 2)
-        n1 = float(np.linalg.norm(d1))
-        if n1 < 1e-12:
-            return 0.0
-        if self.dim == 2:
-            cross = abs(d1[0] * d2[1] - d1[1] * d2[0])
-        else:
-            cross = float(np.linalg.norm(np.cross(d1, d2)))
-        return cross / n1 ** 3
 
     def junction_residuals(self) -> tuple[float, float]:
         """Max first/second derivative mismatch over all junctions."""

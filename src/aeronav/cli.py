@@ -19,9 +19,9 @@ import time
 from pathlib import Path
 
 from .harness.config import load_config
-from .harness.runlog import RunLog, emit
+from .harness.runlog import RunLog, emit, json_safe
 from .harness.runner import run
-from .tunnels import generate_tunnel
+from .tunnels import TunnelGenerationError, generate_tunnel
 
 
 def _out_dir(cfg_output: dict, override: str | None) -> Path:
@@ -45,7 +45,8 @@ def _write_outputs(result, cfg, out_dir: Path) -> list[Path]:
     spath = out_dir / f"{name}.summary.json"
     spath.parent.mkdir(parents=True, exist_ok=True)
     with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=str)
+        json.dump(json_safe(summary), fh, indent=2, sort_keys=True, default=str,
+                  allow_nan=False)
         fh.write("\n")
     written.append(spath)
     return written
@@ -56,37 +57,32 @@ def _monitor_line(m) -> str:
     return f"  [{status}] {m.name}: {m.detail} (margin {m.margin:.4g})"
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def _run_and_report(cfg, label: str, out_dir: Path, every_monitor: bool) -> bool:
+    """Run one config, write its outputs and print its status line under
+    label, then each monitor (or only the failed ones); True on PASS."""
     t0 = time.perf_counter()
     result = run(cfg)
     wall = time.perf_counter() - t0
-    out_dir = _out_dir(cfg.get("output", {}), args.out)
     _write_outputs(result, cfg, out_dir)
-    status = "PASS" if result.passed else "FAILED"
-    print(f"{cfg.get('name', 'run')}: {status} ({wall:.1f}s)")
+    print(f"{label}: {'PASS' if result.passed else 'FAILED'} ({wall:.1f}s)")
     for m in result.monitors:
-        print(_monitor_line(m))
-    return 0 if result.passed else 1
+        if every_monitor or not m.passed:
+            print(_monitor_line(m))
+    return result.passed
+
+
+def cmd_run(args) -> int:
+    cfg = load_config(args.config)
+    out_dir = _out_dir(cfg.get("output", {}), args.out)
+    return 0 if _run_and_report(cfg, cfg.get("name", "run"), out_dir, True) else 1
 
 
 def cmd_suite(args) -> int:
     configs = {path.stem: load_config(path)
                for path in sorted(Path(args.dir).glob("*.json"))}
     out_dir = _out_dir({}, args.out)
-    failures = 0
-    for name, cfg in configs.items():
-        t0 = time.perf_counter()
-        result = run(cfg)
-        wall = time.perf_counter() - t0
-        _write_outputs(result, cfg, out_dir)
-        status = "PASS" if result.passed else "FAILED"
-        if not result.passed:
-            failures += 1
-        print(f"{name}: {status} ({wall:.1f}s)")
-        for m in result.monitors:
-            if not m.passed:
-                print(_monitor_line(m))
+    failures = sum(not _run_and_report(cfg, name, out_dir, False)
+                   for name, cfg in configs.items())
     print(f"{len(configs) - failures}/{len(configs)} scenarios passed")
     return 0 if failures == 0 else 1
 
@@ -100,10 +96,12 @@ def cmd_plot(args) -> int:
 
 
 def cmd_gen_tunnel(args) -> int:
-    kw = {}
-    if args.density:
-        kw["density"] = args.density
-    cloud = generate_tunnel(args.shape, radius=args.radius, length=args.length, **kw)
+    kw = {} if args.density is None else {"density": args.density}
+    try:
+        cloud = generate_tunnel(args.shape, radius=args.radius, length=args.length, **kw)
+    except TunnelGenerationError as exc:
+        print(f"gen-tunnel: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out or f"{args.shape}.xyz")
     cloud.save_xyz(out)
     meta = {"shape": cloud.shape, "points": int(len(cloud.points)),

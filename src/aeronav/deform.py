@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import PiecewisePath
-from .geom import angle_diff, rodrigues_rotate, unit, unit_or_zero
+from .geom import angle_diff, heading_from_angles, rodrigues_rotate, unit, unit_or_zero
 from .plants import Angle3DState
 from .world import World
 
@@ -22,7 +22,7 @@ from .world import World
 ALPHA0 = np.pi / 2                   # rotation angle of the tangent
 CHECK_RESOLUTION = 0.1               # along-path sampling for the checker
 MAX_DEFORMS_PER_CHECK = 10
-LOOKAHEAD = 1.0                      # guidance target distance along the path
+LOOKAHEAD = 1.0                      # guidance and reference target distance
 K_BETA = 2.0                         # guidance gains
 K_ALPHA = 2.0
 C = 3.0                              # guidance tanh steepness
@@ -49,23 +49,20 @@ class DeformParams:
 
 @dataclass
 class UnsafePoint:
-    s: float          # path parameter of the closest approach
-    d: float          # clearance at that point
-    obstacle_id: int
-    closest: np.ndarray
-    s_lo: float = 0.0  # contiguous unsafe interval around s
-    s_hi: float = 0.0
-    s_mid: float = 0.0       # interval midpoint: anchor for the deformation
-    closest_mid: np.ndarray | None = None
-    d_mid: float = 0.0
+    s_lo: float             # violating interval around the closest approach
+    s_hi: float
+    s: float                # interval midpoint: anchor for the deformation
+    d: float                # clearance at the anchor
+    closest: np.ndarray     # nearest obstacle surface point to the anchor
+    obstacle_id: int        # obstacle nearest the closest approach
 
 
 def find_unsafe(path: PiecewisePath, world: World, d_safe: float,
                 t: float = 0.0, s_from: float = 0.0,
                 resolution: float = 0.1) -> UnsafePoint | None:
     """Scan the path from s_from for its closest approach to any obstacle;
-    reported only when the clearance violates d_safe, together with the
-    contiguous violating interval around the worst point."""
+    when its clearance violates d_safe, report the contiguous violating
+    interval around it, anchored at the interval's midpoint."""
     params, pts = path.sample(per_segment=max(8, int(np.ceil(1.0 / resolution * 2))))
     mask = params >= s_from
     params = params[mask]
@@ -95,12 +92,10 @@ def find_unsafe(path: PiecewisePath, world: World, d_safe: float,
             hi = j
         j += 1
     mid = (lo + hi) // 2
-    d_best, q_best, oid_best = world.nearest_obstacle(pts[i_best], t)
+    oid_best = world.nearest_obstacle(pts[i_best], t)[2]
     d_mid, q_mid, _ = world.nearest_obstacle(pts[mid], t)
-    return UnsafePoint(float(params[i_best]), float(d_best),
-                       int(oid_best), q_best,
-                       float(params[lo]), float(params[hi]),
-                       float(params[mid]), q_mid, float(d_mid))
+    return UnsafePoint(float(params[lo]), float(params[hi]), float(params[mid]),
+                       float(d_mid), q_mid, int(oid_best))
 
 
 def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
@@ -109,16 +104,12 @@ def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParam
     with N = T x E (E toward the obstacle edge); when T and E are collinear
     the normal falls back to the previous one or a path normal.
     """
-    if unsafe.closest_mid is not None:
-        anchor, closest, d_here = unsafe.s_mid, unsafe.closest_mid, unsafe.d_mid
-    else:
-        anchor, closest, d_here = unsafe.s, unsafe.closest, unsafe.d
-    tangent = path.tangent(anchor)
-    p_c = path.point(anchor)
-    e = unit_or_zero(closest - p_c)
+    tangent = path.tangent(unsafe.s)
+    p_c = path.point(unsafe.s)
+    e = unit_or_zero(unsafe.closest - p_c)
     # direction of growing clearance: away from the closest surface point
     # outside, toward the nearest exit when the path runs inside the body
-    away = e if d_here <= 0.0 else -e
+    away = e if unsafe.d <= 0.0 else -e
     away = away - np.dot(away, tangent) * tangent  # along-path pushes add nothing
     if np.linalg.norm(away) < 0.3:
         # exit direction almost parallel to the path (aimed at the body's
@@ -165,8 +156,7 @@ def deform(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
             i_e += 1
         else:
             i_s -= 1
-    anchor = unsafe.s_mid if unsafe.closest_mid is not None else unsafe.s
-    anchor = float(np.clip(anchor, i_s + 0.05, i_e - 0.05))
+    anchor = float(np.clip(unsafe.s, i_s + 0.05, i_e - 0.05))
     v_safe = safe_direction(path, unsafe, params, prev_normal)
     p_c_new = path.point(anchor) + v_safe
     for q in (path.point(float(i_s)), path.point(float(i_e))):
@@ -217,17 +207,26 @@ def deform_until_safe(path: PiecewisePath, world: World, params: DeformParams,
     return path, MAX_DEFORMS_PER_CHECK
 
 
+def _lookahead_angles(p: np.ndarray, path: PiecewisePath) -> tuple[float, float] | None:
+    """Azimuth and flight-path angle (beta_d, alpha_d) from p toward the
+    point LOOKAHEAD past p's closest path point; None when p is on it."""
+    s0 = path.closest_param(p)
+    _, target = path.point_ahead(s0, LOOKAHEAD)
+    v_d = target - p
+    if np.linalg.norm(v_d) < 1e-9:
+        return None
+    return (float(np.arctan2(v_d[1], v_d[0])),
+            float(np.arctan2(v_d[2], np.hypot(v_d[0], v_d[1]))))
+
+
 def track_kinematic(state: Angle3DState, path: PiecewisePath,
                     params: DeformParams) -> tuple[float, float, float]:
     """Pure-pursuit guidance u_mu = k_mu tanh(c (mu_d - mu)) for the
     azimuth/flight-path angles toward a lookahead target; constant speed."""
-    s0 = path.closest_param(state.p)
-    _, target = path.point_ahead(s0, LOOKAHEAD)
-    v_d = target - state.p
-    if np.linalg.norm(v_d) < 1e-9:
+    angles = _lookahead_angles(state.p, path)
+    if angles is None:
         return params.v, 0.0, 0.0
-    beta_d = float(np.arctan2(v_d[1], v_d[0]))
-    alpha_d = float(np.arctan2(v_d[2], np.hypot(v_d[0], v_d[1])))
+    beta_d, alpha_d = angles
     u_beta = K_BETA * np.tanh(C * angle_diff(beta_d, state.beta))
     u_alpha = K_ALPHA * np.tanh(C * angle_diff(alpha_d, state.alpha))
     return params.v, float(u_beta), float(u_alpha)
@@ -247,11 +246,6 @@ class RefModelState:
     v: float
     accel: float
 
-    def heading(self) -> np.ndarray:
-        ca = np.cos(self.alpha)
-        return np.array([np.cos(self.beta) * ca, np.sin(self.beta) * ca,
-                         np.sin(self.alpha)])
-
 
 # gains of the reference model's sliding surfaces, speed and angle loops
 REF_C1_V = 1.0
@@ -260,7 +254,6 @@ REF_C1_ANG = 1.5
 REF_C2_ANG = 4.0
 REF_GAMMA1 = 2.0
 REF_GAMMA2 = 2.0
-REF_LOOKAHEAD = 1.0
 
 
 def reference_model_step(ref: RefModelState, path: PiecewisePath, v_d: float,
@@ -271,14 +264,7 @@ def reference_model_step(ref: RefModelState, path: PiecewisePath, v_d: float,
     clipped to [0, v_max]."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    s0 = path.closest_param(ref.p)
-    _, target = path.point_ahead(s0, REF_LOOKAHEAD)
-    v_vec = target - ref.p
-    if np.linalg.norm(v_vec) > 1e-9:
-        beta_d = float(np.arctan2(v_vec[1], v_vec[0]))
-        alpha_d = float(np.arctan2(v_vec[2], np.hypot(v_vec[0], v_vec[1])))
-    else:
-        beta_d, alpha_d = ref.beta, ref.alpha
+    beta_d, alpha_d = _lookahead_angles(ref.p, path) or (ref.beta, ref.alpha)
 
     sig_v = ref.accel + REF_C1_V * np.tanh(REF_GAMMA1 * (ref.v - v_d))
     jerk = -REF_C2_V * np.tanh(REF_GAMMA2 * sig_v)
@@ -289,10 +275,7 @@ def reference_model_step(ref: RefModelState, path: PiecewisePath, v_d: float,
         REF_GAMMA1 * angle_diff(ref.alpha, alpha_d))
     u_alpha = -REF_C2_ANG * np.tanh(REF_GAMMA2 * sig_a)
 
-    ca = np.cos(ref.alpha)
-    dp = ref.v * np.array([np.cos(ref.beta) * ca, np.sin(ref.beta) * ca,
-                           np.sin(ref.alpha)])
-    p1 = ref.p + dp * dt
+    p1 = ref.p + ref_velocity(ref) * dt
     beta1 = ref.beta + ref.omega_beta * dt
     alpha1 = ref.alpha + ref.omega_alpha * dt
     v1 = float(np.clip(ref.v + ref.accel * dt, 0.0, v_max))
@@ -303,7 +286,7 @@ def reference_model_step(ref: RefModelState, path: PiecewisePath, v_d: float,
 
 
 def ref_velocity(ref: RefModelState) -> np.ndarray:
-    return ref.v * ref.heading()
+    return ref.v * heading_from_angles(ref.beta, ref.alpha)
 
 
 def ref_acceleration(ref: RefModelState) -> np.ndarray:

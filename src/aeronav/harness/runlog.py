@@ -2,11 +2,14 @@
 
 CSV columns are fixed: tick,time_s,agent,x,y,z,vx,vy,vz,mode,d_obs,
 min_pair_d,extra.  Floats are written with shortest round-trip formatting
-(repr), so identical runs produce byte-identical files.
+(repr), so identical runs produce byte-identical files.  JSON output is
+strict (RFC 8259): a non-finite float is the string the CSV writes for it,
+"inf", "-inf" or "nan".
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,6 +20,18 @@ CSV_HEADER = "tick,time_s,agent,x,y,z,vx,vy,vz,mode,d_obs,min_pair_d,extra"
 
 def _f(x) -> str:
     return repr(float(x))
+
+
+def json_safe(x):
+    """x with every non-finite float in it, at any depth, replaced by its
+    CSV spelling, for `json.dumps(..., allow_nan=False)`."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else _f(x)
+    if isinstance(x, dict):
+        return {k: json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [json_safe(v) for v in x]
+    return x
 
 
 @dataclass
@@ -58,13 +73,13 @@ class RunLog:
     def to_jsonl(self) -> str:
         out = []
         for r in self.records:
-            out.append(json.dumps({
+            out.append(json.dumps(json_safe({
                 "tick": r["tick"], "time_s": r["time_s"], "agent": r["agent"],
                 "x": r["pos"][0], "y": r["pos"][1], "z": r["pos"][2],
                 "vx": r["vel"][0], "vy": r["vel"][1], "vz": r["vel"][2],
                 "mode": r["mode"], "d_obs": r["d_obs"],
                 "min_pair_d": r["min_pair"], "extra": r["extra"],
-            }, sort_keys=True))
+            }), sort_keys=True, allow_nan=False))
         return "\n".join(out) + ("\n" if out else "")
 
     def to_svg(self, width: int = 640, height: int = 480,

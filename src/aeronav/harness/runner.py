@@ -262,15 +262,21 @@ def _reactive3d(cfg: dict) -> Engine:
                               "encounters": _count(events, "R1")})
 
 
-def _deform3d(cfg: dict) -> Engine:
+def _deform_setup(cfg: dict):
+    """(world, params, navigator, start, start azimuth toward the goal) of
+    either deform kind."""
     world = build_world(cfg)
     p = DeformParams(**cfg.get("params", {}).get("deform", {}))
     goal = np.asarray(cfg["goal"], dtype=float)
     start = np.asarray(cfg["start"], dtype=float)
-    nav = DeformNavigator(p, world, start, goal)
     direction = goal - start
-    state = Angle3DState(start.copy(), float(np.arctan2(direction[1], direction[0])),
-                         0.0)
+    return (world, p, DeformNavigator(p, world, start, goal), start,
+            float(np.arctan2(direction[1], direction[0])))
+
+
+def _deform3d(cfg: dict) -> Engine:
+    world, p, nav, start, beta0 = _deform_setup(cfg)
+    state = Angle3DState(start.copy(), beta0, 0.0)
     return _vehicle(
         cfg, world, nav, state, step_angles3d,
         LimitSet(v_max=p.v, u_max=3.0), 0.3,
@@ -287,15 +293,9 @@ def _deform3d_quad(cfg: dict) -> Engine:
     reference model.  Deformation and the log row follow the first plant step
     of a tick; the tick's clearance is the minimum over its plant steps, and
     the goal is checked at every plant step."""
-    world = build_world(cfg)
-    p = DeformParams(**cfg.get("params", {}).get("deform", {}))
+    world, p, nav, start, beta0 = _deform_setup(cfg)
     v_max = max(2.0 * p.v, 1.0)
-    goal = np.asarray(cfg["goal"], dtype=float)
-    start = np.asarray(cfg["start"], dtype=float)
-    nav = DeformNavigator(p, world, start, goal)
-    direction = goal - start
-    ref = RefModelState(start.copy(), float(np.arctan2(direction[1], direction[0])),
-                        0.0, 0.0, 0.0, 0.0, 0.0)
+    ref = RefModelState(start.copy(), beta0, 0.0, 0.0, 0.0, 0.0, 0.0)
     tracker = QuadrotorTracker(
         QuadrotorState(start.copy(), np.zeros(3), np.eye(3), np.zeros(3)))
     plant_dt = cfg.get("plant_dt", 0.01)
@@ -320,7 +320,7 @@ def _deform3d_quad(cfg: dict) -> Engine:
             d_tick = monitors_mod.min_keep_nan(d_tick, d)
             if k == first:
                 row = (tick, t, 0, st.p, st.v, "track", d, np.inf)
-            if np.linalg.norm(st.p - goal) < 0.4:
+            if np.linalg.norm(st.p - nav.goal) < 0.4:
                 goal_time = t
                 return GOAL
         return None

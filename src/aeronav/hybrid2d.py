@@ -29,7 +29,6 @@ from .world import World
 class NavMode(Enum):
     TRACKING = "M1"
     REACTIVE = "M2"
-    REPLANNING = "replan"
 
 
 # Design constants of the laws below; no stock scenario varies them.
@@ -100,7 +99,7 @@ def detect_trap(scan_ranges: np.ndarray, threshold: float) -> bool:
     return bool(np.all(scan_ranges < threshold))
 
 
-def escape_goal(p_tr: np.ndarray, theta: float, scan_angles: np.ndarray,
+def escape_goal(p_tr: np.ndarray, scan_angles: np.ndarray,
                 scan_ranges: np.ndarray, threshold: float, l_ge: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Escape point at distance l_ge along a clear FOV direction drawn
@@ -161,7 +160,7 @@ class HybridNavigator:
             self.events.append((from_tick, "plan_failed", {"reason": res.reason}))
             return False
         pruned = prune_path(res.waypoints, self.world, self.rrt, t)
-        self.path = smooth_path(pruned, r_min=self.p.v_max / self.p.u_max).path
+        self.path = smooth_path(pruned)
         return True
 
     # -- per-tick control ---------------------------------------------------
@@ -187,7 +186,7 @@ class HybridNavigator:
         """Escape-goal replan inside the tick.  The planner runs on its
         iteration budget; overrunning it keeps the old path and reports
         failure so the vehicle holds instead of driving into the trap."""
-        p_ge = escape_goal(state.position, state.theta, angles, ranges,
+        p_ge = escape_goal(state.position, angles, ranges,
                            self.trap_range, self.p.escape_distance, self.rng)
         self.replan_count += 1
         self.events.append((tick, "replan", {"escape": p_ge.tolist()}))
@@ -203,7 +202,7 @@ class HybridNavigator:
         wps = np.vstack([state.position[None, :], pruned])
         keep = [0] + [i for i in range(1, len(wps))
                       if np.linalg.norm(wps[i] - wps[i - 1]) > 1e-6]
-        self.path = smooth_path(wps[keep], r_min=self.p.v_max / self.p.u_max).path
+        self.path = smooth_path(wps[keep])
         return True
 
     def control(self, state: Unicycle2DState, t: float, tick: int) -> tuple[float, float]:
@@ -237,10 +236,10 @@ class HybridNavigator:
             return v, u
         self._stopped = False
 
+        v, u, target = pure_pursuit_2d(state, self.path, self.p)
         if self.mode == NavMode.TRACKING:
             # re-arm passed obstacles: clear of C again, or back in the way
             if self._blocked_ids:
-                _, _, target = pure_pursuit_2d(state, self.path, self.p)
                 corridor_ok = self._corridor_clear(state, target, t)
                 for oid in list(self._blocked_ids):
                     od = self.world.obstacles[oid].distance(state.position, t)[0]
@@ -254,7 +253,6 @@ class HybridNavigator:
                 self._reactive_obstacle = obs_id
                 self.events.append((tick, "R1", {"obstacle": obs_id, "d": d}))
         else:
-            _, _, target = pure_pursuit_2d(state, self.path, self.p)
             bearing = float(np.arctan2(target[1] - state.position[1],
                                        target[0] - state.position[0]))
             aligned = abs(angle_diff(bearing, state.theta)) < ALIGN_TOL
@@ -269,5 +267,4 @@ class HybridNavigator:
 
         if np.linalg.norm(state.position - self.goal) < GOAL_TOL:
             return 0.0, 0.0
-        v, u, _ = pure_pursuit_2d(state, self.path, self.p)
         return v, u

@@ -135,26 +135,9 @@ def prune_path(waypoints: np.ndarray, world: World, params: RrtParams,
     return w[idx]
 
 
-@dataclass
-class SmoothResult:
-    path: PiecewisePath
-    max_curvature: float
-    min_radius: float
-    curvature_ok: bool
-
-
-def smooth_path(waypoints: np.ndarray, r_min: float,
-                samples_per_segment: int = 200) -> SmoothResult:
-    """C2 quintic interpolant of the waypoints with an a-posteriori curvature
-    report.  A violated minimum turning radius is flagged, not rejected; the
-    margin policy is the caller's."""
+def smooth_path(waypoints: np.ndarray) -> PiecewisePath:
+    """C2 quintic interpolant of the waypoints."""
     w = np.asarray(waypoints, dtype=float)
     if len(w) < 2:
         raise PlanningError("smoothing needs at least two waypoints")
-    path = PiecewisePath.from_waypoints(w)
-    kmax = 0.0
-    for i in range(path.n_segments):
-        for u in np.linspace(0.0, 1.0, samples_per_segment):
-            kmax = max(kmax, path.curvature(i + u))
-    min_radius = float("inf") if kmax < 1e-12 else 1.0 / kmax
-    return SmoothResult(path, kmax, min_radius, min_radius >= r_min)
+    return PiecewisePath.from_waypoints(w)

@@ -45,7 +45,6 @@ class PlaneOfAvoidance:
     normal: np.ndarray           # unit normal
     anchor: np.ndarray           # point in the plane (position at maneuver start)
     gamma_dir: float             # +/-1 rotation sense inside the plane
-    tau: float                   # maneuver start time
 
     def signed_distance(self, p: np.ndarray) -> float:
         return float(np.dot(np.asarray(p, dtype=float) - self.anchor, self.normal))
@@ -102,11 +101,11 @@ def tangent_to_ellipsoid(p0: np.ndarray, ellipsoid: Ellipsoid,
 
 
 def build_plane(p: np.ndarray, heading: np.ndarray, tangent: np.ndarray,
-                closest_point: np.ndarray, tau: float) -> PlaneOfAvoidance:
-    """Fix the avoidance plane n = T x a(tau) and pick the rotation sense that
-    makes the sliding law orbit-stable (Gamma scales the in-plane normal
-    i_n = a x n toward the obstacle).  Head-on ties break so the initial
-    swerve goes to the tangent side (the short way around)."""
+                closest_point: np.ndarray) -> PlaneOfAvoidance:
+    """Fix the avoidance plane n = T x a at the maneuver start and pick the
+    rotation sense that makes the sliding law orbit-stable (Gamma scales the
+    in-plane normal i_n = a x n toward the obstacle).  Head-on ties break so
+    the initial swerve goes to the tangent side (the short way around)."""
     a = unit(np.asarray(heading, dtype=float))
     n = np.cross(np.asarray(tangent, dtype=float), a)
     nn = np.linalg.norm(n)
@@ -119,9 +118,9 @@ def build_plane(p: np.ndarray, heading: np.ndarray, tangent: np.ndarray,
     if abs(side) > 1e-6 * max(np.linalg.norm(toward), 1.0):
         gamma_dir = 1.0 if side > 0.0 else -1.0
     else:
-        # i_n(tau) points to the tangent/swerve side; the body lies opposite
+        # i_n points to the tangent/swerve side; the body lies opposite
         gamma_dir = -1.0
-    return PlaneOfAvoidance(n, np.asarray(p, dtype=float).copy(), gamma_dir, tau)
+    return PlaneOfAvoidance(n, np.asarray(p, dtype=float).copy(), gamma_dir)
 
 
 def avoid_law_3d(heading: np.ndarray, d: float, d_dot: float,
@@ -195,7 +194,7 @@ class Reactive3DNavigator:
             if d <= self.p.big_c and d_dot < 0.0 and obs_id not in self._blocked:
                 tangent, _ = tangent_to_ellipsoid(state.p, self.world.obstacles[obs_id],
                                                   state.a)
-                self.plane = build_plane(state.p, state.a, tangent, closest, t)
+                self.plane = build_plane(state.p, state.a, tangent, closest)
                 self.mode = Mode3D.AVOID
                 self._avoid_id = obs_id
                 self.events.append((tick, "R1", {}))

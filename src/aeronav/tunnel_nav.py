@@ -10,8 +10,8 @@ one mean per voxel (Rusu & Cousins 2011, the PCL voxel-grid filter), probes
 several distances and repairs centroids too close to the wall, fitting wall
 normals to the nearest points of the downsampled cloud it validates
 against; the default ("slices") uses the two slices as they are.  The
-downsampling averages all voxels that hold the same number of points at
-once.
+downsampling groups the points into voxels with the grid the tunnel cloud
+uses for its queries (`tunnels.CellGrid`).
 
 Without sensor noise, the slices pipeline senses only the points it can
 use: the tunnel cloud's uniform grid (`tunnels.CellGrid`) hands it the
@@ -61,15 +61,8 @@ class TunnelParams:
 @dataclass
 class SliceCentroids:
     g1: np.ndarray
-    g2: np.ndarray
-    count1: int
-    count2: int
-    h: float               # distance from the vehicle to the line G1-G2
     a: np.ndarray          # G2 - G1
-
-    @property
-    def valid(self) -> bool:
-        return self.count1 >= 1 and self.count2 >= 1
+    h: float               # distance from the vehicle to the line G1-G2
 
 
 def slice_points(cloud: np.ndarray, origin: np.ndarray, normal: np.ndarray,
@@ -89,19 +82,16 @@ def slice_centroids(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     if len(cloud) == 0:
         raise SliceStarvation("empty cloud")
     slabs = []
-    counts = []
     for d_i in (params.d1, params.d2):
         o_i = c + d_i * f
         pts = slice_points(cloud, o_i, f, params.slice_tol)
-        counts.append(len(pts))
         if len(pts) == 0:
             raise SliceStarvation(f"no wall points in the slice at {d_i} m")
         slabs.append(pts.mean(axis=0))
-    return _chord_centroids(c, *slabs, *counts)
+    return _chord_centroids(c, *slabs)
 
 
-def _chord_centroids(c: np.ndarray, g1: np.ndarray, g2: np.ndarray,
-                     count1: int, count2: int) -> SliceCentroids:
+def _chord_centroids(c: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> SliceCentroids:
     """The centroid pair G1, G2 with the point-line distance h from c to
     their chord."""
     a = g2 - g1
@@ -110,20 +100,15 @@ def _chord_centroids(c: np.ndarray, g1: np.ndarray, g2: np.ndarray,
         raise SliceStarvation("degenerate slice chord (G1 == G2)")
     r = c - g1
     h = float(np.linalg.norm(r - np.dot(r, a / an) * (a / an)))
-    return SliceCentroids(g1, g2, count1, count2, h, a)
+    return SliceCentroids(g1, a, h)
 
 
 def tunnel_law(c: np.ndarray, centroids: SliceCentroids,
                params: TunnelParams) -> tuple[np.ndarray, str]:
     """Velocity command of constant magnitude v: along A when h is inside the
     re-centering band, otherwise A rotated by beta0 toward the axis chord."""
-    if not centroids.valid:
-        raise ValueError("invalid slice centroids")
     a = centroids.a
-    an = float(np.linalg.norm(a))
-    if an < 1e-12:
-        raise ValueError("degenerate chord direction")
-    a_hat = a / an
+    a_hat = a / float(np.linalg.norm(a))  # _chord_centroids refuses |A| < 1e-9
     if centroids.h < params.radius - 2.0 * params.eps0:
         return params.v * a_hat, "M1"
     # rotate toward the chord: decompose the vehicle offset from the line
@@ -137,30 +122,16 @@ def tunnel_law(c: np.ndarray, centroids: SliceCentroids,
 
 
 def voxel_downsample(cloud: np.ndarray, voxel: float) -> np.ndarray:
-    """Mean point per occupied voxel, in lexicographic voxel order.  Output
-    size never exceeds the input.  A voxel's mean lies in the voxel's box,
-    so every input point lies within one voxel diagonal (sqrt(3) voxel) of
-    the mean of its own voxel; no tighter bound holds in general.
-
-    Voxels holding the same number of points are averaged together, one
-    (voxels, count, 3) `.mean(axis=1)` per distinct count, which sums each
-    voxel in the same order as a per-voxel `.mean(axis=0)`."""
+    """Mean point per occupied voxel, in lexicographic voxel order: the cell
+    means of a `CellGrid` with voxel-sized cells.  Output size never exceeds
+    the input.  A voxel's mean lies in the voxel's box, so every input point
+    lies within one voxel diagonal (sqrt(3) voxel) of the mean of its own
+    voxel; no tighter bound holds in general."""
     if voxel <= 0.0:
         raise ValueError("voxel size must be positive")
     if len(cloud) == 0:
         return cloud.copy()
-    keys = np.floor(cloud / voxel).astype(np.int64)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys_sorted = keys[order]
-    pts_sorted = cloud[order]
-    change = np.any(np.diff(keys_sorted, axis=0) != 0, axis=1)
-    starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
-    counts = np.diff(starts, append=len(cloud))
-    out = np.empty((len(starts), 3))
-    for m in np.unique(counts):
-        group = np.nonzero(counts == m)[0]
-        out[group] = pts_sorted[starts[group, None] + np.arange(m)].mean(axis=1)
-    return out
+    return CellGrid(cloud, voxel).cell_means()
 
 
 def estimate_normals(points: np.ndarray, query: np.ndarray, k: int = 10) -> np.ndarray:
@@ -175,23 +146,16 @@ def estimate_normals(points: np.ndarray, query: np.ndarray, k: int = 10) -> np.n
     return out
 
 
-@dataclass
-class RobustPerceptionState:
-    failures: int = 0
-
-
 def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
                     probe_distances, params: TunnelParams,
-                    state: RobustPerceptionState,
                     voxel: float = 0.15,
                     normal_k: int = 10) -> tuple[np.ndarray, np.ndarray] | None:
     """Nine-step robust centroid pipeline.
 
     Downsample, probe N points ahead, slice, centroid, validate against
     d_safe, repair invalid centroids along mean surface normals, re-validate,
-    pick the two nearest valid ones.  Fewer than two valid returns None and
-    increments the failure counter; a success resets it.  The caller
-    terminates at ROBUST_FAIL_LIMIT consecutive failures.
+    pick the two nearest valid ones.  Fewer than two valid returns None;
+    the caller terminates at ROBUST_FAIL_LIMIT consecutive failures.
     """
     probe_distances = list(probe_distances)
     if len(probe_distances) < 2:
@@ -199,7 +163,6 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     f = unit(np.asarray(heading, dtype=float))
     ws = voxel_downsample(cloud, voxel)
     if len(ws) == 0:
-        state.failures += 1
         return None
 
     centroids = []
@@ -210,7 +173,6 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
             continue
         centroids.append(pts.mean(axis=0))
     if not centroids:
-        state.failures += 1
         return None
 
     def clearance(q):
@@ -238,9 +200,7 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
 
     good = cents[valid]
     if len(good) < 2:
-        state.failures += 1
         return None
-    state.failures = 0
     dist = np.linalg.norm(good - c, axis=1)
     order = np.argsort(dist)
     g1, g2 = good[order[0]], good[order[1]]
@@ -269,7 +229,7 @@ class TunnelNavigator:
         # A grid handed in must be the GRID_CELL grid over cloud_all.
         self.grid = ((grid or CellGrid(self.cloud_all, GRID_CELL))
                      if pipeline == "slices" and not self.sensing.sigma > 0.0 else None)
-        self.robust_state = RobustPerceptionState()
+        self.failures = 0         # consecutive failed robust perceptions
         self.mode = "M1"
         self.terminated = False
 
@@ -284,13 +244,14 @@ class TunnelNavigator:
         p = self.params
         try:
             if self.pipeline == "robust":
-                got = perceive_robust(c, f, local, self.probe_distances, p,
-                                      self.robust_state)
+                got = perceive_robust(c, f, local, self.probe_distances, p)
                 if got is None:
-                    if self.robust_state.failures >= ROBUST_FAIL_LIMIT:
+                    self.failures += 1
+                    if self.failures >= ROBUST_FAIL_LIMIT:
                         self.terminated = True
                     return self.v_prev
-                cents = _chord_centroids(c, *got, 1, 1)
+                self.failures = 0
+                cents = _chord_centroids(c, *got)
             else:
                 cents = slice_centroids(c, f, local, p)
         except SliceStarvation:

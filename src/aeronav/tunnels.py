@@ -50,15 +50,26 @@ class CellGrid:
         self.points = points
         keys = np.floor(points / cell).astype(np.int64)
         self.order = np.lexsort(keys.T[::-1])
-        keys = keys[self.order]
+        keys = np.take(keys, self.order, axis=0)
         first = np.ones(len(keys), dtype=bool)
         first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
         self.starts = np.flatnonzero(first)
         self.counts = np.diff(self.starts, append=len(keys))
-        self.keys = keys[self.starts]
+        self.keys = np.take(keys, self.starts, axis=0)
         self.centres = (self.keys + 0.5) * cell
         self.reach = 0.5 * np.sqrt(3.0) * cell + 0.01
-        self._sorted = points[self.order]
+        self._sorted = np.take(points, self.order, axis=0)
+
+    def cell_means(self) -> np.ndarray:
+        """Mean point of each cell, in grid order.  Cells holding the same
+        number of points are averaged together, one (cells, count, 3)
+        `.mean(axis=1)` per distinct count, which sums each cell in the same
+        order as a per-cell `.mean(axis=0)`."""
+        out = np.empty((len(self.starts), 3))
+        for m in np.unique(self.counts):
+            group = np.flatnonzero(self.counts == m)
+            out[group] = self._sorted[self.starts[group, None] + np.arange(m)].mean(axis=1)
+        return out
 
     def _rows(self, pos: np.ndarray) -> np.ndarray:
         return np.take(self._sorted, pos, axis=0)  # a third of fancy indexing's cost

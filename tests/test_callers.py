@@ -11,6 +11,9 @@ string.  A mention inside a definition that is itself uncalled does not
 count, so a chain of helpers used only by each other is caught whole.
 Tests do not count: a function that only tests call is kept only as an
 entry of ORACLES, with the reason the tests need it.
+
+Likewise every parameter of a top-level function must be read in its body:
+a value the function is handed only to drop is dead code at every call.
 """
 import ast
 import re
@@ -106,3 +109,28 @@ def test_every_definition_has_a_caller_or_is_an_oracle():
     assert len(ORACLES) <= 4
     assert sorted(set(ORACLES) - set(defs)) == [], "ORACLES names a missing definition"
     assert sorted(called_oracles) == [], "ORACLES names a definition that runs"
+
+
+def _unread_parameters(trees: dict) -> list:
+    """'module.function(parameter)' for each parameter of a top-level
+    function under src/aeronav that its body never reads.  Methods and
+    nested functions are exempt: they implement a protocol or a callback
+    signature, whose parameters are fixed by the caller."""
+    out = []
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for node in tree.body:
+            if not isinstance(node, FUNCTIONS):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{module}.{node.name}({p.arg})" for p in params if p.arg not in read]
+    return out
+
+
+def test_every_parameter_of_a_function_is_read():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert _unread_parameters(trees) == []

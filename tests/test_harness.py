@@ -725,6 +725,39 @@ def test_cli_gen_tunnel_and_plot(tmp_path):
     assert csv_path.with_suffix(".svg").exists()
 
 
+def test_cli_gen_tunnel_refuses_zero_density(tmp_path):
+    """--density 0 is refused like --radius 0, not replaced by the default."""
+    for flag in ("--density", "--radius"):
+        proc = _cli(["gen-tunnel", "straight", flag, "0", "--length", "6",
+                     "--out", str(tmp_path / "t.xyz")])
+        assert proc.returncode != 0
+        assert "must be positive" in proc.stderr
+    assert not (tmp_path / "t.xyz").exists()
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON (RFC 8259)")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_outputs_are_strict(tmp_path):
+    """Run logs and summaries parse as strict JSON; +inf (a lone vehicle's
+    pair distance, an obstacle-free flock's clearance) is the string "inf"."""
+    from aeronav.cli import main
+    for name, duration in (("reactive3d-ellipsoids", 2.0), ("flock-n20", 1.0)):
+        cfg = {**scenarios.stock(name), "duration": duration, "output": {"jsonl": True}}
+        save_config(cfg, tmp_path / f"{name}.json")
+        main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "out")])
+        rows = [_strict_json(line)
+                for line in (tmp_path / "out" / f"{name}.jsonl").read_text().splitlines()]
+        summary = _strict_json((tmp_path / "out" / f"{name}.summary.json").read_text())
+        if name == "flock-n20":
+            assert summary["metrics"]["min_d_obs"] == "inf"
+        else:
+            assert {r["min_pair_d"] for r in rows} == {"inf"}
+
+
 def test_cli_suite_directory(tmp_path):
     from aeronav.harness.config import save_config
     save_config(scenarios.stock("planar-trap"), tmp_path / "a.json")

@@ -122,14 +122,14 @@ def test_escape_goal_single_clear_direction():
     angles = np.array([0.0, np.pi / 4, np.pi / 2])
     ranges = np.array([0.5, 10.0, 0.5])
     rng = np.random.default_rng(0)
-    p = escape_goal(np.zeros(2), 0.0, angles, ranges, 2.0, 3.0, rng)
+    p = escape_goal(np.zeros(2), angles, ranges, 2.0, 3.0, rng)
     assert np.allclose(p, 3.0 * np.array([np.cos(np.pi / 4), np.sin(np.pi / 4)]))
 
 
 def test_escape_goal_zero_distance():
     angles = np.array([0.2])
     ranges = np.array([10.0])
-    p = escape_goal(np.array([1.0, 2.0]), 0.0, angles, ranges, 2.0, 0.0,
+    p = escape_goal(np.array([1.0, 2.0]), angles, ranges, 2.0, 0.0,
                     np.random.default_rng(1))
     assert np.allclose(p, [1.0, 2.0])
 
@@ -137,14 +137,14 @@ def test_escape_goal_zero_distance():
 def test_escape_goal_deterministic_under_seed():
     angles = np.linspace(-1.0, 1.0, 41)
     ranges = np.where(np.abs(angles) > 0.5, 10.0, 0.1)  # two clear sectors
-    a = escape_goal(np.zeros(2), 0.0, angles, ranges, 2.0, 3.0, np.random.default_rng(9))
-    b = escape_goal(np.zeros(2), 0.0, angles, ranges, 2.0, 3.0, np.random.default_rng(9))
+    a = escape_goal(np.zeros(2), angles, ranges, 2.0, 3.0, np.random.default_rng(9))
+    b = escape_goal(np.zeros(2), angles, ranges, 2.0, 3.0, np.random.default_rng(9))
     assert np.array_equal(a, b)
 
 
 def test_escape_goal_no_clear_direction_raises():
     with pytest.raises(RuntimeError):
-        escape_goal(np.zeros(2), 0.0, np.array([0.0]), np.array([0.1]), 2.0, 3.0,
+        escape_goal(np.zeros(2), np.array([0.0]), np.array([0.1]), 2.0, 3.0,
                     np.random.default_rng(0))
 
 

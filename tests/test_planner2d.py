@@ -140,38 +140,15 @@ def test_prune_idempotent():
     assert len(once) <= len(pts)
 
 
-def test_smooth_two_waypoints_zero_curvature():
-    res = smooth_path(np.array([[0.0, 0.0], [5.0, 0.0]]), r_min=0.5)
-    assert res.max_curvature == pytest.approx(0.0, abs=1e-12)
-    assert res.curvature_ok
+def _curvature_2d(path, s):
+    d1, d2 = path.deriv(s, 1), path.deriv(s, 2)
+    return abs(d1[0] * d2[1] - d1[1] * d2[0]) / np.linalg.norm(d1) ** 3
 
 
 def test_smooth_symmetric_corner_symmetric_curvature():
-    res = smooth_path(np.array([[0.0, 0.0], [2.0, 0.0], [4.0, 0.0]]), r_min=0.1)
-    path = res.path
-    ks = [path.curvature(1.0 - ds) for ds in (0.1, 0.2, 0.3)]
-    ks2 = [path.curvature(1.0 + ds) for ds in (0.1, 0.2, 0.3)]
     # symmetric through the middle waypoint for symmetric data
-    w = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
-    res2 = smooth_path(w, r_min=0.1)
+    path = smooth_path(np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]]))
     for ds in (0.05, 0.15, 0.25):
-        ka = res2.path.curvature(1.0 - ds)
-        kb = res2.path.curvature(1.0 + ds)
+        ka = _curvature_2d(path, 1.0 - ds)
+        kb = _curvature_2d(path, 1.0 + ds)
         assert ka == pytest.approx(kb, rel=1e-6, abs=1e-9)
-
-
-def test_smooth_corner_curvature_matches_dense_numeric_oracle():
-    w = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0]])
-    res = smooth_path(w, r_min=10.0)  # deliberately strict: expect violation flag
-    path = res.path
-    kmax_oracle = 0.0
-    for s in np.linspace(1e-4, path.n_segments - 1e-4, 4000):
-        p0 = path.point(s - 1e-4)
-        p1 = path.point(s)
-        p2 = path.point(s + 1e-4)
-        d1 = (p2 - p0) / 2e-4
-        d2 = (p2 - 2 * p1 + p0) / 1e-8
-        cross = abs(d1[0] * d2[1] - d1[1] * d2[0])
-        kmax_oracle = max(kmax_oracle, cross / np.linalg.norm(d1) ** 3)
-    assert res.max_curvature == pytest.approx(kmax_oracle, rel=2e-2)
-    assert not res.curvature_ok

@@ -282,7 +282,7 @@ def _dense_length(path, s0, s1, per_segment=20_000):
     """Chord sum from s0 to s1 at per_segment samples per unit parameter."""
     u = np.linspace(s0, s1, max(2, int(np.ceil((s1 - s0) * per_segment)) + 1))
     i = np.minimum(u.astype(int), path.n_segments - 1)
-    pts = np.empty((len(u), path.dim))
+    pts = np.empty((len(u), path.segments[0].control.shape[1]))
     for k in np.unique(i):
         pts[i == k] = path.segments[k].point(u[i == k] - k)
     return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))

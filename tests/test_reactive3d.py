@@ -93,14 +93,14 @@ def test_tangent_inside_raises():
 
 
 def test_avoid_law_on_surface_zero():
-    plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0, 0.0)
+    plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0)
     u = avoid_law_3d(np.array([1.0, 0, 0]), P44.d0, 0.0, plane, P44)
     assert np.allclose(u, 0.0, atol=1e-12)
 
 
 def test_avoid_law_perpendicular_to_heading():
     rng = np.random.default_rng(8)
-    plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0, 0.0)
+    plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0)
     for _ in range(100):
         a = unit(np.array([rng.standard_normal(), rng.standard_normal(), 0.0]))
         u = avoid_law_3d(a, float(rng.uniform(0.2, 4)), float(rng.uniform(-1, 1)),
@@ -110,7 +110,7 @@ def test_avoid_law_perpendicular_to_heading():
 
 
 def test_avoid_law_degenerate_raises():
-    plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0, 0.0)
+    plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         avoid_law_3d(np.array([0.0, 0, 1.0]), 1.0, 0.0, plane, P44)
 
@@ -134,7 +134,7 @@ def test_pp_omega_speed_saturates():
 
 
 def test_oa_omega_zero_on_surface_and_orthogonal():
-    plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0, 0.0)
+    plane = PlaneOfAvoidance(np.array([0, 0, 1.0]), np.zeros(3), 1.0)
     s_r = np.array([1.0, 0, 0])
     assert np.allclose(avoid_law_3d(s_r, P44.d0, 0.0, plane, P44), 0.0, atol=1e-12)
     om = avoid_law_3d(s_r, 2.0, -0.3, plane, P44)
@@ -148,7 +148,7 @@ def test_goal_membership_of_plane():
     goal = np.array([7.0, -1.0, 5.0])
     a = unit(goal - p)
     tangent = unit(np.array([0.3, 0.8, 0.1]))
-    plane = build_plane(p, a, tangent, p + 2.0 * a, 0.0)
+    plane = build_plane(p, a, tangent, p + 2.0 * a)
     assert abs(plane.signed_distance(goal)) < 1e-9
 
 

@@ -11,7 +11,7 @@ from aeronav import tunnels
 from aeronav.geom import unit
 from aeronav.harness.runner import run
 from aeronav.harness.scenarios import stock
-from aeronav.tunnel_nav import (RobustPerceptionState, SliceStarvation,
+from aeronav.tunnel_nav import (ROBUST_FAIL_LIMIT, SliceStarvation,
                                 TunnelNavigator, TunnelParams,
                                 estimate_normals, perceive_robust,
                                 slice_centroids, slice_points, tunnel_law,
@@ -34,9 +34,10 @@ def test_slice_centroids_on_axis():
     f = np.array([1.0, 0.0, 0.0])
     cents = slice_centroids(c, f, cloud, P)
     assert np.allclose(cents.g1, [6.0, 0.0, 0.0], atol=0.05)
-    assert np.allclose(cents.g2, [8.0, 0.0, 0.0], atol=0.05)
+    assert np.allclose(cents.g1 + cents.a, [8.0, 0.0, 0.0], atol=0.05)
     assert cents.h == pytest.approx(0.0, abs=0.05)
-    assert cents.count1 >= 20 and cents.count2 >= 20
+    for d_i in (P.d1, P.d2):
+        assert len(slice_points(cloud, c + d_i * f, f, P.slice_tol)) >= 20
 
 
 def test_slice_centroids_off_axis_h_equals_offset():
@@ -184,15 +185,13 @@ def test_estimate_normals_on_cylinder_wall():
 
 def test_perceive_robust_wide_tunnel_valid_without_repair():
     cloud = cylinder_cloud(radius=2.0)
-    state = RobustPerceptionState()
     params = TunnelParams(v=1.0, delta=0.1, d1=1.25, d2=1.75, radius=1.5,
                           beta0=np.pi / 5, slice_tol=0.1, d_safe=0.45)
     got = perceive_robust(np.array([5.0, 0, 0]), np.array([1.0, 0, 0]), cloud,
-                          [1.25, 1.5, 1.75], params, state)
+                          [1.25, 1.5, 1.75], params)
     assert got is not None
     g1, g2 = got
     assert np.hypot(g1[1], g1[2]) < 0.45
-    assert state.failures == 0
     # nearest two probes chosen
     assert g1[0] < g2[0]
 
@@ -202,11 +201,10 @@ def test_perceive_robust_repair_pushes_clear():
     at least d_safe from its neighbors."""
     cloud = cylinder_cloud(radius=1.0)
     half = cloud[cloud[:, 1] > 0.2]  # only one side visible
-    state = RobustPerceptionState()
     params = TunnelParams(v=1.0, delta=0.1, d1=1.0, d2=3.0, radius=1.0,
                           beta0=np.pi / 5, slice_tol=0.15, d_safe=0.45)
     got = perceive_robust(np.array([5.0, 0, 0]), np.array([1.0, 0, 0]), half,
-                          [1.0, 2.0, 3.0], params, state, voxel=0.1)
+                          [1.0, 2.0, 3.0], params, voxel=0.1)
     if got is not None:
         tree = cKDTree(voxel_downsample(half, 0.1))
         for g in got:
@@ -215,14 +213,21 @@ def test_perceive_robust_repair_pushes_clear():
 
 
 def test_perceive_robust_termination_counter():
-    state = RobustPerceptionState()
-    params = P
+    """A failed perception is None; the navigator stops only after
+    ROBUST_FAIL_LIMIT failures in a row, and a success restarts the count."""
     empty_region = np.array([[100.0, 100.0, 100.0]])
-    for _ in range(5):
-        got = perceive_robust(np.zeros(3), np.array([1.0, 0, 0]), empty_region,
-                              [1.0, 3.0], params, state)
-        assert got is None
-    assert state.failures >= 5
+    assert perceive_robust(np.zeros(3), np.array([1.0, 0, 0]), empty_region,
+                           [1.0, 3.0], P) is None
+    nav = TunnelNavigator(P, cylinder_cloud(), np.array([1.0, 0, 0]), pipeline="robust")
+    starved, inside = np.array([40.0, 0.0, 0.0]), np.array([5.0, 0.0, 0.0])
+    for c in [starved] * (ROBUST_FAIL_LIMIT - 1) + [inside]:
+        nav.control(c)
+    assert nav.failures == 0
+    for _ in range(ROBUST_FAIL_LIMIT - 1):
+        nav.control(starved)
+    assert not nav.terminated
+    nav.control(starved)
+    assert nav.terminated
 
 
 def test_navigator_rejects_unknown_pipeline():
