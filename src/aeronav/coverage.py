@@ -351,7 +351,7 @@ class CoverageSim:
         self.ticks += 1
 
     def min_pairwise(self) -> float:
-        return min_pair_distance(self.q[self.active])
+        return min_pair_distance(pairwise(self.q[self.active])[1])
 
 
 @dataclass

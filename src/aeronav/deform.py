@@ -54,7 +54,7 @@ class UnsafePoint:
     s: float                # interval midpoint: anchor for the deformation
     d: float                # clearance at the anchor
     closest: np.ndarray     # nearest obstacle surface point to the anchor
-    obstacle_id: int        # obstacle nearest the closest approach
+    worst: np.ndarray       # the path sample of the closest approach
 
 
 def find_unsafe(path: PiecewisePath, world: World, d_safe: float,
@@ -92,10 +92,9 @@ def find_unsafe(path: PiecewisePath, world: World, d_safe: float,
             hi = j
         j += 1
     mid = (lo + hi) // 2
-    oid_best = world.nearest_obstacle(pts[i_best], t)[2]
     d_mid, q_mid, _ = world.nearest_obstacle(pts[mid], t)
     return UnsafePoint(float(params[lo]), float(params[hi]), float(params[mid]),
-                       float(d_mid), q_mid, int(oid_best))
+                       float(d_mid), q_mid, pts[i_best])
 
 
 def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
@@ -338,7 +337,8 @@ class DeformNavigator:
             left = find_unsafe(self.path, self.world, self.params.d_safe, t,
                                s_prog, CHECK_RESOLUTION)
         if left is not None and left.s_lo < s_prog + 2.0:
-            moving = self.world.obstacles[left.obstacle_id].velocity_bound() > 1e-9
+            oid = self.world.nearest_obstacle(left.worst, t)[2]
+            moving = self.world.obstacles[oid].velocity_bound() > 1e-9
             if not moving:
                 # static blockage: hold back until the deformer clears it
                 # (movers are evaded at speed on the deformed path instead)

@@ -1,5 +1,5 @@
 """Distributed flocking: aggregate potential forces, null-space prioritized
-blending, and the bounded acceleration-level control law on the 2D/3D
+blending, and the bounded acceleration-level control law on the 3D
 nonholonomic model.
 
 Per tick every agent sees only a snapshot of its neighbors within the
@@ -21,7 +21,7 @@ from .plants import flock_direction, step_flock_batch
 from .world import World
 
 
-KK1 = 0.25 * np.eye(2)           # orientation loop gains (diagonal, m-1)
+KK1 = 0.25 * np.eye(2)           # orientation loop gains (diagonal, 2)
 KK2 = 2.0 * np.eye(2)
 GAMMA = 1.0                      # sigmoid steepness
 MU = 1.0                         # smooth-sgn steepness for the speed damping
@@ -57,9 +57,9 @@ def sigmoid_gate(z, gamma: float):
 @dataclass
 class FlockSnapshot:
     """State of all agents at one tick (immutable within the tick)."""
-    q: np.ndarray        # (n, m)
-    theta: np.ndarray    # (n, m-1)
-    nu: np.ndarray       # (n, m): [v, Omega]
+    q: np.ndarray        # (n, 3)
+    theta: np.ndarray    # (n, 2): [flight path, heading]
+    nu: np.ndarray       # (n, 3): [v, Omega]
 
     @property
     def n(self) -> int:
@@ -73,9 +73,9 @@ def _in_range(d: np.ndarray, r_c: float) -> np.ndarray:
     return within
 
 
-def neighbor_lists(snapshot: FlockSnapshot, r_c: float) -> list[np.ndarray]:
-    """Symmetric communication graph by range; recomputed per tick."""
-    return [np.nonzero(row)[0] for row in _in_range(pairwise(snapshot.q)[1], r_c)]
+def neighbor_lists(d: np.ndarray, r_c: float) -> list[np.ndarray]:
+    """Symmetric communication graph by range, from the pairwise distances."""
+    return [np.nonzero(row)[0] for row in _in_range(d, r_c)]
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -122,7 +122,7 @@ def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
 
 def goal_forces(q: np.ndarray, params: FlockParams) -> np.ndarray:
     """k_goal times the sigmoid gate of the distance outside the goal ball,
-    toward the goal; zero at the goal itself.  q: (n, m)."""
+    toward the goal; zero at the goal itself.  q: (n, 3)."""
     e = params.goal - q
     q_ig = _norms(e)
     at_goal = q_ig < 1e-9
@@ -137,20 +137,15 @@ def obstacle_force(q_i: np.ndarray, d: float, closest: np.ndarray,
     `closest` at distance d, inside the critical shell; the direction is a
     vortex blend (half away from the surface, half tangential) so the swarm
     slides around instead of stalling."""
-    m = len(q_i)
     if d > params.big_c:
-        return np.zeros(m)
+        return np.zeros(3)
     gate = sigmoid_gate(params.big_c - d, GAMMA)
     e_away = unit_or_zero(q_i - closest)
     if np.linalg.norm(e_away) < 1e-9:
-        e_away = unit(np.ones(m))
-    if m == 3:
-        g_dir = unit_or_zero(params.goal - q_i)
-        swirl = np.cross(np.cross(e_away, g_dir), e_away)
-        swirl = unit_or_zero(swirl)
-        n_io = unit(e_away + 0.9 * swirl) if np.linalg.norm(swirl) > 1e-9 else e_away
-    else:
-        n_io = e_away
+        e_away = unit(np.ones(3))
+    g_dir = unit_or_zero(params.goal - q_i)
+    swirl = unit_or_zero(np.cross(np.cross(e_away, g_dir), e_away))
+    n_io = unit(e_away + 0.9 * swirl) if np.linalg.norm(swirl) > 1e-9 else e_away
     return params.k_obs * gate * n_io
 
 
@@ -177,14 +172,11 @@ def nsb_blend(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
 
 
 def heading_angles(f: np.ndarray) -> np.ndarray:
-    """Orientation angle vector of a nonzero direction: [flight path,
-    heading] for m = 3, [heading] for m = 2.  f is (m,) or (n, m)."""
+    """Orientation angles [flight path, heading] of a nonzero direction;
+    f is (3,) or (n, 3)."""
     f = np.asarray(f, dtype=float)
-    heading = np.arctan2(f[..., 1], f[..., 0])
-    if f.shape[-1] == 2:
-        return heading[..., None]
-    return np.stack([np.arctan2(f[..., 2], np.hypot(f[..., 0], f[..., 1])), heading],
-                    axis=-1)
+    return np.stack([np.arctan2(f[..., 2], np.hypot(f[..., 0], f[..., 1])),
+                     np.arctan2(f[..., 1], f[..., 0])], axis=-1)
 
 
 def flocking_control(v_i, theta_i: np.ndarray, theta_dot_i: np.ndarray,
@@ -193,7 +185,7 @@ def flocking_control(v_i, theta_i: np.ndarray, theta_dot_i: np.ndarray,
                      theta_f_ddot: np.ndarray, params: FlockParams):
     """Acceleration-level law: a = f~ . r - k_v sgn(v) (smooth), and the
     orientation tracking law with feedforward.  One agent's arguments, or
-    all agents' with a leading agent axis ((n,) speeds, (n, m) vectors)."""
+    all agents' with a leading agent axis ((n,) speeds, (n, 3) vectors)."""
     a = _dot(f_tilde, r_i) - params.k_v * np.tanh(MU * v_i)
     e = wrap_angle(theta_i - theta_f)
     e_dot = theta_dot_i - theta_f_dot
@@ -230,7 +222,7 @@ def collision_energy_bound(params: FlockParams) -> float:
 
 
 class FlockSim:
-    """Two-phase tick engine: snapshot -> all agents' controls as (n, m)
+    """Two-phase tick engine: snapshot -> all agents' controls as (n, 3)
     arrays -> batch step."""
 
     def __init__(self, q0: np.ndarray, theta0: np.ndarray, params: FlockParams,
@@ -238,9 +230,9 @@ class FlockSim:
                  plant_dt: float = 0.01,
                  rng: np.random.Generator | None = None):
         q0 = np.asarray(q0, dtype=float)
-        n, m = q0.shape
+        n = len(q0)
         self.snapshot = FlockSnapshot(q0.copy(), np.asarray(theta0, dtype=float).copy(),
-                                      np.zeros((n, m)))
+                                      np.zeros((n, 3)))
         self.params = params
         self.world = world
         self.control_dt = control_dt
@@ -250,10 +242,18 @@ class FlockSim:
         self.ticks = 0
         self.t = 0.0
         self._theta_f = self.snapshot.theta.copy()
-        self._theta_f_dot = np.zeros((n, m - 1))
-        self._theta_f_ddot = np.zeros((n, m - 1))
+        self._theta_f_dot = np.zeros((n, 2))
+        self._theta_f_ddot = np.zeros((n, 2))
         self._ema = 0.2    # filter constant for the feedforward derivatives
         self._nearest = (None, [])   # (snapshot, its nearest_obstacle hits)
+        self._pairs = (None, None)   # (snapshot, its geom.pairwise)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """`geom.pairwise` of the current positions, computed once per state;
+        readers must not write into it."""
+        if self._pairs[0] is not self.snapshot:
+            self._pairs = (self.snapshot, pairwise(self.snapshot.q))
+        return self._pairs[1]
 
     def nearest_obstacles(self) -> list:
         """Each agent's `World.nearest_obstacle` (distance, closest point,
@@ -266,7 +266,7 @@ class FlockSim:
 
     def tick(self):
         snap, p = self.snapshot, self.params
-        diff, d = pairwise(snap.q)
+        diff, d = self.pairs()
         nudged = []
         f_a = spacing_forces(diff, d, _in_range(d, p.r_c), p, self.rng, nudged)
         self.events.extend((self.ticks, "coincident_guard", {"agents": [i, j]})
@@ -297,11 +297,11 @@ class FlockSim:
         return self.snapshot
 
     def min_pairwise(self) -> float:
-        return min_pair_distance(self.snapshot.q)
+        return min_pair_distance(self.pairs()[1])
 
     def speeds(self) -> np.ndarray:
         return np.abs(self.snapshot.nu[:, 0])
 
     def adjacency_full_rank(self) -> bool:
-        adj = _in_range(pairwise(self.snapshot.q)[1], self.params.r_c)
+        adj = _in_range(self.pairs()[1], self.params.r_c)
         return bool(np.linalg.matrix_rank(adj + np.eye(self.snapshot.n)) == self.snapshot.n)

@@ -73,13 +73,12 @@ def pairwise(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diff, np.linalg.norm(diff, axis=2)
 
 
-def min_pair_distance(p: np.ndarray) -> float:
-    """Smallest distance between two rows of p; +inf for fewer than two."""
-    if len(p) < 2:
+def min_pair_distance(d: np.ndarray) -> float:
+    """Smallest off-diagonal entry of the (n, n) pairwise distances d, which
+    it leaves as they are; +inf for n < 2."""
+    if len(d) < 2:
         return float("inf")
-    d = pairwise(p)[1]
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+    return float(np.where(np.eye(len(d), dtype=bool), np.inf, d).min())
 
 
 _TWO_PI = 2.0 * np.pi

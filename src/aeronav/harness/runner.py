@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -114,24 +113,31 @@ def build_world(cfg: dict) -> World:
     return World(obstacles, None if bounds is None else np.asarray(bounds, dtype=float))
 
 
-@dataclass
 class Engine:
-    """One scenario kind as `run()` drives it: step(tick) advances one control
-    period and returns None, GOAL (log this tick, then stop) or TERMINATED
-    (stop unsampled and unlogged); sample() is the tick's clearance keyed by
-    the metric it bounds (before the first tick, it names them); run() drains
-    the (tick, kind, data) lists in events into the log after every step;
-    rows(tick) are the tick's log rows, logged every record_every ticks and
-    on the last and the GOAL tick; metrics(logged events) are read at the
-    end.  n_ticks defaults to duration / control_dt."""
-    control_dt: float
-    step: Callable[[int], str | None]
-    sample: Callable[[], dict]
-    rows: Callable[[int], list]
-    metrics: Callable[[list], dict]
-    events: tuple = ()
-    record_every: int = 1
-    n_ticks: int | None = None
+    """One scenario kind as `run()` drives it, its attributes the whole run
+    state: a pickled or deep-copied engine resumes byte for byte.  step(tick)
+    advances one control period and returns None, GOAL (log this tick, then
+    stop; at_goal() returns it, noting t as goal_time) or TERMINATED (stop
+    unsampled and unlogged); clearance is the tick's clearance keyed by the
+    metric it bounds (before the first tick, it names them); run() drains the
+    (tick, kind, data) lists in events into the log after every step;
+    rows(tick) are the tick's log rows, logged every record_every ticks and on
+    the last and the GOAL tick; metrics(logged events) are read at the end.
+    n_ticks defaults to duration / control_dt."""
+    events = ()
+    record_every = 1
+    n_ticks = None
+
+    def __init__(self, control_dt: float, clearance: dict):
+        self.control_dt, self.clearance = control_dt, clearance
+        self.t, self.goal_time = 0.0, None
+
+    def at_goal(self) -> str:
+        self.goal_time = self.t
+        return GOAL
+
+    def metrics(self, events) -> dict:
+        return {"goal_reached": self.goal_time is not None, "goal_time": self.goal_time}
 
 
 def run(cfg: dict) -> RunResult:
@@ -142,7 +148,7 @@ def run(cfg: dict) -> RunResult:
                else int(round(cfg["duration"] / engine.control_dt)))
     log = RunLog(name=cfg.get("name", kind))
     monitors = cfg.get("monitors", {})
-    record = monitors_mod.SafetyRecord(engine.sample(), monitors)
+    record = monitors_mod.SafetyRecord(engine.clearance, monitors)
     for tick in range(n_ticks):
         status = engine.step(tick)
         for source in engine.events:
@@ -151,7 +157,7 @@ def run(cfg: dict) -> RunResult:
             source.clear()
         if status == TERMINATED:
             break
-        record.add(tick, engine.sample())
+        record.add(tick, engine.clearance)
         if status == GOAL or tick % engine.record_every == 0 or tick == n_ticks - 1:
             for row in engine.rows(tick):
                 log.add(*row)
@@ -179,87 +185,87 @@ def _world_with_obstacles(cfg: dict) -> World:
     return world
 
 
-def _vehicle(cfg, world, nav, state, stepper, limits, goal_tol, control_dt,
-             mode=None, extra=lambda events: {}, watch=None) -> Engine:
+class _Vehicle(Engine):
     """A navigator commanding a plant stepper every control period, stopping
-    within goal_tol of the goal.  mode overrides the navigator's logged mode,
-    extra(events) adds metrics, watch(state) sees the state after every tick."""
-    plant_dt = cfg.get("plant_dt", 0.01)
-    n_sub = max(1, int(round(control_dt / plant_dt)))
-    goal = np.asarray(cfg["goal"], dtype=float)
-    t, d, cmd, goal_time = 0.0, np.inf, None, None
+    within goal_tol of the goal; a row logs the navigator's mode."""
 
-    def step(tick):
-        nonlocal state, t, d, cmd, goal_time
-        cmd = nav.control(state, t, tick)
-        for _ in range(n_sub):
-            state = stepper(state, *cmd, plant_dt, limits=limits)
-            t += plant_dt
-        d = _clearance(world, state.position, t)
-        if watch is not None:
-            watch(state)
-        if np.linalg.norm(state.position - goal) < goal_tol:
-            goal_time = t
-            return GOAL
+    def __init__(self, cfg, world, nav, state, stepper, limits, goal_tol, control_dt):
+        super().__init__(control_dt, {"min_d_obs": np.inf})
+        self.world, self.nav, self.state, self.stepper = world, nav, state, stepper
+        self.limits, self.goal_tol, self.cmd = limits, goal_tol, None
+        self.plant_dt = cfg.get("plant_dt", 0.01)
+        self.n_sub = max(1, int(round(control_dt / self.plant_dt)))
+        self.goal = np.asarray(cfg["goal"], dtype=float)
+        self.events = (nav.events,)
+
+    @property
+    def mode(self) -> str:
+        return self.nav.mode.value
+
+    def step(self, tick):
+        self.cmd = self.nav.control(self.state, self.t, tick)
+        for _ in range(self.n_sub):
+            self.state = self.stepper(self.state, *self.cmd, self.plant_dt, limits=self.limits)
+            self.t += self.plant_dt
+        self.clearance = {"min_d_obs": _clearance(self.world, self.state.position, self.t)}
+        if np.linalg.norm(self.state.position - self.goal) < self.goal_tol:
+            return self.at_goal()
         return None
 
-    def rows(tick):
-        return [(tick, t, 0, state.position, cmd[0] * state.heading,
-                 mode or nav.mode.value, d, np.inf)]
-
-    def metrics(events):
-        return {"goal_reached": goal_time is not None, "goal_time": goal_time,
-                **extra(events)}
-
-    return Engine(control_dt, step, lambda: {"min_d_obs": d}, rows, metrics,
-                  (nav.events,))
+    def rows(self, tick):
+        return [(tick, self.t, 0, self.state.position, self.cmd[0] * self.state.heading,
+                 self.mode, self.clearance["min_d_obs"], np.inf)]
 
 
 def _count(events, *kinds) -> int:
     return sum(1 for e in events if e["kind"] in kinds)
 
 
-def _hybrid2d(cfg: dict) -> Engine:
-    world = _world_with_obstacles(cfg)
-    params = cfg.get("params", {})
-    p = HybridParams(**params.get("hybrid", {}))
-    control_dt = cfg.get("control_dt", 0.1)
-    nav = HybridNavigator(p, world, np.asarray(cfg["goal"], dtype=float),
-                          RrtParams(**params.get("rrt", {})),
-                          np.random.default_rng(cfg["seed"]),
-                          bounds=world.bounds, control_dt=control_dt,
-                          trap_range=params.get("trap_range"))
-    start = np.asarray(cfg["start"], dtype=float)
-    state = Unicycle2DState(start[0], start[1], float(cfg.get("heading", [0.0])[0]))
-    return _vehicle(
-        cfg, world, nav, state, step_unicycle,
-        LimitSet(v_max=p.v_max, u_max=p.u_max), GOAL_TOL, control_dt,
-        extra=lambda events: {"replan_count": nav.replan_count,
-                              "mode_switches": _count(events, "R1", "R2")})
+class _Hybrid2D(_Vehicle):
+    def __init__(self, cfg: dict):
+        world = _world_with_obstacles(cfg)
+        params = cfg.get("params", {})
+        p = HybridParams(**params.get("hybrid", {}))
+        control_dt = cfg.get("control_dt", 0.1)
+        nav = HybridNavigator(p, world, np.asarray(cfg["goal"], dtype=float),
+                              RrtParams(**params.get("rrt", {})),
+                              np.random.default_rng(cfg["seed"]), control_dt=control_dt,
+                              trap_range=params.get("trap_range"))
+        start = np.asarray(cfg["start"], dtype=float)
+        state = Unicycle2DState(start[0], start[1], float(cfg.get("heading", [0.0])[0]))
+        super().__init__(cfg, world, nav, state, step_unicycle,
+                         LimitSet(v_max=p.v_max, u_max=p.u_max), GOAL_TOL, control_dt)
+
+    def metrics(self, events):
+        return {**super().metrics(events), "replan_count": self.nav.replan_count,
+                "mode_switches": _count(events, "R1", "R2")}
 
 
-def _reactive3d(cfg: dict) -> Engine:
-    world = _world_with_obstacles(cfg)
-    p = Reactive3DParams(**cfg.get("params", {}).get("reactive3d", {}))
-    goal = np.asarray(cfg["goal"], dtype=float)
-    control_dt = cfg.get("control_dt", 0.05)
-    nav = Reactive3DNavigator(p, world, goal, control_dt=control_dt)
-    start = np.asarray(cfg["start"], dtype=float)
-    heading = cfg.get("heading")
-    a0 = unit(goal - start) if heading is None else unit(np.asarray(heading, dtype=float))
-    plane_resid = 0.0
+class _Reactive3D(_Vehicle):
+    def __init__(self, cfg: dict):
+        world = _world_with_obstacles(cfg)
+        p = Reactive3DParams(**cfg.get("params", {}).get("reactive3d", {}))
+        goal = np.asarray(cfg["goal"], dtype=float)
+        control_dt = cfg.get("control_dt", 0.05)
+        nav = Reactive3DNavigator(p, world, goal, control_dt=control_dt)
+        start = np.asarray(cfg["start"], dtype=float)
+        heading = cfg.get("heading")
+        a0 = unit(goal - start) if heading is None else unit(np.asarray(heading, dtype=float))
+        super().__init__(cfg, world, nav, Heading3DState(start, a0), step_heading3d,
+                         LimitSet(v_max=p.v_bar, u_max=p.omega_max), 0.3, control_dt)
+        self.plane_resid = 0.0
 
-    def watch(state):
+    def step(self, tick):
+        status = super().step(tick)
         # how far the vehicle strays from its plane of avoidance
-        nonlocal plane_resid
-        if nav.mode.value == "avoid" and nav.plane is not None:
-            plane_resid = max(plane_resid, abs(nav.plane.signed_distance(state.p)))
+        if self.mode == "avoid" and self.nav.plane is not None:
+            self.plane_resid = max(self.plane_resid,
+                                   abs(self.nav.plane.signed_distance(self.state.p)))
+        return status
 
-    return _vehicle(
-        cfg, world, nav, Heading3DState(start, a0), step_heading3d,
-        LimitSet(v_max=p.v_bar, u_max=p.omega_max), 0.3, control_dt, watch=watch,
-        extra=lambda events: {"plane_residual": float(plane_resid),
-                              "encounters": _count(events, "R1")})
+    def metrics(self, events):
+        return {**super().metrics(events), "plane_residual": float(self.plane_resid),
+                "encounters": _count(events, "R1")}
 
 
 def _deform_setup(cfg: dict):
@@ -274,235 +280,255 @@ def _deform_setup(cfg: dict):
             float(np.arctan2(direction[1], direction[0])))
 
 
-def _deform3d(cfg: dict) -> Engine:
-    world, p, nav, start, beta0 = _deform_setup(cfg)
-    state = Angle3DState(start.copy(), beta0, 0.0)
-    return _vehicle(
-        cfg, world, nav, state, step_angles3d,
-        LimitSet(v_max=p.v, u_max=3.0), 0.3,
-        cfg.get("control_dt", 0.1), mode="track",
-        extra=lambda events: {"deform_count": _deform_count(events)})
-
-
 def _deform_count(events) -> int:
     return sum(e["count"] for e in events if e["kind"] == "deform")
 
 
-def _deform3d_quad(cfg: dict) -> Engine:
+class _Deform3D(_Vehicle):
+    mode = "track"          # the path tracker's one mode, in place of nav.mode
+
+    def __init__(self, cfg: dict):
+        world, p, nav, start, beta0 = _deform_setup(cfg)
+        super().__init__(cfg, world, nav, Angle3DState(start.copy(), beta0, 0.0),
+                         step_angles3d, LimitSet(v_max=p.v, u_max=3.0), 0.3,
+                         cfg.get("control_dt", 0.1))
+
+    def metrics(self, events):
+        return {**super().metrics(events), "deform_count": _deform_count(events)}
+
+
+class _Deform3DQuad(Engine):
     """Deformable path tracked by the quadrotor through the third-order
     reference model.  Deformation and the log row follow the first plant step
     of a tick; the tick's clearance is the minimum over its plant steps, and
     the goal is checked at every plant step."""
-    world, p, nav, start, beta0 = _deform_setup(cfg)
-    v_max = max(2.0 * p.v, 1.0)
-    ref = RefModelState(start.copy(), beta0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    tracker = QuadrotorTracker(
-        QuadrotorState(start.copy(), np.zeros(3), np.eye(3), np.zeros(3)))
-    plant_dt = cfg.get("plant_dt", 0.01)
-    n_sub = max(1, int(round(cfg.get("control_dt", 0.1) / plant_dt)))
-    # the plant step count is fixed, so the last tick may be a partial one
-    n_steps = int(round(cfg["duration"] / plant_dt))
-    t, d_tick, errs, goal_time, row = 0.0, np.inf, [], None, None
 
-    def step(tick):
-        nonlocal ref, t, d_tick, goal_time, row
-        first = tick * n_sub
-        d_tick = np.inf
-        for k in range(first, min(first + n_sub, n_steps)):
+    def __init__(self, cfg: dict):
+        self.world, self.p, self.nav, start, beta0 = _deform_setup(cfg)
+        self.plant_dt = cfg.get("plant_dt", 0.01)
+        self.n_sub = max(1, int(round(cfg.get("control_dt", 0.1) / self.plant_dt)))
+        super().__init__(self.n_sub * self.plant_dt, {"min_d_obs": np.inf})
+        self.v_max = max(2.0 * self.p.v, 1.0)
+        self.ref = RefModelState(start.copy(), beta0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        self.tracker = QuadrotorTracker(
+            QuadrotorState(start.copy(), np.zeros(3), np.eye(3), np.zeros(3)))
+        # the plant step count is fixed, so the last tick may be a partial one
+        self.n_steps = int(round(cfg["duration"] / self.plant_dt))
+        self.n_ticks = -(-self.n_steps // self.n_sub)
+        self.errs, self.row = [], None
+        self.events = (self.nav.events,)
+
+    def step(self, tick):
+        first = tick * self.n_sub
+        status, d_tick = None, np.inf
+        for k in range(first, min(first + self.n_sub, self.n_steps)):
             if k == first:
-                nav.deform_ahead(ref.p, t, tick)
-            ref = reference_model_step(ref, nav.path, p.v, v_max, plant_dt)
-            st = tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
-                                         ref_acceleration(ref)), plant_dt)
-            t += plant_dt
-            errs.append(float(np.linalg.norm(st.p - ref.p)))
-            d = _clearance(world, st.p, t)
+                self.nav.deform_ahead(self.ref.p, self.t, tick)
+            self.ref = ref = reference_model_step(self.ref, self.nav.path, self.p.v,
+                                                  self.v_max, self.plant_dt)
+            st = self.tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
+                                              ref_acceleration(ref)), self.plant_dt)
+            self.t += self.plant_dt
+            self.errs.append(float(np.linalg.norm(st.p - ref.p)))
+            d = _clearance(self.world, st.p, self.t)
             d_tick = monitors_mod.min_keep_nan(d_tick, d)
             if k == first:
-                row = (tick, t, 0, st.p, st.v, "track", d, np.inf)
-            if np.linalg.norm(st.p - nav.goal) < 0.4:
-                goal_time = t
-                return GOAL
-        return None
+                self.row = (tick, self.t, 0, st.p, st.v, "track", d, np.inf)
+            if np.linalg.norm(st.p - self.nav.goal) < 0.4:
+                status = self.at_goal()
+                break
+        self.clearance = {"min_d_obs": d_tick}
+        return status
 
-    def metrics(events):
-        rms = float(np.sqrt(np.mean(np.square(errs)))) if errs else 0.0
-        return {"goal_reached": goal_time is not None, "goal_time": goal_time,
-                "tracking_rms": rms, "deform_count": _deform_count(events)}
+    def rows(self, tick):
+        return [self.row]
 
-    return Engine(n_sub * plant_dt, step, lambda: {"min_d_obs": d_tick},
-                  lambda tick: [row], metrics, (nav.events,), n_ticks=-(-n_steps // n_sub))
+    def metrics(self, events):
+        rms = float(np.sqrt(np.mean(np.square(self.errs)))) if self.errs else 0.0
+        return {**super().metrics(events), "tracking_rms": rms,
+                "deform_count": _deform_count(events)}
 
 
-def _tunnel(cfg: dict) -> Engine:
+class _Tunnel(Engine):
     """Constant-speed tunnel following through a point cloud; clearance is
     the distance to the cloud's wall."""
-    tcfg = dict(cfg.get("tunnel", {}))
-    sigma = float(tcfg.pop("noise_sigma", 0.0))
-    try:
-        cloud = generate_tunnel(tcfg.pop("shape"), **tcfg)
-    except TunnelGenerationError as exc:
-        # geometry the schema cannot see, e.g. a tube that meets itself
-        raise ConfigError(f"tunnel: {exc}") from None
-    params = cfg.get("params", {})
-    p = TunnelParams(**params.get("tunnel_nav", {}))
-    if cfg.get("start") == "auto":      # validated: heading is "auto" too
-        # deploy a little inside the tunnel, roughly along the axis tangent
-        k0 = min(8, len(cloud.axis) - 2)
-        c = cloud.axis[k0].copy()
-        heading = unit(cloud.axis[k0 + 1] - cloud.axis[k0 - 1])
-    else:
-        c = np.asarray(cfg["start"], dtype=float)
-        heading = np.asarray(cfg["heading"], dtype=float)
-    nav = TunnelNavigator(p, cloud.points, heading,
-                          sensing=SensingModel(d_sensing=p.d_sensing, sigma=sigma),
-                          rng=np.random.default_rng(cfg["seed"]),
-                          pipeline=params.get("pipeline", "slices"),
-                          probe_distances=params.get("probe_distances"),
-                          grid=cloud.grid)
-    t, v, dw, goal_time = 0.0, None, np.inf, None
-    q_prev = cloud.curvilinear(c)
-    q_unwrapped = [q_prev]
-    # closed tunnels complete after one full loop, open ones near the end
-    target = cloud.length * (1.0 if cloud.closed else 0.86)
 
-    def step(tick):
-        nonlocal c, t, v, dw, q_prev, goal_time
-        v = nav.control(c)
-        if nav.terminated:
+    def __init__(self, cfg: dict):
+        tcfg = dict(cfg.get("tunnel", {}))
+        sigma = float(tcfg.pop("noise_sigma", 0.0))
+        try:
+            cloud = generate_tunnel(tcfg.pop("shape"), **tcfg)
+        except TunnelGenerationError as exc:
+            # geometry the schema cannot see, e.g. a tube that meets itself
+            raise ConfigError(f"tunnel: {exc}") from None
+        params = cfg.get("params", {})
+        p = TunnelParams(**params.get("tunnel_nav", {}))
+        if cfg.get("start") == "auto":      # validated: heading is "auto" too
+            # deploy a little inside the tunnel, roughly along the axis tangent
+            k0 = min(8, len(cloud.axis) - 2)
+            c = cloud.axis[k0].copy()
+            heading = unit(cloud.axis[k0 + 1] - cloud.axis[k0 - 1])
+        else:
+            c = np.asarray(cfg["start"], dtype=float)
+            heading = np.asarray(cfg["heading"], dtype=float)
+        super().__init__(p.delta, {"min_wall_distance": np.inf})
+        self.nav = TunnelNavigator(p, cloud.points, heading,
+                                   sensing=SensingModel(d_sensing=p.d_sensing, sigma=sigma),
+                                   rng=np.random.default_rng(cfg["seed"]),
+                                   pipeline=params.get("pipeline", "slices"),
+                                   probe_distances=params.get("probe_distances"),
+                                   grid=cloud.grid)
+        self.cloud, self.c, self.v = cloud, c, None
+        self.q_prev = cloud.curvilinear(c)
+        self.q_unwrapped = [self.q_prev]
+        # closed tunnels complete after one full loop, open ones near the end
+        self.target = cloud.length * (1.0 if cloud.closed else 0.86)
+        self.window = int(round(float(cfg.get("monitors", {}).get("progress_window", 5.0))
+                                / p.delta))
+
+    def step(self, tick):
+        cloud = self.cloud
+        self.v = self.nav.control(self.c)
+        if self.nav.terminated:
             return TERMINATED
-        c = c + v * p.delta
-        t += p.delta
-        dw = cloud.wall_distance(c)
-        q_now = cloud.curvilinear(c)
-        dq = q_now - q_prev
+        self.c = self.c + self.v * self.control_dt
+        self.t += self.control_dt
+        self.clearance = {"min_wall_distance": cloud.wall_distance(self.c)}
+        q_now = cloud.curvilinear(self.c)
+        dq = q_now - self.q_prev
         if cloud.closed:
             dq = (dq + 0.5 * cloud.length) % cloud.length - 0.5 * cloud.length
-        q_unwrapped.append(q_unwrapped[-1] + dq)
-        q_prev = q_now
-        if q_unwrapped[-1] - q_unwrapped[0] >= target:
-            goal_time = t
-            return GOAL
+        self.q_unwrapped.append(self.q_unwrapped[-1] + dq)
+        self.q_prev = q_now
+        if self.q_unwrapped[-1] - self.q_unwrapped[0] >= self.target:
+            return self.at_goal()
         return None
 
-    def rows(tick):
-        return [(tick, t, 0, c, v, nav.mode, dw, np.inf, f"q={q_unwrapped[-1]:.3f}")]
+    def rows(self, tick):
+        return [(tick, self.t, 0, self.c, self.v, self.nav.mode,
+                 self.clearance["min_wall_distance"], np.inf,
+                 f"q={self.q_unwrapped[-1]:.3f}")]
 
-    def metrics(events):
-        q_arr = np.asarray(q_unwrapped)
-        window = int(round(float(cfg.get("monitors", {}).get("progress_window", 5.0))
-                           / p.delta))
+    def metrics(self, events):
+        q_arr, window = np.asarray(self.q_unwrapped), self.window
         monotone = len(q_arr) <= window or bool(
             np.all(q_arr[window:] - q_arr[:-window] > 0.0))
         return {"progress_monotone": monotone, "progress": float(q_arr[-1] - q_arr[0]),
-                "goal_reached": goal_time is not None, "goal_time": goal_time}
-
-    return Engine(p.delta, step, lambda: {"min_wall_distance": dw}, rows, metrics)
+                **super().metrics(events)}
 
 
-def _flocking(cfg: dict) -> Engine:
-    world = build_world(cfg)
-    p = dataclass_params(FlockParams, cfg.get("params", {}).get("flock", {}),
-                         "params.flock")
-    rng = np.random.default_rng(cfg["seed"])
-    agents = cfg["agents"]
-    n = int(agents["count"])
-    spawn = np.asarray(agents["spawn"], dtype=float)
-    min_spacing = float(agents.get("min_spacing", 1.5))
-    q0 = np.empty((n, 3))
-    placed = attempts = 0
-    while placed < n:
-        attempts += 1
-        if attempts > 1000 * n:
-            raise ConfigError(f"agents.spawn holds no {n} agents {min_spacing} m apart")
-        cand = rng.uniform(spawn[0], spawn[1])
-        if placed == 0 or np.min(np.linalg.norm(q0[:placed] - cand, axis=1)) > min_spacing:
-            q0[placed] = cand
-            placed += 1
-    sim = FlockSim(q0, np.zeros((n, 2)), p, world=world if world.obstacles else None,
-                   control_dt=cfg.get("control_dt", 0.1),
-                   plant_dt=cfg.get("plant_dt", 0.01), rng=rng)
-    mp, d_obs, goal_time = np.inf, np.inf, None
+class _Flocking(Engine):
+    def __init__(self, cfg: dict):
+        self.world = build_world(cfg)
+        p = dataclass_params(FlockParams, cfg.get("params", {}).get("flock", {}),
+                             "params.flock")
+        rng = np.random.default_rng(cfg["seed"])
+        agents = cfg["agents"]
+        n = int(agents["count"])
+        spawn = np.asarray(agents["spawn"], dtype=float)
+        min_spacing = float(agents.get("min_spacing", 1.5))
+        q0 = np.empty((n, 3))
+        placed = attempts = 0
+        while placed < n:
+            attempts += 1
+            if attempts > 1000 * n:
+                raise ConfigError(f"agents.spawn holds no {n} agents {min_spacing} m apart")
+            cand = rng.uniform(spawn[0], spawn[1])
+            if placed == 0 or np.min(np.linalg.norm(q0[:placed] - cand, axis=1)) > min_spacing:
+                q0[placed] = cand
+                placed += 1
+        self.sim = FlockSim(q0, np.zeros((n, 2)), p,
+                            world=self.world if self.world.obstacles else None,
+                            control_dt=cfg.get("control_dt", 0.1),
+                            plant_dt=cfg.get("plant_dt", 0.01), rng=rng)
+        super().__init__(self.sim.control_dt, {"min_pair_d": np.inf, "min_d_obs": np.inf})
+        self.events = (self.sim.events,)
+        self.record_every = int(cfg.get("params", {}).get("record_every", 10))
 
-    def step(tick):
-        nonlocal mp, d_obs, goal_time
+    def step(self, tick):
+        sim = self.sim
         sim.tick()
-        mp = sim.min_pairwise()
-        if world.obstacles:
-            d_obs = min(d for d, _, _ in sim.nearest_obstacles())
+        self.t = sim.t
+        d_obs = (min(d for d, _, _ in sim.nearest_obstacles()) if self.world.obstacles
+                 else np.inf)
+        self.clearance = {"min_pair_d": sim.min_pairwise(), "min_d_obs": d_obs}
+        p = sim.params
         gd = np.linalg.norm(sim.snapshot.q - p.goal, axis=1)
         if np.all(gd <= p.goal_radius + 0.5) and np.max(sim.speeds()) < 0.05:
-            goal_time = sim.t
-            return GOAL
+            return self.at_goal()
         return None
 
-    def rows(tick):
-        snap = sim.snapshot
+    def rows(self, tick):
+        snap = self.sim.snapshot
         vel = snap.nu[:, :1] * flock_direction(snap.theta)
-        return [(tick, sim.t, i, snap.q[i], vel[i], "flock", d_obs, mp) for i in range(n)]
+        d_obs, mp = self.clearance["min_d_obs"], self.clearance["min_pair_d"]
+        return [(tick, self.t, i, snap.q[i], vel[i], "flock", d_obs, mp)
+                for i in range(len(snap.q))]
 
-    def metrics(events):
-        q = sim.snapshot.q
-        nb = neighbor_lists(sim.snapshot, p.r_c)
+    def metrics(self, events):
+        sim = self.sim
+        d = sim.pairs()[1]
         lattice_err = 0.0
-        for i in range(n):
-            if len(nb[i]):
-                dists = np.linalg.norm(q[nb[i]] - q[i], axis=1)
-                lattice_err = max(lattice_err, abs(float(np.min(dists)) - p.d_ij))
-        return {"goal_reached": goal_time is not None, "goal_time": goal_time,
-                "final_max_speed": float(np.max(sim.speeds())),
+        for i, nb in enumerate(neighbor_lists(d, sim.params.r_c)):
+            if len(nb):
+                lattice_err = max(lattice_err, abs(float(np.min(d[i, nb])) - sim.params.d_ij))
+        return {**super().metrics(events), "final_max_speed": float(np.max(sim.speeds())),
                 "lattice_err": float(lattice_err),
                 "adjacency_full_rank": sim.adjacency_full_rank()}
 
-    return Engine(sim.control_dt, step, lambda: {"min_pair_d": mp, "min_d_obs": d_obs},
-                  rows, metrics, (sim.events,),
-                  record_every=int(cfg.get("params", {}).get("record_every", 10)))
 
-
-def _coverage(cfg: dict) -> Engine:
+class _Coverage(Engine):
     """Voronoi barrier or sweep coverage; a scheduled agent removal happens
     before the tick it is scheduled for."""
-    pcfg = cfg.get("params", {}).get("coverage", {})
-    frame = BarrierFrame.from_vertices(np.asarray(pcfg["boundary"], dtype=float))
-    gains = CoverageGains(k=np.diag(pcfg.get("k", [2.5, 0.5, 0.5])))
-    rng = np.random.default_rng(cfg["seed"])
-    agents = cfg["agents"]
-    n = int(agents["count"])
-    spawn = np.asarray(agents["spawn"], dtype=float)
-    q0 = rng.uniform(spawn[0], spawn[1], size=(n, 3))
-    sweep = None
-    if "sweep" in pcfg:
-        s = pcfg["sweep"]
-        sweep = SweepPlan(frame, g0=float(s.get("g0", 1.5)),
-                          events=[SweepEvent(**e) for e in s.get("events", [])],
-                          min_area_per_agent=float(s.get("min_area_per_agent", 1.0)),
-                          n_agents=n, u_max=gains.u_max)
-    sim = CoverageSim(q0, frame, gains, sweep=sweep,
-                      control_dt=cfg.get("control_dt", 0.1), r_c=pcfg.get("r_c"))
-    removals = {int(r["tick"]): int(r["agent"]) for r in pcfg.get("removals", [])}
-    # agent removals and the plane resizes the sweep refused, at their ticks
-    logged, costs, mp = [], [], np.inf
 
-    def step(tick):
-        nonlocal mp
-        if tick in removals:
-            sim.remove_agent(removals[tick])
-            logged.append((tick, "agent_removed", {"agent": removals[tick]}))
+    def __init__(self, cfg: dict):
+        pcfg = cfg.get("params", {}).get("coverage", {})
+        frame = BarrierFrame.from_vertices(np.asarray(pcfg["boundary"], dtype=float))
+        gains = CoverageGains(k=np.diag(pcfg.get("k", [2.5, 0.5, 0.5])))
+        rng = np.random.default_rng(cfg["seed"])
+        agents = cfg["agents"]
+        n = int(agents["count"])
+        spawn = np.asarray(agents["spawn"], dtype=float)
+        q0 = rng.uniform(spawn[0], spawn[1], size=(n, 3))
+        self.sweep = None
+        if "sweep" in pcfg:
+            s = pcfg["sweep"]
+            self.sweep = SweepPlan(frame, g0=float(s.get("g0", 1.5)),
+                                   events=[SweepEvent(**e) for e in s.get("events", [])],
+                                   min_area_per_agent=float(s.get("min_area_per_agent", 1.0)),
+                                   n_agents=n, u_max=gains.u_max)
+        self.sim = CoverageSim(q0, frame, gains, sweep=self.sweep,
+                               control_dt=cfg.get("control_dt", 0.1), r_c=pcfg.get("r_c"))
+        super().__init__(self.sim.control_dt, {"min_pair_d": np.inf})
+        self.removals = {int(r["tick"]): int(r["agent"]) for r in pcfg.get("removals", [])}
+        # agent removals and the plane resizes the sweep refused, at their
+        # ticks, come before the events of the state the sim ticked from
+        self.logged, self.costs = [], []
+        self.events = (self.logged, self.sim.events)
+        self.record_every = int(pcfg.get("record_every", 5))
+
+    def step(self, tick):
+        sim, sweep = self.sim, self.sweep
+        if tick in self.removals:
+            sim.remove_agent(self.removals[tick])
+            self.logged.append((tick, "agent_removed", {"agent": self.removals[tick]}))
         n_rejected = 0 if sweep is None else len(sweep.rejected)
         sim.tick()
         if sweep is not None:
-            logged.extend((tick, "sweep_rejected", {"t": ev.t, "scale": ev.scale})
-                          for ev in sweep.rejected[n_rejected:])
-        costs.append(sim.multicenter_cost())
-        mp = sim.min_pairwise()
+            self.logged.extend((tick, "sweep_rejected", {"t": ev.t, "scale": ev.scale})
+                               for ev in sweep.rejected[n_rejected:])
+        self.costs.append(sim.multicenter_cost())
+        self.clearance = {"min_pair_d": sim.min_pairwise()}
         return None
 
-    def rows(tick):
+    def rows(self, tick):
+        sim = self.sim
         vels = sim.velocities()
-        return [(tick, sim.t, int(i), sim.q[i], vels[i], "cover", np.inf, mp)
-                for i in np.nonzero(sim.active)[0]]
+        return [(tick, sim.t, int(i), sim.q[i], vels[i], "cover", np.inf,
+                 self.clearance["min_pair_d"]) for i in np.nonzero(sim.active)[0]]
 
-    def metrics(events):
+    def metrics(self, events):
+        sim, sweep, costs = self.sim, self.sweep, self.costs
         cents, _ = sim.centroids()
         act = np.nonzero(sim.active)[0]
         err = float(np.max(np.linalg.norm(cents[act] - sim.q[act], axis=1)))
@@ -515,7 +541,7 @@ def _coverage(cfg: dict) -> Engine:
         if sweep is None:
             increase = 0.0
             for k in range(1, len(costs)):
-                if k not in removals and k - 1 not in removals:
+                if k not in self.removals and k - 1 not in self.removals:
                     increase = max(increase, float(costs[k] - costs[k - 1]))
             return {**out, "cost_max_increase": increase}
         a3, sweep_err = sim.frame.a3, 0.0
@@ -525,12 +551,7 @@ def _coverage(cfg: dict) -> Engine:
             sweep_err = max(sweep_err, abs(along - sweep.g0))
         return {**out, "sweep_speed_err": float(sweep_err)}
 
-    # a tick's removal and refused resizes come before the events of the
-    # state the sim ticked from
-    return Engine(sim.control_dt, step, lambda: {"min_pair_d": mp}, rows, metrics,
-                  (logged, sim.events), record_every=int(pcfg.get("record_every", 5)))
 
-
-ENGINES = {"hybrid2d": _hybrid2d, "reactive3d": _reactive3d, "deform3d": _deform3d,
-           "deform3d_quad": _deform3d_quad, "tunnel": _tunnel,
-           "flocking": _flocking, "coverage": _coverage}
+ENGINES = {"hybrid2d": _Hybrid2D, "reactive3d": _Reactive3D, "deform3d": _Deform3D,
+           "deform3d_quad": _Deform3DQuad, "tunnel": _Tunnel,
+           "flocking": _Flocking, "coverage": _Coverage}

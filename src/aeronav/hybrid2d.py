@@ -124,15 +124,15 @@ class HybridNavigator:
     """Per-vehicle executive.  One `control()` call per control period."""
 
     def __init__(self, params: HybridParams, world: World, goal: np.ndarray,
-                 rrt: RrtParams, rng: np.random.Generator,
-                 bounds=None, control_dt: float = 0.1,
+                 rrt: RrtParams, rng: np.random.Generator, control_dt: float = 0.1,
                  trap_range: float | None = None):
         self.p = params
         self.world = world
+        # the planner sees only the known obstacles
+        self.known = World([o for o in world.obstacles if o.known], world.bounds)
         self.goal = np.asarray(goal, dtype=float)
         self.rrt = rrt
         self.rng = rng
-        self.bounds = bounds
         self.control_dt = control_dt
         self.trap_range = params.big_c if trap_range is None else trap_range
         self.mode = NavMode.TRACKING
@@ -154,12 +154,11 @@ class HybridNavigator:
     # -- planning -----------------------------------------------------------
 
     def plan(self, start: np.ndarray, t: float = 0.0, from_tick: int = 0) -> bool:
-        res = rrt_plan(start, self.goal, self.world, self.rrt, self.rng,
-                       bounds=self.bounds, t=t)
+        res = rrt_plan(start, self.goal, self.known, self.rrt, self.rng, t)
         if not res.success:
             self.events.append((from_tick, "plan_failed", {"reason": res.reason}))
             return False
-        pruned = prune_path(res.waypoints, self.world, self.rrt, t)
+        pruned = prune_path(res.waypoints, self.known, self.rrt, t)
         self.path = smooth_path(pruned)
         return True
 
@@ -190,15 +189,14 @@ class HybridNavigator:
                            self.trap_range, self.p.escape_distance, self.rng)
         self.replan_count += 1
         self.events.append((tick, "replan", {"escape": p_ge.tolist()}))
-        res = rrt_plan(p_ge, self.goal, self.world, self.rrt, self.rng,
-                       bounds=self.bounds, t=t)
+        res = rrt_plan(p_ge, self.goal, self.known, self.rrt, self.rng, t)
         self.mode = NavMode.TRACKING
         self._blocked_ids.add(blocking_id)
         self._d_prev = None
         if not res.success:
             self.events.append((tick, "replan_overrun", {}))
             return False
-        pruned = prune_path(res.waypoints, self.world, self.rrt, t)
+        pruned = prune_path(res.waypoints, self.known, self.rrt, t)
         wps = np.vstack([state.position[None, :], pruned])
         keep = [0] + [i for i in range(1, len(wps))
                       if np.linalg.norm(wps[i] - wps[i - 1]) > 1e-6]

@@ -2,8 +2,8 @@
 smoothing.
 
 Planning is Euclidean (nonholonomy handled downstream by smoothing plus the
-reactive layer's safety margin) and optimistic: only *known* obstacles are
-checked, unknown space counts as free.
+reactive layer's safety margin) and optimistic: the caller hands it a world
+of the *known* obstacles, so unknown space counts as free.
 """
 from __future__ import annotations
 
@@ -43,32 +43,27 @@ class PlanResult:
 
 
 def _free(world: World, p, params: RrtParams, t: float) -> bool:
-    return world.point_free(p, params.clearance, t, known_only=True)
+    return world.point_free(p, params.clearance, t)
 
 
 def _edge_free(world: World, a, b, params: RrtParams, t: float) -> bool:
-    return world.segment_clear(a, b, params.clearance, t,
-                               resolution=params.resolution, known_only=True)
+    return world.segment_clear(a, b, params.clearance, t, resolution=params.resolution)
 
 
 def rrt_plan(start, goal, world: World, params: RrtParams,
-             rng: np.random.Generator, bounds=None, t: float = 0.0) -> PlanResult:
+             rng: np.random.Generator, t: float = 0.0) -> PlanResult:
     """Grow a tree from start toward goal with straight-line steering.
 
-    Every sample is drawn from rng, so a seeded rng fixes the result.
+    Every sample is drawn from rng, in world.bounds (else the start-goal box
+    grown by 10 m), so a seeded rng fixes the result.
     Unreachable-within-budget is a failure result, not an exception;
     infeasible endpoints are errors.
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
+    bounds = world.bounds
     if bounds is None:
-        bounds = world.bounds
-    if bounds is None:
-        lo = np.minimum(start, goal) - 10.0
-        hi = np.maximum(start, goal) + 10.0
-        bounds = np.stack([lo, hi])
-    else:
-        bounds = np.asarray(bounds, dtype=float)
+        bounds = np.stack([np.minimum(start, goal) - 10.0, np.maximum(start, goal) + 10.0])
     if not _free(world, start, params, t):
         raise PlanningError("start position is in collision")
     if not _free(world, goal, params, t):

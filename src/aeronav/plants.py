@@ -226,12 +226,10 @@ def step_quadrotor(state: QuadrotorState, thrust: float, torque: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def flock_direction(theta: np.ndarray) -> np.ndarray:
-    """Unit direction of orientation angles theta, (..., m-1) -> (..., m): the
-    heading's [cos, sin] for m = 2, [cos(th)cos(psi), cos(th)sin(psi), sin(th)]
-    for m = 3 with theta = [flight path th, heading psi]."""
+    """Unit direction [cos(th)cos(psi), cos(th)sin(psi), sin(th)] of
+    orientation angles theta = [flight path th, heading psi], (..., 2) ->
+    (..., 3)."""
     c, s = np.cos(theta), np.sin(theta)
-    if c.shape[-1] == 1:
-        return np.concatenate((c, s), axis=-1)
     out = np.empty(c.shape[:-1] + (3,))
     out[..., 0] = c[..., 0] * c[..., 1]
     out[..., 1] = c[..., 0] * s[..., 1]
@@ -245,10 +243,10 @@ def step_flock_batch(q: np.ndarray, theta: np.ndarray, nu: np.ndarray,
     """`steps` RK4 steps of n copies of the nonholonomic acceleration-level
     model, with the accelerations held.
 
-    q: (n, m) positions; theta: (n, m-1) orientation angles; nu: (n, m) stacked
-    [v, Omega]; tau: (n, m) stacked [a, alpha] accelerations.  The direction
+    q: (n, 3) positions; theta: (n, 2) orientation angles; nu: (n, 3) stacked
+    [v, Omega]; tau: (n, 3) stacked [a, alpha] accelerations.  The direction
     vector is `flock_direction(theta)`.  Each step equals `rk4` on the packed
-    (n, 3m - 1) state [q | theta | nu] followed by `wrap_angle` of theta, bit
+    (n, 8) state [q | theta | nu] followed by `wrap_angle` of theta, bit
     for bit.  With tau held, every stage of nu is nu plus a constant and the
     angle stages depend only on theta and Omega, so the stages of all steps
     are computed at once; only the wrapped angles are a loop.  Raises

@@ -293,50 +293,39 @@ class World:
         self.obstacles: list[Obstacle] = list(obstacles or [])
         self.bounds = None if bounds is None else np.asarray(bounds, dtype=float)
 
-    def nearest_obstacle(self, p: np.ndarray, t: float = 0.0,
-                         known_only: bool = False) -> tuple[float, np.ndarray, int]:
+    def nearest_obstacle(self, p: np.ndarray, t: float = 0.0) -> tuple[float, np.ndarray, int]:
         """(distance, closest surface point, obstacle index).  Ties broken by
         lowest index for determinism."""
-        pool = [(i, o) for i, o in enumerate(self.obstacles)
-                if (o.known or not known_only)]
-        if not pool:
+        if not self.obstacles:
             raise QueryError("nearest_obstacle on an empty world")
         best_d, best_q, best_i = _INF, None, -1
-        for i, o in pool:
+        for i, o in enumerate(self.obstacles):
             d, q = o.distance(p, t)
             if d < best_d - 1e-15:
                 best_d, best_q, best_i = d, q, i
         return best_d, best_q, best_i
 
-    def batch_distance(self, points: np.ndarray, t: float = 0.0,
-                       known_only: bool = False) -> np.ndarray:
+    def batch_distance(self, points: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Min distance to any obstacle for each of the (N, dim) points."""
         points = np.asarray(points, dtype=float)
         out = np.full(len(points), _INF)
         for o in self.obstacles:
-            if known_only and not o.known:
-                continue
             out = np.minimum(out, _batch_obstacle_distance(o, points, t))
         return out
 
     def segment_clear(self, a: np.ndarray, b: np.ndarray, margin: float = 0.0,
-                      t: float = 0.0, resolution: float = 0.05,
-                      known_only: bool = False) -> bool:
+                      t: float = 0.0, resolution: float = 0.05) -> bool:
         """True if every sample along segment ab keeps > margin clearance."""
+        if not self.obstacles:
+            return True
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        length = float(np.linalg.norm(b - a))
-        n = max(2, int(np.ceil(length / resolution)) + 1)
-        if not any(o.known or not known_only for o in self.obstacles):
-            return True
+        n = max(2, int(np.ceil(float(np.linalg.norm(b - a)) / resolution)) + 1)
         pts = a[None, :] + np.linspace(0.0, 1.0, n)[:, None] * (b - a)[None, :]
-        return bool(np.all(self.batch_distance(pts, t, known_only) > margin))
+        return bool(np.all(self.batch_distance(pts, t) > margin))
 
-    def point_free(self, p: np.ndarray, margin: float = 0.0, t: float = 0.0,
-                   known_only: bool = False) -> bool:
-        if not any(o.known or not known_only for o in self.obstacles):
-            return True
-        return self.nearest_obstacle(p, t, known_only)[0] > margin
+    def point_free(self, p: np.ndarray, margin: float = 0.0, t: float = 0.0) -> bool:
+        return not self.obstacles or self.nearest_obstacle(p, t)[0] > margin
 
     def raycast_2d(self, origin: np.ndarray, angles: np.ndarray, max_range: float,
                    t: float = 0.0) -> np.ndarray:

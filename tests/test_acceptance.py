@@ -176,7 +176,7 @@ def test_criterion_5_energy_bound():
         q0 = base + rng.normal(0.0, 0.2, size=base.shape)
         sim = FlockSim(q0, np.zeros((4, 2)), params, rng=rng)
         sim.snapshot.nu[:, 0] = rng.normal(0.0, 0.25, size=4)
-        e0 = flock_energy(sim.snapshot, params, neighbor_lists(sim.snapshot, params.r_c))
+        e0 = flock_energy(sim.snapshot, params, neighbor_lists(sim.pairs()[1], params.r_c))
         if e0 >= c_star:
             continue
         tested += 1

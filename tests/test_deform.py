@@ -8,8 +8,9 @@ from aeronav.deform import (K_ALPHA, K_BETA, MAX_DEFORMS_PER_CHECK, REF_C1_V,
                             RefModelState, deform, deform_until_safe,
                             find_unsafe, ref_acceleration, ref_velocity,
                             reference_model_step, track_kinematic)
+from aeronav.harness.runner import run
 from aeronav.plants import Angle3DState, LimitSet, step_angles3d
-from aeronav.world import Cylinder, Moving, Sphere, World
+from aeronav.world import Cylinder, Sphere, World
 
 
 def straight_path(length=20.0):
@@ -179,37 +180,23 @@ def test_reference_model_accel_finite_difference():
     assert np.max(np.linalg.norm(fd - a[1:-1], axis=1)) < 0.05
 
 
-def _run_deform_scenario(world, goal, gamma, duration=60.0, v=1.0,
-                         d_safe=0.5, start=np.array([1.0, 1.0, 3.0]),
-                         check_margin=0.35):
-    params = DeformParams(safety_factor=gamma, d_safe=d_safe, v=v,
-                          check_margin=check_margin)
-    nav = DeformNavigator(params, world, start, goal)
-    direction = goal - start
-    st = Angle3DState(start.astype(float), float(np.arctan2(direction[1], direction[0])),
-                      0.0)
-    lim = LimitSet(v_max=v, u_max=3.0)
-    min_d = np.inf
-    t = 0.0
-    for tick in range(int(duration / 0.1)):
-        vel, ub, ua = nav.control(st, t, tick)
-        for _ in range(10):
-            st = step_angles3d(st, vel, ub, ua, 0.01, limits=lim)
-            t += 0.01
-        min_d = min(min_d, world.nearest_obstacle(st.p, t)[0])
-        if np.linalg.norm(st.p - goal) < 0.3:
-            break
-    return nav, st, min_d
+def _run_deform_scenario(obstacle, goal, gamma, duration=60.0, check_margin=0.35):
+    """A deform3d run from (1, 1, 3) past one obstacle."""
+    deform = {"safety_factor": gamma, "d_safe": 0.5, "v": 1.0, "check_margin": check_margin}
+    return run({"version": 1, "seed": 0, "kind": "deform3d", "duration": duration,
+                "start": [1.0, 1.0, 3.0], "goal": goal, "world": {"obstacles": [obstacle]},
+                "params": {"deform": deform}})
 
 
-def _count_batch_calls(world):
+def _count_calls(world, method):
+    """The list that grows by one on each call of world.<method>."""
     calls = []
-    batch = world.batch_distance
+    query = getattr(world, method)
 
     def counted(*a, **k):
         calls.append(1)
-        return batch(*a, **k)
-    world.batch_distance = counted
+        return query(*a, **k)
+    setattr(world, method, counted)
     return calls
 
 
@@ -217,7 +204,7 @@ def test_clear_tick_scans_the_path_once():
     """A tick whose d_check scan finds the path clear does not scan it again
     at d_safe <= d_check: World.batch_distance runs once."""
     w = World([Sphere(np.array([10.0, 5.0, 0.0]), 1.0)])
-    calls = _count_batch_calls(w)
+    calls = _count_calls(w, "batch_distance")
     nav = DeformNavigator(DeformParams(), w, np.zeros(3), np.array([20.0, 0.0, 0.0]))
     nav.control(Angle3DState(np.zeros(3), 0.0, 0.0), 0.0, 0)
     assert nav.events == []
@@ -229,11 +216,26 @@ def test_capped_tick_scans_again_at_d_safe(monkeypatch):
     unchecked, so the tick scans the path again."""
     monkeypatch.setattr(deform_mod, "MAX_DEFORMS_PER_CHECK", 1)
     w = World([Sphere(np.array([10.0, 0.2, 0.0]), 0.8)])
-    calls = _count_batch_calls(w)
+    calls = _count_calls(w, "batch_distance")
     nav = DeformNavigator(DeformParams(), w, np.zeros(3), np.array([20.0, 0.0, 0.0]))
     nav.control(Angle3DState(np.zeros(3), 0.0, 0.0), 0.0, 0)
     assert nav.events == [(0, "deform", {"count": 1})]
     assert len(calls) == 2
+
+
+def test_capped_tick_hovers_at_a_static_blockage():
+    """A static sphere on the line just ahead outlasts the capped deformation
+    loop, so the tick parks the vehicle.  The check asks the world which
+    obstacle blocks only there, at the worst path sample: one
+    nearest_obstacle query per deformation anchor, one for the check's
+    anchor and one for the id."""
+    w = World([Sphere(np.array([3.5, 1.0, 3.0]), 1.5)])
+    calls = _count_calls(w, "nearest_obstacle")
+    start = np.array([1.0, 1.0, 3.0])
+    nav = DeformNavigator(DeformParams(), w, start, np.array([21.0, 1.0, 3.0]))
+    assert nav.control(Angle3DState(start, 0.0, 0.0), 0.0, 0) == (0.0, 0.0, 0.0)
+    assert nav.events == [(0, "deform", {"count": MAX_DEFORMS_PER_CHECK}), (0, "hover", {})]
+    assert len(calls) == MAX_DEFORMS_PER_CHECK + 2
 
 
 def test_negative_check_margin_rejected():
@@ -244,25 +246,21 @@ def test_negative_check_margin_rejected():
 def test_static_cylinder_field_safe():
     """A cylinder blocking the straight route: deform-and-track keeps the
     safety margin and still reaches the goal."""
-    w = World([Cylinder(np.array([10.0, 10.0, 0.0]), np.array([0, 0, 1.0]),
-                        radius=1.5, height=25.0)])
-    goal = np.array([20.0, 20.0, 6.0])
-    nav, st, min_d = _run_deform_scenario(w, goal, gamma=0.6, duration=80.0)
-    assert np.linalg.norm(st.p - goal) < 0.3
-    assert min_d >= 0.5
-    assert any(kind == "deform" for _, kind, _ in nav.events)
+    cylinder = {"type": "cylinder", "base": [10.0, 10.0, 0.0], "axis": [0.0, 0.0, 1.0],
+                "radius": 1.5, "height": 25.0}
+    res = _run_deform_scenario(cylinder, [20.0, 20.0, 6.0], gamma=0.6, duration=80.0)
+    assert res.metrics["goal_reached"]
+    assert res.metrics["min_d_obs"] >= 0.5
+    assert any(e["kind"] == "deform" for e in res.log.events)
 
 
 def test_dynamic_sphere_intercept_safe():
     """A moving sphere crossing the route on an intercept course is avoided
     with the larger safety factors used in the dynamic cases."""
     for gamma in (1.5, 2.5):
-        mover = Moving(Sphere(np.array([12.0, 20.3, 3.0]), 1.0),
-                       velocity=np.array([0.0, -0.55, 0.0]))
-        w = World([mover])
-        goal = np.array([20.0, 20.0, 3.0])
-        nav, st, min_d = _run_deform_scenario(w, goal, gamma=gamma, duration=90.0,
-                                              start=np.array([1.0, 1.0, 3.0]),
-                                              check_margin=0.8)
-        assert np.linalg.norm(st.p - goal) < 0.3
-        assert min_d >= 0.5
+        mover = {"type": "sphere", "center": [12.0, 20.3, 3.0], "radius": 1.0,
+                 "motion": {"velocity": [0.0, -0.55, 0.0]}}
+        res = _run_deform_scenario(mover, [20.0, 20.0, 3.0], gamma=gamma, duration=90.0,
+                                   check_margin=0.8)
+        assert res.metrics["goal_reached"]
+        assert res.metrics["min_d_obs"] >= 0.5

@@ -26,7 +26,7 @@ def spacing(s):
     """Every agent's spacing force over its neighbours within 20 m."""
     diff, d = pairwise(s.q)
     within = np.zeros(d.shape, dtype=bool)
-    for i, nb in enumerate(neighbor_lists(s, 20.0)):
+    for i, nb in enumerate(neighbor_lists(d, 20.0)):
         within[i, nb] = True
     return spacing_forces(diff, d, within, P4)
 
@@ -229,7 +229,7 @@ def test_energy_bound_corollary_runs():
         sim = FlockSim(q0, np.zeros((4, 2)), params, rng=rng)
         v0 = rng.normal(0.0, 0.25, size=4)
         sim.snapshot.nu[:, 0] = v0
-        nb = neighbor_lists(sim.snapshot, params.r_c)
+        nb = neighbor_lists(sim.pairs()[1], params.r_c)
         e0 = flock_energy(sim.snapshot, params, nb)
         if e0 >= c_star:
             continue  # sample outside the corollary's premise

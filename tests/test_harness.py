@@ -397,19 +397,23 @@ def test_lattice_and_sweep_monitors_judge_the_params():
 def stub_engine(samples, record_every=1):
     """An engine factory whose tick k has clearance samples[k], which its
     rows log."""
-    def build(cfg):
-        d = np.inf
+    class Stub(Engine):
+        n_ticks = len(samples)
 
-        def step(tick):
-            nonlocal d
-            d = samples[tick]
+        def __init__(self, cfg):
+            super().__init__(0.1, {"min_d_obs": np.inf})
+            self.record_every = record_every
 
-        def rows(tick):
-            return [(tick, 0.1 * (tick + 1), 0, [0.0, 0.0], [0.0, 0.0], "stub", d, np.inf)]
+        def step(self, tick):
+            self.clearance = {"min_d_obs": samples[tick]}
 
-        return Engine(0.1, step, lambda: {"min_d_obs": d}, rows, lambda events: {},
-                      record_every=record_every, n_ticks=len(samples))
-    return build
+        def rows(self, tick):
+            return [(tick, 0.1 * (tick + 1), 0, [0.0, 0.0], [0.0, 0.0], "stub",
+                     self.clearance["min_d_obs"], np.inf)]
+
+        def metrics(self, events):
+            return {}
+    return Stub
 
 
 def test_violation_on_an_unlogged_tick_fails(monkeypatch):

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from aeronav.bezier import PiecewisePath
-from aeronav.hybrid2d import (GOAL_TOL, MU, HybridNavigator, HybridParams,
-                              detect_trap, escape_goal, pure_pursuit_2d,
-                              reactive_law_2d, turn_direction)
-from aeronav.planner2d import RrtParams
+from aeronav.harness.runner import run
+from aeronav.hybrid2d import (MU, HybridParams, detect_trap, escape_goal,
+                              pure_pursuit_2d, reactive_law_2d, turn_direction)
 from aeronav.plants import LimitSet, Unicycle2DState, step_unicycle
-from aeronav.world import Sphere, Wall, World
+from aeronav.world import Sphere, World
 
 P = HybridParams()
 
@@ -148,58 +147,45 @@ def test_escape_goal_no_clear_direction_raises():
                     np.random.default_rng(0))
 
 
-def _run_navigator(world, goal, seed=0, duration=60.0, params=P, trap_range=None):
-    nav = HybridNavigator(params, world, goal, RrtParams(step=1.5, goal_bias=0.2,
-                                                         max_iters=4000,
-                                                         clearance=params.d_safe + 0.2,
-                                                         resolution=0.05),
-                          np.random.default_rng(seed),
-                          bounds=world.bounds, trap_range=trap_range)
-    state = Unicycle2DState(0.0, 0.0, 0.0)
-    lim = LimitSet(v_max=params.v_max, u_max=params.u_max)
-    min_d = np.inf
-    t = 0.0
-    for tick in range(int(duration / 0.1)):
-        v, u = nav.control(state, t, tick)
-        for _ in range(10):
-            state = step_unicycle(state, v, u, 0.01, limits=lim)
-            t += 0.01
-        min_d = min(min_d, world.nearest_obstacle(state.position, t)[0])
-        if np.linalg.norm(state.position - goal) < GOAL_TOL:
-            break
-    return nav, state, min_d
+def _run_navigator(obstacle, bounds, seed=0, duration=60.0, hybrid=None, **params):
+    """A hybrid2d run from the origin along +x to (14, 0) past one obstacle;
+    the planner keeps d_safe + 0.2 from the known obstacles."""
+    hybrid = hybrid or {}
+    rrt = {"step": 1.5, "goal_bias": 0.2, "max_iters": 4000,
+           "clearance": HybridParams(**hybrid).d_safe + 0.2, "resolution": 0.05}
+    return run({"version": 1, "seed": seed, "kind": "hybrid2d", "duration": duration,
+                "start": [0.0, 0.0], "goal": [14.0, 0.0],
+                "world": {"bounds": bounds, "obstacles": [obstacle]},
+                "params": {"hybrid": hybrid, "rrt": rrt, **params}})
+
+
+UNKNOWN_DISC = {"type": "sphere", "center": [6.0, 0.0], "radius": 1.0, "known": False}
 
 
 def test_execution_r1_switch():
     """Approaching an unknown obstacle head-on trips R1 into reactive mode."""
-    wld = World([Sphere(np.array([6.0, 0.0]), 1.0, known=False)],
-                bounds=np.array([[-2.0, -8.0], [16.0, 8.0]]))
-    nav, state, min_d = _run_navigator(wld, np.array([14.0, 0.0]))
-    kinds = [kind for _, kind, _ in nav.events]
+    res = _run_navigator(UNKNOWN_DISC, [[-2.0, -8.0], [16.0, 8.0]])
+    kinds = [e["kind"] for e in res.log.events]
     assert "R1" in kinds
     assert "R2" in kinds
-    assert min_d >= P.d_safe
-    assert np.linalg.norm(state.position - np.array([14.0, 0.0])) < GOAL_TOL
+    assert res.metrics["min_d_obs"] >= P.d_safe
+    assert res.metrics["goal_reached"]
 
 
 def test_execution_single_r1_per_encounter():
-    wld = World([Sphere(np.array([6.0, 0.0]), 1.0, known=False)],
-                bounds=np.array([[-2.0, -8.0], [16.0, 8.0]]))
-    nav, _, _ = _run_navigator(wld, np.array([14.0, 0.0]))
-    r1s = [e for e in nav.events if e[1] == "R1"]
+    res = _run_navigator(UNKNOWN_DISC, [[-2.0, -8.0], [16.0, 8.0]])
+    r1s = [e for e in res.log.events if e["kind"] == "R1"]
     assert len(r1s) == 1
 
 
 def test_execution_trap_triggers_single_replan():
     """A wide blocking wall ahead raises exactly one replan with an escape
     goal, and the vehicle still reaches the goal."""
-    wall = Wall(np.array([[8.0, -6.0], [8.0, 6.0]]), known=False)
-    wld = World([wall], bounds=np.array([[-2.0, -12.0], [20.0, 12.0]]))
+    wall = {"type": "wall", "vertices": [[8.0, -6.0], [8.0, 6.0]], "known": False}
     # trap scan tuned so full blockage is seen before R1 fires (range C)
-    params = HybridParams(fov_half_angle=np.deg2rad(60), d_sensing=6.0)
-    nav, state, min_d = _run_navigator(wld, np.array([14.0, 0.0]), seed=3,
-                                       duration=120.0, params=params,
-                                       trap_range=4.5)
-    assert nav.replan_count == 1
-    assert np.linalg.norm(state.position - np.array([14.0, 0.0])) < GOAL_TOL
-    assert min_d >= params.d_safe
+    hybrid = {"fov_half_angle": float(np.deg2rad(60)), "d_sensing": 6.0}
+    res = _run_navigator(wall, [[-2.0, -12.0], [20.0, 12.0]], seed=3, duration=120.0,
+                         hybrid=hybrid, trap_range=4.5)
+    assert res.metrics["replan_count"] == 1
+    assert res.metrics["goal_reached"]
+    assert res.metrics["min_d_obs"] >= HybridParams(**hybrid).d_safe

@@ -101,7 +101,7 @@ def test_prune_free_space_any_shape_to_endpoints():
 
 def _polyline_free(world, pts, params):
     return all(world.segment_clear(a, b, params.clearance, 0.0,
-                                   resolution=params.resolution, known_only=True)
+                                   resolution=params.resolution)
                for a, b in zip(pts[:-1], pts[1:]))
 
 

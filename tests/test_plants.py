@@ -206,15 +206,15 @@ FLOCK_ANGLE = st.one_of(st.floats(-np.pi, np.pi), st.floats(np.pi - 1e-3, np.pi)
 
 @st.composite
 def flock_holds(draw):
-    """(q, theta, nu, tau, dt, steps) for n agents in m = 2 or 3 dimensions;
-    rates and accelerations up to 1e3, enough to wrap within a hold."""
-    n, m = draw(st.integers(1, 6)), draw(st.sampled_from([2, 3]))
+    """(q, theta, nu, tau, dt, steps) for n agents; rates and accelerations
+    up to 1e3, enough to wrap within a hold."""
+    n = draw(st.integers(1, 6))
     scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]))
     rate = st.floats(-scale, scale)
-    return (draw(arrays(float, (n, m), elements=st.floats(-100.0, 100.0))),
-            draw(arrays(float, (n, m - 1), elements=FLOCK_ANGLE)),
-            draw(arrays(float, (n, m), elements=rate)),
-            draw(arrays(float, (n, m), elements=rate)),
+    return (draw(arrays(float, (n, 3), elements=st.floats(-100.0, 100.0))),
+            draw(arrays(float, (n, 2), elements=FLOCK_ANGLE)),
+            draw(arrays(float, (n, 3), elements=rate)),
+            draw(arrays(float, (n, 3), elements=rate)),
             draw(st.sampled_from([0.001, 0.01, 0.05])), draw(st.integers(1, 12)))
 
 

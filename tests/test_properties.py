@@ -234,7 +234,7 @@ def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
     snap, p, dt, ema = sim.snapshot, sim.params, sim.control_dt, sim._ema
     th_prev, dot_prev, ddot_prev = sim._theta_f, sim._theta_f_dot, sim._theta_f_ddot
     within = np.zeros((n, n), dtype=bool)
-    for i, nb in enumerate(neighbor_lists(snap, p.r_c)):
+    for i, nb in enumerate(neighbor_lists(pairwise(snap.q)[1], p.r_c)):
         within[i, nb] = True
     f_s, f_g = spacing_forces(*pairwise(snap.q), within, p), goal_forces(snap.q, p)
     want = np.empty((n, 3))

@@ -1,13 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from aeronav.geom import angle_between, unit
-from aeronav.plants import Heading3DState, LimitSet, step_heading3d
-from aeronav.reactive3d import (Mode3D, PlaneOfAvoidance, Reactive3DNavigator,
-                                Reactive3DParams,
-                                avoid_law_3d, build_plane, pp_omega,
-                                tangent_to_ellipsoid)
-from aeronav.world import Ellipsoid, World
+from aeronav.harness.runner import run
+from aeronav.reactive3d import (PlaneOfAvoidance, Reactive3DParams, avoid_law_3d,
+                                build_plane, pp_omega, tangent_to_ellipsoid)
+from aeronav.world import Ellipsoid
 
 
 def level(ell, p):
@@ -152,39 +152,19 @@ def test_goal_membership_of_plane():
     assert abs(plane.signed_distance(goal)) < 1e-9
 
 
-def _closed_loop(world, goal, start, heading, params=P44, duration=80.0,
-                 control_dt=0.05):
-    nav = Reactive3DNavigator(params, world, goal, control_dt=control_dt)
-    state = Heading3DState(np.asarray(start, dtype=float), unit(np.asarray(heading, dtype=float)))
-    lim = LimitSet(v_max=params.v_bar, u_max=params.omega_max)
-    t = 0.0
-    min_d = np.inf
-    plane_resid = 0.0
-    n_sub = int(round(control_dt / 0.01))
-    for tick in range(int(duration / control_dt)):
-        v, u = nav.control(state, t, tick)
-        for _ in range(n_sub):
-            state = step_heading3d(state, v, u, 0.01, limits=lim)
-            t += 0.01
-        min_d = min(min_d, world.nearest_obstacle(state.p, t)[0])
-        if nav.mode == Mode3D.AVOID:
-            plane_resid = max(plane_resid, abs(nav.plane.signed_distance(state.p)))
-        if np.linalg.norm(state.p - goal) < 0.3:
-            break
-    return nav, state, min_d, plane_resid
-
-
 def test_single_ellipsoid_closed_loop_distance_bound():
     """Single-obstacle run with the reference design parameters: distance to
     the obstacle stays above 0.95*d0 and the maneuver stays in its plane."""
-    ell = Ellipsoid(np.array([5.0, 3.0, -3.0]), np.array([5.0, 7.0, 2.0]))
-    world = World([ell])
     start = np.array([5.0, 12.0, 2.0])
     goal = np.array([5.0, -6.0, 1.0])
-    heading = unit(goal - start)
-    nav, state, min_d, plane_resid = _closed_loop(world, goal, start, heading)
-    assert np.linalg.norm(state.p - goal) < 0.3
-    assert min_d >= 0.95 * P44.d0
-    assert plane_resid < 1e-6
-    kinds = [kind for _, kind, _ in nav.events]
+    res = run({"version": 1, "seed": 0, "kind": "reactive3d", "duration": 80.0,
+               "start": start.tolist(), "goal": goal.tolist(),
+               "heading": unit(goal - start).tolist(),
+               "world": {"obstacles": [{"type": "ellipsoid", "center": [5.0, 3.0, -3.0],
+                                        "semi": [5.0, 7.0, 2.0]}]},
+               "params": {"reactive3d": dataclasses.asdict(P44)}})
+    assert res.metrics["goal_reached"]
+    assert res.metrics["min_d_obs"] >= 0.95 * P44.d0
+    assert res.metrics["plane_residual"] < 1e-6
+    kinds = [e["kind"] for e in res.log.events]
     assert "R1" in kinds and "R2" in kinds
