@@ -8,10 +8,11 @@ interior control points of a two-segment stitch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .geom import unit
+from .geom import norm, row_norms, sq_distances, unit
 
 # power-basis coefficient matrix: f(s) = T(s) G CP with T = [s^5 ... s 1]
 G_QUINTIC = np.array([
@@ -34,20 +35,40 @@ STITCH_M = np.array([
 STITCH_M_INV = np.linalg.inv(STITCH_M)
 
 
+@cache
+def _grid(n: int, endpoint: bool) -> np.ndarray:
+    """np.linspace(0, 1, n, endpoint=endpoint), built once and read-only."""
+    u = np.linspace(0.0, 1.0, n, endpoint=endpoint)
+    u.flags.writeable = False
+    return u
+
+
 @dataclass(frozen=True)
 class QuinticBezier:
-    """Single quintic segment; control: (6, dim) array P0..P5."""
+    """Single quintic segment; control: (6, dim) array P0..P5.  Its uniform
+    samples are kept per (n, endpoint), so a path that keeps the segment
+    never evaluates it again."""
     control: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "control", np.asarray(self.control, dtype=float))
         if self.control.shape[0] != 6:
             raise ValueError("quintic Bezier needs six control points")
+        object.__setattr__(self, "_samples", {})
 
     def point(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         t = np.stack([s ** 5, s ** 4, s ** 3, s ** 2, s, np.ones_like(s)], axis=-1)
         return t @ G_QUINTIC @ self.control
+
+    def samples(self, n: int, endpoint: bool) -> np.ndarray:
+        """point(np.linspace(0, 1, n, endpoint=endpoint)), evaluated once;
+        read-only."""
+        rows = self._samples.get((n, endpoint))
+        if rows is None:
+            rows = self._samples[n, endpoint] = self.point(_grid(n, endpoint))
+            rows.flags.writeable = False
+        return rows
 
     def deriv(self, s, order: int = 1) -> np.ndarray:
         c = G_QUINTIC @ self.control  # power-basis coefficients, degree 5..0
@@ -81,7 +102,7 @@ def stitch_three_point(p1, p2, p3, d_s, dd_s, d_e, dd_e) -> list[QuinticBezier]:
     """
     p1, p2, p3 = (np.asarray(a, dtype=float) for a in (p1, p2, p3))
     d_s, dd_s, d_e, dd_e = (np.asarray(a, dtype=float) for a in (d_s, dd_s, d_e, dd_e))
-    if (np.linalg.norm(p1 - p2) < 1e-9 or np.linalg.norm(p2 - p3) < 1e-9):
+    if norm(p1 - p2) < 1e-9 or norm(p2 - p3) < 1e-9:
         raise ValueError("stitch waypoints must be distinct")
 
     p01 = p1
@@ -119,7 +140,9 @@ class PiecewisePath:
 
     The global parameter spans [0, n_segments]; segment i covers [i, i+1].
     Paths are treated as immutable (deformation returns a new path), so
-    each sample table is built once per resolution and kept.
+    each sample table is built once per resolution and kept, from the
+    segments' own kept samples, and the last closest-point query is
+    remembered by its value.
     """
 
     def __init__(self, segments: list[QuinticBezier]):
@@ -127,6 +150,7 @@ class PiecewisePath:
             raise ValueError("path needs at least one segment")
         self.segments = list(segments)
         self._tables = {}
+        self._closest = (None, 0.0)
 
     # -- construction -------------------------------------------------------
 
@@ -170,7 +194,7 @@ class PiecewisePath:
         b = np.asarray(b, dtype=float)
         if segment_length is None:
             return cls.from_waypoints([a, b])
-        n = max(1, int(np.ceil(np.linalg.norm(b - a) / segment_length)))
+        n = max(1, int(np.ceil(norm(b - a) / segment_length)))
         w = a[None, :] + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)[None, :]
         return cls.from_waypoints(w)
 
@@ -206,36 +230,50 @@ class PiecewisePath:
 
     # -- sampling / projection ----------------------------------------------
 
-    def _table(self, per_segment: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(params, points, cumulative chord length) sampled uniformly in
-        parameter, built once per resolution."""
+    def _table(self, per_segment: int) -> tuple[np.ndarray, ...]:
+        """(params, points, cumulative chord length, points in column-major
+        order) sampled uniformly in parameter, built once per resolution and
+        read-only.  The last copy keeps each coordinate column contiguous
+        for the closest-point scan."""
         table = self._tables.get(per_segment)
         if table is None:
-            params, pts = [], []
-            for i, seg in enumerate(self.segments):
-                u = np.linspace(0.0, 1.0, per_segment, endpoint=(i == self.n_segments - 1))
-                params.append(i + u)
-                pts.append(seg.point(u))
-            pts = np.vstack(pts)
-            chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            table = (np.concatenate(params), pts, np.concatenate([[0.0], np.cumsum(chord)]))
+            last = self.n_segments - 1
+            params = np.concatenate([i + _grid(per_segment, i == last)
+                                     for i in range(self.n_segments)])
+            pts = np.vstack([seg.samples(per_segment, i == last)
+                             for i, seg in enumerate(self.segments)])
+            length = np.concatenate([[0.0], np.cumsum(row_norms(np.diff(pts, axis=0)))])
+            table = (params, pts, length, np.asfortranarray(pts))
+            for a in table:
+                a.flags.writeable = False
             self._tables[per_segment] = table
         return table
 
     def sample(self, per_segment: int = 200) -> tuple[np.ndarray, np.ndarray]:
         """(params, points) sampled uniformly in parameter over the path."""
-        params, pts, _ = self._table(per_segment)
+        params, pts, _, _ = self._table(per_segment)
         return params, pts
 
     def closest_param(self, p: np.ndarray, per_segment: int = 200) -> float:
-        params, pts = self.sample(per_segment)
-        i = int(np.argmin(np.linalg.norm(pts - np.asarray(p, dtype=float), axis=1)))
-        return float(params[i])
+        """Parameter of the table sample nearest p, the first of equals.  The
+        squared distances are summed column by column as norm(axis=1) sums
+        them, and the argmin is taken over their square roots, so ties fall
+        as they do on the norms.  The last query is remembered by its value,
+        not by the array's identity."""
+        p = np.asarray(p, dtype=float)
+        key = (p.tobytes(), per_segment)
+        if self._closest[0] == key:
+            return self._closest[1]
+        params, _ = self.sample(per_segment)
+        dist = sq_distances(self._tables[per_segment][3], p)
+        s = float(params[int(np.argmin(np.sqrt(dist, out=dist)))])
+        self._closest = (key, s)
+        return s
 
     def point_ahead(self, s0: float, distance: float) -> tuple[float, np.ndarray]:
         """Parameter and point `distance` of arclength past s0, by the chord
         table at 200 samples per segment; clamped to the path's end."""
-        params, _, length = self._table(200)
+        params, _, length, _ = self._table(200)
         s = float(np.interp(np.interp(s0, params, length) + distance, length, params))
         return s, self.point(s)
 

@@ -14,7 +14,7 @@ from itertools import compress
 
 import numpy as np
 
-from .geom import dot3, matmul_lr, min_pair_distance, norm3, pairwise, skew
+from .geom import cross3, dot3, matmul_lr, min_pair_distance, norm3, pairwise, skew
 from .plants import _check_finite
 
 EPS_AREA = 1e-12
@@ -55,7 +55,7 @@ class BarrierFrame:
         if n2 < 1e-9:
             raise FrameError("collinear boundary vertices: frame undefined")
         a2 = a2 / n2
-        a3 = np.cross(a1, a2)
+        a3 = cross3(a1, a2)
         local3 = matmul_lr(e - e[0], np.column_stack((a1, a2, a3)))
         if np.max(np.abs(local3[:, 2])) > 1e-8:
             raise FrameError("boundary vertices are not coplanar")

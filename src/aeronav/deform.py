@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import PiecewisePath
-from .geom import angle_diff, heading_from_angles, rodrigues_rotate, unit, unit_or_zero
+from .geom import (angle_diff, cross3, heading_from_angles, norm, rodrigues_rotate, unit,
+                   unit_or_zero)
 from .plants import Angle3DState
 from .world import World
 
@@ -64,9 +65,9 @@ def find_unsafe(path: PiecewisePath, world: World, d_safe: float,
     when its clearance violates d_safe, report the contiguous violating
     interval around it, anchored at the interval's midpoint."""
     params, pts = path.sample(per_segment=max(8, int(np.ceil(1.0 / resolution * 2))))
-    mask = params >= s_from
-    params = params[mask]
-    pts = pts[mask]
+    # params increase strictly: the rows from s_from on, as views
+    k = int(np.searchsorted(params, s_from))
+    params, pts = params[k:], pts[k:]
     if len(params) == 0:
         return None
     ds = world.batch_distance(pts, t)
@@ -110,19 +111,19 @@ def safe_direction(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParam
     # outside, toward the nearest exit when the path runs inside the body
     away = e if unsafe.d <= 0.0 else -e
     away = away - np.dot(away, tangent) * tangent  # along-path pushes add nothing
-    if np.linalg.norm(away) < 0.3:
+    if norm(away) < 0.3:
         # exit direction almost parallel to the path (aimed at the body's
         # core): keep pushing the previous way, else take a path normal
-        if prev_normal is not None and np.linalg.norm(prev_normal) > 1e-9:
-            away = unit(np.cross(unit(prev_normal), tangent))
+        if prev_normal is not None and norm(prev_normal) > 1e-9:
+            away = unit(cross3(unit(prev_normal), tangent))
         else:
             ref = np.array([0.0, 0.0, 1.0])
             if abs(np.dot(tangent, ref)) > 0.9:
                 ref = np.array([1.0, 0.0, 0.0])
-            away = unit(np.cross(tangent, ref))
+            away = unit(cross3(tangent, ref))
     else:
         away = unit(away)
-    normal = unit(np.cross(tangent, away))
+    normal = unit(cross3(tangent, away))
     # rotate the tangent toward growing clearance
     cand = rodrigues_rotate(tangent, normal, ALPHA0)
     if np.dot(cand, away) < 0.0:
@@ -149,7 +150,7 @@ def deform(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
     if i_e - i_s < 2 and i_s > 0:
         i_s = i_e - 2
     # widen windows whose junctions have collapsed close together
-    while (np.linalg.norm(path.point(float(i_s)) - path.point(float(i_e))) < 0.5
+    while (norm(path.point(float(i_s)) - path.point(float(i_e))) < 0.5
            and (i_e < path.n_segments or i_s > int(np.ceil(s_progress)))):
         if i_e < path.n_segments:
             i_e += 1
@@ -159,9 +160,9 @@ def deform(path: PiecewisePath, unsafe: UnsafePoint, params: DeformParams,
     v_safe = safe_direction(path, unsafe, params, prev_normal)
     p_c_new = path.point(anchor) + v_safe
     for q in (path.point(float(i_s)), path.point(float(i_e))):
-        if np.linalg.norm(p_c_new - q) < 1e-6:
+        if norm(p_c_new - q) < 1e-6:
             p_c_new = p_c_new + 1e-5 * unit_or_zero(v_safe)
-    normal_used = np.cross(path.tangent(anchor), unit_or_zero(v_safe))
+    normal_used = cross3(path.tangent(anchor), unit_or_zero(v_safe))
     new_path = path.replace_window(i_s, i_e, p_c_new)
     if i_e - i_s > 3:
         # wide windows collapse many segments into two: re-subdivide the
@@ -212,7 +213,7 @@ def _lookahead_angles(p: np.ndarray, path: PiecewisePath) -> tuple[float, float]
     s0 = path.closest_param(p)
     _, target = path.point_ahead(s0, LOOKAHEAD)
     v_d = target - p
-    if np.linalg.norm(v_d) < 1e-9:
+    if norm(v_d) < 1e-9:
         return None
     return (float(np.arctan2(v_d[1], v_d[0])),
             float(np.arctan2(v_d[2], np.hypot(v_d[0], v_d[1]))))
@@ -323,7 +324,7 @@ class DeformNavigator:
 
     def control(self, state: Angle3DState, t: float, tick: int) -> tuple[float, float, float]:
         s_prog, n_def = self.deform_ahead(state.p, t, tick)
-        if np.linalg.norm(state.p - self.goal) < 0.3:
+        if norm(state.p - self.goal) < 0.3:
             return 0.0, 0.0, 0.0
         v, ub, ua = track_kinematic(state, self.path, self.params)
         # a violation still unresolved just ahead slows the vehicle down so

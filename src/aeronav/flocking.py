@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import min_pair_distance, pairwise, unit, unit_or_zero, wrap_angle
+from .geom import (cross3, min_pair_distance, norm, pairwise, unit, unit_or_zero,
+                   wrap_angle)
 from .plants import flock_direction, step_flock_batch
 from .world import World
 
@@ -111,7 +112,7 @@ def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
         diff, dist = diff.copy(), dist.copy()
         for i, j in np.argwhere(close):
             diff[i, j] = rng.standard_normal(diff.shape[2]) * 1e-6
-            dist[i, j] = np.linalg.norm(diff[i, j])
+            dist[i, j] = norm(diff[i, j])
             if nudged is not None:
                 nudged.append((int(i), int(j)))
     gain = params.k_ij * np.tanh(dist - params.d_ij)
@@ -141,11 +142,11 @@ def obstacle_force(q_i: np.ndarray, d: float, closest: np.ndarray,
         return np.zeros(3)
     gate = sigmoid_gate(params.big_c - d, GAMMA)
     e_away = unit_or_zero(q_i - closest)
-    if np.linalg.norm(e_away) < 1e-9:
+    if norm(e_away) < 1e-9:
         e_away = unit(np.ones(3))
     g_dir = unit_or_zero(params.goal - q_i)
-    swirl = unit_or_zero(np.cross(np.cross(e_away, g_dir), e_away))
-    n_io = unit(e_away + 0.9 * swirl) if np.linalg.norm(swirl) > 1e-9 else e_away
+    swirl = unit_or_zero(cross3(cross3(e_away, g_dir), e_away))
+    n_io = unit(e_away + 0.9 * swirl) if norm(swirl) > 1e-9 else e_away
     return params.k_obs * gate * n_io
 
 
@@ -204,7 +205,7 @@ def flock_energy(snapshot: FlockSnapshot, params: FlockParams,
     for i in range(snapshot.n):
         for j in neighbor[i]:
             if j > i:
-                q_ij = float(np.linalg.norm(snapshot.q[i] - snapshot.q[j])) - params.d_ij
+                q_ij = norm(snapshot.q[i] - snapshot.q[j]) - params.d_ij
                 u_alpha += params.k_ij * float(np.log(np.cosh(q_ij)))
     kin = 0.5 * float(np.sum(snapshot.nu[:, 0] ** 2))
     ang = 0.0

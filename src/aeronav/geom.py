@@ -18,16 +18,33 @@ Z3 = np.array([0.0, 0.0, 1.0])
 E3 = Z3
 
 
+def norm(v) -> float:
+    """|v| with the bits of np.linalg.norm(v): numpy's own body for ord=None,
+    axis=None (ravel, the BLAS dot, a correctly rounded sqrt) without its
+    dispatch.  Like np.linalg.norm it depends on the host's BLAS kernel;
+    norm3 does not."""
+    x = np.asarray(v, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def cross3(u, v) -> np.ndarray:
+    """u x v of two 3-vectors from the element-wise products and differences
+    np.cross forms, on Python floats: the same bits, signed zeros included."""
+    (u0, u1, u2), (v0, v1, v2) = (np.asarray(u, dtype=float).tolist(),
+                                  np.asarray(v, dtype=float).tolist())
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     """Normalize v; raises on (near-)zero input."""
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n < EPS:
         raise ValueError("cannot normalize a zero vector")
     return v / n
 
 
 def unit_or_zero(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n < EPS:
         return np.zeros_like(v)
     return v / n
@@ -46,13 +63,29 @@ def norm3(v) -> float:
     return math.sqrt(dot3(v, v))
 
 
+def _column_sum(d: np.ndarray) -> np.ndarray:
+    """d[..., 0] + d[..., 1] + ... summed left to right, as norm(axis=-1) and
+    cKDTree sum 2 or 3 columns."""
+    s = d[..., 0] + d[..., 1]
+    for k in range(2, d.shape[-1]):
+        s += d[..., k]
+    return s
+
+
 def sq_distances(a, b) -> np.ndarray:
-    """Squared distances between the broadcast 3-vectors of a and b, summed
-    (dx^2 + dy^2) + dz^2 as norm(axis=-1) and cKDTree sum them, so that
-    their square roots equal theirs bit for bit."""
+    """Squared distances between the broadcast 2- or 3-vectors of a and b,
+    summed (dx^2 + dy^2) + dz^2, so that their square roots equal
+    norm(a - b, axis=-1) bit for bit."""
     d = np.subtract(a, b, dtype=float)
     d *= d
-    return (d[..., 0] + d[..., 1]) + d[..., 2]
+    return _column_sum(d)
+
+
+def row_norms(x) -> np.ndarray:
+    """|row| of each row of the (..., 2) or (..., 3) array x, column by
+    column: np.linalg.norm(x, axis=-1) bit for bit, with less dispatch."""
+    d = np.multiply(x, x, dtype=float)
+    return np.sqrt(_column_sum(d))
 
 
 def matmul_lr(x, m) -> np.ndarray:
@@ -70,7 +103,7 @@ def pairwise(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Differences diff[i, j] = p[j] - p[i] of the rows of p, shape (n, n, m),
     and their norms, shape (n, n)."""
     diff = p[None, :, :] - p[:, None, :]
-    return diff, np.linalg.norm(diff, axis=2)
+    return diff, row_norms(diff)
 
 
 def min_pair_distance(d: np.ndarray) -> float:
@@ -100,7 +133,7 @@ def angle_diff(a, b):
 
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     """Unsigned angle between two vectors in [0, pi]."""
-    c = float(np.dot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+    c = float(np.dot(u, v)) / (norm(u) * norm(v))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
@@ -136,7 +169,7 @@ def rodrigues_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation matrix about a unit axis by `angle` (right-hand rule):
     cos(a) I + sin(a) [n]_x + (1 - cos(a)) n n^T."""
     n = np.asarray(axis, dtype=float)
-    nn = np.linalg.norm(n)
+    nn = norm(n)
     if abs(nn - 1.0) > 1e-3:
         raise ValueError(f"rotation axis must be unit length, got |axis|={nn:.6f}")
     if abs(nn - 1.0) > 1e-9:
@@ -156,10 +189,10 @@ def steer_map(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Unit vector perpendicular to the unit vector w1, in span{w1, w2},
     pointing toward w2.  Zero when w2 is parallel to w1 (or zero)."""
     w1 = np.asarray(w1, dtype=float)
-    if abs(np.linalg.norm(w1) - 1.0) > 1e-6:
+    if abs(norm(w1) - 1.0) > 1e-6:
         raise ValueError("steer_map: w1 must be unit length")
     f = np.asarray(w2, dtype=float) - float(np.dot(w1, w2)) * w1
-    n = np.linalg.norm(f)
+    n = norm(f)
     if n < 1e-9:
         return np.zeros_like(f)
     return f / n
@@ -171,7 +204,7 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
     c0 = unit(r[:, 0])
     c1 = r[:, 1] - np.dot(c0, r[:, 1]) * c0
     c1 = unit(c1)
-    c2 = np.cross(c0, c1)
+    c2 = cross3(c0, c1)
     return np.column_stack((c0, c1, c2))
 
 
@@ -184,8 +217,8 @@ def heading_from_angles(beta: float, alpha: float) -> np.ndarray:
 def perpendicular_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Any two unit vectors completing `n` (unit) to a right-handed frame."""
     ref = X3 if abs(n[0]) < 0.9 else Y3
-    e1 = unit(np.cross(n, ref))
-    e2 = np.cross(n, e1)
+    e1 = unit(cross3(n, ref))
+    e2 = cross3(n, e1)
     return e1, e2
 
 
@@ -194,7 +227,7 @@ def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple
     ab = b - a
     denom = float(np.dot(ab, ab))
     if denom < EPS:
-        return float(np.linalg.norm(p - a)), a.copy()
+        return norm(p - a), a.copy()
     t = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
     q = a + t * ab
-    return float(np.linalg.norm(p - q)), q
+    return norm(p - q), q

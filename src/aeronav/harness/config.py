@@ -13,6 +13,7 @@ import numpy as np
 
 from ..coverage import BarrierFrame, FrameError
 from ..deform import DeformParams
+from ..geom import norm
 from ..flocking import FlockParams
 from ..hybrid2d import HybridParams
 from ..planner2d import RrtParams
@@ -284,7 +285,7 @@ def _check_coverage(cov: dict, count: int) -> None:
     if removed and (max(removed) >= count or len(removed) >= count):
         raise ConfigError(f"{where}.removals must name agents below agents.count "
                           f"{count} and leave one, got {sorted(removed)}")
-    u_max = float(np.linalg.norm(cov.get("k", [2.5, 0.5, 0.5])))
+    u_max = norm(cov.get("k", [2.5, 0.5, 0.5]))
     sweep = cov.get("sweep", {})
     if sweep.get("g0", 1.5) > u_max:
         raise ConfigError(f"{where}.sweep.g0 exceeds the agents' speed limit {u_max:.3f}")

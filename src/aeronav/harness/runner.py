@@ -15,7 +15,7 @@ from ..coverage import (BarrierFrame, CoverageGains, CoverageSim, SweepEvent,
 from ..deform import (DeformNavigator, DeformParams, RefModelState,
                       ref_acceleration, ref_velocity, reference_model_step)
 from ..flocking import FlockParams, FlockSim, neighbor_lists
-from ..geom import dot3, norm3, unit
+from ..geom import dot3, norm, norm3, unit
 from ..hybrid2d import GOAL_TOL, HybridNavigator, HybridParams
 from ..planner2d import RrtParams
 from ..plants import (Angle3DState, Heading3DState, LimitSet, QuadrotorState,
@@ -208,7 +208,7 @@ class _Vehicle(Engine):
             self.state = self.stepper(self.state, *self.cmd, self.plant_dt, limits=self.limits)
             self.t += self.plant_dt
         self.clearance = {"min_d_obs": _clearance(self.world, self.state.position, self.t)}
-        if np.linalg.norm(self.state.position - self.goal) < self.goal_tol:
+        if norm(self.state.position - self.goal) < self.goal_tol:
             return self.at_goal()
         return None
 
@@ -329,12 +329,12 @@ class _Deform3DQuad(Engine):
             st = self.tracker.step(FlatSample(ref.p.copy(), ref_velocity(ref),
                                               ref_acceleration(ref)), self.plant_dt)
             self.t += self.plant_dt
-            self.errs.append(float(np.linalg.norm(st.p - ref.p)))
+            self.errs.append(norm(st.p - ref.p))
             d = _clearance(self.world, st.p, self.t)
             d_tick = monitors_mod.min_keep_nan(d_tick, d)
             if k == first:
                 self.row = (tick, self.t, 0, st.p, st.v, "track", d, np.inf)
-            if np.linalg.norm(st.p - self.nav.goal) < 0.4:
+            if norm(st.p - self.nav.goal) < 0.4:
                 status = self.at_goal()
                 break
         self.clearance = {"min_d_obs": d_tick}

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .bezier import PiecewisePath
-from .geom import angle_diff, chi, smooth_sgn
+from .geom import angle_diff, chi, norm, smooth_sgn
 from .planner2d import RrtParams, prune_path, rrt_plan, smooth_path
 from .plants import Unicycle2DState
 from .world import World
@@ -79,7 +79,7 @@ def pure_pursuit_2d(state: Unicycle2DState, path: PiecewisePath,
     ahead of the closest path point.  Returns (V, u, target)."""
     pos = state.position
     s_close = path.closest_param(pos)
-    cross_track = float(np.linalg.norm(path.point(s_close) - pos))
+    cross_track = norm(path.point(s_close) - pos)
     lookahead = float(np.clip(LOOKAHEAD_BASE + LOOKAHEAD_GAIN * abs(cross_track),
                               LOOKAHEAD_BASE, LOOKAHEAD_MAX))
     _, target = path.point_ahead(s_close, lookahead)
@@ -173,7 +173,7 @@ class HybridNavigator:
         """Clearance along the bearing to the pursuit target, extended C + d0
         past it so resuming tracking cannot immediately re-trigger R1."""
         to_t = np.asarray(target, dtype=float) - state.position
-        n = np.linalg.norm(to_t)
+        n = norm(to_t)
         if n < 1e-9:
             return True
         p_end = state.position + to_t / n * (n + self.p.big_c + self.p.d0)
@@ -199,7 +199,7 @@ class HybridNavigator:
         pruned = prune_path(res.waypoints, self.known, self.rrt, t)
         wps = np.vstack([state.position[None, :], pruned])
         keep = [0] + [i for i in range(1, len(wps))
-                      if np.linalg.norm(wps[i] - wps[i - 1]) > 1e-6]
+                      if norm(wps[i] - wps[i - 1]) > 1e-6]
         self.path = smooth_path(wps[keep])
         return True
 
@@ -263,6 +263,6 @@ class HybridNavigator:
         if self.mode == NavMode.REACTIVE:
             return reactive_law_2d(d, d_dot, self._gamma, self.p)
 
-        if np.linalg.norm(state.position - self.goal) < GOAL_TOL:
+        if norm(state.position - self.goal) < GOAL_TOL:
             return 0.0, 0.0
         return v, u

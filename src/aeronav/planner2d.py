@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import PiecewisePath
+from .geom import norm
 from .world import World
 
 
@@ -84,7 +85,7 @@ def rrt_plan(start, goal, world: World, params: RrtParams,
         near_i = int(np.argmin(d2))
         near = pts[near_i]
         delta = sample - near
-        dist = float(np.linalg.norm(delta))
+        dist = norm(delta)
         if dist < 1e-9:
             continue
         new = near + delta * min(1.0, params.step / dist)
@@ -94,7 +95,7 @@ def rrt_plan(start, goal, world: World, params: RrtParams,
         nodes.append(new)
         parents.append(near_i)
         n += 1
-        if np.linalg.norm(new - goal) <= params.step and _edge_free(world, new, goal, params, t):
+        if norm(new - goal) <= params.step and _edge_free(world, new, goal, params, t):
             path = [goal, new]
             k = parents[len(nodes) - 1]
             while k >= 0:
@@ -103,7 +104,7 @@ def rrt_plan(start, goal, world: World, params: RrtParams,
             path.reverse()
             w = np.asarray(path)
             keep = [0] + [i for i in range(1, len(w))
-                          if np.linalg.norm(w[i] - w[i - 1]) > 1e-9]
+                          if norm(w[i] - w[i - 1]) > 1e-9]
             return PlanResult(w[keep], it + 1, True)
     return PlanResult(None, params.max_iters, False, "iteration budget exhausted")
 

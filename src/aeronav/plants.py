@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (heading_from_angles, orthonormalize, skew, unit,
+from .geom import (cross3, heading_from_angles, norm, orthonormalize, skew, unit,
                    wrap_angle)
 
 PLANT_DT = 0.01
@@ -145,7 +145,7 @@ def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = P
     u = np.asarray(u, dtype=float)
     if limits is not None:
         v = float(np.clip(v, 0.0, limits.v_max))
-        un = np.linalg.norm(u)
+        un = norm(u)
         if un > limits.u_max:
             u = u * (limits.u_max / un)
     _check_finite([state.p, state.a, u, np.array([v])])
@@ -212,7 +212,7 @@ def step_quadrotor(state: QuadrotorState, thrust: float, torque: np.ndarray,
         dp = v
         dv = -GRAVITY * e3 + thrust * (r @ e3)
         dr = (r @ skew(w)).reshape(9)
-        dw = j_inv @ (-np.cross(w, j @ w) + torque)
+        dw = j_inv @ (-cross3(w, j @ w) + torque)
         return np.concatenate([dp, dv, dr, dw])
 
     out = rk4(f, y, dt)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import unit, vee
+from .geom import cross3, norm, unit, vee
 from .plants import GRAVITY, QuadrotorState, step_quadrotor
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -55,17 +55,17 @@ def flat_outputs_to_attitude_thrust(a_cmd: np.ndarray, yaw_ref: float,
     """Thrust (projection of a_cmd on the current body z) and the desired
     attitude whose z-axis aligns with a_cmd at the reference yaw."""
     a_cmd = np.asarray(a_cmd, dtype=float)
-    if np.linalg.norm(a_cmd) < 1e-9:
+    if norm(a_cmd) < 1e-9:
         raise ValueError("acceleration command must be nonzero")
     z_des = unit(a_cmd)
     x_c = np.array([np.cos(yaw_ref), np.sin(yaw_ref), 0.0])
-    cross = np.cross(z_des, x_c)
-    if np.linalg.norm(cross) < 1e-9:
+    cross = cross3(z_des, x_c)
+    if norm(cross) < 1e-9:
         # degenerate yaw: a_cmd parallel to x_c; nudge the reference yaw
         x_c = np.array([np.cos(yaw_ref + 1e-6), np.sin(yaw_ref + 1e-6), 0.0])
-        cross = np.cross(z_des, x_c)
+        cross = cross3(z_des, x_c)
     y_des = unit(cross)
-    x_des = np.cross(y_des, z_des)
+    x_des = cross3(y_des, z_des)
     r_des = np.column_stack((x_des, y_des, z_des))
     thrust = float(a_cmd @ (np.asarray(r_current, dtype=float) @ E3))
     return thrust, r_des

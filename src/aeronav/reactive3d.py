@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geom import angle_between, chi, smooth_sgn, steer_map, unit
+from .geom import angle_between, chi, cross3, norm, row_norms, smooth_sgn, steer_map, unit
 from .plants import Heading3DState
 from .world import Ellipsoid, World
 
@@ -61,15 +61,15 @@ def tangent_to_ellipsoid(p0: np.ndarray, ellipsoid: Ellipsoid,
     """
     p0 = np.asarray(p0, dtype=float)
     q0 = ellipsoid.to_body(p0) / ellipsoid.semi
-    rho = float(np.linalg.norm(q0))
+    rho = norm(q0)
     if rho <= 1.0 + 1e-12:
         raise ValueError("tangent requires a point strictly outside the ellipsoid")
     center = q0 / rho ** 2
     r_circ = np.sqrt(1.0 - 1.0 / rho ** 2)
     n = q0 / rho
     ref = np.eye(3)[int(np.argmin(np.abs(n)))]
-    e1 = unit(np.cross(n, ref))
-    e2 = np.cross(n, e1)
+    e1 = unit(cross3(n, ref))
+    e2 = cross3(n, e1)
     a_dir = unit(np.asarray(heading, dtype=float))
 
     def candidates(phis):
@@ -77,7 +77,7 @@ def tangent_to_ellipsoid(p0: np.ndarray, ellipsoid: Ellipsoid,
                                           + np.sin(phis)[:, None] * e2[None, :]))
         pts = ellipsoid.to_world(qs * ellipsoid.semi)
         tangents = pts - p0
-        tn = tangents / np.linalg.norm(tangents, axis=1)[:, None]
+        tn = tangents / row_norms(tangents)[:, None]
         return pts, tn @ a_dir
 
     phis = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
@@ -107,15 +107,15 @@ def build_plane(p: np.ndarray, heading: np.ndarray, tangent: np.ndarray,
     in-plane normal i_n = a x n toward the obstacle).  Head-on ties break so
     the initial swerve goes to the tangent side (the short way around)."""
     a = unit(np.asarray(heading, dtype=float))
-    n = np.cross(np.asarray(tangent, dtype=float), a)
-    nn = np.linalg.norm(n)
+    n = cross3(tangent, a)
+    nn = norm(n)
     if nn < 1e-9:
         raise ValueError("tangent parallel to heading: avoidance plane undefined")
     n = n / nn
-    i_n = np.cross(a, n)
+    i_n = cross3(a, n)
     toward = np.asarray(closest_point, dtype=float) - np.asarray(p, dtype=float)
     side = float(np.dot(i_n, toward))
-    if abs(side) > 1e-6 * max(np.linalg.norm(toward), 1.0):
+    if abs(side) > 1e-6 * max(norm(toward), 1.0):
         gamma_dir = 1.0 if side > 0.0 else -1.0
     else:
         # i_n points to the tangent/swerve side; the body lies opposite
@@ -135,15 +135,15 @@ def avoid_law_3d(heading: np.ndarray, d: float, d_dot: float,
     orthogonal to the heading and bounded by omega_max.
     """
     a = np.asarray(heading, dtype=float)
-    i_n = np.cross(a, plane.normal)
-    n_i = np.linalg.norm(i_n)
+    i_n = cross3(a, plane.normal)
+    n_i = norm(i_n)
     if n_i < 1e-9:
         raise ValueError("degenerate i_n: heading parallel to the plane normal")
     i_n = i_n / n_i
     gamma_dir = plane.gamma_dir
     if toward is not None:
         side = float(np.dot(i_n, toward))
-        if abs(side) > 1e-9 * max(np.linalg.norm(toward), 1.0):
+        if abs(side) > 1e-9 * max(norm(toward), 1.0):
             gamma_dir = 1.0 if side > 0.0 else -1.0
     s = d_dot + chi(d - p.d0, p.gamma, p.delta)
     return gamma_dir * p.omega_max * smooth_sgn(s, MU) * i_n
@@ -154,7 +154,7 @@ def pp_omega(s_r: np.ndarray, p_r: np.ndarray, p_goal: np.ndarray,
     """Pure-pursuit speed and turn rate toward the goal:
     V0 = V_bar tanh(mu |p_e|), Omega = Omega_max F(s_r, p_e)."""
     p_e = np.asarray(p_goal, dtype=float) - np.asarray(p_r, dtype=float)
-    v0 = p.v_bar * float(np.tanh(MU * np.linalg.norm(p_e)))
+    v0 = p.v_bar * float(np.tanh(MU * norm(p_e)))
     omega = p.omega_max * steer_map(s_r, p_e)
     return v0, omega
 
@@ -227,7 +227,7 @@ class Reactive3DNavigator:
         margin = max(self.p.d_safe, 0.97 * self.p.d0)
         ob = self.world.obstacles[self._avoid_id]
         to_goal = self.goal - state.p
-        dist = float(np.linalg.norm(to_goal))
+        dist = norm(to_goal)
         horizon = min(dist, 3.0 * self.p.big_c)
         n = max(2, int(np.ceil(horizon / 0.1)))
         for s in np.linspace(0.0, horizon / dist, n):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import sq_distances, unit, unit_or_zero
+from .geom import norm, row_norms, sq_distances, unit, unit_or_zero
 from .tunnels import GRID_CELL, CellGrid, k_nearest
 from .world import SensingModel, sense_points
 
@@ -77,7 +77,7 @@ def slice_centroids(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     """Centroids of the two wall slices at D1 and D2 ahead of c along the
     (unit) heading, and the point-line distance h from c to their chord."""
     f = np.asarray(heading, dtype=float)
-    if abs(np.linalg.norm(f) - 1.0) > 1e-6:
+    if abs(norm(f) - 1.0) > 1e-6:
         raise ValueError("heading must be unit length")
     if len(cloud) == 0:
         raise SliceStarvation("empty cloud")
@@ -95,11 +95,11 @@ def _chord_centroids(c: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> SliceCent
     """The centroid pair G1, G2 with the point-line distance h from c to
     their chord."""
     a = g2 - g1
-    an = np.linalg.norm(a)
+    an = norm(a)
     if an < 1e-9:
         raise SliceStarvation("degenerate slice chord (G1 == G2)")
     r = c - g1
-    h = float(np.linalg.norm(r - np.dot(r, a / an) * (a / an)))
+    h = norm(r - np.dot(r, a / an) * (a / an))
     return SliceCentroids(g1, a, h)
 
 
@@ -108,14 +108,14 @@ def tunnel_law(c: np.ndarray, centroids: SliceCentroids,
     """Velocity command of constant magnitude v: along A when h is inside the
     re-centering band, otherwise A rotated by beta0 toward the axis chord."""
     a = centroids.a
-    a_hat = a / float(np.linalg.norm(a))  # _chord_centroids refuses |A| < 1e-9
+    a_hat = a / norm(a)  # _chord_centroids refuses |A| < 1e-9
     if centroids.h < params.radius - 2.0 * params.eps0:
         return params.v * a_hat, "M1"
     # rotate toward the chord: decompose the vehicle offset from the line
     r = c - centroids.g1
     perp = r - np.dot(r, a_hat) * a_hat
     to_axis = -unit_or_zero(perp)
-    if np.linalg.norm(to_axis) < 1e-9:
+    if norm(to_axis) < 1e-9:
         return params.v * a_hat, "M1"
     b_hat = np.cos(params.beta0) * a_hat + np.sin(params.beta0) * to_axis
     return params.v * unit(b_hat), "M2"
@@ -201,7 +201,7 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     good = cents[valid]
     if len(good) < 2:
         return None
-    dist = np.linalg.norm(good - c, axis=1)
+    dist = row_norms(good - c)
     order = np.argsort(dist)
     g1, g2 = good[order[0]], good[order[1]]
     return g1, g2

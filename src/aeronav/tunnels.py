@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import perpendicular_basis, sq_distances, unit
+from .geom import cross3, norm, perpendicular_basis, sq_distances, unit
 from .world import in_range
 
 
@@ -180,21 +180,17 @@ def _parallel_frames(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     t_prev, t_next = tangents[:-1], tangents[1:]
     c = np.cross(t_prev, t_next)
     # one 1-D norm and dot per row: row-wise reductions round differently
-    s = np.array([np.linalg.norm(ci) for ci in c])
+    s = np.array([norm(ci) for ci in c])
     turns = s > 1e-12
     rot_axes = c / np.where(turns, s, 1.0)[:, None]
     ang = np.arctan2(s, [np.dot(a, b) for a, b in zip(t_prev, t_next)])
     cos_a, sin_a = np.cos(ang), np.sin(ang)
-    axes_list = rot_axes.tolist()
     normals = np.empty_like(tangents)
     n = normals[0] = perpendicular_basis(tangents[0])[0]
     for i in range(1, len(axis)):
         if turns[i - 1]:
             k, cr = rot_axes[i - 1], cos_a[i - 1]
-            # k x n from its components, which is how np.cross computes it
-            (k0, k1, k2), (n0, n1, n2) = axes_list[i - 1], n.tolist()
-            k_x_n = np.array([k1 * n2 - k2 * n1, k2 * n0 - k0 * n2, k0 * n1 - k1 * n0])
-            n = cr * n + sin_a[i - 1] * k_x_n + (1 - cr) * k * np.dot(k, n)
+            n = cr * n + sin_a[i - 1] * cross3(k, n) + (1 - cr) * k * np.dot(k, n)
         t_cur = tangents[i]
         n = normals[i] = unit(n - np.dot(n, t_cur) * t_cur)
     binormals = np.cross(tangents, normals)
@@ -323,7 +319,7 @@ def generate_tunnel(shape: str, *, radius: float = 2.0, length: float = 40.0,
         for wp in wps[1:]:
             base = pieces[-1][-1]
             seg = wp - base
-            n = max(1, int(np.ceil(np.linalg.norm(seg) / _DS)))
+            n = max(1, int(np.ceil(norm(seg) / _DS)))
             pieces.append(base + seg * (np.arange(1, n + 1) / n)[:, None])
         axis = np.concatenate(pieces)
         # round corners slightly so frames stay well-conditioned

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import point_segment_distance, sq_distances
+from .geom import cross3, norm, point_segment_distance, row_norms, sq_distances
 
 _INF = float("inf")
 # brentq's tolerances and iteration limit, as the ellipsoid distance used them
@@ -116,7 +116,7 @@ class Sphere(Obstacle):
 
     def distance(self, p, t=0.0):
         r = np.asarray(p, dtype=float) - self.center
-        rho = float(np.linalg.norm(r))
+        rho = norm(r)
         if rho < 1e-12:
             q = self.center + np.eye(len(self.center))[0] * self.radius
             return 0.0, q
@@ -139,7 +139,7 @@ class Cylinder(Obstacle):
     def __post_init__(self):
         self.base = np.asarray(self.base, dtype=float)
         a = np.asarray(self.axis, dtype=float)
-        self.axis = a / np.linalg.norm(a)
+        self.axis = a / norm(a)
         if self.radius <= 0.0 or self.height <= 0.0:
             raise ValueError("cylinder extents must be positive")
 
@@ -148,7 +148,7 @@ class Cylinder(Obstacle):
         r = p - self.base
         h = float(np.dot(r, self.axis))
         radial = r - h * self.axis
-        rho = float(np.linalg.norm(radial))
+        rho = norm(radial)
         dz = max(-h, h - self.height, 0.0)
         dr = max(rho - self.radius, 0.0)
         rad_dir = radial / rho if rho > 1e-12 else _any_perp(self.axis)
@@ -193,7 +193,7 @@ class Ellipsoid(Obstacle):
         if np.sum((q / self.semi) ** 2) <= 1.0:
             # inside: radial surface point (direction anchor, not the true
             # nearest) -- distance to the set is zero either way
-            qn = np.linalg.norm(q / self.semi)
+            qn = norm(q / self.semi)
             if qn < 1e-12:
                 tip = np.zeros_like(self.semi)
                 tip[0] = self.semi[0]
@@ -211,12 +211,12 @@ class Ellipsoid(Obstacle):
                 total += y * y / b
             return total - 1.0
 
-        hi = float(np.linalg.norm(q) * np.max(self.semi) + np.max(a2))
+        hi = float(norm(q) * np.max(self.semi) + np.max(a2))
         while f(hi) > 0.0:
             hi *= 2.0
         s = brentq(f, 0.0, hi)
         qs = a2 * q / (a2 + s)
-        return float(np.linalg.norm(q - qs)), self.to_world(qs)
+        return norm(q - qs), self.to_world(qs)
 
 
 @dataclass
@@ -257,7 +257,7 @@ class Moving(Obstacle):
         return self.velocity * t
 
     def velocity_bound(self) -> float:
-        return float(np.linalg.norm(self.velocity))
+        return norm(self.velocity)
 
     def distance(self, p, t=0.0):
         off = self.offset(t)
@@ -268,8 +268,8 @@ class Moving(Obstacle):
 def _any_perp(a: np.ndarray) -> np.ndarray:
     ref = np.zeros_like(a)
     ref[int(np.argmin(np.abs(a)))] = 1.0
-    v = np.cross(a, ref)
-    return v / np.linalg.norm(v)
+    v = cross3(a, ref)
+    return v / norm(v)
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ class World:
         points = np.asarray(points, dtype=float)
         out = np.full(len(points), _INF)
         for o in self.obstacles:
-            out = np.minimum(out, _batch_obstacle_distance(o, points, t))
+            np.minimum(out, _batch_obstacle_distance(o, points, t), out=out)
         return out
 
     def segment_clear(self, a: np.ndarray, b: np.ndarray, margin: float = 0.0,
@@ -320,7 +320,7 @@ class World:
             return True
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        n = max(2, int(np.ceil(float(np.linalg.norm(b - a)) / resolution)) + 1)
+        n = max(2, int(np.ceil(norm(b - a) / resolution)) + 1)
         pts = a[None, :] + np.linspace(0.0, 1.0, n)[:, None] * (b - a)[None, :]
         return bool(np.all(self.batch_distance(pts, t) > margin))
 
@@ -345,12 +345,12 @@ def _batch_obstacle_distance(o: Obstacle, pts: np.ndarray, t: float) -> np.ndarr
     if isinstance(o, Moving):
         return _batch_obstacle_distance(o.shape, pts - o.offset(t)[None, :], 0.0)
     if isinstance(o, Sphere):
-        return np.maximum(np.linalg.norm(pts - o.center[None, :], axis=1) - o.radius, 0.0)
+        return np.maximum(row_norms(pts - o.center[None, :]) - o.radius, 0.0)
     if isinstance(o, Cylinder):
         r = pts - o.base[None, :]
         h = r @ o.axis
         radial = r - h[:, None] * o.axis[None, :]
-        rho = np.linalg.norm(radial, axis=1)
+        rho = row_norms(radial)
         dz = np.maximum(np.maximum(-h, h - o.height), 0.0)
         dr = np.maximum(rho - o.radius, 0.0)
         return np.hypot(dr, dz)
@@ -360,11 +360,11 @@ def _batch_obstacle_distance(o: Obstacle, pts: np.ndarray, t: float) -> np.ndarr
             ab = b - a
             denom = float(np.dot(ab, ab))
             if denom < 1e-18:
-                d = np.linalg.norm(pts - a[None, :], axis=1)
+                d = row_norms(pts - a[None, :])
             else:
                 s = np.clip((pts - a[None, :]) @ ab / denom, 0.0, 1.0)
                 q = a[None, :] + s[:, None] * ab[None, :]
-                d = np.linalg.norm(pts - q, axis=1)
+                d = row_norms(pts - q)
             best = np.minimum(best, d)
         return best
     # ellipsoids and anything exotic: exact per-point query

@@ -155,3 +155,52 @@ def test_curvature_against_finite_difference_oracle():
         cross = abs(d1[0] * d2[1] - d1[1] * d2[0])
         k_fd = cross / np.linalg.norm(d1) ** 3
         assert curvature(path, s) == pytest.approx(k_fd, rel=1e-2, abs=1e-6)
+
+
+def _reference_closest(path, p, per_segment=200):
+    params, pts = path.sample(per_segment)
+    return float(params[np.argmin(np.linalg.norm(pts - p, axis=1))])
+
+
+LOOPS = {2: [[0.0, 0.0], [4.0, 0.0], [2.0, 3.0], [0.0, 0.0]],
+         3: [[0.0, 0.0, 1.0], [4.0, 0.0, 2.0], [2.0, 3.0, 0.5], [0.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_closest_param_equals_the_norm_argmin(dim):
+    """The column-form scan picks the sample that argmin over
+    norm(pts - p, axis=1) picks, the first of equals included: a closed
+    loop's first and last samples are both exactly its start point, so a
+    query beside the start is equidistant from the two."""
+    path = PiecewisePath.from_waypoints(np.array(LOOPS[dim]))
+    params, pts = path.sample()
+    assert np.array_equal(pts[0], pts[-1])
+    beside = pts[0] - 0.5
+    assert _reference_closest(path, beside) == 0.0
+    rng = np.random.default_rng(3)
+    queries = [beside, *rng.uniform(-2.0, 5.0, (200, dim)),
+               *(pts[rng.integers(len(pts), size=20)] + 1e-3)]
+    for per_segment in (20, 200):
+        for p in queries:
+            assert path.closest_param(p, per_segment) == _reference_closest(path, p, per_segment)
+
+
+def test_closest_param_memo_answers_by_value():
+    """The remembered query is keyed on the point's value: an array mutated
+    in place gets the new point's answer, alternating queries each get
+    their own, and copies of the path answer as the original does."""
+    import copy
+    import pickle
+
+    path = PiecewisePath.from_waypoints(np.array(LOOPS[3]))
+    p1, p2 = np.array([4.5, 0.0, 2.0]), np.array([2.0, 3.5, 0.5])
+    s1, s2 = _reference_closest(path, p1), _reference_closest(path, p2)
+    assert s1 != s2
+    p = p1.copy()
+    assert path.closest_param(p) == s1
+    p[:] = p2
+    assert path.closest_param(p) == s2
+    assert [path.closest_param(q) for q in (p1, p2, p1)] == [s1, s2, s1]
+    assert path.closest_param(p1, per_segment=20) == _reference_closest(path, p1, 20)
+    for twin in (copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
+        assert [twin.closest_param(q) for q in (p1, p2, p1)] == [s1, s2, s1]

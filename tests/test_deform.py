@@ -264,3 +264,45 @@ def test_dynamic_sphere_intercept_safe():
                                    check_margin=0.8)
         assert res.metrics["goal_reached"]
         assert res.metrics["min_d_obs"] >= 0.5
+
+
+def _fresh_table(path, per_segment):
+    """(params, points, chord length) of the path evaluated from scratch on
+    fresh copies of its segments, in the table's formula."""
+    segs = [QuinticBezier(seg.control.copy()) for seg in path.segments]
+    last = len(segs) - 1
+    u = [np.linspace(0.0, 1.0, per_segment, endpoint=(i == last)) for i in range(len(segs))]
+    params = np.concatenate([i + ui for i, ui in enumerate(u)])
+    pts = np.vstack([seg.point(ui) for seg, ui in zip(segs, u)])
+    chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return params, pts, np.concatenate([[0.0], np.cumsum(chord)])
+
+
+def test_deformed_path_tables_equal_fresh_evaluation(monkeypatch):
+    """Deformed paths reuse the samples of the segments they keep; each
+    table of every path along a chain of deformations, one of them
+    re-subdivided, equals a table evaluated from scratch, bit for bit."""
+    resubdivided = []
+    resubdivide = deform_mod._resubdivide_window
+
+    def counted(*a):
+        resubdivided.append(a[1:])
+        return resubdivide(*a)
+
+    monkeypatch.setattr(deform_mod, "_resubdivide_window", counted)
+    w = World([Sphere(np.array([6.0, 0.4, 0.0]), 1.0),
+               Sphere(np.array([12.0, -0.6, 0.3]), 1.2)])
+    params = DeformParams()
+    path, paths, prev = straight_path(), [], None
+    for _ in range(6):
+        path.closest_param(np.array([1.0, 0.1, 0.0]))
+        paths.append(path)
+        unsafe = find_unsafe(path, w, params.d_check)
+        if unsafe is None:
+            break
+        path, prev = deform(path, unsafe, params, 0.0, prev)
+    assert resubdivided and len(paths) >= 3
+    for p in paths:
+        for n in (20, 200):
+            got, want = p._table(n)[:3], _fresh_table(p, n)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))

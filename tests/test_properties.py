@@ -4,7 +4,9 @@ for bit, against the same clips with no early stop; the coverage path's
 float arithmetic, bit for bit, against the element-wise sums it promises;
 the batched null-space blend against one explicit projector product per
 agent, and one flocking tick against a per-agent loop over the force
-helpers; and the tabled path lookahead against a dense chord sum."""
+helpers; the tabled path lookahead against a dense chord sum; and the
+one-vector helpers `geom.norm`, `geom.cross3` and `geom.row_norms`, bit for
+bit, against the numpy calls they replace."""
 import math
 
 import numpy as np
@@ -21,7 +23,7 @@ from aeronav.coverage import (BarrierFrame, CoverageGains, clip_halfplane,
 from aeronav.flocking import (FlockParams, FlockSim, goal_forces, heading_angles,
                               neighbor_lists, nsb_blend, obstacle_force,
                               spacing_forces)
-from aeronav.geom import pairwise, wrap_angle
+from aeronav.geom import cross3, norm, pairwise, row_norms, wrap_angle
 from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
 
@@ -310,3 +312,55 @@ def test_point_ahead_tracks_dense_arclength(path, frac, d):
     for d_k, s_k in ((d1, s1), (d2, s2)):
         if s_k < path.n_segments:
             assert abs(_dense_length(path, s0, s_k) - d_k) <= 1e-4 * d_k + slack
+
+
+# magnitudes from 1e-300 to 1e300, zeros of both signs, and everything
+# between, so the dot product underflows and overflows as well
+wide = st.one_of(st.floats(-1e300, 1e300, allow_nan=False),
+                 st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]),
+                 st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+                           st.integers(-300, 299)))
+
+
+@st.composite
+def vectors(draw, dims=(2, 3)):
+    """A 2- or 3-vector, contiguous or as a strided view of a larger array.
+    Half are scaled normal draws: their full mantissas are where sums of
+    squares round differently."""
+    dim = draw(st.sampled_from(dims))
+    stride = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        base = draw(arrays(float, dim * stride, elements=wide))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        base = rng.standard_normal(dim * stride) * 10.0 ** draw(st.integers(-300, 299))
+    return base[::stride]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=vectors())
+def test_norm_is_numpy_norm_bit_for_bit(v):
+    with np.errstate(over="ignore", under="ignore"):
+        assert _bits(norm(v)) == _bits(np.linalg.norm(v))
+
+
+@settings(max_examples=400, deadline=None)
+@given(u=vectors((3,)), v=vectors((3,)))
+def test_cross3_is_numpy_cross_bit_for_bit(u, v):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = np.cross(u, v)
+        got = cross3(u, v)
+    # array_equal treats nan as unequal and -0.0 as 0.0: compare the bytes
+    assert got.shape == want.shape and _bits(got) == _bits(want)
+
+
+@SETTINGS
+@given(x=st.tuples(st.integers(0, 40), st.integers(2, 3)).flatmap(
+    lambda shape: arrays(float, shape, elements=wide)))
+def test_row_norms_is_numpy_row_norm_bit_for_bit(x):
+    with np.errstate(over="ignore", under="ignore"):
+        assert _bits(row_norms(x)) == _bits(np.linalg.norm(x, axis=-1))
