@@ -258,11 +258,10 @@ class FlockSim:
 
     def nearest_obstacles(self) -> list:
         """Each agent's `World.nearest_obstacle` (distance, closest point,
-        index) at the current state; the world is queried once per state,
+        index) at the current state, from one many-point query per state,
         however many readers ask."""
         if self._nearest[0] is not self.snapshot:
-            self._nearest = (self.snapshot, [self.world.nearest_obstacle(q, self.t)
-                                             for q in self.snapshot.q])
+            self._nearest = (self.snapshot, self.world.nearest_obstacle(self.snapshot.q, self.t))
         return self._nearest[1]
 
     def tick(self):

@@ -88,6 +88,49 @@ def row_norms(x) -> np.ndarray:
     return np.sqrt(_column_sum(d))
 
 
+def column_norms(*columns) -> np.ndarray:
+    """sqrt(c0^2 + c1^2 + ...) of the broadcast column arrays, summed left to
+    right: row_norms's bits for the array whose last-axis columns they are."""
+    s = columns[0] * columns[0]
+    for c in columns[1:]:
+        s += c * c
+    return np.sqrt(s)
+
+
+def blas_dots(a, b) -> np.ndarray:
+    """a[..., :] . b[..., :] over the broadcast rows of the arrays a and b,
+    each by its own BLAS dot: np.vecdot calls the kernel a[i].dot(b[i])
+    calls, so every row has that dot's bits, where a column sum or einsum
+    rounds differently on a share of rows."""
+    return np.vecdot(a, b)
+
+
+def blas_norms(x) -> np.ndarray:
+    """|row| of each row of the array x by blas_dots: norm(x[i])'s bits,
+    where row_norms gives norm(x, axis=-1)'s."""
+    return np.sqrt(blas_dots(x, x))
+
+
+def blas_matvecs(m, v) -> np.ndarray:
+    """m[i] @ v[i] for the broadcast stacks of (n, k) matrices m and
+    k-vectors v: one BLAS gemv per matrix, the call each m[i] @ v[i] makes."""
+    return np.matmul(m, v[..., :, None])[..., 0]
+
+
+def sub_columns(a, b) -> np.ndarray:
+    """a - b for arrays that broadcast to (..., k), as a fresh C-contiguous
+    array.  A large one is formed one last-axis column at a time: numpy
+    runs a broadcast over a 2- or 3-long last axis with inner loops that
+    short, several times slower."""
+    shape = np.broadcast(a, b).shape
+    if math.prod(shape[:-1]) < 64:
+        return a - b
+    out = np.empty(shape)
+    for j in range(shape[-1]):
+        np.subtract(a[..., j], b[..., j], out=out[..., j])
+    return out
+
+
 def matmul_lr(x, m) -> np.ndarray:
     """x @ m for x of shape (..., k) and m of shape (k, l), as element-wise
     products summed left to right over k.  numpy's element-wise `*` and `+`

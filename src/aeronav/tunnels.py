@@ -15,11 +15,12 @@ tests/test_tunnels.py, and must match them bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import cross3, norm, perpendicular_basis, sq_distances, unit
+from .geom import EPS, blas_dots, blas_norms, norm, perpendicular_basis, sq_distances
 from .world import in_range
 
 
@@ -170,8 +171,12 @@ def _parallel_frames(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Tangents plus parallel-transported normals/binormals along a polyline.
 
     The rotation taking each tangent to the next (about c = t_prev x t_cur,
-    by atan2(|c|, t_prev . t_cur)) is computed for all samples at once; only
-    the transport of the normal through those rotations is sequential."""
+    by atan2(|c|, t_prev . t_cur)) is computed for all samples at once, its
+    norms and dots one BLAS dot per row.  Only the transport of the normal
+    through those rotations is sequential: it runs on Python floats in the
+    order of the array expression n = cos n + sin (k x n) + (1 - cos) k (k . n),
+    n = unit(n - (n . t) t), and only its dots, whose BLAS kernel Python
+    cannot reproduce, are taken on arrays."""
     diffs = np.diff(axis, axis=0)
     seglen = np.linalg.norm(diffs, axis=1)
     if np.any(seglen < 1e-12):
@@ -179,20 +184,29 @@ def _parallel_frames(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     tangents = np.vstack([diffs / seglen[:, None], diffs[-1:] / seglen[-1]])
     t_prev, t_next = tangents[:-1], tangents[1:]
     c = np.cross(t_prev, t_next)
-    # one 1-D norm and dot per row: row-wise reductions round differently
-    s = np.array([norm(ci) for ci in c])
+    s = blas_norms(c)
     turns = s > 1e-12
     rot_axes = c / np.where(turns, s, 1.0)[:, None]
-    ang = np.arctan2(s, [np.dot(a, b) for a, b in zip(t_prev, t_next)])
-    cos_a, sin_a = np.cos(ang), np.sin(ang)
-    normals = np.empty_like(tangents)
-    n = normals[0] = perpendicular_basis(tangents[0])[0]
-    for i in range(1, len(axis)):
-        if turns[i - 1]:
-            k, cr = rot_axes[i - 1], cos_a[i - 1]
-            n = cr * n + sin_a[i - 1] * cross3(k, n) + (1 - cr) * k * np.dot(k, n)
-        t_cur = tangents[i]
-        n = normals[i] = unit(n - np.dot(n, t_cur) * t_cur)
+    ang = np.arctan2(s, blas_dots(t_prev, t_next))
+    x, y, z = perpendicular_basis(tangents[0])[0].tolist()
+    normals = [(x, y, z)]
+    steps = zip(turns.tolist(), rot_axes, rot_axes.tolist(), np.cos(ang).tolist(),
+                np.sin(ang).tolist(), tangents[1:], tangents[1:].tolist())
+    for turn, k, (k0, k1, k2), cr, sr, t, (t0, t1, t2) in steps:
+        if turn:
+            kn = float(k.dot(np.array((x, y, z))))
+            x, y, z = (cr * x + sr * (k1 * z - k2 * y) + (1 - cr) * k0 * kn,
+                       cr * y + sr * (k2 * x - k0 * z) + (1 - cr) * k1 * kn,
+                       cr * z + sr * (k0 * y - k1 * x) + (1 - cr) * k2 * kn)
+        nt = float(np.array((x, y, z)).dot(t))
+        x, y, z = x - nt * t0, y - nt * t1, z - nt * t2
+        m = np.array((x, y, z))
+        mm = math.sqrt(m.dot(m))        # unit(m) on floats, norm(m)'s bits
+        if mm < EPS:
+            raise ValueError("cannot normalize a zero vector")
+        x, y, z = x / mm, y / mm, z / mm
+        normals.append((x, y, z))
+    normals = np.array(normals)
     binormals = np.cross(tangents, normals)
     return tangents, normals, binormals
 
@@ -200,15 +214,40 @@ def _parallel_frames(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _check_axis(axis: np.ndarray, axis_s: np.ndarray, radius: float,
                 closed: bool) -> None:
     """Reject self-intersecting axes: samples far apart along the curve must
-    not come closer than the tube diameter in space."""
-    r = 1.5 * radius
-    # cells a hair wider than r, so that rounding puts no pair two apart
-    pairs = CellGrid(axis, r * (1.0 + 1e-9)).pairs_within(r)
-    gap = np.abs(axis_s[pairs[:, 0]] - axis_s[pairs[:, 1]])
-    if closed:
-        gap = np.minimum(gap, axis_s[-1] - gap)
-    if np.any(gap > 4.0 * radius):
+    not come closer than the tube diameter in space, r = 1.5 radius, where
+    far means more than 4 radius of arclength (the shorter way round on a
+    closed axis).
+
+    A coarse pass on every k-th sample goes first.  A sample lies within
+    delta of arclength, so within delta in space, of the coarse sample
+    before it; so a close far pair of samples has coarse samples within r +
+    2 delta of each other and more than 4 radius - 2 delta apart along the
+    curve.  The exact search over all samples runs only when the coarse
+    pass finds such a pair."""
+    r, far = 1.5 * radius, 4.0 * radius
+    # coarse samples about r / 8 of arclength apart
+    length = float(axis_s[-1])
+    k = int(min(len(axis_s), r * len(axis_s) / (8.0 * length))) if length > 0.0 else 1
+    if k > 1:
+        idx = np.arange(0, len(axis), k)
+        delta = float(np.max(axis_s - axis_s[np.arange(len(axis_s)) // k * k]))
+        slack = 1e-9 * (r + delta + length)      # far above the rounding of s
+        if not _far_pairs(axis[idx], axis_s[idx], length, r + 2.0 * delta + slack,
+                          far - 2.0 * delta - slack, closed):
+            return
+    if _far_pairs(axis, axis_s, length, r, far, closed):
         raise TunnelGenerationError("self-intersecting tunnel axis")
+
+
+def _far_pairs(points, s, length, r, far, closed) -> bool:
+    """True if two points at most r apart (cKDTree.query_pairs's test) lie
+    more than `far` apart in arclength s."""
+    # cells a hair wider than r, so that rounding puts no pair two apart
+    pairs = CellGrid(points, r * (1.0 + 1e-9)).pairs_within(r)
+    gap = np.abs(s[pairs[:, 0]] - s[pairs[:, 1]])
+    if closed:
+        gap = np.minimum(gap, length - gap)
+    return bool(np.any(gap > far))
 
 
 def _square_section(n: int) -> tuple[np.ndarray, np.ndarray]:

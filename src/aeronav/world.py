@@ -20,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import cross3, norm, point_segment_distance, row_norms, sq_distances
+from .geom import (EPS, blas_dots, blas_matvecs, blas_norms, column_norms, cross3,
+                   norm, point_segment_distance, row_norms, sq_distances, sub_columns)
 
 _INF = float("inf")
+# elements of a batch query's largest temporary, (rows, points, dim)
+_BLOCK = 16384
 # brentq's tolerances and iteration limit, as the ellipsoid distance used them
 _XTOL, _RTOL, _MAXITER = 1e-12, 8.9e-16, 100
 
@@ -117,13 +120,15 @@ class Sphere(Obstacle):
     def distance(self, p, t=0.0):
         r = np.asarray(p, dtype=float) - self.center
         rho = norm(r)
+        return max(rho - self.radius, 0.0), self._closest(r, rho)
+
+    def _closest(self, r: np.ndarray, rho: float) -> np.ndarray:
+        """The closest surface point from r = p - center and rho = |r|, also
+        from inside, so that callers still get an exit direction; at the
+        centre, the tip of the first axis."""
         if rho < 1e-12:
-            q = self.center + np.eye(len(self.center))[0] * self.radius
-            return 0.0, q
-        # inside: distance to the set is zero, closest surface point kept so
-        # callers still get a meaningful exit direction
-        q = self.center + r * (self.radius / rho)
-        return max(rho - self.radius, 0.0), q
+            return self.center + np.eye(len(self.center))[0] * self.radius
+        return self.center + r * (self.radius / rho)
 
 
 @dataclass
@@ -144,28 +149,30 @@ class Cylinder(Obstacle):
             raise ValueError("cylinder extents must be positive")
 
     def distance(self, p, t=0.0):
-        p = np.asarray(p, dtype=float)
-        r = p - self.base
+        r = np.asarray(p, dtype=float) - self.base
         h = float(np.dot(r, self.axis))
         radial = r - h * self.axis
         rho = norm(radial)
         dz = max(-h, h - self.height, 0.0)
         dr = max(rho - self.radius, 0.0)
+        d = float(np.hypot(dr, dz))     # 0 exactly when inside
+        return d, self._closest(h, radial, rho, d == 0.0)
+
+    def _closest(self, h: float, radial: np.ndarray, rho: float, inside: bool) -> np.ndarray:
+        """The closest surface point from the axial coordinate h of p -
+        base, its radial part and that part's norm rho; inside, the nearest
+        surface point, for the exit direction."""
         rad_dir = radial / rho if rho > 1e-12 else _any_perp(self.axis)
-        if dz == 0.0 and dr == 0.0:
-            # inside: nearest surface point for the exit direction
+        if inside:
             gap_r = self.radius - rho
             gap_lo, gap_hi = h, self.height - h
             if gap_r <= min(gap_lo, gap_hi):
-                q = self.base + h * self.axis + self.radius * rad_dir
-            elif gap_lo <= gap_hi:
-                q = self.base + rho * rad_dir
-            else:
-                q = self.base + self.height * self.axis + rho * rad_dir
-            return 0.0, q
+                return self.base + h * self.axis + self.radius * rad_dir
+            if gap_lo <= gap_hi:
+                return self.base + rho * rad_dir
+            return self.base + self.height * self.axis + rho * rad_dir
         hc = float(np.clip(h, 0.0, self.height))
-        q = self.base + hc * self.axis + min(rho, self.radius) * rad_dir
-        return float(np.hypot(dr, dz)), q
+        return self.base + hc * self.axis + min(rho, self.radius) * rad_dir
 
 
 @dataclass
@@ -230,12 +237,9 @@ class Wall(Obstacle):
         if len(self.vertices) < 2:
             raise ValueError("wall needs at least two vertices")
 
-    def segments(self):
-        return list(zip(self.vertices[:-1], self.vertices[1:]))
-
     def distance(self, p, t=0.0):
         best, bq = _INF, None
-        for a, b in self.segments():
+        for a, b in zip(self.vertices[:-1], self.vertices[1:]):
             d, q = point_segment_distance(np.asarray(p, dtype=float), a, b)
             if d < best:
                 best, bq = d, q
@@ -287,30 +291,95 @@ class SensingModel:
 
 
 class World:
-    """Immutable obstacle collection with distance / visibility queries."""
+    """Obstacle collection with distance and visibility queries.
+
+    `obstacles` is a tuple, and the table every query reads is packed from
+    it at construction: one set of arrays per primitive kind (sphere
+    centres and radii, cylinder bases, axes and extents, ellipsoid centres
+    and reaches, wall segments), each row with its obstacle's index and
+    constant velocity, zero for a static one.  A query evaluates every
+    row of a kind in one stacked expression, in the operation order and
+    with the BLAS kernels of the primitive's own `distance`, so that each
+    distance has its bits.  Only the ellipsoid is solved one by one, and
+    only where it can still win."""
 
     def __init__(self, obstacles: list[Obstacle] | None = None, bounds=None):
-        self.obstacles: list[Obstacle] = list(obstacles or [])
+        self.obstacles: tuple[Obstacle, ...] = tuple(obstacles or ())
         self.bounds = None if bounds is None else np.asarray(bounds, dtype=float)
+        rows, self._unrayable = {kind: [] for kind in _KINDS}, None
+        for i, o in enumerate(self.obstacles):
+            kind = type(o.shape if isinstance(o, Moving) else o)
+            if kind not in rows:
+                raise TypeError("a World holds spheres, cylinders, ellipsoids and walls, "
+                                f"each static or Moving, not {type(o).__name__}")
+            rows[kind].append((i, o))
+            if self._unrayable is None and kind in (Cylinder, Ellipsoid):
+                self._unrayable = kind.__name__
+        self._kinds = [_KINDS[kind](r) for kind, r in rows.items() if r]
+        # obstacle index -> (position of its kind in _kinds, its row there);
+        # the ellipsoids' entries are lower bounds, to be solved
+        self._row = [None] * len(self.obstacles)
+        for k, kind in enumerate(self._kinds):
+            for j, i in enumerate(kind.slots.tolist()):
+                self._row[i] = (k, j)
+        self._bound = [isinstance(self._kinds[k], _Ellipsoids) for k, _ in self._row]
+        # raycast rows (discs, then wall segments) into obstacle order
+        index = np.concatenate([kind.index for kind in self._kinds] or [np.arange(0)])
+        self._ray_order = (None if np.all(index[:-1] <= index[1:])
+                           else np.argsort(index, kind="stable"))
 
-    def nearest_obstacle(self, p: np.ndarray, t: float = 0.0) -> tuple[float, np.ndarray, int]:
-        """(distance, closest surface point, obstacle index).  Ties broken by
-        lowest index for determinism."""
+    def nearest_obstacle(self, p: np.ndarray, t: float = 0.0):
+        """(distance, closest surface point, obstacle index) of the point p;
+        of an (N, dim) stack of points, the list of their N results, from
+        one stacked evaluation of the table.  Each point scans the distances
+        in obstacle order and keeps one that undercuts the best so far by
+        more than 1e-15, so ties go to the lowest index; an ellipsoid is
+        solved only when its lower bound undercuts.  A NaN distance (a NaN
+        query point) comes back as (NaN, NaN point, its obstacle's index)."""
         if not self.obstacles:
             raise QueryError("nearest_obstacle on an empty world")
+        p = np.asarray(p, dtype=float)
+        found = [kind.nearest(p, t) for kind in self._kinds]
+        if len(found) == 1:
+            table = found[0][0]
+        else:
+            table = np.empty(p.shape[:-1] + (len(self.obstacles),))
+            for kind, (d, _) in zip(self._kinds, found):
+                table[..., kind.slots] = d
+        if p.ndim == 1:
+            return self._scan(table.tolist(), p, (), found, t)
+        return [self._scan(ds, p[n], (n,), found, t) for n, ds in enumerate(table.tolist())]
+
+    def _scan(self, ds: list, p: np.ndarray, lead: tuple, found: list, t: float) -> tuple:
+        """The nearest of one point p from its row ds of the table; lead
+        indexes the point in the kinds' arrays."""
         best_d, best_q, best_i = _INF, None, -1
-        for i, o in enumerate(self.obstacles):
-            d, q = o.distance(p, t)
+        for i, d in enumerate(ds):
             if d < best_d - 1e-15:
+                q = None
+                if self._bound[i]:
+                    d, q = self.obstacles[i].distance(p, t)
+                    if not d < best_d - 1e-15:
+                        continue
                 best_d, best_q, best_i = d, q, i
+            elif d != d:
+                return d, np.full_like(p, np.nan), i
+        if best_q is None and best_i >= 0:
+            k, j = self._row[best_i]
+            best_q = self._kinds[k].closest(found[k][1], lead + (j,), t)
         return best_d, best_q, best_i
 
     def batch_distance(self, points: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Min distance to any obstacle for each of the (N, dim) points."""
         points = np.asarray(points, dtype=float)
         out = np.full(len(points), _INF)
-        for o in self.obstacles:
-            np.minimum(out, _batch_obstacle_distance(o, points, t), out=out)
+        # rows of a kind in blocks small enough to keep the temporaries in
+        # cache and off the allocator's fresh pages
+        step = max(1, _BLOCK // max(1, points.size))
+        for kind in self._kinds:
+            for lo in range(0, len(kind.index), step):
+                np.minimum(out, kind.batch(points, t, slice(lo, lo + step)).min(axis=0),
+                           out=out)
         return out
 
     def segment_clear(self, a: np.ndarray, b: np.ndarray, margin: float = 0.0,
@@ -331,83 +400,217 @@ class World:
                    t: float = 0.0) -> np.ndarray:
         """Ranges along rays from origin at absolute angles (2D worlds of
         discs and walls; other obstacles raise QueryError).  Misses report
-        max_range."""
+        max_range.  The rows of discs and wall segments are reduced in
+        obstacle order, the order of the minima they replace."""
+        if self._unrayable:
+            raise QueryError(f"raycast unsupported for {self._unrayable}")
+        if not self._kinds:
+            return np.full(len(angles), max_range)
         origin = np.asarray(origin, dtype=float)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        ranges = np.full(len(angles), max_range)
-        for o in self.obstacles:
-            ranges = np.minimum(ranges, _ray_ranges(o, origin, dirs, max_range, t))
-        return ranges
+        ranges = np.concatenate([kind.rays(origin, dirs, max_range, t)
+                                 for kind in self._kinds])
+        if self._ray_order is not None:
+            ranges = ranges[self._ray_order]
+        return np.minimum.reduce(ranges, axis=0, initial=max_range)
 
 
-def _batch_obstacle_distance(o: Obstacle, pts: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized set-distance from many points to one obstacle."""
-    if isinstance(o, Moving):
-        return _batch_obstacle_distance(o.shape, pts - o.offset(t)[None, :], 0.0)
-    if isinstance(o, Sphere):
-        return np.maximum(row_norms(pts - o.center[None, :]) - o.radius, 0.0)
-    if isinstance(o, Cylinder):
-        r = pts - o.base[None, :]
-        h = r @ o.axis
-        radial = r - h[:, None] * o.axis[None, :]
-        rho = row_norms(radial)
-        dz = np.maximum(np.maximum(-h, h - o.height), 0.0)
-        dr = np.maximum(rho - o.radius, 0.0)
-        return np.hypot(dr, dz)
-    if isinstance(o, Wall):
-        best = np.full(len(pts), _INF)
-        for a, b in o.segments():
-            ab = b - a
-            denom = float(np.dot(ab, ab))
-            if denom < 1e-18:
-                d = row_norms(pts - a[None, :])
-            else:
-                s = np.clip((pts - a[None, :]) @ ab / denom, 0.0, 1.0)
-                q = a[None, :] + s[:, None] * ab[None, :]
-                d = row_norms(pts - q)
-            best = np.minimum(best, d)
-        return best
-    # ellipsoids and anything exotic: exact per-point query
-    return np.array([o.distance(p, t)[0] for p in pts])
+class _Kind:
+    """The rows of one primitive kind in a World's table: each row's shape,
+    the index of its obstacle and that obstacle's constant velocity.  The
+    query points enter each row's frame as Moving.distance moves them,
+    p - v t, and closest points leave it by + v t; a static row is left
+    alone.  slots are the obstacle indices the kind's results fill, one per
+    obstacle.  The nearest query lays its arrays out (..., rows, dim) after
+    the query's own shape (..., dim), and the batch query (rows, points,
+    dim), which gives each row's gemv its own contiguous matrix of points."""
+
+    def __init__(self, rows):
+        self.index = np.array([i for i, _ in rows])
+        self.slots = self.index
+        self.obstacles = [o for _, o in rows]
+        self.shapes = [o.shape if isinstance(o, Moving) else o for o in self.obstacles]
+        self.moving = np.array([isinstance(o, Moving) for o in self.obstacles])
+        self.any_moving, self.all_moving = bool(self.moving.any()), bool(self.moving.all())
+        if self.any_moving:
+            dim = len(next(o.velocity for o in self.obstacles if isinstance(o, Moving)))
+            self.velocity = np.array([o.velocity if isinstance(o, Moving) else np.zeros(dim)
+                                      for o in self.obstacles])
+
+    def _offset(self, t: float, rows) -> np.ndarray:
+        off = self.velocity[rows] * t
+        # p - (+0.0) is p itself, signed zeros included
+        return off if self.all_moving else np.where(self.moving[rows, None], off, 0.0)
+
+    def at(self, p: np.ndarray, t: float) -> np.ndarray:
+        """The (..., dim) points p in the frame of every row, (..., rows or
+        1, dim)."""
+        p = p[..., None, :]
+        return p - self._offset(t, slice(None)) if self.any_moving else p
+
+    def rows_at(self, points: np.ndarray, t: float, rows) -> np.ndarray:
+        """The (N, dim) points in the frame of each of the rows, (rows or 1,
+        N, dim)."""
+        if not self.any_moving:
+            return points[None]
+        return sub_columns(points[None], self._offset(t, rows)[:, None, :])
+
+    def back(self, q: np.ndarray, j: int, t: float) -> np.ndarray:
+        return q + self.velocity[j] * t if self.any_moving and self.moving[j] else q
 
 
-def _ray_ranges(o: Obstacle, origin, dirs, max_range, t) -> np.ndarray:
-    n = len(dirs)
-    if isinstance(o, Moving):
-        return _ray_ranges(o.shape, origin - o.offset(t), dirs, max_range, 0.0)
-    if isinstance(o, Sphere):
-        oc = origin - o.center
-        b = dirs @ oc
-        c = float(np.dot(oc, oc)) - o.radius ** 2
-        disc = b * b - c
-        hit = disc >= 0.0
-        s = np.full(n, np.inf)
+class _Spheres(_Kind):
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.centre = np.array([s.center for s in self.shapes])
+        self.radius = np.array([s.radius for s in self.shapes], dtype=float)
+        # Python's square, as the per-disc raycast took it
+        self.r2 = np.array([s.radius ** 2 for s in self.shapes], dtype=float)
+
+    def nearest(self, points, t):
+        r = self.at(points, t) - self.centre
+        rho = blas_norms(r)
+        return np.maximum(rho - self.radius, 0.0), (r, rho)
+
+    def closest(self, ctx, at, t):
+        r, rho = ctx
+        return self.back(self.shapes[at[-1]]._closest(r[at], float(rho[at])), at[-1], t)
+
+    def batch(self, points, t, rows):
+        p = self.rows_at(points, t, rows)
+        c = self.centre[rows, None, :]
+        rho = column_norms(*(p[..., j] - c[..., j] for j in range(p.shape[-1])))
+        return np.maximum(rho - self.radius[rows, None], 0.0)
+
+    def rays(self, origin, dirs, max_range, t):
+        oc = self.at(origin, t) - self.centre
+        b = blas_matvecs(dirs, oc)
+        c = blas_dots(oc, oc) - self.r2
+        disc = b * b - c[:, None]
         sq = np.sqrt(np.maximum(disc, 0.0))
         t0 = -b - sq
         t1 = -b + sq
         near = np.where(t0 >= 0.0, t0, np.where(t1 >= 0.0, 0.0, np.inf))
-        s[hit] = near[hit]
-        return np.minimum(s, max_range)
-    if isinstance(o, Wall):
-        s = np.full(n, max_range)
-        for a, b in o.segments():
-            s = np.minimum(s, _ray_segment(origin, dirs, a, b, max_range))
-        return s
-    raise QueryError(f"raycast unsupported for {type(o).__name__}")
+        return np.minimum(np.where(disc >= 0.0, near, np.inf), max_range)
 
 
-def _ray_segment(origin, dirs, a, b, max_range) -> np.ndarray:
-    """Vectorized 2D ray/segment intersection ranges."""
-    e = b - a
-    w = a - origin
-    denom = dirs[:, 0] * (-e[1]) - dirs[:, 1] * (-e[0])
-    out = np.full(len(dirs), max_range)
-    ok = np.abs(denom) > 1e-12
-    t_ray = (w[0] * (-e[1]) - w[1] * (-e[0])) / np.where(ok, denom, 1.0)
-    t_seg = (dirs[:, 0] * w[1] - dirs[:, 1] * w[0]) / np.where(ok, denom, 1.0)
-    hit = ok & (t_ray >= 0.0) & (t_seg >= 0.0) & (t_seg <= 1.0)
-    out[hit] = np.minimum(t_ray[hit], max_range)
-    return out
+class _Cylinders(_Kind):
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.base = np.array([s.base for s in self.shapes])
+        self.axis = np.array([s.axis for s in self.shapes])
+        self.radius = np.array([s.radius for s in self.shapes], dtype=float)
+        self.height = np.array([s.height for s in self.shapes], dtype=float)
+
+    def nearest(self, points, t):
+        r = self.at(points, t) - self.base
+        h = blas_dots(r, self.axis)
+        radial = r - h[..., None] * self.axis
+        rho = blas_norms(radial)
+        d = np.hypot(np.maximum(rho - self.radius, 0.0),
+                     np.maximum(np.maximum(-h, h - self.height), 0.0))
+        return d, (h, radial, rho, d)
+
+    def closest(self, ctx, at, t):
+        h, radial, rho, d = ctx
+        q = self.shapes[at[-1]]._closest(float(h[at]), radial[at], float(rho[at]), d[at] == 0.0)
+        return self.back(q, at[-1], t)
+
+    def batch(self, points, t, rows):
+        r = sub_columns(self.rows_at(points, t, rows), self.base[rows, None, :])
+        axis = self.axis[rows]
+        h = blas_matvecs(r, axis)
+        rho = column_norms(*(r[..., j] - h * axis[:, j, None] for j in range(3)))
+        d = np.maximum(rho - self.radius[rows, None], 0.0)
+        dz = np.maximum(np.maximum(-h, h - self.height[rows, None]), 0.0)
+        off = dz != 0.0     # elsewhere the hypot is the radial gap itself
+        if off.any():
+            d[off] = np.hypot(d[off], dz[off])
+        return d
+
+
+class _Ellipsoids(_Kind):
+    """Entries are lower bounds: the centre distance less the largest
+    semi-axis (the ellipsoid lies in that ball), less a margin of 1e-6
+    absolute and relative, far above the solve's tolerance (1e-12) and the
+    rounding of its distance."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.centre = np.array([s.center for s in self.shapes])
+        self.reach = np.array([float(np.max(s.semi)) for s in self.shapes])
+
+    def nearest(self, points, t):
+        c = row_norms(self.at(points, t) - self.centre)
+        return c - self.reach - 1e-6 * (1.0 + c), None
+
+    def batch(self, points, t, rows):
+        return np.array([[o.distance(p, t)[0] for p in points] for o in self.obstacles[rows]])
+
+
+class _Walls(_Kind):
+    """One row per wall segment, a wall's segments in order; slots has one
+    entry per wall, and `starts` its first row."""
+
+    def __init__(self, rows):
+        walls = [o.shape if isinstance(o, Moving) else o for _, o in rows]
+        super().__init__([row for row, w in zip(rows, walls) for _ in w.vertices[1:]])
+        self.starts = np.flatnonzero(np.diff(self.index, prepend=-1))
+        self.ends = np.append(self.starts[1:], len(self.index)).tolist()
+        self.slots = self.index[self.starts]
+        self.a = np.concatenate([w.vertices[:-1] for w in walls])
+        self.ab = np.concatenate([w.vertices[1:] - w.vertices[:-1] for w in walls])
+        denom = blas_dots(self.ab, self.ab)
+        # point_segment_distance's test for a point-like segment, and the
+        # batch query's
+        self.flat, self.flat_batch = denom < EPS, denom < 1e-18
+        self.denom = np.where(self.flat, 1.0, denom)
+        self.denom_batch = np.where(self.flat_batch, 1.0, denom)[:, None]
+
+    def nearest(self, points, t):
+        p = self.at(points, t)
+        w = p - self.a
+        s = np.clip(blas_dots(w, self.ab) / self.denom, 0.0, 1.0)
+        d = blas_norms(p - (self.a + s[..., None] * self.ab))
+        if self.flat.any():
+            d = np.where(self.flat, blas_norms(w), d)
+        return np.minimum.reduceat(d, self.starts, axis=-1), (s, d)
+
+    def closest(self, ctx, at, t):
+        s, d = ctx
+        *lead, j = at
+        lo = int(self.starts[j])
+        # the first of the wall's minima
+        k = lo + int(np.argmin(d[(*lead, slice(lo, self.ends[j]))]))
+        q = self.a[k].copy() if self.flat[k] else self.a[k] + float(s[(*lead, k)]) * self.ab[k]
+        return self.back(q, k, t)
+
+    def batch(self, points, t, rows):
+        p = self.rows_at(points, t, rows)
+        a, ab, flat = self.a[rows, None, :], self.ab[rows], self.flat_batch[rows]
+        w = sub_columns(p, a)
+        s = np.clip(blas_matvecs(w, ab) / self.denom_batch[rows], 0.0, 1.0)
+        d = column_norms(*(p[..., j] - (a[..., j] + s * ab[:, j, None])
+                           for j in range(p.shape[-1])))
+        if flat.any():
+            d = np.where(flat[:, None], row_norms(w), d)
+        return d
+
+    def rays(self, origin, dirs, max_range, t):
+        w = self.a - self.at(origin, t)
+        e0, e1 = -self.ab[:, 0:1], -self.ab[:, 1:2]
+        w0, w1 = w[:, 0:1], w[:, 1:2]
+        d0, d1 = dirs[:, 0], dirs[:, 1]
+        denom = d0 * e1 - d1 * e0
+        ok = np.abs(denom) > 1e-12
+        safe = np.where(ok, denom, 1.0)
+        t_ray = (w0 * e1 - w1 * e0) / safe
+        t_seg = (d0 * w1 - d1 * w0) / safe
+        hit = ok & (t_ray >= 0.0) & (t_seg >= 0.0) & (t_seg <= 1.0)
+        return np.where(hit, np.minimum(t_ray, max_range), max_range)
+
+
+_KINDS = {Sphere: _Spheres, Cylinder: _Cylinders, Wall: _Walls, Ellipsoid: _Ellipsoids}
 
 
 def in_range(p: np.ndarray, points: np.ndarray, d_sensing: float) -> np.ndarray:

@@ -242,21 +242,21 @@ def test_energy_bound_corollary_runs():
 
 
 def test_flocking_queries_each_state_once(monkeypatch):
-    """The control law and the clearance scan share one nearest-obstacle
-    query per agent and state: flock-n4 over 200 ticks queries its 201
-    states, 804 calls, where querying per reader took 1,600."""
+    """The control law and the clearance scan share one many-point
+    nearest-obstacle query per state: flock-n4 over 200 ticks queries its
+    201 states, 804 points, where querying per reader took 1,600."""
     from aeronav.harness.runner import run
     from aeronav.harness.scenarios import stock
     calls = []
     query = World.nearest_obstacle
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return query(self, *args, **kwargs)
+    def counted(self, points, *args, **kwargs):
+        calls.append(len(points))
+        return query(self, points, *args, **kwargs)
 
     monkeypatch.setattr(World, "nearest_obstacle", counted)
     cfg = stock("flock-n4")
     cfg["duration"] = 20.0
     res = run(cfg)
     assert res.log.records[-1]["tick"] == 199
-    assert len(calls) == 4 * 201
+    assert calls == [4] * 201

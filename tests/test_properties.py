@@ -23,7 +23,8 @@ from aeronav.coverage import (BarrierFrame, CoverageGains, clip_halfplane,
 from aeronav.flocking import (FlockParams, FlockSim, goal_forces, heading_angles,
                               neighbor_lists, nsb_blend, obstacle_force,
                               spacing_forces)
-from aeronav.geom import cross3, norm, pairwise, row_norms, wrap_angle
+from aeronav.geom import (blas_dots, blas_matvecs, blas_norms, column_norms, cross3, norm,
+                          pairwise, row_norms, sub_columns, wrap_angle)
 from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
 
@@ -364,3 +365,62 @@ def test_cross3_is_numpy_cross_bit_for_bit(u, v):
 def test_row_norms_is_numpy_row_norm_bit_for_bit(x):
     with np.errstate(over="ignore", under="ignore"):
         assert _bits(row_norms(x)) == _bits(np.linalg.norm(x, axis=-1))
+
+
+@st.composite
+def row_arrays(draw, n, k):
+    """An (n, k) array, contiguous or a view strided in its rows, its
+    columns or both; half are scaled normal draws."""
+    rs, cs = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        base = draw(arrays(float, (n * rs, k * cs), elements=wide))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        base = rng.standard_normal((n * rs, k * cs)) * 10.0 ** draw(st.integers(-300, 299))
+    return base[::rs, ::cs]
+
+
+row_pairs = st.tuples(st.integers(1, 30), st.sampled_from([2, 3])).flatmap(
+    lambda nk: st.tuples(row_arrays(*nk), row_arrays(*nk)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ab=row_pairs)
+def test_blas_dots_and_norms_are_the_per_row_dot_bit_for_bit(ab):
+    """One BLAS dot per row: a[i].dot(b[i]) and norm(a[i]) to the bit, on
+    2 and 3 columns, strided views, magnitudes 1e-300 to 1e300 and signed
+    zeros; also with b broadcast over a stack of a's rows."""
+    a, b = ab
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert _bits(blas_dots(a, b)) == _bits([a[i].dot(b[i]) for i in range(len(a))])
+        assert _bits(blas_norms(a)) == _bits([norm(a[i]) for i in range(len(a))])
+        stack, rows = np.stack([a, a[::-1]]), np.stack([b[0], b[-1]])
+        want = [[stack[i, j].dot(rows[i]) for j in range(len(a))] for i in range(2)]
+        assert _bits(blas_dots(stack, rows[:, None, :])) == _bits(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), n=st.integers(1, 40),
+       k=st.sampled_from([2, 3]), scale=st.integers(-100, 100))
+def test_blas_matvecs_are_the_per_matrix_gemv_bit_for_bit(seed, m, n, k, scale):
+    """A stack of (n, k) @ (k,) products equals each gemv on its own, also
+    with the matrix broadcast over the vectors."""
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((m, n, k)) * 10.0 ** scale
+    vecs = rng.standard_normal((m, k))
+    assert _bits(blas_matvecs(mats, vecs)) == _bits([mats[i] @ vecs[i] for i in range(m)])
+    assert _bits(blas_matvecs(mats[0], vecs)) == _bits([mats[0] @ v for v in vecs])
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), n=st.integers(0, 30),
+       k=st.sampled_from([2, 3]))
+def test_column_forms_equal_the_broadcast_bit_for_bit(seed, m, n, k):
+    """sub_columns is the broadcast difference, and column_norms of its
+    columns is row_norms of it."""
+    rng = np.random.default_rng(seed)
+    pts, centres = rng.standard_normal((1, n, k)), rng.standard_normal((m, 1, k))
+    pts[..., 0] = -0.0
+    diff = sub_columns(pts, centres)
+    assert diff.flags.c_contiguous and _bits(diff) == _bits(pts - centres)
+    assert _bits(column_norms(*(diff[..., j] for j in range(k)))) == _bits(row_norms(diff))

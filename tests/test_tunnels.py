@@ -320,6 +320,52 @@ def test_axis_check_verdict_equals_query_pairs(axis, radius, closed):
     assert accepted == _tree_axis_verdict(axis, axis_s, radius, closed)
 
 
+def _axis_verdict(axis, radius, closed):
+    """(_check_axis accepts, query_pairs accepts) for the axis."""
+    axis_s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(axis, axis=0), axis=1))])
+    try:
+        _check_axis(axis, axis_s, radius, closed)
+        accepted = True
+    except TunnelGenerationError:
+        accepted = False
+    return accepted, _tree_axis_verdict(axis, axis_s, radius, closed)
+
+
+@pytest.mark.parametrize("radius", [0.7, 1.0, 2.5])
+@pytest.mark.parametrize("ratio", [0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1, 1.3, 1.45, 1.6])
+@pytest.mark.parametrize("helix_radius", [3.0, 8.0])
+def test_helix_axis_check_at_the_threshold_equals_query_pairs(radius, ratio, helix_radius):
+    """Turns a pitch apart, the pitch straddling the 1.5 r threshold: the
+    coarse pass and the exact search give query_pairs's verdict, and
+    generate_tunnel accepts exactly the helices it accepts."""
+    pitch = 1.5 * radius * ratio
+    th_max = 2.0 * np.pi * 2.5
+    n = int(np.ceil(th_max * np.hypot(helix_radius, pitch / (2 * np.pi)) / 0.1)) + 1
+    th = np.linspace(0.0, th_max, n)
+    axis = np.stack([helix_radius * np.cos(th), helix_radius * np.sin(th),
+                     pitch * th / (2.0 * np.pi)], axis=1)
+    accepted, want = _axis_verdict(axis, radius, False)
+    assert accepted == want
+    try:
+        tc = generate_tunnel("helix", radius=radius, helix_radius=helix_radius,
+                             pitch=pitch, turns=2.5, density=40.0)
+    except TunnelGenerationError:
+        assert not want
+    else:
+        assert want and np.array_equal(tc.axis, axis)
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("length", [20.0, 40.0, 80.0])
+def test_torus_axis_check_equals_query_pairs(radius, length):
+    """A closed torus passes, measured the shorter way round; the same
+    axis read as open has its two ends close in space but far apart along
+    the curve, and fails.  Both as query_pairs decides."""
+    tc = generate_tunnel("torus", radius=radius, length=length, density=40.0)
+    assert _axis_verdict(tc.axis, radius, True) == (True, True)
+    assert _axis_verdict(tc.axis, radius, False) == (False, False)
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("tunnel-*.json")),
                          ids=lambda p: p.stem)
 def test_stock_progress_and_clearance_equal_ckdtree(path):
