@@ -58,7 +58,9 @@ class QuinticBezier:
 
     def point(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        t = np.stack([s ** 5, s ** 4, s ** 3, s ** 2, s, np.ones_like(s)], axis=-1)
+        powers = [s ** 5, s ** 4, s ** 3, s ** 2, s]
+        t = np.array([*powers, 1.0]) if s.ndim == 0 else np.stack(
+            [*powers, np.ones_like(s)], axis=-1)
         return t @ G_QUINTIC @ self.control
 
     def samples(self, n: int, endpoint: bool) -> np.ndarray:
@@ -75,8 +77,8 @@ class QuinticBezier:
         for _ in range(order):
             c = c[:-1] * np.arange(len(c) - 1, 0, -1)[:, None]
         s = np.asarray(s, dtype=float)
-        powers = np.stack([s ** k for k in range(len(c) - 1, -1, -1)], axis=-1)
-        return powers @ c
+        powers = [s ** k for k in range(len(c) - 1, -1, -1)]
+        return (np.array(powers) if s.ndim == 0 else np.stack(powers, axis=-1)) @ c
 
 
 def hermite_quintic(p0, d0, dd0, p1, d1, dd1) -> QuinticBezier:

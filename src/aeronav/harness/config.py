@@ -215,6 +215,10 @@ def validate_config(cfg: dict) -> dict:
             heading(cfg["heading"], "heading")
     elif kind == "tunnel":
         _require(cfg.get("tunnel", {}), ("shape",), "tunnel")
+        params = cfg.get("params", {})
+        if "probe_distances" in params and params.get("pipeline", "slices") != "robust":
+            raise ConfigError('params.probe_distances: only the "robust" pipeline reads it; '
+                              'the slices pipeline probes at tunnel_nav.d1 and d2')
         auto = [cfg.get(key) == "auto" for key in ("start", "heading")]
         if any(auto) and not all(auto):
             raise ConfigError('start and heading: set both to "auto" or neither')

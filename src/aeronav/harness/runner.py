@@ -186,8 +186,9 @@ def _world_with_obstacles(cfg: dict) -> World:
 
 
 class _Vehicle(Engine):
-    """A navigator commanding a plant stepper every control period, stopping
-    within goal_tol of the goal; a row logs the navigator's mode."""
+    """A navigator commanding a plant stepper every control period, one
+    stepper call for the period's plant steps, stopping within goal_tol of
+    the goal; a row logs the navigator's mode."""
 
     def __init__(self, cfg, world, nav, state, stepper, limits, goal_tol, control_dt):
         super().__init__(control_dt, {"min_d_obs": np.inf})
@@ -204,8 +205,9 @@ class _Vehicle(Engine):
 
     def step(self, tick):
         self.cmd = self.nav.control(self.state, self.t, tick)
+        self.state = self.stepper(self.state, *self.cmd, self.plant_dt, limits=self.limits,
+                                  steps=self.n_sub)
         for _ in range(self.n_sub):
-            self.state = self.stepper(self.state, *self.cmd, self.plant_dt, limits=self.limits)
             self.t += self.plant_dt
         self.clearance = {"min_d_obs": _clearance(self.world, self.state.position, self.t)}
         if norm(self.state.position - self.goal) < self.goal_tol:

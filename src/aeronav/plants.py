@@ -4,7 +4,8 @@ Three plants are used across the engine: a planar unicycle, a 3D
 nonholonomic point (heading-vector or azimuth/flight-path-angle form) and a
 6-DOF quadrotor.  States are immutable values; each step returns a new state.
 Plants integrate at a fixed dt (0.01 s by default); controllers may run at
-coarser multiples.
+coarser multiples, and the vehicle steppers take the number of steps a
+command is held (`steps`), as `step_flock_batch` does for a flock.
 """
 from __future__ import annotations
 
@@ -111,35 +112,46 @@ def _clip(x, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def _rk4_float(y: float, k1: float, k2: float, k4: float, dt: float) -> float:
-    """One component of `rk4`'s update, in its operation order, for a system
-    whose derivative depends only on states with constant rates, so k3 = k2."""
-    return y + (dt / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k2) + k4)
+def _held_rate(u: float, dt: float) -> float:
+    """`rk4`'s increment of an angle whose rate u is held over the step, in
+    its operation order: (dt / 6) (((k1 + 2 k2) + 2 k3) + k4) with every
+    stage u."""
+    return (dt / 6.0) * (((u + 2.0 * u) + 2.0 * u) + u)
 
 
 def step_unicycle(state: Unicycle2DState, v: float, u: float, dt: float = PLANT_DT,
-                  limits: LimitSet | None = None) -> Unicycle2DState:
-    """RK4 step of xdot = V cos(th), ydot = V sin(th), thdot = u, on floats
-    (the same result as `rk4` on arrays, bit for bit)."""
+                  limits: LimitSet | None = None, steps: int = 1) -> Unicycle2DState:
+    """`steps` RK4 steps of xdot = V cos(th), ydot = V sin(th), thdot = u with
+    the command held, on floats: each the same result as `rk4` on arrays
+    and `wrap_angle` of th, bit for bit (th is the only state the
+    derivative reads, and its rate is constant, so k3 = k2).  The limits
+    clip the command once; the state is checked for finiteness before every
+    step."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if limits is not None:
         v = float(_clip(v, 0.0, limits.v_max))
         u = float(_clip(u, -limits.u_max, limits.u_max))
-    x, y, th = state.x, state.y, state.theta
-    _check_finite_scalars((x, y, th, v, u))
-    th2, th4 = th + (0.5 * dt) * u, th + dt * u
-    c1, c2, c4 = math.cos(th), math.cos(th2), math.cos(th4)
-    s1, s2, s4 = math.sin(th), math.sin(th2), math.sin(th4)
-    return Unicycle2DState(float(_rk4_float(x, v * c1, v * c2, v * c4, dt)),
-                           float(_rk4_float(y, v * s1, v * s2, v * s4, dt)),
-                           wrap_angle(_rk4_float(th, u, u, u, dt)))
+    _check_finite_scalars((v, u))
+    x, y, th = float(state.x), float(state.y), float(state.theta)
+    h6, h2u, dtu, dth = dt / 6.0, (0.5 * dt) * u, dt * u, _held_rate(u, dt)
+    cos, sin = math.cos, math.sin
+    for _ in range(steps):
+        _check_finite_scalars((x, y, th))
+        th2, th4 = th + h2u, th + dtu
+        x1, x2, x4 = v * cos(th), v * cos(th2), v * cos(th4)
+        y1, y2, y4 = v * sin(th), v * sin(th2), v * sin(th4)
+        x += h6 * (((x1 + 2.0 * x2) + 2.0 * x2) + x4)
+        y += h6 * (((y1 + 2.0 * y2) + 2.0 * y2) + y4)
+        th = wrap_angle(th + dth)
+    return Unicycle2DState(x, y, th)
 
 
 def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = PLANT_DT,
-                   limits: LimitSet | None = None) -> Heading3DState:
-    """RK4 step of pdot = V a, adot = u with u constrained to a's orthogonal
-    complement; heading renormalized after the step."""
+                   limits: LimitSet | None = None, steps: int = 1) -> Heading3DState:
+    """`steps` RK4 steps of pdot = V a, adot = u with the command held, u
+    constrained to a's orthogonal complement; heading renormalized after
+    each step."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     u = np.asarray(u, dtype=float)
@@ -148,8 +160,6 @@ def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = P
         un = norm(u)
         if un > limits.u_max:
             u = u * (limits.u_max / un)
-    _check_finite([state.p, state.a, u, np.array([v])])
-    y = np.concatenate([state.p, state.a])
 
     def f(s):
         a = s[3:]
@@ -157,35 +167,47 @@ def step_heading3d(state: Heading3DState, v: float, u: np.ndarray, dt: float = P
         ut = u - np.dot(u, a) / max(np.dot(a, a), 1e-12) * a
         return np.concatenate([v * a, ut])
 
-    out = rk4(f, y, dt)
-    return Heading3DState(out[:3], unit(out[3:]))
+    p, a = state.p, state.a
+    for _ in range(steps):
+        _check_finite([p, a, u, np.array([v])])
+        out = rk4(f, np.concatenate([p, a]), dt)
+        p, a = out[:3], unit(out[3:])
+    return Heading3DState(p, a)
 
 
 def step_angles3d(state: Angle3DState, v: float, u_beta: float, u_alpha: float,
-                  dt: float = PLANT_DT, limits: LimitSet | None = None) -> Angle3DState:
-    """RK4 step of the azimuth/flight-path-angle kinematics, on floats in the
-    operation order of `rk4` (the same result as the array form, bit for
-    bit)."""
+                  dt: float = PLANT_DT, limits: LimitSet | None = None,
+                  steps: int = 1) -> Angle3DState:
+    """`steps` RK4 steps of the azimuth/flight-path-angle kinematics with the
+    command held, on floats in the operation order of `rk4`: each the same
+    result as the array form and `wrap_angle` of both angles, bit for bit.
+    The limits clip the command once; the state is checked for finiteness
+    before every step."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if limits is not None:
         v = float(_clip(v, 0.0, limits.v_max))
         u_beta = float(_clip(u_beta, -limits.u_max, limits.u_max))
         u_alpha = float(_clip(u_alpha, -limits.u_max, limits.u_max))
+    _check_finite_scalars((v, u_beta, u_alpha))
     px, py, pz = np.asarray(state.p, dtype=float).tolist()
-    b, al = state.beta, state.alpha
-    _check_finite_scalars((px, py, pz, b, al, v, u_beta, u_alpha))
-
-    def f(b, al):
-        ca = math.cos(al)
-        return v * math.cos(b) * ca, v * math.sin(b) * ca, v * math.sin(al)
-
-    k1 = f(b, al)
-    k2 = f(b + (0.5 * dt) * u_beta, al + (0.5 * dt) * u_alpha)
-    k4 = f(b + dt * u_beta, al + dt * u_alpha)
-    p = np.array([_rk4_float(y0, *k, dt) for y0, *k in zip((px, py, pz), k1, k2, k4)])
-    return Angle3DState(p, wrap_angle(_rk4_float(b, u_beta, u_beta, u_beta, dt)),
-                        wrap_angle(_rk4_float(al, u_alpha, u_alpha, u_alpha, dt)))
+    b, al = float(state.beta), float(state.alpha)
+    h6, h2 = dt / 6.0, 0.5 * dt
+    h2b, h2a, dtb, dta = h2 * u_beta, h2 * u_alpha, dt * u_beta, dt * u_alpha
+    db, da = _held_rate(u_beta, dt), _held_rate(u_alpha, dt)
+    cos, sin = math.cos, math.sin
+    for _ in range(steps):
+        _check_finite_scalars((px, py, pz, b, al))
+        b2, b4, a2, a4 = b + h2b, b + dtb, al + h2a, al + dta
+        c1, c2, c4 = cos(al), cos(a2), cos(a4)
+        x1, x2, x4 = v * cos(b) * c1, v * cos(b2) * c2, v * cos(b4) * c4
+        y1, y2, y4 = v * sin(b) * c1, v * sin(b2) * c2, v * sin(b4) * c4
+        z1, z2, z4 = v * sin(al), v * sin(a2), v * sin(a4)
+        px += h6 * (((x1 + 2.0 * x2) + 2.0 * x2) + x4)
+        py += h6 * (((y1 + 2.0 * y2) + 2.0 * y2) + y4)
+        pz += h6 * (((z1 + 2.0 * z2) + 2.0 * z2) + z4)
+        b, al = wrap_angle(b + db), wrap_angle(al + da)
+    return Angle3DState(np.array([px, py, pz]), b, al)
 
 
 QUAD_INERTIA = np.diag([0.01, 0.01, 0.018])   # body inertia, kg m^2

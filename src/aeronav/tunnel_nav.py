@@ -13,9 +13,22 @@ against; the default ("slices") uses the two slices as they are.  The
 downsampling groups the points into voxels with the grid the tunnel cloud
 uses for its queries (`tunnels.CellGrid`).
 
-Without sensor noise, the slices pipeline senses only the points it can
-use: the tunnel cloud's uniform grid (`tunnels.CellGrid`) hands it the
-cells near the two probe planes, and the range and slab tests run on those.
+Each pipeline reads per tick only the rows it uses, with the result of
+sensing the whole cloud (`world.sense_points`) and cutting all of it, bit
+for bit:
+- slices, without noise: the rows of the tunnel grid's cells near each
+  probe plane; only the slab members are put back in cloud order and
+  range-tested.
+- slices, with noise: the range test of every row, made by grid cells, and
+  the noise draw for all the rows in range, in cloud order, as
+  `sense_points` makes it.  Noisy rows are formed only in the cells near a
+  probe plane, widened by the largest shift along the heading the drawn
+  noise can give; each row takes the noise of its rank among the rows in
+  range.
+- robust, without noise: a range test of every row against a voxel table
+  built once per run.  A voxel with all its rows in range keeps its mean
+  over the whole cloud, one with some averages those, an empty one drops.
+- robust, with noise: the whole sensed cloud, downsampled every tick.
 """
 from __future__ import annotations
 
@@ -25,10 +38,12 @@ import numpy as np
 
 from .geom import norm, row_norms, sq_distances, unit, unit_or_zero
 from .tunnels import GRID_CELL, CellGrid, k_nearest
-from .world import SensingModel, sense_points
+from .world import SensingModel, in_range, sense_points
 
 # consecutive failed robust perceptions after which the navigator stops
 ROBUST_FAIL_LIMIT = 5
+# voxel edge of the robust pipeline's downsampling [m]
+ROBUST_VOXEL = 0.15
 
 
 class SliceStarvation(Exception):
@@ -68,8 +83,12 @@ class SliceCentroids:
 def slice_points(cloud: np.ndarray, origin: np.ndarray, normal: np.ndarray,
                  tol: float) -> np.ndarray:
     """Points within |<p - origin, n>| <= tol of the plane through origin."""
-    rel = cloud - origin[None, :]
-    return cloud[np.abs(rel @ normal) <= tol]
+    return cloud[_in_slab(cloud, origin, normal, tol)]
+
+
+def _in_slab(cloud: np.ndarray, origin: np.ndarray, normal: np.ndarray,
+             tol: float) -> np.ndarray:
+    return np.abs((cloud - origin[None, :]) @ normal) <= tol
 
 
 def slice_centroids(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
@@ -134,6 +153,37 @@ def voxel_downsample(cloud: np.ndarray, voxel: float) -> np.ndarray:
     return CellGrid(cloud, voxel).cell_means()
 
 
+class VoxelTable:
+    """The voxels of a fixed cloud, each with the mean of all its points:
+    `voxel_downsample` of the points within range of a query, without
+    regrouping them."""
+
+    def __init__(self, cloud: np.ndarray, voxel: float):
+        self.voxel = voxel
+        self.grid = CellGrid(cloud, voxel)
+        self.means = voxel_downsample(cloud, voxel)
+        self.means.flags.writeable = False
+
+    def downsample_in_range(self, c: np.ndarray, d_range: float) -> np.ndarray:
+        """voxel_downsample(sense_points(c, cloud, SensingModel(d_range)),
+        voxel), bit for bit.  A voxel's points are in cloud order in the
+        grid, so a voxel with all its points in range keeps its mean, one
+        with some in range averages those alone, and an empty one drops; the
+        voxels stay in grid order, which is the downsampling's."""
+        g = self.grid
+        inside = in_range(c, g.sorted_points, d_range)
+        n_in = np.add.reduceat(inside, g.starts, dtype=np.intp)   # per voxel
+        whole = n_in == g.counts
+        if whole.all():
+            return self.means
+        out = self.means.copy()
+        part = ~whole & (n_in > 0)
+        if part.any():
+            rows = g.sorted_points[inside & np.repeat(part, g.counts)]
+            out[part] = voxel_downsample(rows, self.voxel)
+        return out[n_in > 0]
+
+
 def estimate_normals(points: np.ndarray, query: np.ndarray, k: int = 10) -> np.ndarray:
     """Surface normals at the query points by local plane fit over the k
     nearest of the (N, 3) points (smallest principal component)."""
@@ -148,7 +198,7 @@ def estimate_normals(points: np.ndarray, query: np.ndarray, k: int = 10) -> np.n
 
 def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
                     probe_distances, params: TunnelParams,
-                    voxel: float = 0.15,
+                    voxel: float = ROBUST_VOXEL,
                     normal_k: int = 10) -> tuple[np.ndarray, np.ndarray] | None:
     """Nine-step robust centroid pipeline.
 
@@ -157,11 +207,17 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
     pick the two nearest valid ones.  Fewer than two valid returns None;
     the caller terminates at ROBUST_FAIL_LIMIT consecutive failures.
     """
+    return _perceive_voxels(c, heading, voxel_downsample(cloud, voxel), probe_distances,
+                            params, normal_k)
+
+
+def _perceive_voxels(c, heading, ws, probe_distances, params: TunnelParams,
+                     normal_k: int = 10):
+    """`perceive_robust` after its downsampling, of the voxel means ws."""
     probe_distances = list(probe_distances)
     if len(probe_distances) < 2:
         raise ValueError("need at least two probe distances")
     f = unit(np.asarray(heading, dtype=float))
-    ws = voxel_downsample(cloud, voxel)
     if len(ws) == 0:
         return None
 
@@ -208,7 +264,10 @@ def perceive_robust(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
 
 
 class TunnelNavigator:
-    """Constant-speed tunnel executor over a sensed point cloud."""
+    """Constant-speed tunnel executor over a sensed point cloud.  The slices
+    pipeline cuts its slices through the GRID_CELL grid over cloud_all: a
+    grid handed in must be that one.  The noise-free robust pipeline builds
+    its voxel table at its first tick."""
 
     def __init__(self, params: TunnelParams, cloud_all: np.ndarray,
                  v0: np.ndarray, sensing: SensingModel | None = None,
@@ -224,11 +283,8 @@ class TunnelNavigator:
         self.rng = rng
         self.pipeline = pipeline
         self.probe_distances = probe_distances or [params.d1, params.d2]
-        # noisy sensing draws noise for every sensed point and the robust
-        # pipeline downsamples the whole sensed cloud: both need all of it.
-        # A grid handed in must be the GRID_CELL grid over cloud_all.
-        self.grid = ((grid or CellGrid(self.cloud_all, GRID_CELL))
-                     if pipeline == "slices" and not self.sensing.sigma > 0.0 else None)
+        self.grid = (grid or CellGrid(self.cloud_all, GRID_CELL)) if pipeline == "slices" else None
+        self.voxels = None        # the noise-free robust pipeline's VoxelTable
         self.failures = 0         # consecutive failed robust perceptions
         self.mode = "M1"
         self.terminated = False
@@ -237,14 +293,10 @@ class TunnelNavigator:
         if self.terminated:
             return np.zeros(3)
         f = unit(self.v_prev)
-        local = self._sense(c, f)
-        if len(local) == 0:
-            self.terminated = True
-            return np.zeros(3)
         p = self.params
         try:
             if self.pipeline == "robust":
-                got = perceive_robust(c, f, local, self.probe_distances, p)
+                got = self._perceive_robust(c, f)
                 if got is None:
                     self.failures += 1
                     if self.failures >= ROBUST_FAIL_LIMIT:
@@ -253,7 +305,10 @@ class TunnelNavigator:
                 self.failures = 0
                 cents = _chord_centroids(c, *got)
             else:
-                cents = slice_centroids(c, f, local, p)
+                s1, s2 = self.slices(c, f)
+                if len(s1) == 0 or len(s2) == 0:
+                    raise SliceStarvation("no wall points in a slice")
+                cents = _chord_centroids(c, s1.mean(axis=0), s2.mean(axis=0))
         except SliceStarvation:
             self.terminated = True
             return np.zeros(3)
@@ -261,11 +316,48 @@ class TunnelNavigator:
         self.v_prev = v_k
         return v_k
 
-    def _sense(self, c: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """The sensed cloud; with a grid, only its points in the cells near
-        the two probe planes, a superset of both slices in cloud order."""
-        if self.grid is None:
-            return sense_points(c, self.cloud_all, self.sensing, self.rng)
+    def slices(self, c: np.ndarray, f: np.ndarray) -> list[np.ndarray]:
+        """The two slices at d1 and d2 of the sensed cloud, each in cloud
+        order: slice_points(sense_points(c, cloud_all, sensing, rng),
+        c + d f, f, slice_tol), with the same noise draws."""
+        p, cloud, sensing, grid = self.params, self.cloud_all, self.sensing, self.grid
+        offsets, width = (p.d1, p.d2), p.slice_tol
+        if sensing.sigma > 0.0:
+            if self.rng is None:
+                raise ValueError("noisy sensing requires an rng")
+            inside = grid.in_range(c, sensing.d_sensing)
+            kept = np.flatnonzero(inside)       # the sensed rows, in cloud order
+            noise = self.rng.normal(0.0, sensing.sigma, size=(len(kept), 3))
+            # a row's noise moves it along f by at most max|noise| |f|_1
+            width += float(np.abs(noise).max(initial=0.0)) * float(np.abs(f).sum())
+        out = []
+        for d, pos in zip(offsets, grid.near_planes(c, f, offsets, width, sensing.d_sensing)):
+            o = c + d * f
+            if sensing.sigma > 0.0:
+                rows = np.take(grid.order, pos)
+                rows = rows[inside[rows]]
+                pts = (np.take(cloud, rows, axis=0)
+                       + np.take(noise, np.searchsorted(kept, rows), axis=0))
+                member = _in_slab(pts, o, f, p.slice_tol)
+                out.append(pts[member][np.argsort(rows[member])])
+            else:
+                member = pos[_in_slab(grid.rows_at(pos), o, f, p.slice_tol)]
+                out.append(sense_points(c, np.take(cloud, np.sort(grid.order[member]), axis=0),
+                                        sensing))
+        return out
+
+    def _perceive_robust(self, c: np.ndarray, f: np.ndarray):
+        """perceive_robust of the sensed cloud; SliceStarvation when nothing
+        is in range."""
         p = self.params
-        return self.grid.sensed_near_planes(c, f, (p.d1, p.d2), p.slice_tol,
-                                            self.sensing.d_sensing)
+        if self.sensing.sigma > 0.0:
+            local = sense_points(c, self.cloud_all, self.sensing, self.rng)
+            if len(local) == 0:
+                raise SliceStarvation("nothing in sensing range")
+            return perceive_robust(c, f, local, self.probe_distances, p)
+        if self.voxels is None:
+            self.voxels = VoxelTable(self.cloud_all, ROBUST_VOXEL)
+        ws = self.voxels.downsample_in_range(c, self.sensing.d_sensing)
+        if len(ws) == 0:
+            raise SliceStarvation("nothing in sensing range")
+        return _perceive_voxels(c, f, ws, self.probe_distances, p)

@@ -59,7 +59,7 @@ class CellGrid:
         self.keys = np.take(keys, self.starts, axis=0)
         self.centres = (self.keys + 0.5) * cell
         self.reach = 0.5 * np.sqrt(3.0) * cell + 0.01
-        self._sorted = np.take(points, self.order, axis=0)
+        self.sorted_points = np.take(points, self.order, axis=0)
 
     def cell_means(self) -> np.ndarray:
         """Mean point of each cell, in grid order.  Cells holding the same
@@ -69,11 +69,12 @@ class CellGrid:
         out = np.empty((len(self.starts), 3))
         for m in np.unique(self.counts):
             group = np.flatnonzero(self.counts == m)
-            out[group] = self._sorted[self.starts[group, None] + np.arange(m)].mean(axis=1)
+            out[group] = self.sorted_points[self.starts[group, None] + np.arange(m)].mean(axis=1)
         return out
 
-    def _rows(self, pos: np.ndarray) -> np.ndarray:
-        return np.take(self._sorted, pos, axis=0)  # a third of fancy indexing's cost
+    def rows_at(self, pos: np.ndarray) -> np.ndarray:
+        """The points at grid positions `pos`."""
+        return np.take(self.sorted_points, pos, axis=0)  # a third of fancy indexing's cost
 
     def _positions(self, cells: np.ndarray) -> np.ndarray:
         """Positions, in grid order, of the rows of the given cells."""
@@ -88,9 +89,10 @@ class CellGrid:
         rel = self.centres - p
         centre_d2 = np.einsum("ij,ij->i", rel, rel)
         first = np.argmin(centre_d2)
-        u = np.sqrt(sq_distances(self._sorted[self.starts[first]:][:self.counts[first]], p).min())
+        own = self.sorted_points[self.starts[first]:][:self.counts[first]]
+        u = np.sqrt(sq_distances(own, p).min())
         cells = np.flatnonzero(centre_d2 <= (u + self.reach) ** 2)
-        return float(np.sqrt(sq_distances(self._rows(self._positions(cells)), p).min()))
+        return float(np.sqrt(sq_distances(self.rows_at(self._positions(cells)), p).min()))
 
     def pairs_within(self, r: float) -> np.ndarray:
         """Row pairs (i, j), each once, of the points at most r apart, by
@@ -114,27 +116,38 @@ class CellGrid:
         k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         i = self.starts[a][pair] + k // self.counts[b][pair]
         j = self.starts[b][pair] + k % self.counts[b][pair]
-        close = sq_distances(self._rows(i), self._rows(j)) <= r * r
+        close = sq_distances(self.rows_at(i), self.rows_at(j)) <= r * r
         keep = close & ((a != b)[pair] | (i < j))
         return np.stack([self.order[i[keep]], self.order[j[keep]]], axis=1)
 
-    def sensed_near_planes(self, c: np.ndarray, f: np.ndarray, offsets,
-                           tol: float, d_range: float) -> np.ndarray:
-        """The points within `d_range` of c (by `in_range`) of the cells
-        that can hold a point within `tol` of a plane through c + d f, d in
-        offsets, with normal f; in point order."""
-        along = self.centres @ f - float(c @ f)
-        near = np.zeros(len(along), dtype=bool)
-        for d in offsets:
-            near |= np.abs(along - d) <= tol + self.reach
-        cells = np.flatnonzero(near)
-        rel = self.centres[cells] - c
+    def in_range(self, c: np.ndarray, d_range: float) -> np.ndarray:
+        """`world.in_range(c, points, d_range)`, in point order, testing only
+        the rows of the cells the range sphere cuts: a cell whose centre is
+        within d_range - reach of c holds only points in range, one beyond
+        d_range + reach none."""
+        rel = self.centres - c
         dist2 = np.einsum("ij,ij->i", rel, rel)
-        cells = cells[dist2 <= (d_range + self.reach) ** 2]
-        rows = self.points[np.sort(self.order[self._positions(cells)])]
-        if d_range > self.reach and dist2.max(initial=0.0) <= (d_range - self.reach) ** 2:
-            return rows  # every gathered cell lies wholly in range
-        return rows[in_range(c, rows, d_range)]
+        inner = (dist2 <= (d_range - self.reach) ** 2) & (d_range > self.reach)
+        cut = ~inner & (dist2 <= (d_range + self.reach) ** 2)
+        out = np.zeros(len(self.points), dtype=bool)
+        out[np.take(self.order, self._positions(np.flatnonzero(inner)))] = True
+        pos = self._positions(np.flatnonzero(cut))
+        out[np.take(self.order, pos)] = in_range(c, self.rows_at(pos), d_range)
+        return out
+
+    def near_planes(self, c: np.ndarray, f: np.ndarray, offsets, width: float,
+                    d_range: float) -> list[np.ndarray]:
+        """For each d in offsets, the positions, in grid order, of the rows of
+        the cells that can hold a point within `width` of the plane through
+        c + d f with normal f and within `d_range` of c."""
+        along = self.centres @ f - float(c @ f)
+        out = []
+        for d in offsets:
+            cells = np.flatnonzero(np.abs(along - d) <= width + self.reach)
+            rel = self.centres[cells] - c
+            cells = cells[np.einsum("ij,ij->i", rel, rel) <= (d_range + self.reach) ** 2]
+            out.append(self._positions(cells))
+        return out
 
 
 @dataclass

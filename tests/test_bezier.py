@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aeronav.bezier import (PiecewisePath, QuinticBezier, hermite_quintic,
-                            stitch_three_point)
+from aeronav.bezier import (G_QUINTIC, PiecewisePath, QuinticBezier,
+                            hermite_quintic, stitch_three_point)
 
 
 def finite_diff(fn, s, h=1e-6):
@@ -204,3 +206,25 @@ def test_closest_param_memo_answers_by_value():
     assert path.closest_param(p1, per_segment=20) == _reference_closest(path, p1, 20)
     for twin in (copy.deepcopy(path), pickle.loads(pickle.dumps(path))):
         assert [twin.closest_param(q) for q in (p1, p2, p1)] == [s1, s2, s1]
+
+
+TINY = np.finfo(float).tiny
+
+
+@settings(max_examples=500, deadline=None)
+@given(s=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, TINY]),
+                   st.floats(0.0, TINY)),
+       as_array=st.booleans(), dim=st.sampled_from([2, 3]))
+def test_scalar_rows_equal_the_stacked_form(s, as_array, dim):
+    """A 0-d parameter builds its power row without np.stack; the rows, and
+    so both products, are the stacked form's bit for bit, subnormals too."""
+    seg = QuinticBezier(np.random.default_rng(dim).standard_normal((6, dim)))
+    q = np.asarray(s) if as_array else s
+    a = np.asarray(s, dtype=float)
+    t = np.stack([a ** 5, a ** 4, a ** 3, a ** 2, a, np.ones_like(a)], axis=-1)
+    assert np.array_equal(seg.point(q), t @ G_QUINTIC @ seg.control)
+    c = G_QUINTIC @ seg.control
+    for order in (1, 2):
+        c = c[:-1] * np.arange(len(c) - 1, 0, -1)[:, None]
+        powers = np.stack([a ** k for k in range(len(c) - 1, -1, -1)], axis=-1)
+        assert np.array_equal(seg.deriv(q, order), powers @ c)

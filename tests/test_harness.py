@@ -130,6 +130,9 @@ def test_bad_kind_rejected():
                   "tunnel": {"shape": "straight"}}, id="tunnel-start-auto-heading-explicit"),
     pytest.param({"kind": "tunnel", "start": "auto", "tunnel": {"shape": "straight"}},
                  id="tunnel-start-auto-heading-missing"),
+    pytest.param({"kind": "tunnel", "start": "auto", "heading": "auto",
+                  "tunnel": {"shape": "straight"}, "params": {"probe_distances": [5, 9, 13]}},
+                 id="tunnel-probe-distances-on-slices"),
     pytest.param({"kind": "flocking"}, id="flocking-agents-missing"),
     pytest.param({"kind": "flocking", "agents": {"count": 4}},
                  id="flocking-spawn-missing"),
@@ -163,6 +166,17 @@ def test_bad_kind_rejected():
 def test_bad_value_rejected(over):
     with pytest.raises(ConfigError):
         validate_config(minimal_cfg(**over))
+
+
+@pytest.mark.parametrize("pipeline", [{}, {"pipeline": "slices"}])
+def test_probe_distances_refused_off_the_robust_pipeline(pipeline):
+    """The slices pipeline probes at d1 and d2 and would ignore the key."""
+    cfg = minimal_cfg(kind="tunnel", start="auto", heading="auto",
+                      tunnel={"shape": "straight"},
+                      params={"probe_distances": [5, 9, 13], **pipeline})
+    with pytest.raises(ConfigError, match=r"params\.probe_distances"):
+        validate_config(cfg)
+    validate_config({**cfg, "params": {"probe_distances": [5, 9, 13], "pipeline": "robust"}})
 
 
 @pytest.mark.parametrize("start, heading", [([50.0, 50.0, 50.0], "auto"),

@@ -226,6 +226,103 @@ def test_step_flock_batch_matches_chained_rk4(hold):
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
+# -- the vehicle steppers' held command: steps=k against k chained steps ----
+
+def _chained(stepper, state, cmd, dt, limits, k):
+    for _ in range(k):
+        state = stepper(state, *cmd, dt, limits=limits)
+    return state
+
+
+def _values(state):
+    if isinstance(state, Unicycle2DState):
+        return [state.x, state.y, state.theta]
+    if isinstance(state, Angle3DState):
+        return [*state.p, state.beta, state.alpha]
+    return [*state.p, *state.a]
+
+
+# within 1e-2 of +-pi a held rate wraps the angle inside a hold
+NEAR_PI = st.one_of(ANGLE, st.floats(np.pi - 1e-2, np.pi), st.floats(-np.pi, -np.pi + 1e-2))
+RATE = st.floats(-50.0, 50.0)
+STEPS = st.integers(1, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xy=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), th=NEAR_PI,
+       v=COMMAND, u=RATE, dt=DT, limits=LIMITS, k=STEPS)
+def test_step_unicycle_steps_equal_chained_steps(xy, th, v, u, dt, limits, k):
+    state = Unicycle2DState(*xy, th)
+    got = step_unicycle(state, v, u, dt, limits=limits, steps=k)
+    want = _chained(step_unicycle, state, (v, u), dt, limits, k)
+    assert np.array_equal(_values(got), _values(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.tuples(*[st.floats(-1e3, 1e3)] * 3), beta=NEAR_PI, alpha=NEAR_PI,
+       v=COMMAND, ub=RATE, ua=RATE, dt=DT, limits=LIMITS, k=STEPS)
+def test_step_angles3d_steps_equal_chained_steps(p, beta, alpha, v, ub, ua, dt, limits, k):
+    state = Angle3DState(np.array(p), beta, alpha)
+    got = step_angles3d(state, v, ub, ua, dt, limits=limits, steps=k)
+    want = _chained(step_angles3d, state, (v, ub, ua), dt, limits, k)
+    assert np.array_equal(_values(got), _values(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+       a=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 0.1),
+       v=COMMAND, u=st.tuples(*[RATE] * 3), dt=DT, limits=LIMITS, k=STEPS)
+def test_step_heading3d_steps_equal_chained_steps(p, a, v, u, dt, limits, k):
+    state = Heading3DState(np.array(p), unit(np.array(a)))
+    got = step_heading3d(state, v, np.array(u), dt, limits=limits, steps=k)
+    want = _chained(step_heading3d, state, (v, np.array(u)), dt, limits, k)
+    assert np.array_equal(_values(got), _values(want))
+
+
+VEHICLES = [(step_unicycle, Unicycle2DState(0.0, 0.0, 0.0), [0.5, 0.1]),
+            (step_angles3d, Angle3DState(np.zeros(3), 0.0, 0.0), [0.5, 0.1, -0.1]),
+            (step_heading3d, Heading3DState(np.zeros(3), np.array([1.0, 0.0, 0.0])),
+             [0.5, np.array([0.0, 0.1, 0.0])])]
+
+
+@pytest.mark.parametrize("limits", [None, LimitSet(v_max=1.0, u_max=1.5)])
+@pytest.mark.parametrize("stepper, state, cmd", VEHICLES, ids=["unicycle", "angles3d",
+                                                               "heading3d"])
+def test_batched_steps_nan_command_raises(stepper, state, cmd, limits):
+    for which in range(len(cmd)):
+        bad = list(cmd)
+        bad[which] = bad[which] * np.nan
+        with pytest.raises(FloatingPointError):
+            stepper(state, *bad, 0.01, limits=limits, steps=5)
+
+
+@pytest.mark.parametrize("stepper, state, cmd", VEHICLES, ids=["unicycle", "angles3d",
+                                                               "heading3d"])
+def test_batched_steps_raise_when_a_middle_step_overflows(stepper, state, cmd):
+    """At 2.5e307 m/s straight ahead the position overflows in the 8th step
+    of 1 s: the state before the 9th step is not finite, as k chained steps
+    would see."""
+    cmd = [2.5e307, *(0.0 * np.asarray(u) for u in cmd[1:])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(_values(stepper(state, *cmd, 1.0, steps=7))).all()
+        assert not np.isfinite(_values(stepper(state, *cmd, 1.0, steps=8))).all()
+        with pytest.raises(FloatingPointError):
+            stepper(state, *cmd, 1.0, steps=10)
+
+
+@pytest.mark.parametrize("cmd", [(np.inf, np.inf, -np.inf), (-np.inf, -np.inf, np.inf)])
+def test_batched_infinite_command_clipped_under_limits(cmd):
+    lim = LimitSet(v_max=1.0, u_max=1.5)
+    for stepper, state, n in ((step_unicycle, Unicycle2DState(1.0, 2.0, 3.1), 2),
+                              (step_angles3d, Angle3DState(np.array([1.0, 2.0, 3.0]), 3.1,
+                                                           -3.1), 3)):
+        got = stepper(state, *cmd[:n], 0.1, limits=lim, steps=9)
+        want = _chained(stepper, state, cmd[:n], 0.1, lim, 9)
+        assert np.array_equal(_values(got), _values(want))
+        with pytest.raises(FloatingPointError):
+            stepper(state, *cmd[:n], 0.1, steps=9)
+
+
 def test_flock_batch_raises_when_a_middle_step_overflows():
     # finite inputs whose positions overflow in the 4th of 10 steps
     q, theta, nu = np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3))

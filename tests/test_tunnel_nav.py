@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,8 +12,9 @@ from aeronav import tunnels
 from aeronav.geom import unit
 from aeronav.harness.runner import run
 from aeronav.harness.scenarios import stock
-from aeronav.tunnel_nav import (ROBUST_FAIL_LIMIT, SliceStarvation,
-                                TunnelNavigator, TunnelParams,
+from aeronav.tunnel_nav import (ROBUST_FAIL_LIMIT, ROBUST_VOXEL,
+                                SliceStarvation, TunnelNavigator,
+                                TunnelParams, VoxelTable, _chord_centroids,
                                 estimate_normals, perceive_robust,
                                 slice_centroids, slice_points, tunnel_law,
                                 voxel_downsample)
@@ -265,7 +267,56 @@ def test_navigator_straight_run_completes():
     assert min_wall > 0.0
 
 
-# -- slab grid: the slices of the noise-free pipeline, row for row ----------
+# -- the perception paths against the whole sensed cloud --------------------
+
+class WholeCloudNavigator(TunnelNavigator):
+    """The reference: every tick senses the whole cloud with `sense_points`
+    and slices or downsamples all of it."""
+
+    def control(self, c):
+        if self.terminated:
+            return np.zeros(3)
+        f = unit(self.v_prev)
+        local = sense_points(c, self.cloud_all, self.sensing, self.rng)
+        if len(local) == 0:
+            self.terminated = True
+            return np.zeros(3)
+        try:
+            if self.pipeline == "robust":
+                got = perceive_robust(c, f, local, self.probe_distances, self.params)
+                if got is None:
+                    self.failures += 1
+                    if self.failures >= ROBUST_FAIL_LIMIT:
+                        self.terminated = True
+                    return self.v_prev
+                self.failures = 0
+                cents = _chord_centroids(c, *got)
+            else:
+                cents = slice_centroids(c, f, local, self.params)
+        except SliceStarvation:
+            self.terminated = True
+            return np.zeros(3)
+        v_k, self.mode = tunnel_law(c, cents, self.params)
+        self.v_prev = v_k
+        return v_k
+
+
+def _fly_both(nav, ref, c, ticks):
+    """Fly nav and ref side by side from c; after every tick their command,
+    mode, state and random stream must be equal.  Returns the number of
+    ticks before termination."""
+    for tick in range(ticks):
+        v = nav.control(c)
+        assert np.array_equal(v, ref.control(c))
+        assert (nav.mode, nav.terminated, nav.failures) == (ref.mode, ref.terminated,
+                                                            ref.failures)
+        if nav.rng is not None:
+            assert nav.rng.bit_generator.state == ref.rng.bit_generator.state
+        if nav.terminated:
+            return tick
+        c = c + v * nav.params.delta
+    return ticks
+
 
 def _whole_cloud_slices(c, f, cloud, params):
     """The two slices cut from the whole sensed cloud."""
@@ -275,9 +326,7 @@ def _whole_cloud_slices(c, f, cloud, params):
 
 
 def _grid_slices(nav, c, f):
-    local = nav._sense(c, f)
-    return [slice_points(local, c + d * f, f, nav.params.slice_tol)
-            for d in (nav.params.d1, nav.params.d2)]
+    return nav.slices(c, f)
 
 
 # cell faces sit on whole meters: draw many coordinates there
@@ -306,11 +355,7 @@ def test_grid_slices_on_boundaries():
     faces, and points exactly d_sensing away sit on the range sphere."""
     params = TunnelParams(d1=3.0, d2=4.0, slice_tol=0.1, d_sensing=5.0)
     f = np.array([1.0, 0.0, 0.0])
-    tube = cylinder_cloud(radius=1.5, length=30.0)
-    on_sphere = np.array([[x + dx, y, z] for x in range(2, 20)
-                          for dx, y, z in [(3.0, 4.0, 0.0), (3.0, 0.0, -4.0),
-                                           (4.0, -3.0, 0.0), (4.0, 3.0 + 1e-12, 0.0)]])
-    cloud = np.vstack([tube, on_sphere])
+    cloud = np.vstack([cylinder_cloud(radius=1.5, length=30.0), ON_SPHERE])
     nav = TunnelNavigator(params, cloud, f)
     on_face = 0
     for x in np.arange(2.0, 20.0, 0.05):
@@ -324,6 +369,13 @@ def test_grid_slices_on_boundaries():
     s1, s2 = _grid_slices(nav, c, f)
     assert [13.0, 4.0, 0.0] in s1.tolist() and [14.0, -3.0, 0.0] in s2.tolist()
     assert [14.0, 3.0 + 1e-12, 0.0] not in s2.tolist()
+
+
+# points 5 m from (x, 0, 0) for whole x in [2, 20), and one just beyond, on
+# the slab faces of d1 = 3 and d2 = 4 m along +x
+ON_SPHERE = np.array([[x + dx, y, z] for x in range(2, 20)
+                      for dx, y, z in [(3.0, 4.0, 0.0), (3.0, 0.0, -4.0),
+                                       (4.0, -3.0, 0.0), (4.0, 3.0 + 1e-12, 0.0)]])
 
 
 def test_grid_range_cuts_inside_cells():
@@ -352,8 +404,7 @@ def test_grid_empty_slab_terminates_as_whole_cloud(x):
     cloud = cylinder_cloud(length=30.0)
     f = np.array([1.0, 0.0, 0.0])
     nav = TunnelNavigator(P, cloud, f)
-    ref = TunnelNavigator(P, cloud, f)
-    ref.grid = None  # sense the whole cloud
+    ref = WholeCloudNavigator(P, cloud, f)
     c = np.array([x, 0.0, 0.0])
     got, want = nav.control(c), ref.control(c)
     assert np.array_equal(got, np.zeros(3)) and np.array_equal(want, np.zeros(3))
@@ -363,8 +414,7 @@ def test_grid_empty_slab_terminates_as_whole_cloud(x):
 def test_grid_closed_loop_matches_whole_cloud():
     cloud = generate_tunnel("smooth-bend", radius=1.5, length=30.0).points
     f = np.array([1.0, 0.0, 0.0])
-    nav, ref = TunnelNavigator(P, cloud, f), TunnelNavigator(P, cloud, f)
-    ref.grid = None
+    nav, ref = TunnelNavigator(P, cloud, f), WholeCloudNavigator(P, cloud, f)
     c = np.array([1.0, 0.3, -0.2])
     for _ in range(250):
         v = nav.control(c)
@@ -387,10 +437,93 @@ def test_tunnel_run_builds_one_grid(monkeypatch):
     assert len(cells) == 2 and cells.count(tunnels.GRID_CELL) == 1
 
 
-def test_grid_only_for_noise_free_slices():
-    cloud = cylinder_cloud()
+def _noisy_pair(params, cloud, f, sigma, seed, pipeline="slices", probes=None):
+    sensing = SensingModel(d_sensing=params.d_sensing, sigma=sigma)
+    return [cls(params, cloud, f, sensing=sensing, rng=np.random.default_rng(seed),
+                pipeline=pipeline, probe_distances=probes)
+            for cls in (TunnelNavigator, WholeCloudNavigator)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloud=st.integers(0, 120).flatmap(
+           lambda n: arrays(np.float64, (n, 3), elements=coordinate)),
+       c=st.tuples(*[coordinate] * 3).map(np.array), f=heading,
+       d1=st.floats(0.0, 5.0), gap=st.floats(0.1, 5.0), tol=st.floats(0.01, 1.5),
+       d_sensing=st.floats(0.5, 25.0), sigma=st.floats(1e-4, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_noisy_slices_equal_whole_cloud_navigator(cloud, c, f, d1, gap, tol, d_sensing,
+                                                  sigma, seed):
+    """Points on cell faces, noise up to half a cell, and mostly empty
+    slabs: the first tick that finds a slab empty terminates both."""
+    params = TunnelParams(d1=d1, d2=d1 + gap, slice_tol=tol, d_sensing=d_sensing)
+    _fly_both(*_noisy_pair(params, cloud, f, sigma, seed), c, 3)
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.2, 0.5])
+def test_noisy_slices_closed_loop_equal_whole_cloud(sigma):
+    """A tube with points on the range sphere and on the slab faces, flown
+    until a slab runs empty past its end; noise of half a cell moves rows
+    into a slab from cells more than a half-diagonal away from it."""
+    params = TunnelParams(d1=3.0, d2=4.0, slice_tol=0.1, d_sensing=5.0, radius=1.0,
+                          beta0=np.pi / 5)
+    cloud = np.vstack([cylinder_cloud(radius=1.5, length=30.0), ON_SPHERE])
+    nav, ref = _noisy_pair(params, cloud, np.array([1.0, 0.0, 0.0]), sigma, 7)
+    ticks = _fly_both(nav, ref, np.array([1.0, 0.3, -0.2]), 400)
+    assert nav.terminated and ticks >= 150
+
+
+@settings(max_examples=100, deadline=None)
+@given(cloud=st.integers(1, 300).flatmap(lambda n: st.one_of(
+           arrays(np.float64, (n, 3), elements=st.floats(-2.0, 2.0)),
+           arrays(np.float64, (n, 3), elements=clustered))),
+       voxel=st.sampled_from([0.15, 0.5, 1.0]), c=st.tuples(*[coordinate] * 3).map(np.array),
+       step=st.tuples(*[st.floats(-0.3, 0.3)] * 3).map(np.array),
+       d_range=st.floats(0.05, 4.0))
+def test_voxel_table_equals_downsampled_sensed_cloud(cloud, voxel, c, step, d_range):
+    table = VoxelTable(cloud, voxel)
+    for k in range(8):
+        q = c + k * step
+        want = voxel_downsample(sense_points(q, cloud, SensingModel(d_sensing=d_range)), voxel)
+        assert np.array_equal(table.downsample_in_range(q, d_range), want)
+
+
+def test_voxel_table_on_a_tube_cut_by_the_range():
+    """A short range cuts the voxels of a tube as the vehicle moves."""
+    cloud = cylinder_cloud(radius=1.0, length=8.0)
+    table = VoxelTable(cloud, ROBUST_VOXEL)
+    cut = 0
+    for x in np.arange(-1.0, 9.0, 0.07):
+        q = np.array([x, 0.1, -0.05])
+        for d_range in (1.2, 2.5, 4.0):
+            got = table.downsample_in_range(q, d_range)
+            sensed = sense_points(q, cloud, SensingModel(d_sensing=d_range))
+            assert np.array_equal(got, voxel_downsample(sensed, ROBUST_VOXEL))
+            cut += len(got) > 0 and not np.isin(got, table.means).all(axis=1).all()
+    assert cut > 50
+
+
+NARROWING = TunnelParams(v=0.4, delta=0.1, d1=1.25, d2=1.75, radius=0.6,
+                         beta0=np.pi / 5, slice_tol=0.1, d_sensing=6.0)
+
+
+@pytest.mark.parametrize("d_sensing", [6.0, 2.3])
+def test_robust_closed_loop_equal_whole_cloud(d_sensing):
+    """The noise-free robust pipeline through its voxel table; a range of
+    2.3 m cuts voxels on every tick."""
+    params = dataclasses.replace(NARROWING, d_sensing=d_sensing)
+    cloud = generate_tunnel("narrowing", radius=1.15, end_radius=0.75, length=6.0,
+                            density=700.0).points
     f = np.array([1.0, 0.0, 0.0])
-    noisy = SensingModel(d_sensing=20.0, sigma=0.01)
-    assert TunnelNavigator(P, cloud, f, sensing=noisy,
-                           rng=np.random.default_rng(0)).grid is None
-    assert TunnelNavigator(P, cloud, f, pipeline="robust").grid is None
+    nav, ref = (cls(params, cloud, f, pipeline="robust", probe_distances=[1.25, 1.5, 1.75])
+                for cls in (TunnelNavigator, WholeCloudNavigator))
+    assert _fly_both(nav, ref, np.array([0.3, 0.0, 0.0]), 200) >= 50
+
+
+def test_noisy_robust_equal_whole_cloud():
+    """No stock run senses with noise on the robust pipeline, which still
+    downsamples the whole sensed cloud every tick: run it here."""
+    cloud = generate_tunnel("narrowing", radius=1.15, end_radius=0.75, length=6.0,
+                            density=700.0).points
+    nav, ref = _noisy_pair(NARROWING, cloud, np.array([1.0, 0.0, 0.0]), 0.02, 77,
+                           pipeline="robust", probes=[1.25, 1.5, 1.75])
+    assert _fly_both(nav, ref, np.array([0.3, 0.0, 0.0]), 200) >= 50
