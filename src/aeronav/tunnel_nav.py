@@ -100,14 +100,16 @@ def slice_centroids(c: np.ndarray, heading: np.ndarray, cloud: np.ndarray,
         raise ValueError("heading must be unit length")
     if len(cloud) == 0:
         raise SliceStarvation("empty cloud")
-    slabs = []
-    for d_i in (params.d1, params.d2):
-        o_i = c + d_i * f
-        pts = slice_points(cloud, o_i, f, params.slice_tol)
-        if len(pts) == 0:
-            raise SliceStarvation(f"no wall points in the slice at {d_i} m")
-        slabs.append(pts.mean(axis=0))
-    return _chord_centroids(c, *slabs)
+    return _slab_centroids(c, *(slice_points(cloud, c + d_i * f, f, params.slice_tol)
+                                for d_i in (params.d1, params.d2)))
+
+
+def _slab_centroids(c: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> SliceCentroids:
+    """_chord_centroids of the means of the two slabs' points; SliceStarvation
+    when either slab is empty."""
+    if len(s1) == 0 or len(s2) == 0:
+        raise SliceStarvation("no wall points in a slice")
+    return _chord_centroids(c, s1.mean(axis=0), s2.mean(axis=0))
 
 
 def _chord_centroids(c: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> SliceCentroids:
@@ -305,10 +307,7 @@ class TunnelNavigator:
                 self.failures = 0
                 cents = _chord_centroids(c, *got)
             else:
-                s1, s2 = self.slices(c, f)
-                if len(s1) == 0 or len(s2) == 0:
-                    raise SliceStarvation("no wall points in a slice")
-                cents = _chord_centroids(c, s1.mean(axis=0), s2.mean(axis=0))
+                cents = _slab_centroids(c, *self.slices(c, f))
         except SliceStarvation:
             self.terminated = True
             return np.zeros(3)
@@ -319,7 +318,16 @@ class TunnelNavigator:
     def slices(self, c: np.ndarray, f: np.ndarray) -> list[np.ndarray]:
         """The two slices at d1 and d2 of the sensed cloud, each in cloud
         order: slice_points(sense_points(c, cloud_all, sensing, rng),
-        c + d f, f, slice_tol), with the same noise draws."""
+        c + d f, f, slice_tol), with the same noise draws.
+
+        Without noise only the slab members are range-tested.  With noise
+        every row must be, since the draw covers all rows in range; the
+        tunnel grid's cells then set the rows of cells wholly in range
+        without a distance.  Measured per tick over the stock runs (2-core
+        VM, alternating): the noise-free cut takes 75-148 us on tunnels a-f
+        where the noisy one run with zero noise (whole-cloud range test,
+        no draw) takes 236-436 us; on tunnel-g the grid's range test takes
+        108 us against 309 us for `world.in_range` over the whole cloud."""
         p, cloud, sensing, grid = self.params, self.cloud_all, self.sensing, self.grid
         offsets, width = (p.d1, p.d2), p.slice_tol
         if sensing.sigma > 0.0:
