@@ -264,13 +264,3 @@ def perpendicular_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e2 = cross3(n, e1)
     return e1, e2
 
-
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Distance from point p to segment ab and the closest point."""
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom < EPS:
-        return norm(p - a), a.copy()
-    t = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
-    q = a + t * ab
-    return norm(p - q), q

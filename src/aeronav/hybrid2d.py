@@ -211,8 +211,7 @@ class HybridNavigator:
         # distance/rate of the active reference obstacle (nearest while
         # tracking, the followed one while reactive)
         if self.mode == NavMode.REACTIVE:
-            d, closest = self.world.obstacles[self._reactive_obstacle].distance(
-                state.position, t)
+            d, closest = self.world.distance(self._reactive_obstacle, state.position, t)
             obs_id = self._reactive_obstacle
         else:
             d, closest, obs_id = self.world.nearest_obstacle(state.position, t)
@@ -240,7 +239,7 @@ class HybridNavigator:
             if self._blocked_ids:
                 corridor_ok = self._corridor_clear(state, target, t)
                 for oid in list(self._blocked_ids):
-                    od = self.world.obstacles[oid].distance(state.position, t)[0]
+                    od = self.world.distance(oid, state.position, t)[0]
                     if od > self.p.big_c or not corridor_ok:
                         self._blocked_ids.discard(oid)
             sensed = d <= self.p.d_sensing

@@ -60,7 +60,7 @@ def tangent_to_ellipsoid(p0: np.ndarray, ellipsoid: Ellipsoid,
     circle (the tangent-cone circle), refined locally.
     """
     p0 = np.asarray(p0, dtype=float)
-    q0 = ellipsoid.to_body(p0) / ellipsoid.semi
+    q0 = (p0 - ellipsoid.center) / ellipsoid.semi
     rho = norm(q0)
     if rho <= 1.0 + 1e-12:
         raise ValueError("tangent requires a point strictly outside the ellipsoid")
@@ -75,7 +75,7 @@ def tangent_to_ellipsoid(p0: np.ndarray, ellipsoid: Ellipsoid,
     def candidates(phis):
         qs = (center[None, :] + r_circ * (np.cos(phis)[:, None] * e1[None, :]
                                           + np.sin(phis)[:, None] * e2[None, :]))
-        pts = ellipsoid.to_world(qs * ellipsoid.semi)
+        pts = qs * ellipsoid.semi + ellipsoid.center
         tangents = pts - p0
         tn = tangents / row_norms(tangents)[:, None]
         return pts, tn @ a_dir
@@ -183,7 +183,7 @@ class Reactive3DNavigator:
 
     def control(self, state: Heading3DState, t: float, tick: int) -> tuple[float, np.ndarray]:
         if self.mode == Mode3D.AVOID:
-            d, closest = self.world.obstacles[self._avoid_id].distance(state.p, t)
+            d, closest = self.world.distance(self._avoid_id, state.p, t)
             obs_id = self._avoid_id
         else:
             d, closest, obs_id = self.world.nearest_obstacle(state.p, t)
@@ -209,7 +209,7 @@ class Reactive3DNavigator:
                 self._d_prev = None
 
         for oid in list(self._blocked):
-            if self.world.obstacles[oid].distance(state.p, t)[0] > self.p.big_c:
+            if self.world.distance(oid, state.p, t)[0] > self.p.big_c:
                 self._blocked.discard(oid)
 
         if self.mode == Mode3D.AVOID:
@@ -225,12 +225,11 @@ class Reactive3DNavigator:
         distance from it over a few threshold lengths (other obstacles get
         their own maneuvers once encountered)."""
         margin = max(self.p.d_safe, 0.97 * self.p.d0)
-        ob = self.world.obstacles[self._avoid_id]
         to_goal = self.goal - state.p
         dist = norm(to_goal)
         horizon = min(dist, 3.0 * self.p.big_c)
         n = max(2, int(np.ceil(horizon / 0.1)))
         for s in np.linspace(0.0, horizon / dist, n):
-            if ob.distance(state.p + s * to_goal, t)[0] <= margin:
+            if self.world.distance(self._avoid_id, state.p + s * to_goal, t)[0] <= margin:
                 return False
         return True

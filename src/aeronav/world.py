@@ -1,18 +1,24 @@
 """Ground-truth obstacle world, synthetic sensing and distance queries.
 
-Obstacles are primitives (sphere/disc, cylinder, axis-aligned ellipsoid,
-polyline wall) plus a constant-velocity wrapper.  A `World` is an immutable
+Obstacles are records of primitives (sphere/disc, cylinder, axis-aligned
+ellipsoid, polyline wall), each static or under a constant-velocity
+wrapper: fields and their checks, no geometry.  A `World` packs them into
+one table of arrays per primitive kind, and each primitive's geometry
+exists once, on those rows.  Every distance is read from the table: the
+nearest obstacle, the batch distance, the raycast, and
+`World.distance(i, p, t)` for obstacle i alone.  A `World` is an immutable
 snapshot apart from the time argument threaded through queries; moving
 obstacles are evaluated at the query time, so all reads are parallel-safe.
 
-Distances are to the obstacle as a set: zero inside.  Spheres, cylinders
-and ellipsoids are exact; walls use exact point-segment distances.  The
-ellipsoid solves the one-dimensional distance equation (Eberly, "Distance
-from a point to an ellipse, an ellipsoid, or a hyperellipsoid") with
-`brentq`, this module's own Brent solver (Brent 1973, "Algorithms for
-Minimization without Derivatives"): a port of scipy's on Python floats that
-takes the same iterates, so scipy is never imported here.  Sensing is
-omnidirectional: every point within range, with optional Gaussian noise.
+Distances are to the obstacle as a set: zero inside, and NaN for a NaN
+point.  Spheres, cylinders and ellipsoids are exact; walls use exact
+point-segment distances.  The ellipsoid solves the one-dimensional
+distance equation (Eberly, "Distance from a point to an ellipse, an
+ellipsoid, or a hyperellipsoid") with `brentq`, this module's own Brent
+solver (Brent 1973, "Algorithms for Minimization without Derivatives"): a
+port of scipy's on Python floats that takes the same iterates, so scipy is
+never imported here.  Sensing is omnidirectional: every point within
+range, with optional Gaussian noise.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import (EPS, blas_dots, blas_matvecs, blas_norms, column_norms, cross3,
-                   norm, point_segment_distance, row_norms, sq_distances, sub_columns)
+                   norm, row_norms, sq_distances, sub_columns)
 
 _INF = float("inf")
 # elements of a batch query's largest temporary, (rows, points, dim)
@@ -95,11 +101,9 @@ def brentq(f, a: float, b: float) -> float:
 
 
 class Obstacle:
-    """Base: subclasses implement distance(p, t) -> (d, closest_point)."""
+    """Base of the obstacle records: a primitive's fields, checked when it is
+    made.  Distances are read from a `World`'s table, never from a record."""
     known: bool = True
-
-    def distance(self, p: np.ndarray, t: float = 0.0) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
 
     def velocity_bound(self) -> float:
         return 0.0
@@ -116,19 +120,6 @@ class Sphere(Obstacle):
         self.center = np.asarray(self.center, dtype=float)
         if self.radius <= 0.0:
             raise ValueError("sphere radius must be positive")
-
-    def distance(self, p, t=0.0):
-        r = np.asarray(p, dtype=float) - self.center
-        rho = norm(r)
-        return max(rho - self.radius, 0.0), self._closest(r, rho)
-
-    def _closest(self, r: np.ndarray, rho: float) -> np.ndarray:
-        """The closest surface point from r = p - center and rho = |r|, also
-        from inside, so that callers still get an exit direction; at the
-        centre, the tip of the first axis."""
-        if rho < 1e-12:
-            return self.center + np.eye(len(self.center))[0] * self.radius
-        return self.center + r * (self.radius / rho)
 
 
 @dataclass
@@ -148,32 +139,6 @@ class Cylinder(Obstacle):
         if self.radius <= 0.0 or self.height <= 0.0:
             raise ValueError("cylinder extents must be positive")
 
-    def distance(self, p, t=0.0):
-        r = np.asarray(p, dtype=float) - self.base
-        h = float(np.dot(r, self.axis))
-        radial = r - h * self.axis
-        rho = norm(radial)
-        dz = max(-h, h - self.height, 0.0)
-        dr = max(rho - self.radius, 0.0)
-        d = float(np.hypot(dr, dz))     # 0 exactly when inside
-        return d, self._closest(h, radial, rho, d == 0.0)
-
-    def _closest(self, h: float, radial: np.ndarray, rho: float, inside: bool) -> np.ndarray:
-        """The closest surface point from the axial coordinate h of p -
-        base, its radial part and that part's norm rho; inside, the nearest
-        surface point, for the exit direction."""
-        rad_dir = radial / rho if rho > 1e-12 else _any_perp(self.axis)
-        if inside:
-            gap_r = self.radius - rho
-            gap_lo, gap_hi = h, self.height - h
-            if gap_r <= min(gap_lo, gap_hi):
-                return self.base + h * self.axis + self.radius * rad_dir
-            if gap_lo <= gap_hi:
-                return self.base + rho * rad_dir
-            return self.base + self.height * self.axis + rho * rad_dir
-        hc = float(np.clip(h, 0.0, self.height))
-        return self.base + hc * self.axis + min(rho, self.radius) * rad_dir
-
 
 @dataclass
 class Ellipsoid(Obstacle):
@@ -188,43 +153,6 @@ class Ellipsoid(Obstacle):
         if np.any(self.semi <= 0.0):
             raise ValueError("ellipsoid semi-axes must be positive")
 
-    def to_body(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(p, dtype=float) - self.center
-
-    def to_world(self, q: np.ndarray) -> np.ndarray:
-        return np.asarray(q, dtype=float) + self.center
-
-    def distance(self, p, t=0.0):
-        q = self.to_body(p)
-        a2 = self.semi ** 2
-        if np.sum((q / self.semi) ** 2) <= 1.0:
-            # inside: radial surface point (direction anchor, not the true
-            # nearest) -- distance to the set is zero either way
-            qn = norm(q / self.semi)
-            if qn < 1e-12:
-                tip = np.zeros_like(self.semi)
-                tip[0] = self.semi[0]
-                return 0.0, self.to_world(tip)
-            return 0.0, self.to_world(q / qn)
-
-        # closest point q* = a_i^2 q_i / (a_i^2 + s); s > 0 solves F(s) = 1,
-        # F summed on floats left to right as np.sum adds the few terms
-        terms = list(zip(a2.tolist(), q.tolist()))
-
-        def f(s):
-            total = 0.0
-            for b, x in terms:
-                y = b * x / (b + s)
-                total += y * y / b
-            return total - 1.0
-
-        hi = float(norm(q) * np.max(self.semi) + np.max(a2))
-        while f(hi) > 0.0:
-            hi *= 2.0
-        s = brentq(f, 0.0, hi)
-        qs = a2 * q / (a2 + s)
-        return norm(q - qs), self.to_world(qs)
-
 
 @dataclass
 class Wall(Obstacle):
@@ -237,19 +165,11 @@ class Wall(Obstacle):
         if len(self.vertices) < 2:
             raise ValueError("wall needs at least two vertices")
 
-    def distance(self, p, t=0.0):
-        best, bq = _INF, None
-        for a, b in zip(self.vertices[:-1], self.vertices[1:]):
-            d, q = point_segment_distance(np.asarray(p, dtype=float), a, b)
-            if d < best:
-                best, bq = d, q
-        return best, bq
-
 
 @dataclass
 class Moving(Obstacle):
-    """Wraps a primitive with a constant-velocity translation:
-    offset = velocity * t."""
+    """Wraps a primitive with a constant-velocity translation: at time t
+    the shape is moved by velocity * t."""
     shape: Obstacle
     velocity: np.ndarray
     known: bool = False
@@ -257,23 +177,8 @@ class Moving(Obstacle):
     def __post_init__(self):
         self.velocity = np.asarray(self.velocity, dtype=float)
 
-    def offset(self, t: float) -> np.ndarray:
-        return self.velocity * t
-
     def velocity_bound(self) -> float:
         return norm(self.velocity)
-
-    def distance(self, p, t=0.0):
-        off = self.offset(t)
-        d, q = self.shape.distance(np.asarray(p, dtype=float) - off, 0.0)
-        return d, q + off
-
-
-def _any_perp(a: np.ndarray) -> np.ndarray:
-    ref = np.zeros_like(a)
-    ref[int(np.argmin(np.abs(a)))] = 1.0
-    v = cross3(a, ref)
-    return v / norm(v)
 
 
 @dataclass(frozen=True)
@@ -293,15 +198,15 @@ class SensingModel:
 class World:
     """Obstacle collection with distance and visibility queries.
 
-    `obstacles` is a tuple, and the table every query reads is packed from
-    it at construction: one set of arrays per primitive kind (sphere
-    centres and radii, cylinder bases, axes and extents, ellipsoid centres
-    and reaches, wall segments), each row with its obstacle's index and
-    constant velocity, zero for a static one.  A query evaluates every
-    row of a kind in one stacked expression, in the operation order and
-    with the BLAS kernels of the primitive's own `distance`, so that each
-    distance has its bits.  Only the ellipsoid is solved one by one, and
-    only where it can still win."""
+    `obstacles` is a tuple of records, and the table every query reads is
+    packed from it at construction: one set of arrays per primitive kind
+    (sphere centres and radii, cylinder bases, axes and extents, ellipsoid
+    centres and semi-axes, wall segments), each row with its obstacle's
+    index and constant velocity, zero for a static one.  The rows hold the
+    one geometry of each primitive: a query evaluates every row of a kind
+    in one stacked expression, and `distance(i, p, t)` answers obstacle i
+    alone from the same rows.  Only the ellipsoid is solved one by one,
+    and in the nearest query only where it can still win."""
 
     def __init__(self, obstacles: list[Obstacle] | None = None, bounds=None):
         self.obstacles: tuple[Obstacle, ...] = tuple(obstacles or ())
@@ -350,6 +255,18 @@ class World:
             return self._scan(table.tolist(), p, (), found, t)
         return [self._scan(ds, p[n], (n,), found, t) for n, ds in enumerate(table.tolist())]
 
+    def distance(self, i: int, p: np.ndarray, t: float = 0.0) -> tuple:
+        """(distance, closest surface point) of obstacle i to the point p at
+        time t: zero inside, with the nearest surface point as the exit
+        direction.  A NaN point gives (NaN, NaN point)."""
+        k, j = self._row[i]
+        kind, p = self._kinds[k], np.asarray(p, dtype=float)
+        if self._bound[i]:
+            return kind.solve(p, t, j)
+        d, ctx = kind.nearest(p, t)
+        d = float(d[j])
+        return d, kind.closest(ctx, (j,), t) if d == d else np.full_like(p, np.nan)
+
     def _scan(self, ds: list, p: np.ndarray, lead: tuple, found: list, t: float) -> tuple:
         """The nearest of one point p from its row ds of the table; lead
         indexes the point in the kinds' arrays."""
@@ -358,7 +275,8 @@ class World:
             if d < best_d - 1e-15:
                 q = None
                 if self._bound[i]:
-                    d, q = self.obstacles[i].distance(p, t)
+                    k, j = self._row[i]
+                    d, q = self._kinds[k].solve(p, t, j)
                     if not d < best_d - 1e-15:
                         continue
                 best_d, best_q, best_i = d, q, i
@@ -418,24 +336,24 @@ class World:
 class _Kind:
     """The rows of one primitive kind in a World's table: each row's shape,
     the index of its obstacle and that obstacle's constant velocity.  The
-    query points enter each row's frame as Moving.distance moves them,
-    p - v t, and closest points leave it by + v t; a static row is left
-    alone.  slots are the obstacle indices the kind's results fill, one per
-    obstacle.  The nearest query lays its arrays out (..., rows, dim) after
-    the query's own shape (..., dim), and the batch query (rows, points,
-    dim), which gives each row's gemv its own contiguous matrix of points."""
+    query points enter a moving row's frame as p - v t, and closest points
+    leave it by + v t; a static row is left alone.  slots are the obstacle
+    indices the kind's results fill, one per obstacle.  The nearest query
+    lays its arrays out (..., rows, dim) after the query's own shape (...,
+    dim), and the batch query (rows, points, dim), which gives each row's
+    gemv its own contiguous matrix of points."""
 
     def __init__(self, rows):
         self.index = np.array([i for i, _ in rows])
         self.slots = self.index
-        self.obstacles = [o for _, o in rows]
-        self.shapes = [o.shape if isinstance(o, Moving) else o for o in self.obstacles]
-        self.moving = np.array([isinstance(o, Moving) for o in self.obstacles])
+        obstacles = [o for _, o in rows]
+        self.shapes = [o.shape if isinstance(o, Moving) else o for o in obstacles]
+        self.moving = np.array([isinstance(o, Moving) for o in obstacles])
         self.any_moving, self.all_moving = bool(self.moving.any()), bool(self.moving.all())
         if self.any_moving:
-            dim = len(next(o.velocity for o in self.obstacles if isinstance(o, Moving)))
+            dim = len(next(o.velocity for o in obstacles if isinstance(o, Moving)))
             self.velocity = np.array([o.velocity if isinstance(o, Moving) else np.zeros(dim)
-                                      for o in self.obstacles])
+                                      for o in obstacles])
 
     def _offset(self, t: float, rows) -> np.ndarray:
         off = self.velocity[rows] * t
@@ -455,6 +373,9 @@ class _Kind:
             return points[None]
         return sub_columns(points[None], self._offset(t, rows)[:, None, :])
 
+    def into(self, p: np.ndarray, j: int, t: float) -> np.ndarray:
+        return p - self.velocity[j] * t if self.any_moving and self.moving[j] else p
+
     def back(self, q: np.ndarray, j: int, t: float) -> np.ndarray:
         return q + self.velocity[j] * t if self.any_moving and self.moving[j] else q
 
@@ -473,8 +394,15 @@ class _Spheres(_Kind):
         return np.maximum(rho - self.radius, 0.0), (r, rho)
 
     def closest(self, ctx, at, t):
+        """The surface point along r = p - centre, also from inside, so that
+        callers still get an exit direction; at the centre, the tip of the
+        first axis."""
         r, rho = ctx
-        return self.back(self.shapes[at[-1]]._closest(r[at], float(rho[at])), at[-1], t)
+        j, rho = at[-1], float(rho[at])
+        c, radius = self.centre[j], self.radius[j]
+        if rho < 1e-12:
+            return self.back(c + np.eye(len(c))[0] * radius, j, t)
+        return self.back(c + r[at] * (radius / rho), j, t)
 
     def batch(self, points, t, rows):
         p = self.rows_at(points, t, rows)
@@ -512,9 +440,24 @@ class _Cylinders(_Kind):
         return d, (h, radial, rho, d)
 
     def closest(self, ctx, at, t):
+        """The nearest surface point from the axial coordinate h of p - base
+        and its radial part; inside too, for the exit direction."""
         h, radial, rho, d = ctx
-        q = self.shapes[at[-1]]._closest(float(h[at]), radial[at], float(rho[at]), d[at] == 0.0)
-        return self.back(q, at[-1], t)
+        j, h, rho = at[-1], float(h[at]), float(rho[at])
+        base, axis, radius, height = self.base[j], self.axis[j], self.radius[j], self.height[j]
+        rad_dir = radial[at] / rho if rho > 1e-12 else _any_perp(axis)
+        if d[at] == 0.0:
+            gap_r = radius - rho
+            gap_lo, gap_hi = h, height - h
+            if gap_r <= min(gap_lo, gap_hi):
+                q = base + h * axis + radius * rad_dir
+            elif gap_lo <= gap_hi:
+                q = base + rho * rad_dir
+            else:
+                q = base + height * axis + rho * rad_dir
+        else:
+            q = base + float(np.clip(h, 0.0, height)) * axis + min(rho, radius) * rad_dir
+        return self.back(q, j, t)
 
     def batch(self, points, t, rows):
         r = sub_columns(self.rows_at(points, t, rows), self.base[rows, None, :])
@@ -530,22 +473,60 @@ class _Cylinders(_Kind):
 
 
 class _Ellipsoids(_Kind):
-    """Entries are lower bounds: the centre distance less the largest
-    semi-axis (the ellipsoid lies in that ball), less a margin of 1e-6
-    absolute and relative, far above the solve's tolerance (1e-12) and the
-    rounding of its distance."""
+    """Nearest-query entries are lower bounds: the centre distance less the
+    largest semi-axis (the ellipsoid lies in that ball), less a margin of
+    1e-6 absolute and relative, far above the solve's tolerance (1e-12) and
+    the rounding of its distance.  `solve` gives the distance itself."""
 
     def __init__(self, rows):
         super().__init__(rows)
         self.centre = np.array([s.center for s in self.shapes])
-        self.reach = np.array([float(np.max(s.semi)) for s in self.shapes])
+        self.semi = np.array([s.semi for s in self.shapes])
+        self.a2 = self.semi ** 2
+        self.reach = self.semi.max(axis=1)
 
     def nearest(self, points, t):
         c = row_norms(self.at(points, t) - self.centre)
         return c - self.reach - 1e-6 * (1.0 + c), None
 
+    def solve(self, p, t, j):
+        """(distance, closest surface point) of row j to the point p.
+        Inside, zero and the radial surface point (a direction anchor, not
+        the nearest; at the centre, the tip of the first semi-axis); a NaN
+        point gives NaN.  Outside, the closest point is a_i^2 q_i / (a_i^2
+        + s) for q = p - centre, where s > 0 solves F(s) = 1 by `brentq`,
+        F summed on floats left to right as np.sum adds the few terms."""
+        c, semi, a2 = self.centre[j], self.semi[j], self.a2[j]
+        q = self.into(p, j, t) - c
+        level = np.sum((q / semi) ** 2)
+        if level <= 1.0:
+            qn = norm(q / semi)
+            if qn < 1e-12:
+                tip = np.zeros_like(semi)
+                tip[0] = semi[0]
+                return 0.0, self.back(tip + c, j, t)
+            return 0.0, self.back(q / qn + c, j, t)
+        if level != level:
+            return float(level), np.full_like(q, np.nan)
+        terms = list(zip(a2.tolist(), q.tolist()))
+
+        def f(s):
+            total = 0.0
+            for b, x in terms:
+                y = b * x / (b + s)
+                total += y * y / b
+            return total - 1.0
+
+        hi = float(norm(q) * np.max(semi) + np.max(a2))
+        while f(hi) > 0.0:
+            hi *= 2.0
+        s = brentq(f, 0.0, hi)
+        qs = a2 * q / (a2 + s)
+        return norm(q - qs), self.back(qs + c, j, t)
+
     def batch(self, points, t, rows):
-        return np.array([[o.distance(p, t)[0] for p in points] for o in self.obstacles[rows]])
+        return np.array([[self.solve(p, t, j)[0] for p in points]
+                         for j in range(len(self.index))[rows]])
 
 
 class _Walls(_Kind):
@@ -561,8 +542,7 @@ class _Walls(_Kind):
         self.a = np.concatenate([w.vertices[:-1] for w in walls])
         self.ab = np.concatenate([w.vertices[1:] - w.vertices[:-1] for w in walls])
         denom = blas_dots(self.ab, self.ab)
-        # point_segment_distance's test for a point-like segment, and the
-        # batch query's
+        # the test for a point-like segment, and the batch query's
         self.flat, self.flat_batch = denom < EPS, denom < 1e-18
         self.denom = np.where(self.flat, 1.0, denom)
         self.denom_batch = np.where(self.flat_batch, 1.0, denom)[:, None]
@@ -608,6 +588,13 @@ class _Walls(_Kind):
         t_seg = (d0 * w1 - d1 * w0) / safe
         hit = ok & (t_ray >= 0.0) & (t_seg >= 0.0) & (t_seg <= 1.0)
         return np.where(hit, np.minimum(t_ray, max_range), max_range)
+
+
+def _any_perp(a: np.ndarray) -> np.ndarray:
+    ref = np.zeros_like(a)
+    ref[int(np.argmin(np.abs(a)))] = 1.0
+    v = cross3(a, ref)
+    return v / norm(v)
 
 
 _KINDS = {Sphere: _Spheres, Cylinder: _Cylinders, Wall: _Walls, Ellipsoid: _Ellipsoids}

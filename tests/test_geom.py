@@ -164,12 +164,3 @@ def test_skew_vee_roundtrip():
     w = rng.standard_normal(3)
     assert np.allclose(geom.skew(v) @ w, np.cross(v, w))
 
-
-def test_point_segment_distance():
-    a, b = np.zeros(2), np.array([1.0, 0.0])
-    d, q = geom.point_segment_distance(np.array([0.5, 1.0]), a, b)
-    assert d == pytest.approx(1.0)
-    assert np.allclose(q, [0.5, 0.0])
-    d, q = geom.point_segment_distance(np.array([2.0, 0.0]), a, b)
-    assert d == pytest.approx(1.0)
-    assert np.allclose(q, b)

@@ -310,6 +310,25 @@ def test_build_obstacles():
     assert len(w.obstacles) == 5
 
 
+def test_obstacles_are_known_by_default():
+    """A sphere, a wall and a moving sphere whose spec leaves out `known`
+    are known, so the planar planner's world holds all three."""
+    specs = [{"type": "sphere", "center": [4.0, 0.5], "radius": 1.0},
+             {"type": "wall", "vertices": [[8.0, -2.0], [8.0, 2.0]]},
+             {"type": "sphere", "center": [12.0, 3.0], "radius": 0.5,
+              "motion": {"velocity": [0.0, -0.2]}}]
+    obstacles = [runner.build_obstacle(spec) for spec in specs]
+    assert [o.known for o in obstacles] == [True, True, True]
+    assert isinstance(obstacles[2], runner.Moving)
+    cfg = scenarios.stock("planar-trap")
+    cfg["world"]["obstacles"] = specs
+    cfg["world"].pop("random_discs", None)
+    planner_world = ENGINES["hybrid2d"](validate_config(cfg)).nav.known
+    assert len(planner_world.obstacles) == 3
+    assert all(a.known and type(a) is type(b)
+               for a, b in zip(planner_world.obstacles, obstacles))
+
+
 def test_runlog_csv_roundtrip(tmp_path):
     log = RunLog()
     log.add(0, 0.1, 0, [1.0, 2.0, 3.0], [0.1, 0.0, -0.1], "M1", 1.5, 2.5)
@@ -588,6 +607,34 @@ def test_quadrotor_deformations_reach_the_log():
     res = run(cfg)
     assert res.log.events == [{"tick": 0, "kind": "deform", "count": 9}]
     assert res.metrics["deform_count"] == 9
+
+
+def test_quadrotor_deforms_once_per_tick_on_its_first_plant_step(monkeypatch):
+    """The quadrotor engine deforms the path once per tick, before the
+    tick's first plant step (plant step tick * n_sub), from the reference
+    position that step starts from."""
+    refs, calls = [], []
+    ref_step, deform_ahead = runner.reference_model_step, deform.DeformNavigator.deform_ahead
+
+    def counted_ref_step(ref, *args):
+        refs.append(ref_step(ref, *args))
+        return refs[-1]
+
+    def recorded_deform(nav, p, t, tick):
+        calls.append((tick, len(refs), p.copy()))
+        return deform_ahead(nav, p, t, tick)
+
+    monkeypatch.setattr(runner, "reference_model_step", counted_ref_step)
+    monkeypatch.setattr(deform.DeformNavigator, "deform_ahead", recorded_deform)
+    cfg = scenarios.stock("deform-quad-tracking")
+    cfg["duration"] = 0.5
+    run(cfg)
+    n_sub = round(cfg["control_dt"] / cfg["plant_dt"])
+    assert len(refs) == 5 * n_sub
+    assert [(tick, k) for tick, k, _ in calls] == [(tick, tick * n_sub) for tick in range(5)]
+    for _, k, p in calls:
+        start = refs[k - 1].p if k else np.asarray(cfg["start"], dtype=float)
+        assert p.tobytes() == start.tobytes()
 
 
 def test_coincident_guard_reaches_the_log(monkeypatch):

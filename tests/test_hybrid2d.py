@@ -3,10 +3,11 @@ import pytest
 
 from aeronav.bezier import PiecewisePath
 from aeronav.harness.runner import run
-from aeronav.hybrid2d import (MU, HybridParams, detect_trap, escape_goal,
-                              pure_pursuit_2d, reactive_law_2d, turn_direction)
+from aeronav.hybrid2d import (MU, HybridNavigator, HybridParams, NavMode, detect_trap,
+                              escape_goal, pure_pursuit_2d, reactive_law_2d, turn_direction)
+from aeronav.planner2d import RrtParams
 from aeronav.plants import LimitSet, Unicycle2DState, step_unicycle
-from aeronav.world import Sphere, World
+from aeronav.world import Sphere, Wall, World
 
 P = HybridParams()
 
@@ -38,7 +39,7 @@ def test_reactive_orbit_matches_analytic_turn_rate():
     world = World([disc])
     # start on the orbit: position north of the disc, heading tangential
     state = Unicycle2DState(0.0, r_obs + P.d0, np.pi)
-    gamma = turn_direction(state, disc.distance(state.position)[1])
+    gamma = turn_direction(state, world.distance(0, state.position)[1])
     lim = LimitSet(v_max=P.v_max, u_max=P.u_max)
     dt_c, n_sub = 0.1, 10
     d_prev = None
@@ -189,3 +190,29 @@ def test_execution_trap_triggers_single_replan():
     assert res.metrics["replan_count"] == 1
     assert res.metrics["goal_reached"]
     assert res.metrics["min_d_obs"] >= HybridParams(**hybrid).d_safe
+
+
+def test_reactive_mode_reads_a_nan_distance_for_a_nan_state(monkeypatch):
+    """In REACTIVE mode the followed wall's distance from a NaN position is
+    NaN, not +inf ("clear"), and it is what the tick's d and d_dot hold.
+    Pure pursuit's path lookup, which runs after the read, refuses the NaN
+    position with its own error."""
+    reads, distance = [], World.distance
+
+    def recorded(world, i, p, t=0.0):
+        reads.append(distance(world, i, p, t)[0])
+        return distance(world, i, p, t)
+
+    world = World([Wall(np.array([[5.0, -3.0], [5.0, 3.0]]), known=False),
+                   Sphere(np.array([20.0, 9.0]), 1.0)])
+    nav = HybridNavigator(P, world, np.array([10.0, 0.0]), RrtParams(),
+                          np.random.default_rng(0))
+    nav.control(Unicycle2DState(0.0, 0.0, 0.0), 0.0, 0)
+    nav.mode, nav._reactive_obstacle = NavMode.REACTIVE, 0
+    monkeypatch.setattr(World, "distance", recorded)
+    try:
+        nav.control(Unicycle2DState(np.nan, 0.0, 0.0), 0.1, 1)
+    except ValueError as exc:
+        assert "NaN to integer" in str(exc)
+    assert len(reads) == 1 and reads[0] != reads[0]
+    assert nav._d_prev != nav._d_prev

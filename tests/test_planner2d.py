@@ -52,7 +52,7 @@ def test_rrt_u_wall_with_clearance_oracle():
     for a, b in zip(res.waypoints[:-1], res.waypoints[1:]):
         for s in np.linspace(0, 1, 200):
             p = a + s * (b - a)
-            assert wall.distance(p)[0] > 0.4 - 1e-9
+            assert w.distance(0, p)[0] > 0.4 - 1e-9
 
 
 def test_rrt_budget_exhaustion_is_result_not_crash():

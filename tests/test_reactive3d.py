@@ -5,15 +5,16 @@ import pytest
 
 from aeronav.geom import angle_between, unit
 from aeronav.harness.runner import run
-from aeronav.reactive3d import (PlaneOfAvoidance, Reactive3DParams, avoid_law_3d,
-                                build_plane, pp_omega, tangent_to_ellipsoid)
-from aeronav.world import Ellipsoid
+from aeronav.plants import Heading3DState
+from aeronav.reactive3d import (Mode3D, PlaneOfAvoidance, Reactive3DNavigator, Reactive3DParams,
+                                avoid_law_3d, build_plane, pp_omega, tangent_to_ellipsoid)
+from aeronav.world import Ellipsoid, World
 
 
 def level(ell, p):
     """The ellipsoid's implicit function h1(p) = |(p - c) / semi|^2 - 1:
     negative inside, zero on the surface."""
-    return float(np.sum((ell.to_body(p) / ell.semi) ** 2) - 1.0)
+    return float(np.sum(((p - ell.center) / ell.semi) ** 2) - 1.0)
 
 
 # design parameters of the multi-obstacle study
@@ -63,8 +64,8 @@ def test_tangent_ellipsoid_residuals_and_grid_optimality():
     # h1: on-surface residual
     assert abs(level(ell, touch)) < 1e-6
     # h2: tangency residual grad h1 . (P - P0) = 0 (normalized by scales)
-    q = ell.to_body(touch)
-    q0 = ell.to_body(p0)
+    q = touch - ell.center
+    q0 = p0 - ell.center
     grad = 2.0 * q / ell.semi ** 2
     h2 = float(np.dot(grad, q - q0))
     assert abs(h2) < 1e-6
@@ -168,3 +169,29 @@ def test_single_ellipsoid_closed_loop_distance_bound():
     assert res.metrics["plane_residual"] < 1e-6
     kinds = [e["kind"] for e in res.log.events]
     assert "R1" in kinds and "R2" in kinds
+
+
+def test_avoid_mode_reads_a_nan_distance_for_a_nan_state(monkeypatch):
+    """In AVOID mode, with the avoided ellipsoid also blocked, a NaN position
+    reads a NaN distance at both of the tick's reads: no solver error, and
+    the NaN neither passes as clear nor releases the block."""
+    reads, distance = [], World.distance
+
+    def recorded(world, i, p, t=0.0):
+        reads.append(distance(world, i, p, t)[0])
+        return distance(world, i, p, t)
+
+    world = World([Ellipsoid(np.array([5.0, 0.0, 0.0]), np.array([1.0, 2.0, 1.5]))])
+    nav = Reactive3DNavigator(Reactive3DParams(), world, np.array([10.0, 0.0, 0.0]))
+    a = np.array([1.0, 0.0, 0.0])
+    for k in range(30):
+        nav.control(Heading3DState(np.array([1.0 + 0.1 * k, 0.3, 0.1]), a), 0.1 * k, k)
+        if nav.mode == Mode3D.AVOID:
+            break
+    assert nav.mode == Mode3D.AVOID
+    nav._blocked.add(0)
+    monkeypatch.setattr(World, "distance", recorded)
+    _, u = nav.control(Heading3DState(np.array([np.nan, 0.3, 0.1]), a), 3.0, 30)
+    assert len(reads) == 2 and all(d != d for d in reads)
+    assert nav._d_prev != nav._d_prev and np.isnan(u).all()
+    assert nav.mode == Mode3D.AVOID and nav._blocked == {0}

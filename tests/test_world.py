@@ -17,7 +17,12 @@ SOLVER = settings(max_examples=300, deadline=None)
 def level(ell, p):
     """The ellipsoid's implicit function h1(p) = |(p - c) / semi|^2 - 1:
     negative inside, zero on the surface."""
-    return float(np.sum((ell.to_body(p) / ell.semi) ** 2) - 1.0)
+    return float(np.sum(((p - ell.center) / ell.semi) ** 2) - 1.0)
+
+
+def distance(obstacle, p, t=0.0):
+    """(distance, closest point) of one obstacle, read from a World's table."""
+    return World([obstacle]).distance(0, p, t)
 
 
 def test_sphere_offset_distance():
@@ -44,7 +49,7 @@ def test_ellipsoid_distance_vs_surface_sampling_oracle():
     """Newton/Brent distance cross-checked against dense surface sampling."""
     ell = Ellipsoid(np.array([5.0, 3.0, -3.0]), np.array([5.0, 7.0, 2.0]))
     p = np.array([5.0, 12.0, 2.0])
-    d, q = ell.distance(p)
+    d, q = distance(ell, p)
     # oracle: brute-force sampling of the surface
     th = np.linspace(0, np.pi, 600)
     ph = np.linspace(0, 2 * np.pi, 1200)
@@ -59,7 +64,7 @@ def test_ellipsoid_distance_vs_surface_sampling_oracle():
 
 def test_ellipsoid_inside_distance_zero():
     ell = Ellipsoid(np.zeros(3), np.array([2.0, 3.0, 1.0]))
-    assert ell.distance(np.array([0.5, 0.5, 0.1]))[0] == 0.0
+    assert distance(ell, np.array([0.5, 0.5, 0.1]))[0] == 0.0
 
 
 @pytest.mark.parametrize("center, semi", [([1.0, 2.0], [2.0, 1.0]),
@@ -68,7 +73,7 @@ def test_ellipsoid_center_maps_to_a_surface_point(center, semi):
     """At the exact center the direction anchor is the tip of the first
     semi-axis, on the surface in 2D as in 3D."""
     ell = Ellipsoid(np.array(center), np.array(semi))
-    d, q = ell.distance(ell.center)
+    d, q = distance(ell, ell.center)
     assert d == 0.0
     assert level(ell, q) == 0.0
     tip = [semi[0]] + [0.0] * (len(semi) - 1)
@@ -136,9 +141,9 @@ def test_brentq_iteration_limit_as_scipy(monkeypatch, maxiter):
 
 
 def _distance_reference(ell, p):
-    """Ellipsoid.distance outside the ellipsoid as it was computed with
+    """The ellipsoid distance outside the ellipsoid as it was computed with
     numpy's F(s) and scipy's brentq."""
-    q = ell.to_body(p)
+    q = p - ell.center
     a2 = ell.semi ** 2
 
     def f(s):
@@ -149,7 +154,7 @@ def _distance_reference(ell, p):
         hi *= 2.0
     s = _scipy_brentq(f, 0.0, hi)
     qs = a2 * q / (a2 + s)
-    return float(np.linalg.norm(q - qs)), ell.to_world(qs)
+    return float(np.linalg.norm(q - qs)), qs + ell.center
 
 
 axis_len = st.floats(0.05, 8.0)
@@ -173,7 +178,7 @@ def test_ellipsoid_distance_equals_numpy_and_scipy_form(shape, scale):
     p = center + semi * (u / norm) * scale
     if level(ell, p) <= 0.0:     # rounded onto or into the surface
         return
-    d, q = ell.distance(p)
+    d, q = distance(ell, p)
     d_ref, q_ref = _distance_reference(ell, p)
     assert (d, q.tolist()) == (d_ref, q_ref.tolist())
 
@@ -190,7 +195,7 @@ def test_ellipsoid_distance_equals_numpy_and_scipy_form_in_bulk():
         p = ell.center + rng.normal(size=len(semi)) * rng.uniform(0.5, 40.0)
         if level(ell, p) <= 0.0:
             continue
-        d, q = ell.distance(p)
+        d, q = distance(ell, p)
         d_ref, q_ref = _distance_reference(ell, p)
         differ += (d, q.tolist()) != (d_ref, q_ref.tolist())
     assert differ == 0
@@ -198,18 +203,29 @@ def test_ellipsoid_distance_equals_numpy_and_scipy_form_in_bulk():
 
 def test_cylinder_distance():
     cyl = Cylinder(np.zeros(3), np.array([0, 0, 1.0]), radius=1.0, height=2.0)
-    assert cyl.distance(np.array([2.0, 0.0, 1.0]))[0] == pytest.approx(1.0)
-    assert cyl.distance(np.array([0.0, 0.0, 3.0]))[0] == pytest.approx(1.0)
+    assert distance(cyl, np.array([2.0, 0.0, 1.0]))[0] == pytest.approx(1.0)
+    assert distance(cyl, np.array([0.0, 0.0, 3.0]))[0] == pytest.approx(1.0)
     # corner region: diagonal of (radial gap, axial gap)
-    d, _ = cyl.distance(np.array([2.0, 0.0, 3.0]))
+    d, _ = distance(cyl, np.array([2.0, 0.0, 3.0]))
     assert d == pytest.approx(np.sqrt(2.0))
 
 
 def test_wall_distance_exact():
     wall = Wall(np.array([[0.0, 0.0], [4.0, 0.0]]))
-    d, q = wall.distance(np.array([2.0, 3.0]))
+    d, q = distance(wall, np.array([2.0, 3.0]))
     assert d == pytest.approx(3.0)
     assert np.allclose(q, [2.0, 0.0])
+
+
+def test_point_segment_distance():
+    """One segment: the foot of the perpendicular, or the nearer end."""
+    wall = Wall(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    d, q = distance(wall, np.array([0.5, 1.0]))
+    assert d == pytest.approx(1.0)
+    assert np.allclose(q, [0.5, 0.0])
+    d, q = distance(wall, np.array([2.0, 0.0]))
+    assert d == pytest.approx(1.0)
+    assert np.allclose(q, [1.0, 0.0])
 
 
 def test_rigid_transform_invariance():
@@ -232,7 +248,7 @@ def test_moving_obstacle_continuity_and_speed_bound():
     assert m.velocity_bound() == pytest.approx(np.hypot(0.4, 0.2))
     prev = None
     for t in np.linspace(0, 10, 400):
-        off = m.offset(t)
+        off = m.velocity * t
         if prev is not None:
             step = np.linalg.norm(off - prev) / (10 / 399)
             assert step <= m.velocity_bound() + 1e-9
