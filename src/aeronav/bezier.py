@@ -7,6 +7,7 @@ interior control points of a two-segment stitch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -208,6 +209,8 @@ class PiecewisePath:
 
     def _locate(self, s: float) -> tuple[int, float]:
         s = float(np.clip(s, 0.0, self.n_segments))
+        if math.isnan(s):
+            raise FloatingPointError("non-finite path parameter")
         i = min(int(np.floor(s)), self.n_segments - 1)
         return i, s - i
 

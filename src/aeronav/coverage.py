@@ -5,12 +5,16 @@ cells there by half-plane clipping against in-range neighbors, and steer
 toward the cell centroids; the centroidal configuration maximizes the
 multicenter sensing objective.  A sweeping plane drags the whole formation
 across the volume; deformation events reshape it in flight.
+
+Each cell is one clip of the boundary by its bisectors, nearest first, on
+Python floats.  Its moments, centroid and cost are summed on floats in the
+order numpy's reduceat, matmul_lr and sum add them, so no BLAS product or
+SIMD `tanh` enters the coverage path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -68,11 +72,6 @@ class BarrierFrame:
         """In-frame coordinates of a point (3,) or of points (n, 3)."""
         return matmul_lr(np.asarray(p, dtype=float) - self.origin, self.rotation())
 
-    def to_world(self, local: np.ndarray) -> np.ndarray:
-        """World point(s) of in-frame coordinates, (..., 3) or in-plane (..., 2)."""
-        local = np.asarray(local, dtype=float)
-        return self.origin + matmul_lr(local, self.rotation()[:, :local.shape[-1]].T)
-
     def project(self, p: np.ndarray) -> np.ndarray:
         """In-frame 2D coordinates of the projection of p onto the plane."""
         return self.to_local(p)[..., :2]
@@ -98,76 +97,135 @@ class BarrierFrame:
         return BarrierFrame.from_vertices(verts)
 
 
-def clip_halfplane(poly: np.ndarray, a, b: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon (k, 2) with {q: a.q <= b};
-    poly itself when every vertex is inside.  Computed on Python floats:
-    each vertex is decided by x * a0 + y * a1 - b."""
+def clip_halfplane(poly: np.ndarray, planes, g) -> np.ndarray:
+    """Sutherland-Hodgman clip of the convex polygon poly (k, 2) by the
+    half-planes {q: a0 x + a1 y <= b} of the rows (a0, a1, b) of planes, in
+    order: the clipped polygon, or poly itself when no half-plane cuts it.
+
+    g is a point inside every half-plane and the rows come nearest line
+    first.  Clipping stops at the first line farther from g than every
+    vertex: neither it nor any line after it can cut.  Computed on Python
+    floats: each vertex is decided by x * a0 + y * a1 - b."""
+    gx, gy = g
     pts = poly.tolist()
-    ax, ay, b = float(a[0]), float(a[1]), float(b)
-    s = [x * ax + y * ay - b for x, y in pts]
-    inside = [v <= 1e-12 for v in s]
-    if all(inside):          # False for a NaN, which takes the clip below
+    # max_v |v - g|^2, NaN when a vertex is NaN (max alone skips a NaN after
+    # the first), so that no stop is taken before the NaN is clipped away
+    sq = [(x - gx) * (x - gx) + (y - gy) * (y - gy) for x, y in pts]
+    reach = math.nan if math.isnan(sum(sq)) else max(sq)
+    cut = False
+    for ax, ay, b in planes:
+        m = b - (ax * gx + ay * gy)     # |a| times the line's distance from g
+        if m > 0.0 and m * m > (ax * ax + ay * ay) * reach:
+            break
+        for x, y in pts:
+            if not x * ax + y * ay - b <= 1e-12:   # outside, or NaN
+                break
+        else:
+            continue
+        # keep each inside vertex k, and the crossing point of each edge
+        # k -> k + 1 that leaves or enters; a NaN vertex has neither.  The
+        # loop meets edge k - 1 -> k before vertex k, so the closing edge's
+        # crossing comes first and is moved to the end.
+        s = [x * ax + y * ay - b for x, y in pts]
+        out, wrap = [], False
+        p0, s0 = pts[-1], s[-1]
+        for p1, s1 in zip(pts, s):
+            in1 = s1 <= 1e-12
+            if (s0 <= 1e-12) != in1 and abs(s0 - s1) > 1e-15:
+                t = s0 / (s0 - s1)      # clamped to [0, 1], NaN kept
+                if t < 0.0:
+                    t = 0.0
+                elif t > 1.0:
+                    t = 1.0
+                (x0, y0), (x1, y1) = p0, p1
+                out.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
+                wrap = wrap or p1 is pts[0]
+            if in1:
+                out.append(p1)
+            p0, s0 = p1, s1
+        if wrap:
+            out.append(out.pop(0))
+        pts, cut = out, True
+        if not pts:
+            break
+        reach = 0.0             # a clip keeps no NaN vertex: a plain max
+        for x, y in pts:
+            d = (x - gx) * (x - gx) + (y - gy) * (y - gy)
+            if d > reach:
+                reach = d
+    if not cut:
         return poly
-    # keep each inside vertex k, and the crossing point of edge k -> k + 1
-    out = []
-    n = len(pts)
-    for k in range(n):
-        k1 = k + 1 if k + 1 < n else 0
-        if inside[k]:
-            out.append(pts[k])
-            if inside[k1]:
-                continue
-        elif not inside[k1]:
-            continue            # both ends outside: no crossing
-        s0, s1 = s[k], s[k1]
-        if abs(s0 - s1) > 1e-15:
-            t = min(max(s0 / (s0 - s1), 0.0), 1.0)
-            (x0, y0), (x1, y1) = pts[k], pts[k1]
-            out.append((x0 + t * (x1 - x0), y0 + t * (y1 - y0)))
-    return np.array(out) if out else np.empty((0, 2))
+    return np.array(pts) if pts else np.empty((0, 2))
 
 
-def polygon_moments(polys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact shoelace integrals over each polygon (ordered vertices, at least
-    three each): area (k,), first moment, the integral of q, (k, 2), and
-    second moment, the integral of |q|^2, (k,).  Areas are signed by the
-    vertex order."""
-    counts = np.array([len(p) for p in polys])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    pts = np.concatenate(polys)
-    nxt = np.arange(1, len(pts) + 1)
-    nxt[ends - 1] = starts
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = x[nxt], y[nxt]
-    cross = x * yn - xn * y
-    sums = np.add.reduceat(np.stack((
-        cross, cross * (x + xn), cross * (y + yn),
-        cross * (x * x + x * xn + xn * xn + y * y + y * yn + yn * yn))), starts, axis=1)
-    return 0.5 * sums[0], sums[1:3].T / 6.0, sums[3] / 12.0
+def _pairwise_sum(v: list) -> float:
+    """The sum of the floats v in the order numpy's pairwise summation adds
+    them: left to right from -0.0 below 8 terms, eight interleaved
+    accumulators up to 128, halves (a multiple of 8 first) above.
+    np.add.reduceat adds a segment as its first term plus this sum of the
+    rest, and np.sum a 1-D array as 0.0 plus this sum of it."""
+    n = len(v)
+    if n < 8:
+        s = -0.0
+        for x in v:
+            s += x
+        return s
+    if n <= 128:
+        r = list(v[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            for k in range(8):
+                r[k] += v[i + k]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in v[tail:]:
+            s += x
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
 
 
-def _moment_about(area, first, second, about):
-    """Integral of |q - about|^2 from the moments about the origin."""
-    return (second - 2.0 * np.sum(first * about, axis=-1)
-            + np.sum(about * about, axis=-1) * area)
+def cell_moments(vertices: list) -> tuple[float, float, float, float]:
+    """Exact shoelace integrals over one polygon given as at least three
+    (x, y) float pairs in order: area, first moment (the integral of q,
+    x then y) and second moment (the integral of |q|^2).  The area is
+    signed by the vertex order.  Each integral is the first vertex's term
+    plus the pairwise sum of the others', the bits np.add.reduceat gives
+    over the same terms."""
+    terms = [(c, c * (x + xn), c * (y + yn),
+              c * (x * x + x * xn + xn * xn + y * y + y * yn + yn * yn))
+             for (x, y), (xn, yn) in zip(vertices, vertices[1:] + vertices[:1])
+             for c in (x * yn - xn * y,)]
+    (c0, c1, c2, c3), rest = terms[0], terms[1:]
+    if len(rest) < 8:           # _pairwise_sum's order, four sums at once
+        area = mx = my = second = -0.0
+        for t0, t1, t2, t3 in rest:
+            area += t0
+            mx += t1
+            my += t2
+            second += t3
+    else:
+        area, mx, my, second = (_pairwise_sum(t) for t in zip(*rest))
+    return 0.5 * (c0 + area), (c1 + mx) / 6.0, (c2 + my) / 6.0, (c3 + second) / 12.0
+
+
+def _moment_about(area: float, mx: float, my: float, second: float,
+                  px: float, py: float) -> float:
+    """Integral of |q - p|^2 from the moments about the origin, each dot
+    product summed as np.sum sums a row of two."""
+    return (second - 2.0 * (0.0 + (mx * px + my * py))
+            + (0.0 + (px * px + py * py)) * area)
 
 
 def polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
-    return float(polygon_moments([poly])[0][0])
+    return cell_moments(poly.tolist())[0]
 
 
 def _half_sq(p: np.ndarray) -> np.ndarray:
     """|p|^2 / 2 of each row of p (n, 2), in element-wise arithmetic."""
     return 0.5 * (p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1])
-
-
-def _reach(vertices: list, gx: float, gy: float) -> float:
-    """4 max_v |v - g|^2 over a vertex list, on floats, rounded as the array
-    form 4.0 * ((poly - g) ** 2).sum(axis=1).max()."""
-    return 4.0 * max([(x - gx) * (x - gx) + (y - gy) * (y - gy) for x, y in vertices])
 
 
 def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
@@ -176,10 +234,10 @@ def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
     generator's cell with the perpendicular bisectors against the other
     generators (optionally only the in-range ones, neighbor_mask[i, j]).
 
-    The others are taken nearest first, and a cell is complete at the first
-    generator j with d_ij^2 > 4 max_v |v - g_i|^2 over its vertices v: no
-    bisector that far from g_i can cut it (triangle inequality), so the cell
-    equals the all-pairs clip."""
+    Each cell is one `clip_halfplane` of the boundary by its bisectors,
+    nearest generator first: the bisector with g_j lies d_ij / 2 from g_i,
+    so the clip's stop ends the cell at the first one farther than every
+    vertex, and the cell equals the all-pairs clip."""
     g = np.asarray(generators, dtype=float)
     n = len(g)
     if n == 0:
@@ -191,31 +249,20 @@ def voronoi_cells(generators: np.ndarray, boundary: np.ndarray,
     if neighbor_mask is not None:
         candidates &= neighbor_mask
     order = np.argsort(d, axis=1, kind="stable")
+    keep = np.take_along_axis(candidates, order, axis=1)
+    # the bisector rows (a0, a1, b) = (g_j - g_i, |g_j|^2 / 2 - |g_i|^2 / 2)
+    # of each generator i, its candidates j nearest first, as float columns
+    pair = (order + n * np.arange(n)[:, None])[keep]
     half_sq = _half_sq(g)
-    # the rows of each generator i, as Python floats: squared distances,
-    # bisector offsets, bisector normals, and the candidates nearest first
-    sq, off = (d * d).tolist(), (half_sq[None, :] - half_sq[:, None]).tolist()
-    normals = diff.tolist()
-    orders = order.tolist()
-    keep = np.take_along_axis(candidates, order, axis=1).tolist()
+    a0, a1, off = (col.ravel()[pair].tolist() for col in
+                   (diff[..., 0], diff[..., 1], half_sq[None, :] - half_sq[:, None]))
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
     boundary = np.array(boundary, dtype=float)
-    corners = boundary.tolist()
-    cells = []
-    for i, (gx, gy) in enumerate(g.tolist()):
-        sq_i, off_i, normals_i = sq[i], off[i], normals[i]
-        poly = boundary
-        reach = _reach(corners, gx, gy)
-        for j in compress(orders[i], keep[i]):
-            if sq_i[j] > reach:
-                break
-            clipped = clip_halfplane(poly, normals_i[j], off_i[j])
-            if clipped is poly:
-                continue
-            poly = clipped
-            if len(poly) == 0:
-                break
-            reach = _reach(poly.tolist(), gx, gy)
-        cells.append(poly)
+    cells, start = [], 0
+    for gi, end in zip(g.tolist(), ends):
+        rows = zip(a0[start:end], a1[start:end], off[start:end])
+        cells.append(clip_halfplane(boundary, rows, gi))
+        start = end
     return cells
 
 
@@ -236,10 +283,16 @@ def coverage_control(p: np.ndarray, centroid_world: np.ndarray,
                      gains: CoverageGains) -> np.ndarray:
     """Lloyd-style velocity command toward the instantaneous Voronoi centroid,
     the saturating K tanh(C - p).  One agent's (3,) vectors, or all agents'
-    as (n, 3) rows."""
+    as (n, 3) rows.  Computed on Python floats with math.tanh, each
+    component summed left to right as `geom.matmul_lr` sums it."""
     e = np.asarray(centroid_world, dtype=float) - np.asarray(p, dtype=float)
-    tanh_e = np.array([math.tanh(v) for v in e.ravel().tolist()]).reshape(e.shape)
-    return matmul_lr(tanh_e, gains.k.T)
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = gains.k.tolist()
+    out = []
+    for ex, ey, ez in e.reshape(-1, 3).tolist():
+        tx, ty, tz = math.tanh(ex), math.tanh(ey), math.tanh(ez)
+        out.append((tx * k00 + ty * k01 + tz * k02, tx * k10 + ty * k11 + tz * k12,
+                    tx * k20 + ty * k21 + tz * k22))
+    return np.array(out).reshape(e.shape)
 
 
 @dataclass
@@ -388,13 +441,24 @@ class _Partition:
         # an empty cell holds its agent in place
         cents = np.full(q.shape, np.nan)
         cents[idx] = q[idx]
-        full = np.array([len(cell) >= 3 for cell in cells], dtype=bool)
-        events.extend(("empty_cell", {"agent": int(i)}) for i in idx[~full])
-        cost = 0.0
-        if full.any():
-            area, first, second = polygon_moments([c for c, ok in zip(cells, full) if ok])
-            if np.any(np.abs(area) < EPS_AREA):
+        (o0, o1, o2), (u0, u1, u2), (v0, v1, v2) = (
+            frame.origin.tolist(), frame.a1.tolist(), frame.a2.tolist())
+        full, empty, world, costs = [], [], [], []
+        for row, (cell, (px, py)) in enumerate(zip(cells, proj.tolist())):
+            if len(cell) < 3:
+                empty.append(("empty_cell", {"agent": int(idx[row])}))
+                continue
+            area, mx, my, second = cell_moments(cell.tolist())
+            if abs(area) < EPS_AREA:
                 raise ValueError("degenerate cell: zero area")
-            cents[idx[full]] = frame.to_world(first / area[:, None])
-            cost = float(np.sum(_moment_about(area, first, second, proj[full])))
-        return cls(cells, cents, cost, events)
+            # the in-frame centroid to world: origin + matmul_lr(c, [a1; a2])
+            cx, cy = mx / area, my / area
+            world.append((o0 + (cx * u0 + cy * v0), o1 + (cx * u1 + cy * v1),
+                          o2 + (cx * u2 + cy * v2)))
+            costs.append(_moment_about(area, mx, my, second, px, py))
+            full.append(row)
+        events.extend(empty)
+        if full:
+            cents[idx[full]] = world
+        # summed as np.sum sums the 1-D array of the cells' costs
+        return cls(cells, cents, 0.0 + _pairwise_sum(costs), events)

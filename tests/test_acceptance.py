@@ -227,7 +227,7 @@ def test_criterion_7_numeric_identities(long_hover_state):
     (1e-9), rotation norm preservation (1e-9), null-space suppression,
     sech^2 gradient check (1e-6), and the long-run SO(3) drift bound."""
     from aeronav.bezier import stitch_three_point
-    from aeronav.coverage import polygon_moments
+    from aeronav.coverage import cell_moments
     from aeronav.geom import rodrigues_rotate, unit
     from aeronav.flocking import nsb_blend
     from aeronav.quadrotor import K1, MU
@@ -236,8 +236,8 @@ def test_criterion_7_numeric_identities(long_hover_state):
 
     # polygon centroid vs grid integration
     poly = np.array([[0.0, 0], [4, 0], [5, 3], [2, 5], [-1, 3]])
-    area, first, _ = polygon_moments([poly])
-    c = first[0] / area[0]
+    area, mx, my, _ = cell_moments(poly.tolist())
+    c = np.array([mx / area, my / area])
     nx, ny = 1500, 1250
     xs = -1 + (np.arange(nx) + 0.5) * (6.0 / nx)
     ys = (np.arange(ny) + 0.5) * (5.0 / ny)

@@ -110,6 +110,16 @@ def test_two_waypoints_straight_zero_curvature():
         assert curvature(path, s) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_nan_path_parameter_raises_floating_point_error():
+    """A NaN parameter stops a lookup with the error a NaN state raises in
+    the plants, and an infinite one is clamped to the path's end."""
+    path = PiecewisePath.from_waypoints([np.zeros(3), np.array([3.0, 0.0, 0.0])])
+    for lookup in (path.point, path.deriv):
+        with pytest.raises(FloatingPointError):
+            lookup(np.nan)
+    assert np.array_equal(path.point(np.inf), path.point(1.0))
+
+
 def test_replace_window_localism():
     """Segments outside the deformed window are bit-identical; the chain
     stays C2 in the raw segment parameter across the splice."""

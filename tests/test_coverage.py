@@ -3,8 +3,8 @@ import pytest
 
 from aeronav.coverage import (BarrierFrame, CoverageGains, CoverageSim,
                               FrameError, SweepEvent, SweepPlan, _moment_about,
-                              clip_halfplane, coverage_control, polygon_area,
-                              polygon_moments, voronoi_cells)
+                              cell_moments, clip_halfplane, coverage_control,
+                              polygon_area, voronoi_cells)
 
 RECT_X20 = np.array([[20.0, 0.0, 0.0], [20.0, 10.0, 0.0],
                      [20.0, 10.0, 10.0], [20.0, 0.0, 10.0]])
@@ -27,7 +27,7 @@ def test_barrier_frame_roundtrip_identity():
     rng = np.random.default_rng(0)
     for _ in range(50):
         p = rng.uniform(-20, 40, 3)
-        assert np.allclose(f.to_world(f.to_local(p)), p, atol=1e-12)
+        assert np.allclose(f.origin + f.rotation() @ f.to_local(p), p, atol=1e-12)
 
 
 def test_barrier_frame_random_polygon_planar():
@@ -49,7 +49,7 @@ def test_barrier_frame_collinear_rejected():
 
 def test_clip_halfplane_square():
     sq = np.array([[0.0, 0], [2, 0], [2, 2], [0, 2]])
-    out = clip_halfplane(sq, np.array([1.0, 0.0]), 1.0)  # keep x <= 1
+    out = clip_halfplane(sq, np.array([[1.0, 0.0, 1.0]]), (0.5, 1.0))  # keep x <= 1
     assert polygon_area(out) == pytest.approx(2.0)
 
 
@@ -58,9 +58,8 @@ def test_clip_halfplane_takes_a_nan_vertex_down_the_clip(k):
     """A NaN side value is never read as inside, wherever it sits."""
     sq = np.array([[0.0, 0], [2, 0], [2, 2], [0, 2]])
     sq[k, k % 2] = np.nan
-    for a, b in ((np.array([1.0, 0.0]), 10.0), (np.array([0.0, -1.0]), 10.0),
-                 (np.array([1.0, 0.0]), 1.0)):
-        assert clip_halfplane(sq, a, b) is not sq
+    for plane in ([1.0, 0.0, 10.0], [0.0, -1.0, 10.0], [1.0, 0.0, 1.0]):
+        assert clip_halfplane(sq, np.array([plane]), (0.5, 1.0)) is not sq
 
 
 def test_voronoi_two_generators_mirror_cells():
@@ -103,15 +102,15 @@ def test_voronoi_duplicate_generators_rejected():
 
 def centroid(poly):
     """Mass and centroid of one polygon, as the coverage partition takes them
-    from `polygon_moments`."""
-    area, first, _ = polygon_moments([poly])
-    return area[0], first[0] / area[0]
+    from `cell_moments`."""
+    area, mx, my, _ = cell_moments(poly.tolist())
+    return area, np.array([mx / area, my / area])
 
 
 def second_moment(poly, about):
     """Integral of |q - about|^2 over one polygon, as the coverage cost
-    takes it from `polygon_moments`."""
-    return float(_moment_about(*(m[0] for m in polygon_moments([poly])), about))
+    takes it from `cell_moments`."""
+    return _moment_about(*cell_moments(poly.tolist()), *about.tolist())
 
 
 def test_cell_centroid_unit_square():

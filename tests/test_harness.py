@@ -1094,3 +1094,51 @@ def test_every_schema_key_is_set_by_a_stock_config():
     allowed = set(_UNSET_ALLOWED)
     assert unset == allowed, (f"set by no stock config: {sorted(unset - allowed)}; "
                               f"allowed but set: {sorted(allowed - unset)}")
+
+
+def test_cost_increase_leaves_out_the_removal_jump(monkeypatch):
+    """Without a sweep, `cost_max_increase` is the largest rise of the
+    multicenter cost from one tick to the next, except into a removal tick
+    and out of it: removing an agent raises the cost by construction."""
+    costs = []
+    cost = runner.CoverageSim.multicenter_cost
+
+    def recorded(sim):
+        costs.append(cost(sim))
+        return costs[-1]
+
+    monkeypatch.setattr(runner.CoverageSim, "multicenter_cost", recorded)
+    cfg = scenarios.stock("coverage-agent-removal")
+    del cfg["params"]["coverage"]["sweep"], cfg["monitors"]["sweep_tol"]
+    cfg["duration"] = 5.0
+    cfg["params"]["coverage"]["removals"] = [{"agent": 2, "tick": 40}]
+    res = run(cfg)
+    assert [e["tick"] for e in res.log.events if e["kind"] == "agent_removed"] == [40]
+    rises = np.diff(costs)
+    assert rises[39] > 1.0          # into tick 40: the removal jump
+    kept = max(0.0, *np.delete(rises, [39, 40]).tolist())
+    assert res.metrics["cost_max_increase"] == kept < 1e-6
+
+
+def _progress(q_unwrapped, window=5):
+    """`progress_monotone` of a tunnel run whose unwrapped arc length went
+    through q_unwrapped, judged over `window` ticks."""
+    engine = object.__new__(ENGINES["tunnel"])
+    Engine.__init__(engine, 0.1, {})
+    engine.q_unwrapped, engine.window = list(q_unwrapped), window
+    return engine.metrics([])["progress_monotone"]
+
+
+def test_progress_monitor_boundaries():
+    """Progress must grow over every `window` ticks: a stall of exactly
+    `window` ticks fails, one tick less passes, and a run of at most
+    `window` samples has no window to judge."""
+    rising = [0.1 * k for k in range(12)]
+    assert _progress(rising)
+    stalled = rising[:4] + [rising[3]] * 5 + [rising[3] + 0.1 * k for k in range(1, 4)]
+    assert not _progress(stalled)               # q[8] - q[3] == 0 over 5 ticks
+    assert _progress(stalled[:4] + stalled[5:])   # the same stall of 4 ticks
+    assert not _progress([1.0] * 6)             # window + 1 samples, no progress
+    assert _progress([1.0, 1.0, 1.0, 1.0, 1.0, 1.1])
+    assert _progress([1.0] * 5)                 # window samples: nothing to judge
+    assert _progress([2.0, 1.0, 0.5, 0.25, 0.1])

@@ -1,7 +1,9 @@
 """Property tests of the swarm kernels against plain references written
 here: the nearest-first Voronoi clipping against an all-pairs clip and, bit
 for bit, against the same clips with no early stop; the coverage path's
-float arithmetic, bit for bit, against the element-wise sums it promises;
+float arithmetic, bit for bit, against the element-wise sums it promises,
+the coverage partition against the array form it replaced, and the float
+sums against numpy's own summation order;
 the batched null-space blend against one explicit projector product per
 agent, and one flocking tick against a per-agent loop over the force
 helpers; the tabled path lookahead against a dense chord sum; and the
@@ -17,14 +19,14 @@ from hypothesis.extra.numpy import arrays
 
 from aeronav import flocking
 from aeronav.bezier import PiecewisePath
-from aeronav.coverage import (BarrierFrame, CoverageGains, clip_halfplane,
-                              coverage_control, polygon_area, polygon_moments,
-                              voronoi_cells)
+from aeronav.coverage import (BarrierFrame, CoverageGains, _pairwise_sum, _Partition,
+                              cell_moments, clip_halfplane, coverage_control,
+                              polygon_area, voronoi_cells)
 from aeronav.flocking import (FlockParams, FlockSim, goal_forces, heading_angles,
                               neighbor_lists, nsb_blend, obstacle_force,
                               spacing_forces)
-from aeronav.geom import (blas_dots, blas_matvecs, blas_norms, column_norms, cross3, norm,
-                          pairwise, row_norms, sub_columns, wrap_angle)
+from aeronav.geom import (blas_dots, blas_matvecs, blas_norms, column_norms, cross3,
+                          matmul_lr, norm, pairwise, row_norms, sub_columns, wrap_angle)
 from aeronav.plants import flock_direction
 from aeronav.world import Sphere, World
 
@@ -80,6 +82,25 @@ def _cells_reference(g, boundary, mask=None):
     return cells
 
 
+def polygon_moments(polys):
+    """Exact shoelace integrals over each polygon (ordered vertices, at least
+    three each) in array form: area (k,), first moment (k, 2) and second
+    moment (k,), each summed by np.add.reduceat."""
+    counts = np.array([len(p) for p in polys])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    pts = np.concatenate(polys)
+    nxt = np.arange(1, len(pts) + 1)
+    nxt[ends - 1] = starts
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = x[nxt], y[nxt]
+    cross = x * yn - xn * y
+    sums = np.add.reduceat(np.stack((
+        cross, cross * (x + xn), cross * (y + yn),
+        cross * (x * x + x * xn + xn * xn + y * y + y * yn + yn * yn))), starts, axis=1)
+    return 0.5 * sums[0], sums[1:3].T / 6.0, sums[3] / 12.0
+
+
 def _moments(cell):
     if len(cell) < 3:
         return np.zeros(4)
@@ -99,9 +120,25 @@ def test_voronoi_cells_equal_all_pairs_clip(g, boundary, r_c):
         assert np.allclose(_moments(cell), _moments(ref), rtol=0.0, atol=1e-9)
 
 
+def _clip_by_sides(poly, s):
+    """Sutherland-Hodgman of poly, deciding by the given side values s."""
+    inside = s <= 1e-12
+    if inside.all():
+        return poly
+    out = []
+    for k in range(-len(poly), 0):
+        if inside[k]:
+            out.append(poly[k])
+        if inside[k] != inside[k + 1] and abs(s[k] - s[k + 1]) > 1e-15:
+            t = min(max(s[k] / (s[k] - s[k + 1]), 0.0), 1.0)
+            out.append(poly[k] + t * (poly[k + 1] - poly[k]))
+    return np.array(out) if out else np.empty((0, 2))
+
+
 def _cells_nearest_first(g, boundary, mask=None):
-    """Every cell clipped by `clip_halfplane` with every other (in-range)
-    generator, nearest first in stable order, with no early stop."""
+    """Every cell clipped with every other (in-range) generator's bisector,
+    nearest first in stable order, one half-plane at a time with no early
+    stop, each vertex decided by numpy's element-wise x * a0 + y * a1 - b."""
     _, d = pairwise(g)
     half_sq = 0.5 * np.einsum("ij,ij->i", g, g)
     cells = []
@@ -109,7 +146,8 @@ def _cells_nearest_first(g, boundary, mask=None):
         poly = boundary
         for j in np.argsort(d[i], kind="stable"):
             if j != i and (mask is None or mask[i, j]) and len(poly):
-                poly = clip_halfplane(poly, g[j] - g[i], half_sq[j] - half_sq[i])
+                a, b = g[j] - g[i], half_sq[j] - half_sq[i]
+                poly = _clip_by_sides(poly, poly[:, 0] * a[0] + poly[:, 1] * a[1] - b)
         cells.append(poly)
     return cells
 
@@ -135,34 +173,145 @@ def test_voronoi_cells_tile_the_boundary(g, boundary):
                                                                 rel=1e-9)
 
 
-def _clip_by_sides(poly, s):
-    """Sutherland-Hodgman of poly, deciding by the given side values s."""
-    inside = s <= 1e-12
-    if inside.all():
-        return poly
-    out = []
-    for k in range(-len(poly), 0):
-        if inside[k]:
-            out.append(poly[k])
-        if inside[k] != inside[k + 1] and abs(s[k] - s[k + 1]) > 1e-15:
-            t = min(max(s[k] / (s[k] - s[k + 1]), 0.0), 1.0)
-            out.append(poly[k] + t * (poly[k + 1] - poly[k]))
-    return np.array(out) if out else np.empty((0, 2))
-
-
 finite = st.floats(-20.0, 20.0)
 
 
 @SETTINGS
 @given(poly=st.sampled_from([BOX, HEXAGON, BOX[::-1] - 5.0]),
-       a=arrays(float, 2, elements=finite), b=finite)
-def test_clip_sides_are_element_wise_sums(poly, a, b):
+       a=arrays(float, 2, elements=finite), b=finite, g=arrays(float, 2, elements=finite))
+def test_clip_sides_are_element_wise_sums(poly, a, b, g):
     """The side values that decide a clip are x * a0 + y * a1 - b, rounded
-    step by step as numpy's element-wise arithmetic rounds them."""
-    got = clip_halfplane(poly, a, b)
+    step by step as numpy's element-wise arithmetic rounds them, and the
+    early stop, from any g, skips only a half-plane that does not cut."""
+    got = clip_halfplane(poly, np.array([[a[0], a[1], b]]), g)
     want = _clip_by_sides(poly, poly[:, 0] * a[0] + poly[:, 1] * a[1] - b)
     assert (got is poly) == (want is poly)
     assert np.array_equal(got, want)
+
+
+def _moment_about(area, first, second, about):
+    """Integral of |q - about|^2 from the moments about the origin, arrays."""
+    return (second - 2.0 * np.sum(first * about, axis=-1)
+            + np.sum(about * about, axis=-1) * area)
+
+
+def _to_world(frame, local):
+    """World points of in-plane frame coordinates (n, 2), in array form."""
+    return frame.origin + matmul_lr(local, np.stack((frame.a1, frame.a2)))
+
+
+def _partition_reference(q, active, frame, r_c):
+    """The coverage partition in array form: cells, world centroids, cost
+    and events from `polygon_moments`, `_to_world` and np.sum."""
+    idx = np.nonzero(active)[0]
+    proj = frame.project(q[idx])
+    mask = None if r_c is None else pairwise(q[idx])[1] <= r_c
+    cells = _cells_nearest_first(proj, frame.boundary_local, mask)
+    events = []
+    if mask is not None:
+        half_sq = 0.5 * (proj[:, 0] * proj[:, 0] + proj[:, 1] * proj[:, 1])
+        for row, cell in enumerate(cells):
+            far = np.nonzero(~mask[row])[0]
+            if len(cell) < 3 or len(far) == 0:
+                continue
+            cut = np.any(matmul_lr(cell, (proj[far] - proj[row]).T)
+                         > half_sq[far] - half_sq[row] + 1e-9, axis=0)
+            events.extend(("comm_range_violation",
+                           {"agent": int(idx[row]), "neighbor": int(idx[j])})
+                          for j in far[cut])
+    cents = np.full(q.shape, np.nan)
+    cents[idx] = q[idx]
+    full = np.array([len(cell) >= 3 for cell in cells], dtype=bool)
+    events.extend(("empty_cell", {"agent": int(i)}) for i in idx[~full])
+    cost = 0.0
+    if full.any():
+        area, first, second = polygon_moments([c for c, ok in zip(cells, full) if ok])
+        cents[idx[full]] = _to_world(frame, first / area[:, None])
+        cost = float(np.sum(_moment_about(area, first, second, proj[full])))
+    return cells, cents, cost, events
+
+
+@st.composite
+def coverage_states(draw):
+    """Agents around a 10 m x 6 m plane, some far outside it (empty cells),
+    some removed, the plane tilted out of the xy-plane."""
+    n = draw(st.integers(1, 12))
+    q = draw(arrays(float, (n, 3), elements=st.floats(-6.0, 16.0)))
+    active = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    active[draw(st.integers(0, n - 1))] = True
+    angles = draw(arrays(float, 2, elements=st.floats(-3.0, 3.0)))
+    ca, sa, cb, sb = (math.cos(angles[0]), math.sin(angles[0]),
+                      math.cos(angles[1]), math.sin(angles[1]))
+    u, v = np.array([ca * cb, sa * cb, sb]), np.array([-sa, ca, 0.0])
+    shift = draw(arrays(float, 3, elements=st.floats(-5.0, 5.0)))
+    frame = BarrierFrame.from_vertices(shift + np.array([0 * u, 10 * u, 10 * u + 6 * v, 6 * v]))
+    r_c = draw(st.one_of(st.none(), st.floats(0.5, 12.0)))
+    return q, active, frame, r_c
+
+
+@SETTINGS
+@given(state=coverage_states())
+def test_partition_equals_the_array_form_bit_for_bit(state):
+    q, active, frame, r_c = state
+    proj = frame.project(q[active])
+    assume(_distinct(proj) if len(proj) > 1 else True)
+    try:
+        want = _partition_reference(q, active, frame, r_c)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _Partition.of(q, active, frame, r_c)
+        return
+    got = _Partition.of(q, active, frame, r_c)
+    cells, cents, cost, events = want
+    assert len(got.cells) == len(cells)
+    assert all(np.array_equal(c, w) for c, w in zip(got.cells, cells))
+    assert _bits(got.centroids) == _bits(cents)
+    assert _bits(got.cost) == _bits(cost)
+    assert got.events == events
+
+
+def _sums_reference(terms):
+    """A segment summed by np.add.reduceat and a 1-D array by np.sum."""
+    x = np.array(terms, dtype=float)
+    return np.add.reduceat(x, [0])[0], np.sum(x)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 129, 300])
+def test_float_sums_follow_numpy_summation_order(n):
+    """The float moments and cost copy numpy's pairwise summation; a numpy
+    that sums in another order fails here, by name, before it moves the
+    coverage digests.  Mixed magnitudes and signs make the order show: a
+    left-to-right sum differs on many of these runs.  129 and 300 terms
+    reach the halving above 128."""
+    rng = np.random.default_rng(n)
+    differ = np.zeros(2, dtype=int)
+    for _ in range(200):
+        terms = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).tolist()
+        if rng.random() < 0.1:
+            terms[rng.integers(n)] = -0.0
+        segment, whole = _sums_reference(terms)
+        assert _bits(terms[0] + _pairwise_sum(terms[1:])) == _bits(segment)
+        assert _bits(0.0 + _pairwise_sum(terms)) == _bits(whole)
+        left = 0.0
+        for t in terms:
+            left += t
+        differ += (left != segment, left != whole)
+    # np.sum adds left to right below nine terms; reduceat's first term
+    # comes last from three
+    assert n < 3 or differ[0] > 0
+    assert n < 9 or differ[1] > 0
+    assert _bits(0.0 + _pairwise_sum([-0.0] * n)) == _bits(np.sum(np.full(n, -0.0)))
+    assert _bits(-0.0 + _pairwise_sum([-0.0] * (n - 1))) == _bits(
+        np.add.reduceat(np.full(n, -0.0), [0])[0])
+
+
+@SETTINGS
+@given(poly=arrays(float, st.tuples(st.integers(3, 20), st.just(2)),
+                   elements=st.floats(-50.0, 50.0)))
+def test_cell_moments_equal_reduceat_moments_bit_for_bit(poly):
+    """Up to 20 vertices, so that the sums past eight terms are checked too."""
+    area, first, second = polygon_moments([poly])
+    assert _bits(cell_moments(poly.tolist())) == _bits([area[0], *first[0], second[0]])
 
 
 vec3 = arrays(float, 3, elements=st.floats(-50.0, 50.0))
@@ -185,14 +334,14 @@ def test_coverage_control_is_math_tanh_times_gain(p, c, k):
 @given(shift=vec3, angles=arrays(float, 2, elements=st.floats(-3.0, 3.0)),
        pts=arrays(float, (4, 3), elements=st.floats(-50.0, 50.0)))
 def test_frame_maps_are_left_to_right_float_sums(shift, angles, pts):
-    """project and to_world equal the products of the frame's axes summed
-    left to right on Python floats."""
+    """project and the array form of the map to the world equal the
+    products of the frame's axes summed left to right on Python floats."""
     ca, sa, cb, sb = (math.cos(angles[0]), math.sin(angles[0]),
                       math.cos(angles[1]), math.sin(angles[1]))
     u, v = np.array([ca * cb, sa * cb, sb]), np.array([-sa, ca, 0.0])
     frame = BarrierFrame.from_vertices(shift + np.array([0 * u, 4 * u, 4 * u + 3 * v, 3 * v]))
     o, axes = frame.origin.tolist(), (frame.a1.tolist(), frame.a2.tolist())
-    proj, world = frame.project(pts), frame.to_world(pts[:, :2])
+    proj, world = frame.project(pts), _to_world(frame, pts[:, :2])
     for row, (x, y, z) in enumerate(pts.tolist()):
         for col, a in enumerate(axes):
             assert proj[row, col] == (x - o[0]) * a[0] + (y - o[1]) * a[1] + (z - o[2]) * a[2]
