@@ -8,7 +8,8 @@ error), goal attraction gated by a sigmoid that vanishes inside the goal
 ball, and an obstacle force active inside a critical shell.  The blend
 projects lower-priority forces into the null space of higher-priority ones
 (order: obstacle, spacing, goal), so they can never cancel a more critical
-force.
+force.  Per-row dots and matrix-vector products go through `geom`'s BLAS
+helpers, so every row has the one-agent formula's rounding.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (cross3, min_pair_distance, norm, pairwise, unit, unit_or_zero,
-                   wrap_angle)
+from .geom import (blas_dots, blas_matvecs, blas_norms, cross3, min_pair_distance, norm,
+                   pairwise, unit, unit_or_zero, wrap_angle)
 from .plants import flock_direction, step_flock_batch
 from .world import World
 
@@ -27,6 +28,7 @@ KK2 = 2.0 * np.eye(2)
 GAMMA = 1.0                      # sigmoid steepness
 MU = 1.0                         # smooth-sgn steepness for the speed damping
 THETA_DDOT_CAP = 2.0             # clamp on the filtered feedforward
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class FlockParams:
             object.__setattr__(self, "goal", np.zeros(3))
         if self.d_ij <= self.d_s:
             raise ValueError("need d_ij > d_s")
+        if self.alpha_neighbors not in ("all", "nearest2"):
+            raise ValueError(f"alpha_neighbors: all or nearest2, not {self.alpha_neighbors!r}")
 
 
 def sigmoid_gate(z, gamma: float):
@@ -79,18 +83,6 @@ def neighbor_lists(d: np.ndarray, r_c: float) -> list[np.ndarray]:
     return [np.nonzero(row)[0] for row in _in_range(d, r_c)]
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis, each rounded as the dot product of
-    one pair of vectors (`u @ v`), so that a row of an array kernel equals
-    the one-agent result bit for bit; sum(u * v) and norm(axis=-1) round
-    differently."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(v, v))
-
-
 def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
                    params: FlockParams, rng: np.random.Generator | None = None,
                    nudged: list | None = None) -> np.ndarray:
@@ -101,9 +93,9 @@ def spacing_forces(diff: np.ndarray, d: np.ndarray, within: np.ndarray,
     if params.alpha_neighbors == "nearest2" and len(d) > 2:
         near = np.argpartition(np.where(within, d, np.inf), 1, axis=1)[:, :2]
         keep = np.zeros_like(within)
-        np.put_along_axis(keep, near, True, axis=1)
+        keep[np.arange(len(d))[:, None], near] = True
         within = within & keep
-    dist = _norms(diff)
+    dist = blas_norms(diff)
     close = within & (dist < 1e-9)
     if close.any():
         # coincident agents are rejected at spawn; at runtime nudge apart
@@ -125,9 +117,11 @@ def goal_forces(q: np.ndarray, params: FlockParams) -> np.ndarray:
     """k_goal times the sigmoid gate of the distance outside the goal ball,
     toward the goal; zero at the goal itself.  q: (n, 3)."""
     e = params.goal - q
-    q_ig = _norms(e)
+    q_ig = blas_norms(e)
     at_goal = q_ig < 1e-9
     gain = params.k_goal * sigmoid_gate(q_ig - params.goal_radius, GAMMA)
+    if not at_goal.any():
+        return gain[:, None] * (e / q_ig[:, None])
     return np.where(at_goal[:, None], 0.0,
                     gain[:, None] * (e / np.where(at_goal, 1.0, q_ig)[:, None]))
 
@@ -152,16 +146,11 @@ def obstacle_force(q_i: np.ndarray, d: float, closest: np.ndarray,
 
 def _null_projector(f: np.ndarray) -> np.ndarray:
     """I - f_hat f_hat^T, (..., m, m); the identity where f ~ 0."""
-    n = _norms(f)[..., None]
+    n = blas_norms(f)[..., None]
     zero = n < 1e-12
-    f_hat = np.where(zero, 0.0, f / np.where(zero, 1.0, n))
-    return np.eye(f.shape[-1]) - f_hat[..., :, None] * f_hat[..., None, :]
-
-
-def _apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat @ v over a leading agent axis, with a single matrix-vector
-    product's rounding."""
-    return (mat @ v[..., None])[..., 0]
+    f_hat = np.where(zero, 0.0, f / np.where(zero, 1.0, n)) if zero.any() else f / n
+    eye = _EYE3 if f.shape[-1] == 3 else np.eye(f.shape[-1])
+    return eye - f_hat[..., :, None] * f_hat[..., None, :]
 
 
 def nsb_blend(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
@@ -169,15 +158,16 @@ def nsb_blend(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
     N2 = N1 (I - f2_hat f2_hat^T); a zero force projects as identity.
     Forces are (m,) or carry a leading agent axis, (n, m)."""
     n1 = _null_projector(f1)
-    return f1 + _apply(n1, f2) + _apply(n1 @ _null_projector(f2), f3)
+    return f1 + blas_matvecs(n1, f2) + blas_matvecs(n1 @ _null_projector(f2), f3)
 
 
 def heading_angles(f: np.ndarray) -> np.ndarray:
     """Orientation angles [flight path, heading] of a nonzero direction;
     f is (3,) or (n, 3)."""
     f = np.asarray(f, dtype=float)
-    return np.stack([np.arctan2(f[..., 2], np.hypot(f[..., 0], f[..., 1])),
-                     np.arctan2(f[..., 1], f[..., 0])], axis=-1)
+    # no out= for arctan2: numpy picks its loop, and so its bits, by operand layout
+    return np.concatenate((np.arctan2(f[..., 2], np.hypot(f[..., 0], f[..., 1]))[..., None],
+                           np.arctan2(f[..., 1], f[..., 0])[..., None]), axis=-1)
 
 
 def flocking_control(v_i, theta_i: np.ndarray, theta_dot_i: np.ndarray,
@@ -187,11 +177,11 @@ def flocking_control(v_i, theta_i: np.ndarray, theta_dot_i: np.ndarray,
     """Acceleration-level law: a = f~ . r - k_v sgn(v) (smooth), and the
     orientation tracking law with feedforward.  One agent's arguments, or
     all agents' with a leading agent axis ((n,) speeds, (n, 3) vectors)."""
-    a = _dot(f_tilde, r_i) - params.k_v * np.tanh(MU * v_i)
+    a = blas_dots(f_tilde, r_i) - params.k_v * np.tanh(MU * v_i)
     e = wrap_angle(theta_i - theta_f)
     e_dot = theta_dot_i - theta_f_dot
-    alpha = (theta_f_ddot - _apply(KK1, np.tanh(e))
-             - _apply(KK2, np.tanh(e_dot)))
+    alpha = (theta_f_ddot - blas_matvecs(KK1, np.tanh(e))
+             - blas_matvecs(KK2, np.tanh(e_dot)))
     return a, alpha
 
 
@@ -224,7 +214,8 @@ def collision_energy_bound(params: FlockParams) -> float:
 
 class FlockSim:
     """Two-phase tick engine: snapshot -> all agents' controls as (n, 3)
-    arrays -> batch step."""
+    arrays, with obstacle forces only for the agents inside the critical
+    shell -> one batch plant step over the control hold."""
 
     def __init__(self, q0: np.ndarray, theta0: np.ndarray, params: FlockParams,
                  world: World | None = None, control_dt: float = 0.1,
@@ -272,23 +263,27 @@ class FlockSim:
         self.events.extend((self.ticks, "coincident_guard", {"agents": [i, j]})
                            for i, j in nudged)
         f_g = goal_forces(snap.q, p)
+        hits = self.nearest_obstacles() if self.world is not None and self.world.obstacles else []
+        inside = [i for i, (d_i, _, _) in enumerate(hits) if not d_i > p.big_c]
         f_o = np.zeros_like(f_a)
-        if self.world is not None and self.world.obstacles:
-            f_o = np.array([obstacle_force(q, d, closest, p) for q, (d, closest, _)
-                            in zip(snap.q, self.nearest_obstacles())])
-        f_t = nsb_blend(f_o, f_a, f_g)
-        # a vanishing blend holds the previous direction
-        steer = _norms(f_t) > 1e-9
-        th_f = np.where(steer[:, None], heading_angles(f_t), self._theta_f)
+        for i in inside:
+            f_o[i] = obstacle_force(snap.q[i], hits[i][0], hits[i][1], p)
+        # with none inside, nsb_blend(0, f_a, f_g): N1 = I; 0.0 + clears I f_a's signed zeros
+        f_t = (nsb_blend(f_o, f_a, f_g) if inside
+               else (0.0 + f_a) + blas_matvecs(_null_projector(f_a), f_g))
+        th_f = heading_angles(f_t)
+        steer = blas_norms(f_t) > 1e-9
+        if not steer.all():   # a vanishing blend holds the previous direction
+            th_f = np.where(steer[:, None], th_f, self._theta_f)
         d1 = ((1 - self._ema) * self._theta_f_dot
               + self._ema * (wrap_angle(th_f - self._theta_f) / self.control_dt))
         d2 = ((1 - self._ema) * self._theta_f_ddot
               + self._ema * ((d1 - self._theta_f_dot) / self.control_dt))
-        d2 = np.clip(d2, -THETA_DDOT_CAP, THETA_DDOT_CAP)
+        d2 = np.minimum(np.maximum(d2, -THETA_DDOT_CAP), THETA_DDOT_CAP)   # np.clip's bits
         self._theta_f, self._theta_f_dot, self._theta_f_ddot = th_f, d1, d2
         a, alpha = flocking_control(snap.nu[:, 0], snap.theta, snap.nu[:, 1:], f_t,
                                     flock_direction(snap.theta), th_f, d1, d2, p)
-        tau = np.column_stack((a, alpha))
+        tau = np.concatenate((a[:, None], alpha), axis=1)
         steps = max(1, int(round(self.control_dt / self.plant_dt)))
         self.snapshot = FlockSnapshot(*step_flock_batch(snap.q, snap.theta, snap.nu, tau,
                                                         self.plant_dt, steps))

@@ -154,7 +154,8 @@ def min_pair_distance(d: np.ndarray) -> float:
     it leaves as they are; +inf for n < 2."""
     if len(d) < 2:
         return float("inf")
-    return float(np.where(np.eye(len(d), dtype=bool), np.inf, d).min())
+    # the entries after d[0, 0] form n - 1 rows of n + 1, each ending on a diagonal entry
+    return float(d.reshape(-1)[1:].reshape(len(d) - 1, -1)[:, :-1].min())
 
 
 _TWO_PI = 2.0 * np.pi

@@ -219,6 +219,8 @@ def validate_config(cfg: dict) -> dict:
         if "probe_distances" in params and params.get("pipeline", "slices") != "robust":
             raise ConfigError('params.probe_distances: only the "robust" pipeline reads it; '
                               'the slices pipeline probes at tunnel_nav.d1 and d2')
+        if progress_window(cfg) < 1:
+            raise ConfigError("monitors.progress_window: under half of params.tunnel_nav.delta")
         auto = [cfg.get(key) == "auto" for key in ("start", "heading")]
         if any(auto) and not all(auto):
             raise ConfigError('start and heading: set both to "auto" or neither')
@@ -234,6 +236,12 @@ def validate_config(cfg: dict) -> dict:
         if m.key in cfg.get("monitors", {}) and m not in judged(cfg):
             raise ConfigError(f"monitors.{m.key}: this run reports no {m.metric}")
     return cfg
+
+
+def progress_window(cfg: dict) -> int:
+    """A tunnel run's progress window in whole control periods."""
+    delta = TunnelParams(**cfg.get("params", {}).get("tunnel_nav", {})).delta
+    return int(round(float(cfg.get("monitors", {}).get("progress_window", 5.0)) / delta))
 
 
 def _check_world(world: dict, kind: str) -> None:

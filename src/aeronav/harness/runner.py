@@ -15,7 +15,7 @@ from ..coverage import (BarrierFrame, CoverageGains, CoverageSim, SweepEvent,
 from ..deform import (DeformNavigator, DeformParams, RefModelState,
                       ref_acceleration, ref_velocity, reference_model_step)
 from ..flocking import FlockParams, FlockSim, neighbor_lists
-from ..geom import dot3, norm, norm3, unit
+from ..geom import dot3, norm, norm3, row_norms, unit
 from ..hybrid2d import GOAL_TOL, HybridNavigator, HybridParams
 from ..planner2d import RrtParams
 from ..plants import (Angle3DState, Heading3DState, LimitSet, QuadrotorState,
@@ -28,7 +28,7 @@ from ..tunnels import TunnelGenerationError, generate_tunnel
 from ..world import (Cylinder, Ellipsoid, Moving, SensingModel, Sphere, Wall,
                      World)
 from . import monitors as monitors_mod
-from .config import ConfigError, dataclass_params, validate_config
+from .config import ConfigError, dataclass_params, progress_window, validate_config
 from .runlog import RunLog
 
 GOAL = "goal"
@@ -385,8 +385,7 @@ class _Tunnel(Engine):
         self.q_unwrapped = [self.q_prev]
         # closed tunnels complete after one full loop, open ones near the end
         self.target = cloud.length * (1.0 if cloud.closed else 0.86)
-        self.window = int(round(float(cfg.get("monitors", {}).get("progress_window", 5.0))
-                                / p.delta))
+        self.window = progress_window(cfg)
 
     def step(self, tick):
         cloud = self.cloud
@@ -413,8 +412,7 @@ class _Tunnel(Engine):
 
     def metrics(self, events):
         q_arr, window = np.asarray(self.q_unwrapped), self.window
-        monotone = len(q_arr) <= window or bool(
-            np.all(q_arr[window:] - q_arr[:-window] > 0.0))
+        monotone = bool(np.all(q_arr[window:] - q_arr[:-window] > 0.0))
         return {"progress_monotone": monotone, "progress": float(q_arr[-1] - q_arr[0]),
                 **super().metrics(events)}
 
@@ -455,7 +453,7 @@ class _Flocking(Engine):
                  else np.inf)
         self.clearance = {"min_pair_d": sim.min_pairwise(), "min_d_obs": d_obs}
         p = sim.params
-        gd = np.linalg.norm(sim.snapshot.q - p.goal, axis=1)
+        gd = row_norms(sim.snapshot.q - p.goal)
         if np.all(gd <= p.goal_radius + 0.5) and np.max(sim.speeds()) < 0.05:
             return self.at_goal()
         return None

@@ -19,6 +19,7 @@ from .geom import (cross3, heading_from_angles, norm, orthonormalize, skew, unit
 
 PLANT_DT = 0.01
 GRAVITY = 9.81
+_PI, _TWO_PI = np.array(np.pi), np.array(2.0 * np.pi)   # 0-d: less numpy dispatch than floats
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,8 @@ def flock_direction(theta: np.ndarray) -> np.ndarray:
     (..., 3)."""
     c, s = np.cos(theta), np.sin(theta)
     out = np.empty(c.shape[:-1] + (3,))
-    out[..., 0] = c[..., 0] * c[..., 1]
-    out[..., 1] = c[..., 0] * s[..., 1]
+    np.multiply(c[..., 0], c[..., 1], out=out[..., 0])
+    np.multiply(c[..., 0], s[..., 1], out=out[..., 1])
     out[..., 2] = s[..., 0]
     return out
 
@@ -262,8 +263,8 @@ def flock_direction(theta: np.ndarray) -> np.ndarray:
 def step_flock_batch(q: np.ndarray, theta: np.ndarray, nu: np.ndarray,
                      tau: np.ndarray, dt: float,
                      steps: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`steps` RK4 steps of n copies of the nonholonomic acceleration-level
-    model, with the accelerations held.
+    """`steps` (>= 1) RK4 steps of n copies of the nonholonomic
+    acceleration-level model, with the accelerations held.
 
     q: (n, 3) positions; theta: (n, 2) orientation angles; nu: (n, 3) stacked
     [v, Omega]; tau: (n, 3) stacked [a, alpha] accelerations.  The direction
@@ -271,41 +272,38 @@ def step_flock_batch(q: np.ndarray, theta: np.ndarray, nu: np.ndarray,
     (n, 8) state [q | theta | nu] followed by `wrap_angle` of theta, bit
     for bit.  With tau held, every stage of nu is nu plus a constant and the
     angle stages depend only on theta and Omega, so the stages of all steps
-    are computed at once; only the wrapped angles are a loop.  Raises
-    FloatingPointError if an input, or the state after any step, is not
-    finite.
+    are computed at once; only the wrapped angles are a loop, in place.
+    Raises FloatingPointError if the final state is not finite, where a
+    non-finite input or step shows through the cumulative sums and the wrap.
     """
-    _check_finite([q, theta, nu, tau])
-    h2, h6 = 0.5 * dt, dt / 6.0
+    h6 = dt / 6.0
     two_tau = 2.0 * tau
     nus = np.empty((steps + 1,) + nu.shape)   # nu before and after each step
     nus[0] = nu
     nus[1:] = h6 * (((tau + two_tau) + two_tau) + tau)
     np.add.accumulate(nus, out=nus)
-    nu1 = nus[:-1]
-    nu2 = nu1 + h2 * tau                      # stages 2 and 3
-    nu4 = nu1 + dt * tau
-    om1, om2, om4 = nu1[..., 1:], nu2[..., 1:], nu4[..., 1:]
+    # nu at the 4 stages of every step (2 and 3 equal); h steps nu to 2-4, theta from 1-3
+    stage = np.empty((4,) + nus[:-1].shape)
+    stage[0] = nus[:-1]
+    h = np.array([0.5 * dt, 0.5 * dt, dt])[:, None, None, None]
+    np.add(nus[:-1], h * tau, out=stage[1:])
+    om1, om2, om4 = stage[0, ..., 1:], stage[1, ..., 1:], stage[3, ..., 1:]
     two_om2 = 2.0 * om2
     dth = h6 * (((om1 + two_om2) + two_om2) + om4)
     ths = np.empty((steps + 1,) + theta.shape)
     ths[0] = theta
-    for k in range(steps):   # wrap_angle, inline
-        ths[k + 1] = -(np.mod(-(ths[k] + dth[k]) + np.pi, 2.0 * np.pi) - np.pi)
-    th1 = ths[:-1]
-    # speeds and angles of the four stages of every step
-    v = np.empty((4,) + nu1[..., :1].shape)
-    v[0], v[1], v[2], v[3] = nu1[..., :1], nu2[..., :1], nu2[..., :1], nu4[..., :1]
-    angles = np.empty((4,) + th1.shape)
-    angles[0] = th1
-    np.add(th1, h2 * om1, out=angles[1])
-    np.add(th1, h2 * om2, out=angles[2])
-    np.add(th1, dt * om2, out=angles[3])
-    kq = v * flock_direction(angles)
+    for k in range(steps):   # wrap_angle(ths[k] + dth[k]) in place; pi - x is (-x) + pi exactly
+        x = np.subtract(_PI, np.add(ths[k], dth[k], out=ths[k + 1]), out=ths[k + 1])
+        np.negative(np.subtract(np.mod(x, _TWO_PI, out=x), _PI, out=x), out=x)
+    angles = np.empty((4,) + dth.shape)
+    angles[0] = ths[:-1]
+    np.add(ths[:-1], h * stage[:3, ..., 1:], out=angles[1:])
+    kq = flock_direction(angles)
+    kq *= stage[..., :1]
+    kq[1:3] *= 2.0
     qs = np.empty((steps + 1,) + q.shape)
     qs[0] = q
-    two_k2, two_k3 = 2.0 * kq[1], 2.0 * kq[2]
-    qs[1:] = h6 * (((kq[0] + two_k2) + two_k3) + kq[3])
+    qs[1:] = h6 * (((kq[0] + kq[1]) + kq[2]) + kq[3])
     np.add.accumulate(qs, out=qs)
-    _check_finite([qs, ths, nus])
+    _check_finite([qs[-1], ths[-1], nus[-1]])
     return qs[-1], ths[-1], nus[-1]

@@ -983,6 +983,10 @@ def test_deleted_key_rejected(name, path, value):
                  id="random-discs-flocking"),
     pytest.param("tunnel-a-smooth-bend", ("tunnel", "shape"), "klein-bottle",
                  id="tunnel-shape-unknown"),
+    pytest.param("tunnel-a-smooth-bend", ("monitors", "progress_window"), 0.01,
+                 id="progress-window-under-half-a-period"),
+    pytest.param("flock-n4", ("params", "flock", "alpha_neighbors"), "nearest3",
+                 id="flock-alpha-neighbors-unknown"),
     pytest.param("tunnel-a-smooth-bend", ("monitors", "wall_margin"), "0.3",
                  id="monitor-string"),
     pytest.param("tunnel-a-smooth-bend", ("output", "svg"), "yes", id="output-string"),

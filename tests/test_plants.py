@@ -334,6 +334,19 @@ def test_flock_batch_raises_when_a_middle_step_overflows():
             step_flock_batch(q, theta, nu, tau, 1.0, 10)
 
 
+def test_flock_batch_raises_when_the_angles_overflow_in_a_middle_step():
+    """Turn accelerations of 1e307 rad/s^2 from rest: the angle increment of
+    the 4th of 10 one-second steps overflows while the rates stay finite, so
+    the angles are NaN from then on, and so are the positions they steer."""
+    q, theta, nu = np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3))
+    tau = np.zeros((2, 3))
+    tau[:, 1:] = 1e307
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert all(np.isfinite(a).all() for a in step_flock_batch(q, theta, nu, tau, 1.0, 3))
+        with pytest.raises(FloatingPointError):
+            step_flock_batch(q, theta, nu, tau, 1.0, 10)
+
+
 LIM = LimitSet(v_max=1.0, u_max=1.5)
 
 

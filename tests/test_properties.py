@@ -370,53 +370,84 @@ def test_nsb_blend_rows_equal_projector_form(forces):
         assert np.allclose(nsb_blend(f1[k], f2[k], f3[k]), want, rtol=0.0, atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
-       nearest2=st.booleans(), obstacle=st.booleans())
-def test_tick_controls_equal_per_agent_loop(seed, n, nearest2, obstacle):
-    rng = np.random.default_rng(seed)
-    params = FlockParams(r_c=12.0, goal=np.array([30.0, 30.0, 30.0]),
-                         alpha_neighbors="nearest2" if nearest2 else "all")
-    world = World([Sphere(np.array([9.0, 9.0, 9.0]), 2.0)]) if obstacle else None
-    q0 = rng.uniform(0.0, 18.0, size=(n, 3))
-    assume(_distinct(q0))
-    sim = FlockSim(q0, rng.uniform(-1.0, 1.0, size=(n, 2)), params, world=world, rng=rng)
-    for _ in range(3):
-        sim.tick()
-    snap, p, dt, ema = sim.snapshot, sim.params, sim.control_dt, sim._ema
-    th_prev, dot_prev, ddot_prev = sim._theta_f, sim._theta_f_dot, sim._theta_f_ddot
-    within = np.zeros((n, n), dtype=bool)
-    for i, nb in enumerate(neighbor_lists(pairwise(snap.q)[1], p.r_c)):
-        within[i, nb] = True
-    f_s, f_g = spacing_forces(*pairwise(snap.q), within, p), goal_forces(snap.q, p)
-    want = np.empty((n, 3))
-    for i in range(n):
-        f_o = (np.zeros(3) if world is None else
-               obstacle_force(snap.q[i], *world.nearest_obstacle(snap.q[i], sim.t)[:2], p))
-        f_t = nsb_blend(f_o, f_s[i], f_g[i])
-        th_f = heading_angles(f_t) if np.linalg.norm(f_t) > 1e-9 else th_prev[i]
-        d1_raw = wrap_angle(th_f - th_prev[i]) / dt
-        d1 = (1 - ema) * dot_prev[i] + ema * d1_raw
-        d2_raw = (d1 - dot_prev[i]) / dt
-        d2 = np.clip((1 - ema) * ddot_prev[i] + ema * d2_raw,
-                     -flocking.THETA_DDOT_CAP, flocking.THETA_DDOT_CAP)
-        a, alpha = flocking.flocking_control(snap.nu[i, 0], snap.theta[i], snap.nu[i, 1:],
-                                             f_t, flock_direction(snap.theta[i]), th_f,
-                                             d1, d2, p)
-        want[i] = [a, *alpha]
-    taus = []
+@SETTINGS
+@given(st.integers(1, 8).flatmap(lambda n: arrays(
+    float, (2, n, 3), elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0)))))
+def test_blend_with_a_zero_first_force_is_the_spacing_goal_level(forces):
+    """nsb_blend(0, f2, f3) is (0.0 + f2) + N2 f3 bit for bit, signed zeros
+    included: N1 is exactly I, and I f2 differs from f2 only in the signs of
+    its zeros, which adding 0.0 clears.  The tick forms the blend this way
+    when no agent is inside the obstacle shell."""
+    f2, f3 = forces
+    got = nsb_blend(np.zeros_like(f2), f2, f3)
+    for k in range(len(f2)):
+        want = (0.0 + f2[k]) + _projector(f2[k]) @ f3[k]
+        assert _bits(got[k]) == _bits(want)
+        assert _bits(nsb_blend(np.zeros(3), f2[k], f3[k])) == _bits(want)
 
-    def capture(q, th, nu, tau, h, steps):
-        assert steps == 10
-        taus.append(tau)
-        return q, th, nu
 
-    stepper, flocking.step_flock_batch = flocking.step_flock_batch, capture
-    try:
-        sim.tick()
-    finally:
-        flocking.step_flock_batch = stepper
-    assert np.allclose(taus[0], want, rtol=0.0, atol=1e-12)
+def test_tick_controls_equal_per_agent_loop():
+    """The array tick's controls equal a per-agent loop over the one-agent
+    forms bit for bit; the obstacle examples take ticks with agents on both
+    sides of the critical shell, and ticks with none inside."""
+    inside_counts = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           nearest2=st.booleans(), obstacle=st.booleans())
+    def check(seed, n, nearest2, obstacle):
+        rng = np.random.default_rng(seed)
+        params = FlockParams(r_c=12.0, goal=np.array([30.0, 30.0, 30.0]),
+                             alpha_neighbors="nearest2" if nearest2 else "all")
+        world = World([Sphere(np.array([9.0, 9.0, 9.0]), 2.0)]) if obstacle else None
+        q0 = rng.uniform(0.0, 18.0, size=(n, 3))
+        assume(_distinct(q0))
+        sim = FlockSim(q0, rng.uniform(-1.0, 1.0, size=(n, 2)), params, world=world, rng=rng)
+        for _ in range(3):
+            sim.tick()
+        snap, p, dt, ema = sim.snapshot, sim.params, sim.control_dt, sim._ema
+        th_prev, dot_prev, ddot_prev = sim._theta_f, sim._theta_f_dot, sim._theta_f_ddot
+        within = np.zeros((n, n), dtype=bool)
+        for i, nb in enumerate(neighbor_lists(pairwise(snap.q)[1], p.r_c)):
+            within[i, nb] = True
+        f_s, f_g = spacing_forces(*pairwise(snap.q), within, p), goal_forces(snap.q, p)
+        want, inside = np.empty((n, 3)), 0
+        for i in range(n):
+            f_o = np.zeros(3)
+            if world is not None:
+                d_o, closest, _ = world.nearest_obstacle(snap.q[i], sim.t)
+                f_o = obstacle_force(snap.q[i], d_o, closest, p)
+                inside += not d_o > p.big_c
+            f_t = nsb_blend(f_o, f_s[i], f_g[i])
+            th_f = heading_angles(f_t) if np.linalg.norm(f_t) > 1e-9 else th_prev[i]
+            d1_raw = wrap_angle(th_f - th_prev[i]) / dt
+            d1 = (1 - ema) * dot_prev[i] + ema * d1_raw
+            d2_raw = (d1 - dot_prev[i]) / dt
+            d2 = np.clip((1 - ema) * ddot_prev[i] + ema * d2_raw,
+                         -flocking.THETA_DDOT_CAP, flocking.THETA_DDOT_CAP)
+            a, alpha = flocking.flocking_control(snap.nu[i, 0], snap.theta[i], snap.nu[i, 1:],
+                                                 f_t, flock_direction(snap.theta[i]), th_f,
+                                                 d1, d2, p)
+            want[i] = [a, *alpha]
+        taus = []
+
+        def capture(q, th, nu, tau, h, steps):
+            assert steps == 10
+            taus.append(tau)
+            return q, th, nu
+
+        stepper, flocking.step_flock_batch = flocking.step_flock_batch, capture
+        try:
+            sim.tick()
+        finally:
+            flocking.step_flock_batch = stepper
+        assert np.array_equal(taus[0], want)
+        if obstacle:
+            inside_counts.append((inside, n))
+
+    check()
+    assert any(0 < k < m for k, m in inside_counts)
+    assert any(k == 0 for k, _ in inside_counts)
 
 
 @st.composite
